@@ -37,6 +37,8 @@ class DeletionMonitor {
   std::int64_t Delete(int relation, TupleId row);
 
   /// Exact marginal impact of deleting the tuple *now*, without deleting.
+  /// An O(1) read: concurrent Impact/IsRelevant calls are safe while no
+  /// Delete runs.
   std::int64_t Impact(int relation, TupleId row) const;
 
   /// True if the tuple still contributes to at least one alive output.

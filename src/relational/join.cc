@@ -245,9 +245,22 @@ std::vector<Tuple> DistinctOutputs(const std::vector<RelationSchema>& body,
   AttrSet all;
   for (AttrId a : join.attrs) all.Add(a);
   const AttrSet proj = head.Intersect(all);
+  std::vector<Tuple> out;
+  if (all.SubsetOf(head)) {
+    // Full CQ: rows are distinct, so every projection is first-seen. A
+    // projection onto every attribute lists a row's values in AttrId order,
+    // which is the row itself when the join's columns are in that order.
+    if (std::is_sorted(join.attrs.begin(), join.attrs.end())) {
+      return std::move(join.rows);
+    }
+    out.reserve(join.rows.size());
+    for (std::size_t r = 0; r < join.rows.size(); ++r) {
+      out.push_back(join.Project(r, proj));
+    }
+    return out;
+  }
   std::unordered_set<Tuple, VecHash> seen;
   seen.reserve(join.rows.size() * 2);
-  std::vector<Tuple> out;
   for (std::size_t r = 0; r < join.rows.size(); ++r) {
     Tuple t = join.Project(r, proj);
     if (seen.insert(t).second) out.push_back(std::move(t));

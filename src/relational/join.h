@@ -62,7 +62,9 @@ JoinResult FullJoin(const std::vector<RelationSchema>& body,
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db);
 
-/// The distinct head projections themselves, in first-seen order.
+/// The distinct head projections themselves, in first-seen order. A head
+/// covering every body attribute needs no dedup: the join rows are the
+/// outputs.
 std::vector<Tuple> DistinctOutputs(const std::vector<RelationSchema>& body,
                                    AttrSet head, const Database& db);
 

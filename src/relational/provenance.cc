@@ -1,101 +1,199 @@
 #include "relational/provenance.h"
 
-#include <unordered_map>
+#include <limits>
+#include <stdexcept>
 
+#include "relational/join.h"
 #include "util/hash.h"
 
 namespace adp {
+namespace {
+
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+// Groups the join's rows by their values on columns `cols`; returns each
+// row's group id (first-seen order) and sets `num_groups`. Open addressing
+// over representative rows: a slot holds the first row of its group, so no
+// key tuples are built.
+std::vector<std::uint32_t> GroupRows(const JoinResult& join,
+                                     const std::vector<int>& cols,
+                                     std::size_t* num_groups) {
+  const std::size_t rows = join.NumRows();
+  std::size_t cap = 16;
+  while (cap < rows * 2) cap <<= 1;
+  const std::size_t mask = cap - 1;
+  std::vector<std::uint32_t> table(cap, kNone);  // slot -> representative row
+  std::vector<std::uint32_t> group(rows);
+  std::uint32_t groups = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Tuple& row = join.rows[r];
+    std::uint64_t h = 0x2545f4914f6cdd1dULL;
+    for (int c : cols) h = HashMix(h, static_cast<std::uint64_t>(row[c]));
+    std::size_t slot = h & mask;
+    for (;;) {
+      const std::uint32_t rep = table[slot];
+      if (rep == kNone) {
+        table[slot] = static_cast<std::uint32_t>(r);
+        group[r] = groups++;
+        break;
+      }
+      const Tuple& other = join.rows[rep];
+      bool eq = true;
+      for (int c : cols) {
+        if (other[c] != row[c]) {
+          eq = false;
+          break;
+        }
+      }
+      if (eq) {
+        group[r] = group[rep];
+        break;
+      }
+      slot = (slot + 1) & mask;
+    }
+  }
+  *num_groups = groups;
+  return group;
+}
+
+}  // namespace
 
 ProvenanceIndex::ProvenanceIndex(const std::vector<RelationSchema>& body,
-                                 AttrSet head, const Database& db) {
+                                 AttrSet head, const Database& db)
+    : p_(body.size()) {
   JoinResult join = FullJoin(body, db, /*with_support=*/true);
-  const std::size_t p = body.size();
   const std::size_t rows = join.NumRows();
-
-  tuple_rows_.resize(p);
-  for (std::size_t i = 0; i < p; ++i) {
-    tuple_rows_[i].resize(db.rel(i).size());
+  if (rows * p_ >= kNone) {
+    throw std::length_error("provenance index: join too large");
   }
 
+  // Rows of a full join are distinct (instances are duplicate-free), so a
+  // head covering every joined attribute makes each row its own group.
   AttrSet all;
   for (AttrId a : join.attrs) all.Add(a);
-  const AttrSet proj = head.Intersect(all);
-
-  row_group_.resize(rows);
+  std::size_t groups = rows;
+  if (!all.SubsetOf(head)) {
+    std::vector<int> cols;
+    for (AttrId a : head.Intersect(all)) cols.push_back(join.ColumnOf(a));
+    row_group_ = GroupRows(join, cols, &groups);
+    if (groups == rows) row_group_.clear();
+  }
+  std::vector<Tuple>().swap(join.rows);
+  support_ = std::move(join.support);
+  total_outputs_ = alive_outputs_ = static_cast<std::int64_t>(groups);
   row_alive_.assign(rows, 1);
-  std::unordered_map<Tuple, std::uint32_t, VecHash> group_of;
-  group_of.reserve(rows * 2);
+
+  base_.assign(p_ + 1, 0);
+  for (std::size_t i = 0; i < p_; ++i) {
+    base_[i + 1] = base_[i] + db.rel(i).size();
+  }
+  const std::size_t tuples = base_[p_];
+
+  // CSR fill: count into row_begin_[s + 1], prefix-sum to starts, place each
+  // row at its slot's cursor (which ends on the next slot's start), shift.
+  row_begin_.assign(tuples + 1, 0);
   for (std::size_t r = 0; r < rows; ++r) {
-    Tuple key = join.Project(r, proj);
-    auto [it, inserted] =
-        group_of.try_emplace(std::move(key),
-                             static_cast<std::uint32_t>(group_size_.size()));
-    if (inserted) group_size_.push_back(0);
-    row_group_[r] = it->second;
-    ++group_size_[it->second];
-    for (std::size_t i = 0; i < p; ++i) {
-      tuple_rows_[i][join.SupportOf(r, i)].push_back(
-          static_cast<std::uint32_t>(r));
+    for (std::size_t i = 0; i < p_; ++i) {
+      ++row_begin_[base_[i] + support_[r * p_ + i] + 1];
     }
   }
-  group_alive_ = group_size_;
-  alive_groups_ = static_cast<std::int64_t>(group_size_.size());
-
-  scratch_count_.assign(group_size_.size(), 0);
-  scratch_version_.assign(group_size_.size(), 0);
-}
-
-std::int64_t ProvenanceIndex::Profit(int rel, TupleId t) const {
-  ++version_;
-  const auto& rows = tuple_rows_[rel][t];
-  std::int64_t profit = 0;
-  for (std::uint32_t r : rows) {
-    if (!row_alive_[r]) continue;
-    const std::uint32_t g = row_group_[r];
-    if (scratch_version_[g] != version_) {
-      scratch_version_[g] = version_;
-      scratch_count_[g] = 0;
-    }
-    if (++scratch_count_[g] == group_alive_[g]) ++profit;
+  live_rows_.resize(tuples);
+  for (std::size_t s = 0; s < tuples; ++s) {
+    live_rows_[s] = row_begin_[s + 1];
+    row_begin_[s + 1] += row_begin_[s];
   }
-  return profit;
-}
-
-std::int64_t ProvenanceIndex::InitialProfit(int rel, TupleId t) const {
-  // With every row alive, a group dies iff all of its rows contain `t`.
-  ++version_;
-  const auto& rows = tuple_rows_[rel][t];
-  std::int64_t profit = 0;
-  for (std::uint32_t r : rows) {
-    const std::uint32_t g = row_group_[r];
-    if (scratch_version_[g] != version_) {
-      scratch_version_[g] = version_;
-      scratch_count_[g] = 0;
+  tuple_rows_.resize(rows * p_);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = 0; i < p_; ++i) {
+      tuple_rows_[row_begin_[base_[i] + support_[r * p_ + i]]++] =
+          static_cast<std::uint32_t>(r);
     }
-    if (++scratch_count_[g] == group_size_[g]) ++profit;
   }
-  return profit;
+  for (std::size_t s = tuples; s > 0; --s) row_begin_[s] = row_begin_[s - 1];
+  row_begin_[0] = 0;
+
+  if (row_group_.empty()) return;
+
+  group_alive_.assign(groups, 0);
+  for (std::uint32_t g : row_group_) ++group_alive_[g];
+  supporters_.assign(groups * p_, Supporters{});
+  row_entry_.resize(rows * p_);
+  entry_live_.assign(rows * p_, 0);
+  // Entry ids are CSR positions, which grow with the slot: an id below the
+  // current slot's first position belongs to an earlier tuple.
+  std::vector<std::uint32_t> entry_of(groups, kNone);
+  for (std::size_t i = 0; i < p_; ++i) {
+    for (std::size_t t = 0; t < NumTuples(static_cast<int>(i)); ++t) {
+      const std::size_t s = base_[i] + t;
+      for (std::uint32_t k = row_begin_[s]; k < row_begin_[s + 1]; ++k) {
+        const std::uint32_t r = tuple_rows_[k];
+        const std::uint32_t g = row_group_[r];
+        std::uint32_t& e = entry_of[g];
+        if (e == kNone || e < row_begin_[s]) {
+          e = k;
+          Supporters& sup = supporters_[g * p_ + i];
+          ++sup.count;
+          sup.xor_ids ^= static_cast<TupleId>(t);
+        }
+        ++entry_live_[e];
+        row_entry_[r * p_ + i] = e;
+      }
+    }
+  }
+  profit_.assign(tuples, 0);
+  for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t i = 0; i < p_; ++i) {
+      const Supporters& sup = supporters_[g * p_ + i];
+      if (sup.count == 1) ++profit_[base_[i] + sup.xor_ids];
+    }
+  }
 }
 
-std::int64_t ProvenanceIndex::Delete(int rel, TupleId t) {
+std::int64_t ProvenanceIndex::Delete(
+    int rel, TupleId t, std::vector<std::pair<int, TupleId>>* changed) {
+  const std::size_t s = base_[rel] + t;
   std::int64_t died = 0;
-  for (std::uint32_t r : tuple_rows_[rel][t]) {
+  for (std::uint32_t k = row_begin_[s]; k < row_begin_[s + 1]; ++k) {
+    const std::uint32_t r = tuple_rows_[k];
     if (!row_alive_[r]) continue;
     row_alive_[r] = 0;
-    const std::uint32_t g = row_group_[r];
-    if (--group_alive_[g] == 0) {
-      ++died;
-      --alive_groups_;
-    }
+    died += KillRow(r, changed);
   }
+  alive_outputs_ -= died;
   return died;
 }
 
-bool ProvenanceIndex::IsRelevant(int rel, TupleId t) const {
-  for (std::uint32_t r : tuple_rows_[rel][t]) {
-    if (row_alive_[r]) return true;
+std::int64_t ProvenanceIndex::KillRow(
+    std::uint32_t r, std::vector<std::pair<int, TupleId>>* changed) {
+  const TupleId* sup = &support_[std::size_t{r} * p_];
+  auto note = [changed](std::size_t i, TupleId u) {
+    if (changed) changed->emplace_back(static_cast<int>(i), u);
+  };
+  if (row_group_.empty()) {
+    for (std::size_t i = 0; i < p_; ++i) {
+      --live_rows_[base_[i] + sup[i]];
+      note(i, sup[i]);
+    }
+    return 1;
   }
-  return false;
+  const std::uint32_t g = row_group_[r];
+  for (std::size_t i = 0; i < p_; ++i) {
+    const TupleId u = sup[i];
+    if (--live_rows_[base_[i] + u] == 0) note(i, u);
+    if (--entry_live_[row_entry_[std::size_t{r} * p_ + i]] > 0) continue;
+    // u just lost its last alive row in g.
+    Supporters& group_sup = supporters_[std::size_t{g} * p_ + i];
+    --group_sup.count;
+    group_sup.xor_ids ^= u;
+    if (group_sup.count == 0) {  // u supported g alone
+      --profit_[base_[i] + u];
+      note(i, u);
+    } else if (group_sup.count == 1) {  // the survivor now supports g alone
+      ++profit_[base_[i] + group_sup.xor_ids];
+      note(i, group_sup.xor_ids);
+    }
+  }
+  return --group_alive_[g] == 0 ? 1 : 0;
 }
 
 }  // namespace adp

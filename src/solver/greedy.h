@@ -1,8 +1,15 @@
 // GreedyForCQ (Algorithm 6): the general heuristic leaf for NP-hard queries.
 // Repeatedly deletes the endogenous-relation tuple whose removal kills the
 // most remaining outputs (exact profits via the ProvenanceIndex), until the
-// target is met. Achieves the O(log k) set-cover ratio on full CQs; no
-// guarantee under projections (§7.4).
+// target is met; ties go to the first candidate relation, then the lowest
+// tuple id. Achieves the O(log k) set-cover ratio on full CQs; no guarantee
+// under projections (§7.4).
+//
+// Cost model (rows = |join|, p = body size, n = candidate tuples): building
+// the index is O(rows·p); a pick reads the root of a leftmost-max tree over
+// the candidates' profits, then costs O(p·rows it kills + changed tuples ·
+// log n) to apply the deletion and refresh the tuples whose profit or
+// relevance changed.
 
 #ifndef ADP_SOLVER_GREEDY_H_
 #define ADP_SOLVER_GREEDY_H_

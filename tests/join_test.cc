@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "query/parser.h"
@@ -241,6 +242,46 @@ TEST_P(JoinOracleSweep, MatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, JoinOracleSweep,
                          ::testing::Range(0, 60));
+
+// DistinctOutputs' dedup path, applied to any head: distinct projections
+// in first-seen order.
+std::vector<Tuple> DedupOutputs(const ConjunctiveQuery& q,
+                                const Database& db) {
+  const JoinResult join = FullJoin(q.body(), db, /*with_support=*/false);
+  AttrSet all;
+  for (AttrId a : join.attrs) all.Add(a);
+  std::set<Tuple> seen;
+  std::vector<Tuple> out;
+  for (std::size_t r = 0; r < join.NumRows(); ++r) {
+    Tuple t = join.Project(r, q.head().Intersect(all));
+    if (seen.insert(t).second) out.push_back(std::move(t));
+  }
+  return out;
+}
+
+// Full heads skip the dedup: same tuples, same order, whether or not the
+// join's column order is already AttrId order.
+TEST(JoinTest, FullHeadOutputsMatchDedupPath) {
+  Rng rng(77);
+  int sorted_cols = 0;
+  int unsorted_cols = 0;
+  for (int iter = 0; iter < 80; ++iter) {
+    ConjunctiveQuery q = RandomQuery(rng, 5, 4);
+    q.SetHead(q.all_attrs());
+    const Database db = RandomDb(q, rng, 12, 4);
+    const std::vector<Tuple> want = DedupOutputs(q, db);
+    EXPECT_EQ(DistinctOutputs(q.body(), q.head(), db), want) << q.ToString();
+    if (want.empty()) continue;
+    const JoinResult join = FullJoin(q.body(), db, /*with_support=*/false);
+    if (std::is_sorted(join.attrs.begin(), join.attrs.end())) {
+      ++sorted_cols;
+    } else {
+      ++unsorted_cols;
+    }
+  }
+  EXPECT_GT(sorted_cols, 5);
+  EXPECT_GT(unsorted_cols, 5);
+}
 
 }  // namespace
 }  // namespace adp
