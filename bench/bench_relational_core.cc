@@ -75,7 +75,8 @@ std::map<Tuple, std::vector<TupleId>> Canonical(const RowGroups& groups) {
 std::map<Tuple, std::vector<TupleId>> Canonical(const HashGroupIndex& index) {
   std::map<Tuple, std::vector<TupleId>> out;
   for (std::size_t g = 0; g < index.num_groups(); ++g) {
-    out[index.KeyValues(g)] = index.rows(g);
+    const auto rows = index.rows(g);
+    out[index.KeyValues(g)].assign(rows.begin(), rows.end());
   }
   return out;
 }

@@ -8,18 +8,25 @@
 // dictionaries first (ColumnDict::Lookup); raw codes are NOT comparable
 // across relations.
 //
-// The index is open-addressing over 32-bit group ids and resolves
-// collisions by comparing key codes against each group's representative
-// row, so no key tuples are ever materialized. Groups are numbered in
-// first-seen row order; each group's row list is in ascending row order.
-// This is the substrate of Universe partitioning (Algorithm 4) and of the
-// join build side.
+// The index is open addressing over 32-bit representative row ids and
+// resolves collisions by comparing key codes against the representative, so
+// no key tuples are ever materialized. Groups are numbered in first-seen
+// row order; each group's row list is in ascending row order.
+//
+// Storage is CSR (compressed sparse row), three flat arrays and no
+// per-group allocation: `rows_` holds every row id grouped by group,
+// `offsets_[g] .. offsets_[g + 1]` delimits group g inside it, and
+// `group_of_[r]` names the group of row r. This is the substrate of Universe
+// partitioning (Algorithm 4), of the join build side, and of count
+// propagation (relational/join.h), which folds per-row values into per-group
+// sums through `group_of`.
 
 #ifndef ADP_RELATIONAL_GROUP_INDEX_H_
 #define ADP_RELATIONAL_GROUP_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "relational/relation.h"
@@ -33,13 +40,18 @@ class HashGroupIndex {
   /// the index and must not be appended to while the index is in use.
   HashGroupIndex(const RelationInstance& inst, std::vector<int> key_cols);
 
-  std::size_t num_groups() const { return groups_.size(); }
+  std::size_t num_groups() const { return offsets_.size() - 1; }
 
   /// Rows of group `g`, in ascending row order.
-  const std::vector<TupleId>& rows(std::size_t g) const { return groups_[g]; }
+  std::span<const TupleId> rows(std::size_t g) const {
+    return {rows_.data() + offsets_[g], rows_.data() + offsets_[g + 1]};
+  }
+
+  /// Group of row `r` of the indexed instance.
+  std::uint32_t group_of(std::size_t r) const { return group_of_[r]; }
 
   /// A row carrying the group's key (the first one seen).
-  TupleId representative(std::size_t g) const { return rep_[g]; }
+  TupleId representative(std::size_t g) const { return rows_[offsets_[g]]; }
 
   /// The group key decoded to values, in `key_cols` order.
   Tuple KeyValues(std::size_t g) const;
@@ -51,9 +63,10 @@ class HashGroupIndex {
  private:
   const RelationInstance* inst_;
   std::vector<int> key_cols_;
-  std::vector<std::vector<TupleId>> groups_;
-  std::vector<TupleId> rep_;
-  std::vector<std::uint32_t> table_;  // slot -> group id (kEmptySlot = free)
+  std::vector<TupleId> rows_;            // row ids, grouped by group
+  std::vector<std::uint32_t> offsets_;   // group g = rows_[offsets_[g]..[g+1])
+  std::vector<std::uint32_t> group_of_;  // row -> group
+  std::vector<TupleId> table_;  // slot -> representative row (or kEmptySlot)
   std::size_t mask_ = 0;
 };
 

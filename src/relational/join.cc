@@ -1,6 +1,8 @@
 #include "relational/join.h"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <unordered_set>
 
 #include "relational/group_index.h"
@@ -10,79 +12,67 @@
 namespace adp {
 namespace {
 
-// Chooses a join order: start from the smallest relation; repeatedly append
-// the relation sharing the most attributes with what has been joined so far
+using Counts = std::vector<std::vector<std::int64_t>>;
+
+// Chooses a join order over the body positions `pos` (returned as indices
+// into `pos`): start from the smallest relation; repeatedly append the
+// relation sharing the most attributes with what has been joined so far
 // (ties broken by smaller instance), falling back to any remaining relation
-// (cross product) when the body is disconnected.
+// (cross product) when the relations are disconnected.
 std::vector<int> JoinOrder(const std::vector<RelationSchema>& body,
-                           const Database& db) {
-  const int p = static_cast<int>(body.size());
+                           const Database& db, const std::vector<int>& pos) {
+  const int m = static_cast<int>(pos.size());
+  auto size_of = [&](int i) { return db.rel(pos[i]).size(); };
   std::vector<int> order;
-  std::vector<char> used(p, 0);
+  std::vector<char> used(m, 0);
   int first = 0;
-  for (int i = 1; i < p; ++i) {
-    if (db.rel(i).size() < db.rel(first).size()) first = i;
+  for (int i = 1; i < m; ++i) {
+    if (size_of(i) < size_of(first)) first = i;
   }
   order.push_back(first);
   used[first] = 1;
-  AttrSet seen = body[first].attr_set();
-  for (int step = 1; step < p; ++step) {
+  AttrSet seen = body[pos[first]].attr_set();
+  for (int step = 1; step < m; ++step) {
     int best = -1;
     int best_shared = -1;
-    for (int i = 0; i < p; ++i) {
+    for (int i = 0; i < m; ++i) {
       if (used[i]) continue;
-      int shared = body[i].attr_set().Intersect(seen).Size();
+      int shared = body[pos[i]].attr_set().Intersect(seen).Size();
       if (shared > best_shared ||
-          (shared == best_shared &&
-           db.rel(i).size() < db.rel(best).size())) {
+          (shared == best_shared && size_of(i) < size_of(best))) {
         best = i;
         best_shared = shared;
       }
     }
     order.push_back(best);
     used[best] = 1;
-    seen = seen.Union(body[best].attr_set());
+    seen = seen.Union(body[pos[best]].attr_set());
   }
   return order;
 }
 
-}  // namespace
-
-int JoinResult::ColumnOf(AttrId a) const {
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    if (attrs[i] == a) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-Tuple JoinResult::Project(std::size_t row, AttrSet set) const {
-  Tuple out;
-  out.reserve(set.Size());
-  for (AttrId a : set) {
-    out.push_back(rows[row][ColumnOf(a)]);
-  }
-  return out;
-}
-
-JoinResult FullJoin(const std::vector<RelationSchema>& body,
-                    const Database& db, bool with_support) {
-  const std::size_t p = body.size();
+// The natural join of the relations at body positions `pos`. Support column
+// `i` of the result refers to relation `pos[i]`.
+JoinResult JoinPositions(const std::vector<RelationSchema>& body,
+                         const Database& db, const std::vector<int>& pos,
+                         bool with_support) {
+  const std::size_t p = pos.size();
   JoinResult result;
   result.num_relations = p;
 
   // An empty instance annihilates the join.
-  for (std::size_t i = 0; i < p; ++i) {
-    if (db.rel(i).empty()) return result;
+  for (int rel : pos) {
+    if (db.rel(rel).empty()) return result;
   }
 
-  const std::vector<int> order = JoinOrder(body, db);
+  const std::vector<int> order = JoinOrder(body, db, pos);
 
   // Seed with the first relation (materialized row-major: intermediate join
   // results are wide and short-lived, so they stay rows).
   {
-    const int r0 = order[0];
-    result.attrs = body[r0].attrs;
-    const RelationInstance& inst = db.rel(r0);
+    const int l0 = order[0];
+    result.attrs = body[pos[l0]].attrs;
+    const RelationInstance& inst = db.rel(pos[l0]);
     result.rows.reserve(inst.size());
     for (std::size_t t = 0; t < inst.size(); ++t) {
       result.rows.push_back(inst.tuple(t));
@@ -90,15 +80,15 @@ JoinResult FullJoin(const std::vector<RelationSchema>& body,
     if (with_support) {
       result.support.assign(result.rows.size() * p, 0);
       for (std::size_t i = 0; i < result.rows.size(); ++i) {
-        result.support[i * p + r0] = static_cast<TupleId>(i);
+        result.support[i * p + l0] = static_cast<TupleId>(i);
       }
     }
   }
 
   for (std::size_t step = 1; step < p; ++step) {
-    const int rel = order[step];
-    const RelationSchema& schema = body[rel];
-    const RelationInstance& inst = db.rel(rel);
+    const int local = order[step];
+    const RelationSchema& schema = body[pos[local]];
+    const RelationInstance& inst = db.rel(pos[local]);
 
     // Shared attributes define the join key; new attributes get appended.
     AttrSet cur_set;
@@ -157,7 +147,7 @@ JoinResult FullJoin(const std::vector<RelationSchema>& body,
           std::copy(result.support.begin() + r * p,
                     result.support.begin() + (r + 1) * p,
                     next_support.begin() + base);
-          next_support[base + rel] = t;
+          next_support[base + local] = t;
         }
       }
     }
@@ -170,95 +160,326 @@ JoinResult FullJoin(const std::vector<RelationSchema>& body,
   return result;
 }
 
-namespace {
+// Connected components of the body, as ascending lists of body positions.
+// Relations connect when they share an attribute, so every vacuum relation
+// is a component of its own.
+std::vector<std::vector<int>> Components(
+    const std::vector<RelationSchema>& body) {
+  const int p = static_cast<int>(body.size());
+  std::vector<std::vector<int>> comps;
+  std::vector<char> seen(p, 0);
+  for (int start = 0; start < p; ++start) {
+    if (seen[start]) continue;
+    seen[start] = 1;
+    std::vector<int>& comp = comps.emplace_back(1, start);
+    for (std::size_t k = 0; k < comp.size(); ++k) {
+      const AttrSet attrs = body[comp[k]].attr_set();
+      for (int v = 0; v < p; ++v) {
+        if (!seen[v] && attrs.Intersects(body[v].attr_set())) {
+          seen[v] = 1;
+          comp.push_back(v);
+        }
+      }
+    }
+    std::sort(comp.begin(), comp.end());
+  }
+  return comps;
+}
 
-// Count for a *connected* body (or one treated as a unit).
-std::uint64_t CountOutputsConnected(const std::vector<RelationSchema>& body,
-                                    AttrSet head, const Database& db) {
-  JoinResult join = FullJoin(body, db, /*with_support=*/false);
-  AttrSet all;
-  for (AttrId a : join.attrs) all.Add(a);
-  if (all.SubsetOf(head)) {
-    // Full CQ (w.r.t. the attributes actually present): rows are distinct.
-    return join.rows.size();
+// A join tree of one connected component, found by GYO ear removal: a
+// relation is an ear when one other remaining relation (its parent) holds
+// every attribute it shares with the rest. Every attribute's relations then
+// form a connected subtree, which is what makes counts factor over edges.
+struct JoinTree {
+  // Body positions, children before parents; the root comes last.
+  std::vector<int> order;
+  // parent[i]: the body position of order[i]'s parent (-1 for the root).
+  std::vector<int> parent;
+};
+
+// The join tree of `comp`, or nullopt when the component is cyclic.
+std::optional<JoinTree> BuildJoinTree(const std::vector<RelationSchema>& body,
+                                      std::vector<int> comp) {
+  JoinTree tree;
+  while (comp.size() > 1) {
+    bool removed = false;
+    for (std::size_t e = 0; e < comp.size() && !removed; ++e) {
+      AttrSet rest;
+      for (std::size_t o = 0; o < comp.size(); ++o) {
+        if (o != e) rest = rest.Union(body[comp[o]].attr_set());
+      }
+      const AttrSet shared = body[comp[e]].attr_set().Intersect(rest);
+      for (std::size_t w = 0; w < comp.size(); ++w) {
+        if (w == e || !shared.SubsetOf(body[comp[w]].attr_set())) continue;
+        tree.order.push_back(comp[e]);
+        tree.parent.push_back(comp[w]);
+        comp.erase(comp.begin() + static_cast<std::ptrdiff_t>(e));
+        removed = true;
+        break;
+      }
+    }
+    if (!removed) return std::nullopt;
   }
-  std::unordered_set<Tuple, VecHash> distinct;
-  distinct.reserve(join.rows.size() * 2);
-  const AttrSet proj = head.Intersect(all);
-  for (std::size_t r = 0; r < join.rows.size(); ++r) {
-    distinct.insert(join.Project(r, proj));
+  tree.order.push_back(comp[0]);
+  tree.parent.push_back(-1);
+  return tree;
+}
+
+constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
+
+// One join-tree edge after the bottom-up pass: the child's rows grouped by
+// the edge key (the attributes child and parent share), the sum of the
+// child's subtree counts per group, and each parent row's child group.
+struct TreeEdge {
+  int child;
+  int parent;
+  HashGroupIndex groups;
+  std::vector<std::int64_t> sum;     // per child group
+  std::vector<std::uint32_t> match;  // per parent row; kNoGroup = no match
+};
+
+// The child group of every parent row on the key columns `pcols`/`ccols`.
+// Each parent row's key values are translated into the child's dictionary
+// codes, as the materializing join's probe does (a value absent from a
+// dictionary matches no child row).
+std::vector<std::uint32_t> MatchParentRows(const RelationInstance& parent,
+                                           const std::vector<int>& pcols,
+                                           const RelationInstance& child,
+                                           const std::vector<int>& ccols,
+                                           const HashGroupIndex& groups) {
+  std::vector<std::uint32_t> match(parent.size(), kNoGroup);
+  std::vector<Code> probe(pcols.size());
+  for (std::size_t t = 0; t < parent.size(); ++t) {
+    bool present = true;
+    for (std::size_t j = 0; j < pcols.size() && present; ++j) {
+      const std::int64_t code =
+          child.dict(ccols[j]).Lookup(parent.ValueAt(t, pcols[j]));
+      present = code >= 0;
+      probe[j] = static_cast<Code>(code);
+    }
+    if (!present) continue;
+    const std::int64_t g = groups.FindByCodes(probe.data());
+    if (g >= 0) match[t] = static_cast<std::uint32_t>(g);
   }
-  return distinct.size();
+  return match;
+}
+
+// Bottom-up pass: `up[i][t]` becomes the number of rows of the join of
+// relation i's subtree that extend its tuple t. Returns the tree's edges,
+// children before parents.
+std::vector<TreeEdge> PropagateUp(const std::vector<RelationSchema>& body,
+                                  const Database& db, const JoinTree& tree,
+                                  Counts& up) {
+  for (int i : tree.order) up[i].assign(db.rel(i).size(), 1);
+  std::vector<TreeEdge> edges;
+  edges.reserve(tree.order.size() - 1);
+  for (std::size_t k = 0; k + 1 < tree.order.size(); ++k) {
+    const int c = tree.order[k];
+    const int pr = tree.parent[k];
+    std::vector<int> ccols, pcols;
+    for (AttrId a : body[c].attr_set().Intersect(body[pr].attr_set())) {
+      ccols.push_back(body[c].ColumnOf(a));
+      pcols.push_back(body[pr].ColumnOf(a));
+    }
+    const RelationInstance& child = db.rel(c);
+    TreeEdge& e = edges.emplace_back(
+        TreeEdge{c, pr, HashGroupIndex(child, ccols), {}, {}});
+    e.sum.assign(e.groups.num_groups(), 0);
+    for (std::size_t s = 0; s < child.size(); ++s) {
+      std::int64_t& sum = e.sum[e.groups.group_of(s)];
+      sum = SatAdd(sum, up[c][s]);
+    }
+    e.match = MatchParentRows(db.rel(pr), pcols, child, ccols, e.groups);
+    std::vector<std::int64_t>& up_pr = up[pr];
+    for (std::size_t t = 0; t < up_pr.size(); ++t) {
+      up_pr[t] = e.match[t] == kNoGroup ? 0 : SatMul(up_pr[t],
+                                                     e.sum[e.match[t]]);
+    }
+  }
+  return edges;
+}
+
+// Top-down pass: `down[i][t]` becomes the number of ways to extend tuple t
+// of relation i to the relations outside i's subtree. A child's tuple is
+// reached through the parent rows of its group, each extended outside the
+// parent's subtree and through the parent's other children.
+void PropagateDown(const Database& db, const JoinTree& tree,
+                   const std::vector<TreeEdge>& edges, Counts& down) {
+  const int root = tree.order.back();
+  down[root].assign(db.rel(root).size(), 1);
+  std::vector<std::int64_t> acc;
+  std::vector<const TreeEdge*> siblings;
+  for (std::size_t k = edges.size(); k-- > 0;) {
+    const TreeEdge& e = edges[k];
+    siblings.clear();
+    for (const TreeEdge& f : edges) {
+      if (f.parent == e.parent && &f != &e) siblings.push_back(&f);
+    }
+    const std::vector<std::int64_t>& down_pr = down[e.parent];
+    acc.assign(e.groups.num_groups(), 0);
+    for (std::size_t t = 0; t < down_pr.size(); ++t) {
+      if (e.match[t] == kNoGroup) continue;
+      std::int64_t ways = down_pr[t];
+      for (const TreeEdge* f : siblings) {
+        ways = f->match[t] == kNoGroup ? 0 : SatMul(ways, f->sum[f->match[t]]);
+      }
+      acc[e.match[t]] = SatAdd(acc[e.match[t]], ways);
+    }
+    std::vector<std::int64_t>& down_c = down[e.child];
+    down_c.resize(db.rel(e.child).size());
+    for (std::size_t s = 0; s < down_c.size(); ++s) {
+      down_c[s] = acc[e.groups.group_of(s)];
+    }
+  }
+}
+
+// Full-join rows of one connected component; with `per_tuple`, also the
+// rows through each of its tuples. This is the one place that chooses the
+// counting path: propagation over the component's join tree when it has
+// one, else the materializing join (which sets `*materialized`, if given).
+std::int64_t CountComponent(const std::vector<RelationSchema>& body,
+                            const Database& db, const std::vector<int>& comp,
+                            Counts* per_tuple, bool* materialized) {
+  if (const std::optional<JoinTree> tree = BuildJoinTree(body, comp)) {
+    Counts local(per_tuple != nullptr ? 0 : body.size());
+    Counts& up = per_tuple != nullptr ? *per_tuple : local;
+    const std::vector<TreeEdge> edges = PropagateUp(body, db, *tree, up);
+    std::int64_t rows = 0;
+    for (std::int64_t n : up[tree->order.back()]) rows = SatAdd(rows, n);
+    if (per_tuple != nullptr && tree->order.size() > 1) {
+      Counts down(body.size());
+      PropagateDown(db, *tree, edges, down);
+      for (int i : comp) {
+        for (std::size_t t = 0; t < up[i].size(); ++t) {
+          up[i][t] = SatMul(up[i][t], down[i][t]);
+        }
+      }
+    }
+    return rows;
+  }
+  if (materialized != nullptr) *materialized = true;
+  const JoinResult join =
+      JoinPositions(body, db, comp, /*with_support=*/per_tuple != nullptr);
+  if (per_tuple != nullptr) {
+    for (std::size_t i = 0; i < comp.size(); ++i) {
+      (*per_tuple)[comp[i]].assign(db.rel(comp[i]).size(), 0);
+    }
+    for (std::size_t r = 0; r < join.NumRows(); ++r) {
+      for (std::size_t i = 0; i < comp.size(); ++i) {
+        ++(*per_tuple)[comp[i]][join.SupportOf(r, i)];
+      }
+    }
+  }
+  return static_cast<std::int64_t>(join.NumRows());
+}
+
+bool AnyEmpty(const std::vector<RelationSchema>& body, const Database& db) {
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    if (db.rel(i).empty()) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
+int JoinResult::ColumnOf(AttrId a) const {
+  for (std::size_t i = 0; i < attrs.size(); ++i) {
+    if (attrs[i] == a) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+Tuple JoinResult::Project(std::size_t row, AttrSet set) const {
+  Tuple out;
+  out.reserve(set.Size());
+  for (AttrId a : set) {
+    out.push_back(rows[row][ColumnOf(a)]);
+  }
+  return out;
+}
+
+JoinResult FullJoin(const std::vector<RelationSchema>& body,
+                    const Database& db, bool with_support) {
+  std::vector<int> all(body.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  return JoinPositions(body, db, all, with_support);
+}
+
+JoinCounts CountJoinRows(const std::vector<RelationSchema>& body,
+                         const Database& db) {
+  JoinCounts counts;
+  counts.per_tuple.resize(body.size());
+  if (AnyEmpty(body, db)) {
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      counts.per_tuple[i].assign(db.rel(i).size(), 0);
+    }
+    return counts;
+  }
+  // A disconnected body joins by cross product: a row through tuple t
+  // pairs t's rows within its component with any row of every other one.
+  const std::vector<std::vector<int>> comps = Components(body);
+  std::vector<std::int64_t> comp_rows;
+  for (const std::vector<int>& comp : comps) {
+    comp_rows.push_back(CountComponent(body, db, comp, &counts.per_tuple,
+                                       &counts.materialized));
+  }
+  counts.rows = 1;
+  for (std::int64_t n : comp_rows) counts.rows = SatMul(counts.rows, n);
+  if (comps.size() > 1) {
+    for (std::size_t c = 0; c < comps.size(); ++c) {
+      std::int64_t others = 1;
+      for (std::size_t d = 0; d < comps.size(); ++d) {
+        if (d != c) others = SatMul(others, comp_rows[d]);
+      }
+      for (int i : comps[c]) {
+        for (std::int64_t& n : counts.per_tuple[i]) n = SatMul(n, others);
+      }
+    }
+  }
+  return counts;
+}
+
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db) {
+  if (AnyEmpty(body, db)) return 0;
   // A disconnected body joins by cross product, so the distinct head
   // projections multiply across connected components — counting them never
   // requires materializing the product.
-  const int p = static_cast<int>(body.size());
-  std::vector<int> comp(p, -1);
-  int next = 0;
-  for (int start = 0; start < p; ++start) {
-    if (comp[start] >= 0) continue;
-    comp[start] = next;
-    std::vector<int> stack = {start};
-    while (!stack.empty()) {
-      const int u = stack.back();
-      stack.pop_back();
-      for (int v = 0; v < p; ++v) {
-        if (comp[v] < 0 &&
-            body[u].attr_set().Intersects(body[v].attr_set())) {
-          comp[v] = next;
-          stack.push_back(v);
-        }
+  std::int64_t product = 1;
+  for (const std::vector<int>& comp : Components(body)) {
+    AttrSet attrs;
+    for (int i : comp) attrs = attrs.Union(body[i].attr_set());
+    std::int64_t count = 0;
+    if (attrs.SubsetOf(head)) {
+      // Full on this component: join rows are distinct outputs.
+      count = CountComponent(body, db, comp, nullptr, nullptr);
+    } else if (!attrs.Intersects(head)) {
+      // Boolean on this component: one empty projection, if any row.
+      count =
+          CountComponent(body, db, comp, nullptr, nullptr) > 0 ? 1 : 0;
+    } else {
+      const JoinResult join = JoinPositions(body, db, comp, false);
+      const AttrSet proj = head.Intersect(attrs);
+      std::unordered_set<Tuple, VecHash> distinct;
+      distinct.reserve(join.NumRows() * 2);
+      for (std::size_t r = 0; r < join.NumRows(); ++r) {
+        distinct.insert(join.Project(r, proj));
       }
+      count = static_cast<std::int64_t>(distinct.size());
     }
-    ++next;
-  }
-  if (next <= 1) return CountOutputsConnected(body, head, db);
-
-  std::uint64_t product = 1;
-  for (int c = 0; c < next; ++c) {
-    std::vector<RelationSchema> sub_body;
-    Database sub_db;
-    for (int i = 0; i < p; ++i) {
-      if (comp[i] != c) continue;
-      sub_body.push_back(body[i]);
-      sub_db.Append(db.rel(i));
-    }
-    const std::uint64_t count = CountOutputsConnected(
-        sub_body, head, sub_db);
     if (count == 0) return 0;
-    product = static_cast<std::uint64_t>(
-        SatMul(static_cast<std::int64_t>(product),
-               static_cast<std::int64_t>(count)));
+    product = SatMul(product, count);
   }
-  return product;
+  return static_cast<std::uint64_t>(product);
 }
 
 std::vector<Tuple> DistinctOutputs(const std::vector<RelationSchema>& body,
                                    AttrSet head, const Database& db) {
-  JoinResult join = FullJoin(body, db, /*with_support=*/false);
+  const JoinResult join = FullJoin(body, db, /*with_support=*/false);
   AttrSet all;
   for (AttrId a : join.attrs) all.Add(a);
   const AttrSet proj = head.Intersect(all);
   std::vector<Tuple> out;
-  if (all.SubsetOf(head)) {
-    // Full CQ: rows are distinct, so every projection is first-seen. A
-    // projection onto every attribute lists a row's values in AttrId order,
-    // which is the row itself when the join's columns are in that order.
-    if (std::is_sorted(join.attrs.begin(), join.attrs.end())) {
-      return std::move(join.rows);
-    }
-    out.reserve(join.rows.size());
-    for (std::size_t r = 0; r < join.rows.size(); ++r) {
-      out.push_back(join.Project(r, proj));
-    }
-    return out;
-  }
   std::unordered_set<Tuple, VecHash> seen;
   seen.reserve(join.rows.size() * 2);
   for (std::size_t r = 0; r < join.rows.size(); ++r) {
@@ -266,22 +487,6 @@ std::vector<Tuple> DistinctOutputs(const std::vector<RelationSchema>& body,
     if (seen.insert(t).second) out.push_back(std::move(t));
   }
   return out;
-}
-
-std::vector<std::vector<char>> NonDanglingFlags(
-    const std::vector<RelationSchema>& body, const Database& db) {
-  JoinResult join = FullJoin(body, db, /*with_support=*/true);
-  std::vector<std::vector<char>> flags(body.size());
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    flags[i].assign(db.rel(i).size(), 0);
-  }
-  const std::size_t p = body.size();
-  for (std::size_t r = 0; r < join.NumRows(); ++r) {
-    for (std::size_t i = 0; i < p; ++i) {
-      flags[i][join.SupportOf(r, i)] = 1;
-    }
-  }
-  return flags;
 }
 
 }  // namespace adp

@@ -127,7 +127,7 @@ void RelationInstance::AppendRow(const Value* vals, std::size_t n) {
 }
 
 void RelationInstance::AppendGathered(const RelationInstance& src,
-                                      const std::vector<TupleId>& rows,
+                                      std::span<const TupleId> rows,
                                       const std::vector<int>& kept_cols) {
   CheckCapacity(rows.size());
   Arena& a = ArenaRef();
@@ -172,7 +172,7 @@ void RelationInstance::AppendGathered(const RelationInstance& src,
 }
 
 void RelationInstance::AppendGathered(const RelationInstance& src,
-                                      const std::vector<TupleId>& rows) {
+                                      std::span<const TupleId> rows) {
   std::vector<int> all(src.cols_.size());
   for (std::size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
   AppendGathered(src, rows, all);

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -169,10 +170,10 @@ class RelationInstance {
   /// follow the source rows. The overload without `kept_cols` keeps every
   /// column. `src` must not be appended to concurrently.
   void AppendGathered(const RelationInstance& src,
-                      const std::vector<TupleId>& rows,
+                      std::span<const TupleId> rows,
                       const std::vector<int>& kept_cols);
   void AppendGathered(const RelationInstance& src,
-                      const std::vector<TupleId>& rows);
+                      std::span<const TupleId> rows);
 
   /// Removes duplicate tuples, keeping the first occurrence (and its
   /// origin). Instances handed to the solvers must be duplicate-free.

@@ -5,6 +5,7 @@
 
 #include "dichotomy/relations.h"
 #include "relational/join.h"
+#include "util/saturating.h"
 
 namespace adp {
 namespace {
@@ -22,11 +23,10 @@ struct RelationPlan {
 AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
                     std::int64_t cap, const AdpOptions& options) {
   if (options.stats) ++options.stats->drastic_leaves;
-  // One full join with support; per-tuple profits are row counts (full CQ:
-  // every row is a distinct output).
-  JoinResult join = FullJoin(q.body(), db, /*with_support=*/true);
-  const std::size_t p = q.body().size();
-  const std::int64_t total = static_cast<std::int64_t>(join.NumRows());
+  // Per-tuple profits are full-join row counts (full CQ: every row is a
+  // distinct output).
+  const JoinCounts counts = CountJoinRows(q.body(), db);
+  const std::int64_t total = counts.rows;
 
   std::vector<int> candidates = EndogenousRelations(q);
   if (options.restrictions && !options.restrictions->Empty()) {
@@ -39,10 +39,7 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
   for (int rel : candidates) {
     RelationPlan plan;
     plan.rel = rel;
-    std::vector<std::int64_t> profit(db.rel(rel).size(), 0);
-    for (std::size_t r = 0; r < join.NumRows(); ++r) {
-      ++profit[join.SupportOf(r, rel)];
-    }
+    const std::vector<std::int64_t>& profit = counts.per_tuple[rel];
     for (TupleId t = 0; t < profit.size(); ++t) {
       if (profit[t] <= 0) continue;
       if (options.restrictions &&
@@ -56,7 +53,7 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
     plan.prefix_removed.reserve(plan.picks.size());
     std::int64_t run = 0;
     for (const auto& [profit_t, t] : plan.picks) {
-      run += profit_t;
+      run = SatAdd(run, profit_t);
       plan.prefix_removed.push_back(run);
     }
     plans->push_back(std::move(plan));
@@ -86,7 +83,6 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
     (*winner)[j] = best_plan;
     if (cost[j] < cost[j - 1]) cost[j] = cost[j - 1];  // keep monotone
   }
-  (void)p;
 
   AdpNode node;
   node.exact = false;

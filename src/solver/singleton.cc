@@ -8,6 +8,7 @@
 #include "relational/group_index.h"
 #include "relational/join.h"
 #include "util/hash.h"
+#include "util/saturating.h"
 
 namespace adp {
 namespace {
@@ -20,7 +21,7 @@ CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
   cost.push_back(0);
   std::int64_t removed = 0;
   for (std::size_t c = 0; c < gains.size(); ++c) {
-    const std::int64_t next = removed + gains[c];
+    const std::int64_t next = SatAdd(removed, gains[c]);
     for (std::int64_t j = removed + 1;
          j <= next && static_cast<std::int64_t>(cost.size()) <= cap; ++j) {
       cost.push_back(static_cast<std::int64_t>(c) + 1);
@@ -29,6 +30,47 @@ CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
     if (static_cast<std::int64_t>(cost.size()) > cap) break;
   }
   return CostProfile(std::move(cost));
+}
+
+// Case-1 profits under a projected head: the distinct outputs grouped by
+// their projection onto attr(Ri). Each group corresponds to exactly one Ri
+// tuple (instances are duplicate-free).
+std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
+                                           const Database& db, int ri) {
+  const RelationSchema& schema = q.relation(ri);
+  const RelationInstance& inst = db.rel(ri);
+  const AttrSet ai = schema.attr_set();
+  const std::vector<Tuple> outputs = DistinctOutputs(q.body(), q.head(), db);
+  // Column positions of attr(Ri) inside the head projection (both use
+  // increasing AttrId order).
+  std::vector<int> cols;
+  {
+    int pos = 0;
+    for (AttrId a : q.head()) {
+      if (ai.Contains(a)) cols.push_back(pos);
+      ++pos;
+    }
+  }
+  std::unordered_map<Tuple, std::int64_t, VecHash> profit_of;
+  profit_of.reserve(outputs.size() * 2);
+  Tuple key(cols.size());
+  for (const Tuple& out : outputs) {
+    for (std::size_t j = 0; j < cols.size(); ++j) key[j] = out[cols[j]];
+    ++profit_of[key];
+  }
+  // Match profits to Ri tuples (tuple column order may differ from AttrId
+  // order; normalize).
+  std::vector<int> tcols;
+  for (AttrId a : ai) tcols.push_back(schema.ColumnOf(a));
+  std::vector<std::int64_t> profit(inst.size(), 0);
+  for (std::size_t t = 0; t < inst.size(); ++t) {
+    for (std::size_t j = 0; j < tcols.size(); ++j) {
+      key[j] = inst.ValueAt(t, tcols[j]);
+    }
+    auto it = profit_of.find(key);
+    if (it != profit_of.end()) profit[t] = it->second;
+  }
+  return profit;
 }
 
 }  // namespace
@@ -70,32 +112,13 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
   }
 
   if (ai.SubsetOf(q.head())) {
-    // Case 1: profit of an Ri tuple = number of outputs inheriting it.
-    // Outputs are grouped by their projection onto attr(Ri); each group
-    // corresponds to exactly one Ri tuple (instances are duplicate-free).
-    const std::vector<Tuple> outputs =
-        DistinctOutputs(q.body(), q.head(), db);
-    // Column positions of attr(Ri) inside the head projection (both use
-    // increasing AttrId order).
-    std::vector<int> cols;
-    {
-      int pos = 0;
-      for (AttrId a : q.head()) {
-        if (ai.Contains(a)) cols.push_back(pos);
-        ++pos;
-      }
-    }
-    std::unordered_map<Tuple, std::int64_t, VecHash> profit_of;
-    profit_of.reserve(outputs.size() * 2);
-    Tuple key(cols.size());
-    for (const Tuple& out : outputs) {
-      for (std::size_t j = 0; j < cols.size(); ++j) key[j] = out[cols[j]];
-      ++profit_of[key];
-    }
-    // Match profits to Ri tuples (tuple column order may differ from
-    // AttrId order; normalize).
-    std::vector<int> tcols;
-    for (AttrId a : ai) tcols.push_back(schema.ColumnOf(a));
+    // Case 1: profit of an Ri tuple = number of outputs inheriting it. Under
+    // a full head every join row is an output, so that is the number of join
+    // rows through the tuple.
+    const std::vector<std::int64_t> profit =
+        q.all_attrs().SubsetOf(q.head())
+            ? std::move(CountJoinRows(q.body(), db).per_tuple[ri])
+            : ProjectedProfits(q, db, ri);
     struct Pick {
       std::int64_t profit;
       TupleId t;
@@ -103,12 +126,8 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
     std::vector<Pick> picks;
     picks.reserve(inst.size());
     for (std::size_t t = 0; t < inst.size(); ++t) {
-      for (std::size_t j = 0; j < tcols.size(); ++j) {
-        key[j] = inst.ValueAt(t, tcols[j]);
-      }
-      auto it = profit_of.find(key);
-      if (it != profit_of.end() && it->second > 0) {
-        picks.push_back(Pick{it->second, static_cast<TupleId>(t)});
+      if (profit[t] > 0) {
+        picks.push_back(Pick{profit[t], static_cast<TupleId>(t)});
       }
     }
     std::sort(picks.begin(), picks.end(),
@@ -134,7 +153,7 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
         for (const Pick& p : *shared) {
           if (removed >= j) break;
           out.push_back(TupleRef{root_rel, (*shared_origins)[p.t]});
-          removed += p.profit;
+          removed = SatAdd(removed, p.profit);
         }
         return out;
       };
@@ -144,7 +163,8 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
 
   // Case 2: head(Q) ⊆ attr(Ri). Discard dangling Ri tuples, group the rest
   // by head projection (one group per output), delete cheapest groups first.
-  const std::vector<std::vector<char>> live = NonDanglingFlags(q.body(), db);
+  const std::vector<std::int64_t> through =
+      std::move(CountJoinRows(q.body(), db).per_tuple[ri]);
   std::vector<int> hcols;
   for (AttrId a : q.head()) hcols.push_back(schema.ColumnOf(a));
   // Group by head-projection codes (no key materialization), then drop the
@@ -156,7 +176,7 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
   for (std::size_t g = 0; g < grouped.num_groups(); ++g) {
     std::vector<TupleId> members;
     for (TupleId t : grouped.rows(g)) {
-      if (live[ri][t]) members.push_back(t);
+      if (through[t] > 0) members.push_back(t);
     }
     if (!members.empty()) sorted_groups.push_back(std::move(members));
   }

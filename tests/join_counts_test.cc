@@ -1,0 +1,225 @@
+// Join-free counting (relational/join.h): CountJoinRows and CountOutputs
+// against the materializing join and the nested-loop oracle. Random bodies
+// (vacuum relations, empty instances, disconnected and cyclic bodies) under
+// full, Boolean and projected heads; fixed acyclic and cyclic shapes; the
+// key translation on gathered sub-instances; and saturation.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "query/graph.h"
+#include "query/parser.h"
+#include "relational/join.h"
+#include "test_util.h"
+#include "util/saturating.h"
+#include "workload/synthetic.h"
+
+namespace adp {
+namespace {
+
+using testing::OracleCount;
+using testing::RandomDb;
+using testing::RandomQuery;
+
+using Counts = std::vector<std::vector<std::int64_t>>;
+
+// Rows through each tuple, tallied over the materializing join's support.
+Counts TalliedCounts(const ConjunctiveQuery& q, const Database& db) {
+  const JoinResult join = FullJoin(q.body(), db, /*with_support=*/true);
+  Counts tally(q.num_relations());
+  for (int i = 0; i < q.num_relations(); ++i) {
+    tally[i].assign(db.rel(i).size(), 0);
+  }
+  for (std::size_t r = 0; r < join.NumRows(); ++r) {
+    for (int i = 0; i < q.num_relations(); ++i) {
+      ++tally[i][join.SupportOf(r, i)];
+    }
+  }
+  return tally;
+}
+
+// Checks CountJoinRows against the materializing join and CountOutputs
+// against the oracle under q's own head, the full head and the Boolean head.
+// Returns whether CountJoinRows fell back to the materializing join.
+bool ExpectCountsMatchOracle(ConjunctiveQuery q, const Database& db) {
+  const JoinCounts counts = CountJoinRows(q.body(), db);
+  EXPECT_EQ(counts.rows, static_cast<std::int64_t>(
+                             FullJoin(q.body(), db, false).NumRows()))
+      << q.ToString();
+  EXPECT_EQ(counts.per_tuple, TalliedCounts(q, db)) << q.ToString();
+  for (const AttrSet head : {q.head(), q.all_attrs(), AttrSet()}) {
+    q.SetHead(head);
+    EXPECT_EQ(static_cast<std::int64_t>(CountOutputs(q.body(), head, db)),
+              OracleCount(q, db))
+        << q.ToString();
+  }
+  return counts.materialized;
+}
+
+TEST(JoinCountsTest, RandomBodiesMatchTheMaterializingJoin) {
+  Rng rng(2024);
+  int propagated = 0;
+  int materialized = 0;
+  int disconnected = 0;
+  int with_vacuum = 0;
+  int with_empty = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    const ConjunctiveQuery q =
+        RandomQuery(rng, 5, 5, /*allow_vacuum=*/rng.Uniform(3) == 0);
+    Database db = RandomDb(q, rng, 1 + static_cast<std::int64_t>(
+                                           rng.Uniform(8)),
+                           2 + static_cast<std::int64_t>(rng.Uniform(3)));
+    if (rng.Uniform(10) == 0) {
+      // Empty one instance (a vacuum one becomes "false").
+      const int i = static_cast<int>(rng.Uniform(q.num_relations()));
+      RelationInstance empty;
+      empty.set_root_relation(i);
+      db.rel(i) = std::move(empty);
+      ++with_empty;
+    }
+    if (!IsConnected(q)) ++disconnected;
+    for (const RelationSchema& r : q.body()) {
+      if (r.vacuum()) {
+        ++with_vacuum;
+        break;
+      }
+    }
+    ++(ExpectCountsMatchOracle(q, db) ? materialized : propagated);
+  }
+  // Both counting paths and every input kind were exercised.
+  EXPECT_GE(propagated, 200);
+  EXPECT_GE(materialized, 30);
+  EXPECT_GE(disconnected, 50);
+  EXPECT_GE(with_vacuum, 20);
+  EXPECT_GE(with_empty, 20);
+}
+
+struct Shape {
+  const char* name;
+  ConjunctiveQuery query;
+  bool cyclic;
+};
+
+TEST(JoinCountsTest, FixedShapesTakeTheirPathAndMatch) {
+  const std::vector<Shape> shapes = {
+      {"path", ParseQuery("Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)"), false},
+      {"star",
+       ParseQuery("Q(K,X,Y,Z) :- R0(K), R1(K,X), R2(K,Y), R3(K,Z)"), false},
+      {"q7", MakeQ7(), false},
+      {"triangle", ParseQuery("Q(A,B,C) :- R1(A,B), R2(B,C), R3(C,A)"), true},
+      {"4-cycle",
+       ParseQuery("Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D), R4(D,A)"), true},
+  };
+  Rng rng(7);
+  for (const Shape& shape : shapes) {
+    for (int iter = 0; iter < 25; ++iter) {
+      const Database db = RandomDb(shape.query, rng, 10, 3);
+      EXPECT_EQ(ExpectCountsMatchOracle(shape.query, db), shape.cyclic)
+          << shape.name;
+    }
+  }
+}
+
+// A Universe group: a few rows gathered from root relations whose key
+// columns hold 10k values. The gathered instances share those dictionaries,
+// so each has far more dictionary entries than rows.
+TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
+  const ConjunctiveQuery q = ParseQuery("Q(A,B,C) :- R1(A,B), R2(B,C)");
+  RelationInstance root1;
+  RelationInstance root2;
+  for (Value v = 0; v < 10000; ++v) {
+    root1.Add({v % 3, v});
+    root2.Add({v, v % 5});
+  }
+  Database db(2);
+  // R1 keeps B in {10, 20, 30}; R2 keeps B in {20, 30, 40}.
+  db.rel(0).AppendGathered(root1, std::vector<TupleId>{10, 20, 30});
+  db.rel(1).AppendGathered(root2, std::vector<TupleId>{20, 30, 40});
+  ASSERT_GT(db.rel(0).dict(1).size(), db.rel(0).size());
+  ASSERT_GT(db.rel(1).dict(0).size(), db.rel(1).size());
+
+  const JoinCounts counts = CountJoinRows(q.body(), db);
+  EXPECT_FALSE(counts.materialized);
+  EXPECT_EQ(counts.rows, 2);
+  EXPECT_EQ(counts.per_tuple[0], (std::vector<std::int64_t>{0, 1, 1}));
+  EXPECT_EQ(counts.per_tuple[1], (std::vector<std::int64_t>{1, 1, 0}));
+  EXPECT_FALSE(ExpectCountsMatchOracle(q, db));
+
+  // Against a standalone instance with a dictionary of its own.
+  Database mixed(2);
+  mixed.rel(0).AppendGathered(root1, std::vector<TupleId>{10, 20, 30});
+  mixed.Load(1, {{20, 1}, {30, 2}, {40, 3}});
+  EXPECT_FALSE(ExpectCountsMatchOracle(q, mixed));
+}
+
+// A star of `arms` arms of 2^13 rows each around a one-row hub. With
+// `shared_key` the hub is R0(K) = {0} and every arm Ri(K, Xi) joins it on K,
+// so the join tree is a chain of arms. Otherwise arm i joins on a hub column
+// of its own, Ri(Ki, Xi) with R0(K1, ..., Kn) = {(0, ..., 0)}, so the hub is
+// the parent of every arm and its count is one product over all arms.
+std::pair<ConjunctiveQuery, Database> HugeStar(int arms, bool shared_key) {
+  auto key = [&](int i) {
+    return shared_key ? std::string("K") : "K" + std::to_string(i);
+  };
+  std::string hub;
+  for (int i = 1; i <= (shared_key ? 1 : arms); ++i) {
+    hub += (i > 1 ? "," : "") + key(i);
+  }
+  std::string text = "Q() :- R0(" + hub + ")";
+  for (int i = 1; i <= arms; ++i) {
+    text += ", R" + std::to_string(i) + "(" + key(i) + ",X" +
+            std::to_string(i) + ")";
+  }
+  const ConjunctiveQuery q = ParseQuery(text);
+  Database db(q.num_relations());
+  db.rel(0).Add(Tuple(q.relation(0).attrs.size(), 0));
+  for (int i = 1; i <= arms; ++i) {
+    for (Value x = 0; x < (Value{1} << 13); ++x) {
+      const Value row[] = {0, x};
+      db.rel(i).AppendRow(row, 2);
+    }
+  }
+  return {q, db};
+}
+
+TEST(JoinCountsTest, CountsSaturateWithoutOverflow) {
+  for (const bool shared_key : {true, false}) {
+    SCOPED_TRACE(shared_key ? "shared key" : "key per arm");
+    // Five arms: |join| = 2^65. The hub tuple is in every row; an arm tuple
+    // pairs with the other four arms, 2^52 rows.
+    {
+      auto [q, db] = HugeStar(5, shared_key);
+      q.SetHead(q.all_attrs());
+      EXPECT_EQ(CountOutputs(q.body(), q.head(), db),
+                static_cast<std::uint64_t>(kMaxOutputs));
+      const JoinCounts counts = CountJoinRows(q.body(), db);
+      EXPECT_FALSE(counts.materialized);
+      EXPECT_EQ(counts.rows, kMaxOutputs);
+      EXPECT_EQ(counts.per_tuple[0], std::vector<std::int64_t>{kMaxOutputs});
+      for (int i = 1; i <= 5; ++i) {
+        for (std::int64_t n : counts.per_tuple[i]) {
+          ASSERT_EQ(n, std::int64_t{1} << 52);
+        }
+      }
+      q.SetHead(AttrSet());
+      EXPECT_EQ(CountOutputs(q.body(), q.head(), db), 1u);
+    }
+    // Six arms: 2^65 rows through every arm tuple too, so every count
+    // saturates.
+    {
+      const auto [q, db] = HugeStar(6, shared_key);
+      const JoinCounts counts = CountJoinRows(q.body(), db);
+      EXPECT_EQ(counts.rows, kMaxOutputs);
+      for (const std::vector<std::int64_t>& rel : counts.per_tuple) {
+        for (std::int64_t n : rel) ASSERT_EQ(n, kMaxOutputs);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace adp

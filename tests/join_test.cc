@@ -1,10 +1,9 @@
 // Join engine tests: the paper's Figure 1 instance, support/provenance,
-// dangling detection, plus a randomized sweep against the nested-loop
-// oracle.
+// per-tuple row counts and dangling detection, plus a randomized sweep
+// against the nested-loop oracle.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
 #include "query/parser.h"
@@ -72,25 +71,28 @@ TEST(JoinTest, SupportIdentifiesContributingTuples) {
   }
 }
 
-TEST(JoinTest, NonDanglingFlagsFigure1) {
+TEST(JoinTest, RowsThroughEachTupleFigure1) {
   const ConjunctiveQuery q = Fig1Query("A,B,C,E");
   const Database db = Fig1Db(q);
-  const auto flags = NonDanglingFlags(q.body(), db);
-  // All tuples of Figure 1 participate in some join row.
-  for (const auto& rel_flags : flags) {
-    for (char f : rel_flags) EXPECT_EQ(f, 1);
-  }
+  const JoinCounts counts = CountJoinRows(q.body(), db);
+  EXPECT_EQ(counts.rows, 4);
+  EXPECT_FALSE(counts.materialized);
+  // Every tuple of Figure 1 participates in some join row; b2 fans out to
+  // c2 and c3, and c3 is reached from both b2 and b3.
+  EXPECT_EQ(counts.per_tuple[0], (std::vector<std::int64_t>{1, 2, 1}));
+  EXPECT_EQ(counts.per_tuple[1], (std::vector<std::int64_t>{1, 1, 1, 1}));
+  EXPECT_EQ(counts.per_tuple[2], (std::vector<std::int64_t>{1, 1, 2}));
 }
 
-TEST(JoinTest, DanglingTupleDetected) {
+TEST(JoinTest, DanglingTupleCountsZeroRows) {
   const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A), R2(A,B)");
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}},
                                  {"R2", {{1, 5}, {3, 6}}}});
-  const auto flags = NonDanglingFlags(q.body(), db);
-  EXPECT_EQ(flags[0][0], 1);  // R1(1) joins
-  EXPECT_EQ(flags[0][1], 0);  // R1(2) dangling
-  EXPECT_EQ(flags[1][0], 1);
-  EXPECT_EQ(flags[1][1], 0);  // R2(3,6) dangling
+  const JoinCounts counts = CountJoinRows(q.body(), db);
+  EXPECT_EQ(counts.per_tuple[0][0], 1);  // R1(1) joins
+  EXPECT_EQ(counts.per_tuple[0][1], 0);  // R1(2) dangling
+  EXPECT_EQ(counts.per_tuple[1][0], 1);
+  EXPECT_EQ(counts.per_tuple[1][1], 0);  // R2(3,6) dangling
 }
 
 TEST(JoinTest, EmptyRelationAnnihilates) {
@@ -138,7 +140,12 @@ TEST(JoinTest, SelfJoinKeyReuseAcrossColumns) {
 }
 
 // --- HashGroupIndex (the columnar grouping/probe structure under the
-// hash join and PartitionByAttrs) ---
+// hash join, count propagation and PartitionByAttrs) ---
+
+std::vector<TupleId> RowsOf(const HashGroupIndex& index, std::size_t g) {
+  const auto rows = index.rows(g);
+  return {rows.begin(), rows.end()};
+}
 
 TEST(HashGroupIndexTest, EmptyRelationHasNoGroupsAndAllProbesMiss) {
   RelationInstance inst;
@@ -155,7 +162,7 @@ TEST(HashGroupIndexTest, EmptyKeyColumnsPutAllRowsInOneGroup) {
   inst.Add({3, 30});
   const HashGroupIndex index(inst, {});
   ASSERT_EQ(index.num_groups(), 1u);
-  EXPECT_EQ(index.rows(0), (std::vector<TupleId>{0, 1, 2}));
+  EXPECT_EQ(RowsOf(index, 0), (std::vector<TupleId>{0, 1, 2}));
   EXPECT_TRUE(index.KeyValues(0).empty());
   EXPECT_EQ(index.FindByCodes(nullptr), 0);
 }
@@ -181,11 +188,12 @@ TEST(HashGroupIndexTest, GroupsAreFirstSeenOrderWithAscendingRows) {
   const HashGroupIndex index(inst, {0});
   ASSERT_EQ(index.num_groups(), 2u);
   EXPECT_EQ(index.KeyValues(0), Tuple({5}));
-  EXPECT_EQ(index.rows(0), (std::vector<TupleId>{0, 2, 4}));
+  EXPECT_EQ(RowsOf(index, 0), (std::vector<TupleId>{0, 2, 4}));
   EXPECT_EQ(index.KeyValues(1), Tuple({9}));
-  EXPECT_EQ(index.rows(1), (std::vector<TupleId>{1, 3}));
+  EXPECT_EQ(RowsOf(index, 1), (std::vector<TupleId>{1, 3}));
   EXPECT_EQ(index.representative(0), 0u);
   EXPECT_EQ(index.representative(1), 1u);
+  for (TupleId r = 0; r < 5; ++r) EXPECT_EQ(index.group_of(r), r % 2);
 }
 
 // Dictionary codes are assigned per column in first-intern order, so the
@@ -242,46 +250,6 @@ TEST_P(JoinOracleSweep, MatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, JoinOracleSweep,
                          ::testing::Range(0, 60));
-
-// DistinctOutputs' dedup path, applied to any head: distinct projections
-// in first-seen order.
-std::vector<Tuple> DedupOutputs(const ConjunctiveQuery& q,
-                                const Database& db) {
-  const JoinResult join = FullJoin(q.body(), db, /*with_support=*/false);
-  AttrSet all;
-  for (AttrId a : join.attrs) all.Add(a);
-  std::set<Tuple> seen;
-  std::vector<Tuple> out;
-  for (std::size_t r = 0; r < join.NumRows(); ++r) {
-    Tuple t = join.Project(r, q.head().Intersect(all));
-    if (seen.insert(t).second) out.push_back(std::move(t));
-  }
-  return out;
-}
-
-// Full heads skip the dedup: same tuples, same order, whether or not the
-// join's column order is already AttrId order.
-TEST(JoinTest, FullHeadOutputsMatchDedupPath) {
-  Rng rng(77);
-  int sorted_cols = 0;
-  int unsorted_cols = 0;
-  for (int iter = 0; iter < 80; ++iter) {
-    ConjunctiveQuery q = RandomQuery(rng, 5, 4);
-    q.SetHead(q.all_attrs());
-    const Database db = RandomDb(q, rng, 12, 4);
-    const std::vector<Tuple> want = DedupOutputs(q, db);
-    EXPECT_EQ(DistinctOutputs(q.body(), q.head(), db), want) << q.ToString();
-    if (want.empty()) continue;
-    const JoinResult join = FullJoin(q.body(), db, /*with_support=*/false);
-    if (std::is_sorted(join.attrs.begin(), join.attrs.end())) {
-      ++sorted_cols;
-    } else {
-      ++unsorted_cols;
-    }
-  }
-  EXPECT_GT(sorted_cols, 5);
-  EXPECT_GT(unsorted_cols, 5);
-}
 
 }  // namespace
 }  // namespace adp

@@ -117,7 +117,8 @@ TEST(RelationInstanceTest, AppendGatheredSharesDictsAndCarriesOrigins) {
 
   RelationInstance derived;
   derived.set_root_relation(5);
-  derived.AppendGathered(src, {2, 0}, {0, 2});  // rows 2,0; cols 0,2
+  derived.AppendGathered(src, std::vector<TupleId>{2, 0},
+                         {0, 2});  // rows 2,0; cols 0,2
   ASSERT_EQ(derived.size(), 2u);
   EXPECT_EQ(derived.tuple(0), Tuple({3, 300}));
   EXPECT_EQ(derived.tuple(1), Tuple({1, 100}));
@@ -155,7 +156,8 @@ TEST(RelationInstanceTest, AddPastMaxRowsThrows) {
   const Value row[] = {3};
   EXPECT_THROW(r.AppendRow(row, 1), TupleLimitError);
   RelationInstance gathered;
-  EXPECT_THROW(gathered.AppendGathered(r, {0, 1, 0}), TupleLimitError);
+  EXPECT_THROW(gathered.AppendGathered(r, std::vector<TupleId>{0, 1, 0}),
+               TupleLimitError);
   EXPECT_EQ(r.size(), 2u);  // failed appends left the instance untouched
   RelationInstance::OverrideMaxRowsForTest(previous);
   r.Add({3});  // ceiling restored
