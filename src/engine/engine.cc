@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -11,15 +12,13 @@
 #include "query/fingerprint.h"
 #include "query/parser.h"
 #include "query/transform.h"
-#include "relational/join.h"
 #include "solver/restrictions.h"
 #include "util/stopwatch.h"
 
 namespace adp {
 namespace {
 
-/// Recent-results ring capacity (coalescing admission). Deliberately tiny:
-/// the window is short, and a probe is a linear scan under the engine lock.
+/// Most completed result-table slots kept for coalescing admission.
 constexpr std::size_t kRecentResultsCapacity = 64;
 
 /// Stream buffer capacity, in items. Small on purpose: the buffer exists to
@@ -29,7 +28,7 @@ constexpr std::size_t kStreamBufferItems = 8;
 
 /// Engine-internal failure carrying the Status code the response should
 /// surface. Thrown by the resolution steps (database lookup, binding) and
-/// mapped back to a Status in SolveNow's catch ladder.
+/// mapped back to a Status in Solve's catch ladder.
 class EngineError : public std::runtime_error {
  public:
   EngineError(StatusCode code, const std::string& message)
@@ -59,6 +58,14 @@ AdpResponse OverloadedResponse() {
       "request shed: worker queue exceeds EngineConfig::max_queue_depth"));
 }
 
+/// A coalesced hit's own response: a deep copy (witness tuples can be
+/// large), made outside the engine lock.
+AdpResponse CoalescedCopy(const AdpResponse& completed) {
+  AdpResponse resp = completed;
+  resp.coalesced = true;
+  return resp;
+}
+
 /// Response for a request dropped before its solve ever ran (cancelled or
 /// expired while queued).
 AdpResponse DroppedResponse(CancelReason reason) {
@@ -70,18 +77,20 @@ AdpResponse DroppedResponse(CancelReason reason) {
                    "cancelled before the solve started"));
 }
 
+bool Restricted(const AdpOptions& options) {
+  return options.restrictions != nullptr && !options.restrictions->Empty();
+}
+
 // Option knobs that influence Algorithm-2 classification (and hence the
 // dispatch plan). Part of every plan-cache key so that requests with
 // different knobs never share a plan built for the wrong configuration.
 std::string OptionBits(const AdpOptions& options) {
-  const bool restricted =
-      options.restrictions != nullptr && !options.restrictions->Empty();
   std::string bits;
   bits += options.use_singleton ? 's' : '-';
   bits += options.universe_strategy == AdpOptions::UniverseStrategy::kOneByOne
               ? '1'
               : 'a';
-  bits += restricted ? 'r' : '-';
+  bits += Restricted(options) ? 'r' : '-';
   return bits;
 }
 
@@ -136,18 +145,40 @@ std::shared_ptr<const CachedPlan> BuildPlan(const AdpRequest& req) {
   return plan;
 }
 
-std::string PointerKey(const void* p) {
-  return std::to_string(reinterpret_cast<std::uintptr_t>(p));
+/// The database a request solves against: a bound handle's, else req.db.
+DbId TargetDb(const AdpRequest& req) {
+  return req.prepared.bound() ? req.prepared.bound_db() : req.db;
+}
+
+/// A request for `prepared`'s query at target `k` (the prepared overloads).
+AdpRequest PreparedRequest(const PreparedQuery& prepared, std::int64_t k,
+                           const AdpOptions& options) {
+  AdpRequest req;
+  req.prepared = prepared;
+  req.db = prepared.bound_db();
+  req.k = k;
+  req.options = options;
+  return req;
+}
+
+/// Terminal-only stream: used for admission failures (shutdown, invalid
+/// prepared handle, shedding, enqueue failure).
+void FinishStream(const std::shared_ptr<internal::StreamState>& state,
+                  Status status) {
+  StreamItem end;
+  end.kind = StreamItem::Kind::kEnd;
+  end.status = std::move(status);
+  state->Finish(std::move(end));
 }
 
 /// Maps the exception currently being handled (call only from a catch
-/// block) to the Status its response / stream terminal should carry.
-/// Shared by SolveNow and RunStream so the two catch ladders cannot
-/// drift. `shutdown_requested` upgrades a plain cancellation to kShutdown
-/// (stream producers torn down by Shutdown()). Sets *genuine_failure for
-/// the outcomes EngineCounters::failures counts (cancellation/expiry are
-/// tracked separately).
-Status MapSolveException(bool shutdown_requested, bool* genuine_failure) {
+/// block) to the Status a response, stream terminal or factory call should
+/// carry. Sets *genuine_failure, if given, for the outcomes
+/// EngineCounters::failures counts (cancellation/expiry are tracked
+/// separately).
+Status MapException(bool* genuine_failure = nullptr) {
+  bool ignored = false;
+  if (genuine_failure == nullptr) genuine_failure = &ignored;
   *genuine_failure = true;
   try {
     throw;
@@ -155,8 +186,7 @@ Status MapSolveException(bool shutdown_requested, bool* genuine_failure) {
     *genuine_failure = false;
     return Status(e.reason() == CancelReason::kDeadlineExceeded
                       ? StatusCode::kDeadlineExceeded
-                      : (shutdown_requested ? StatusCode::kShutdown
-                                            : StatusCode::kCancelled),
+                      : StatusCode::kCancelled,
                   e.what());
   } catch (const ParseError& e) {
     return Status(StatusCode::kParseError, e.what());
@@ -185,10 +215,8 @@ Status PreparedQuery::Bind(DbId db) {
 
 AdpEngine::AdpEngine(const EngineConfig& config)
     : config_(config),
-      plan_cache_(config.plan_cache_capacity),
-      ticket_counters_(std::make_shared<internal::TicketCounters>()),
-      stream_counters_(std::make_shared<internal::StreamCounters>()),
       registry_(std::make_shared<obs::MetricsRegistry>()),
+      plan_cache_(config.plan_cache_capacity, registry_.get()),
       pool_(config.num_workers) {
   // Pre-register the engine's instruments once; the hot paths then update
   // through these stable pointers, lock-free.
@@ -202,21 +230,17 @@ AdpEngine::AdpEngine(const EngineConfig& config)
   sharded_universe_nodes_ = &registry_->GetCounter(obs::kMShardedUniverse);
   sharded_decompose_nodes_ = &registry_->GetCounter(obs::kMShardedDecompose);
   traces_collected_ = &registry_->GetCounter(obs::kMTracesCollected);
+  streams_opened_ = &registry_->GetCounter(obs::kMStreamsOpened);
+  stream_items_ = &registry_->GetCounter(obs::kMStreamItems);
+  stream_cancelled_ = &registry_->GetCounter(obs::kMStreamCancelled);
   request_latency_ms_ = &registry_->GetHistogram(obs::kMRequestLatencyMs);
   queue_wait_ms_ = &registry_->GetHistogram(obs::kMQueueWaitMs);
   solve_ms_ = &registry_->GetHistogram(obs::kMSolveMs);
   stream_first_item_ms_ = &registry_->GetHistogram(obs::kMStreamFirstItemMs);
-  // Externally-sourced instruments (mirrored by MirrorExternalMetrics) are
-  // registered up front too, so exporters see them at zero rather than
-  // absent before the first mirror.
-  registry_->GetCounter(obs::kMPlanCacheHits);
-  registry_->GetCounter(obs::kMPlanCacheMisses);
+  // Counted by tickets and on the registry path alone; registered up front
+  // so exporters and counters() see them at zero rather than absent.
   registry_->GetCounter(obs::kMCancelled);
   registry_->GetCounter(obs::kMDeadlineExpired);
-  registry_->GetCounter(obs::kMStreamsOpened);
-  registry_->GetCounter(obs::kMStreamItems);
-  registry_->GetCounter(obs::kMStreamCancelled);
-  registry_->GetGauge(obs::kMPlanCacheSize);
   registry_->GetGauge(obs::kMDatabases);
   if (config_.min_shard_groups > 0 || config_.min_shard_components > 0) {
     // A zero threshold disables that axis inside the solver (see
@@ -245,7 +269,8 @@ DbId AdpEngine::RegisterDatabase(NamedDatabase db) {
   auto shared = std::make_shared<const NamedDatabase>(std::move(db));
   std::lock_guard<std::mutex> lock(mu_);
   const DbId id = next_db_id_++;
-  databases_.emplace(id, std::move(shared));
+  databases_[id].named = std::move(shared);
+  registry_->GetGauge(obs::kMDatabases).Add(1);
   return id;
 }
 
@@ -256,30 +281,18 @@ DbId AdpEngine::RegisterDatabase(Database db) {
 std::shared_ptr<const NamedDatabase> AdpEngine::database(DbId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = databases_.find(id);
-  return it == databases_.end() ? nullptr : it->second;
+  return it == databases_.end() ? nullptr : it->second.named;
 }
 
 bool AdpEngine::UnregisterDatabase(DbId id) {
-  std::shared_ptr<const NamedDatabase> victim;
+  DbEntry victim;  // with its bindings
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = databases_.find(id);
     if (it == databases_.end()) return false;
     victim = std::move(it->second);
     databases_.erase(it);
-    // The binding cache keys on the NamedDatabase's heap address; a later
-    // registration may land at the same address, so this instance's
-    // entries must go now or they could serve another database's data.
-    const std::string pk = PointerKey(victim.get());
-    const std::string prefix = pk + '|';
-    for (auto bit = bindings_.begin(); bit != bindings_.end();) {
-      if (bit->first == pk ||
-          bit->first.compare(0, prefix.size(), prefix) == 0) {
-        bit = bindings_.erase(bit);
-      } else {
-        ++bit;
-      }
-    }
+    registry_->GetGauge(obs::kMDatabases).Add(-1);
   }
   // `victim` releases outside the lock; requests still holding the
   // shared_ptr keep the data alive until they finish.
@@ -321,21 +334,13 @@ bool AdpEngine::IsShutdown() const {
 
 AdpEngine::RequestKeys AdpEngine::KeysFor(const AdpRequest& req) const {
   RequestKeys keys;
-  if (req.prepared.valid()) {
-    // Prepared hot path: the dedup key is built from pinned-object
-    // identities — no canonical-key derivation, no query-text hashing.
-    keys.solve = req.prepared.base_key_;
-    if (!req.prepared.bound()) {
-      keys.solve += "|d";
-      keys.solve += std::to_string(req.db);
-    }
-  } else {
-    keys.plan = PlanKey(req);
-    keys.solve = keys.plan;
-    keys.solve += "|d";
-    keys.solve += std::to_string(req.db);
-  }
+  if (!req.prepared.valid()) keys.plan = PlanKey(req);
+  // A caller-owned restriction set has no stable identity: never share.
+  if (Restricted(req.options)) return keys;
   std::string& key = keys.solve;
+  key = req.prepared.valid() ? req.prepared.plan_key_ : keys.plan;
+  key += "|d";
+  key += std::to_string(TargetDb(req));
   key += "|k";
   key += std::to_string(req.k);
   key += '|';
@@ -344,13 +349,6 @@ AdpEngine::RequestKeys AdpEngine::KeysFor(const AdpRequest& req) const {
   // response could carry a trace its joiners did not ask for — or worse,
   // none for the one that did.
   if (req.collect_trace) key += "|T";
-  // Restriction sets are compared by pointer — distinct pointers never
-  // dedup, which is conservative but always sound.
-  if (req.options.restrictions != nullptr &&
-      !req.options.restrictions->Empty()) {
-    key += "|r";
-    key += PointerKey(req.options.restrictions);
-  }
   return keys;
 }
 
@@ -369,61 +367,22 @@ Status AdpEngine::ValidatePrepared(const AdpRequest& req) const {
   return Status();
 }
 
-std::optional<AdpResponse> AdpEngine::Admit(const std::string& solve_key) {
+std::optional<AdpResponse> AdpEngine::Reject(const AdpRequest& req) {
+  if (IsShutdown()) return ShutdownResponse();  // not counted: not serving
   requests_->Increment();
-  std::shared_ptr<const AdpResponse> hit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (config_.coalesce_window_ms <= 0 || recent_.empty()) {
-      return std::nullopt;
-    }
-    const auto now = Now();
-    // Newest first; the first key match decides (an older match is staler).
-    for (auto it = recent_.rbegin(); it != recent_.rend(); ++it) {
-      if (it->key != solve_key) continue;
-      const double age_ms = MsBetween(it->completed, now);
-      if (age_ms > config_.coalesce_window_ms) break;
-      coalesce_hits_->Increment();
-      hit = it->response;
-      break;
-    }
-  }
-  if (hit == nullptr) return std::nullopt;
-  // The deep copy (witness tuples can be large) happens outside the lock.
-  AdpResponse resp = *hit;
-  resp.coalesced = true;
-  return resp;
-}
-
-AdpResponse AdpEngine::CountRejected(Status status) {
-  requests_->Increment();
-  failures_->Increment();
-  return FailureResponse(std::move(status));
-}
-
-std::optional<AdpEngine::RecentResult> AdpEngine::MakeRecent(
-    const AdpRequest& req, const std::string& solve_key,
-    const AdpResponse& resp) const {
-  if (config_.coalesce_window_ms <= 0 || !resp.status.ok()) {
-    return std::nullopt;
-  }
-  if (req.options.restrictions != nullptr &&
-      !req.options.restrictions->Empty()) {
-    // The key names the restriction set by address but the engine does not
-    // own it; remembering would let a freed-and-reallocated set match.
-    return std::nullopt;
-  }
-  RecentResult entry;
-  entry.key = solve_key;
-  entry.completed = Now();
-  entry.response = std::make_shared<const AdpResponse>(resp);
   if (req.prepared.valid()) {
-    entry.pins.push_back(req.prepared.plan_);
-    if (req.prepared.bound_ != nullptr) {
-      entry.pins.push_back(req.prepared.bound_);
+    Status valid = ValidatePrepared(req);
+    if (!valid.ok()) {
+      failures_->Increment();
+      return FailureResponse(std::move(valid));
     }
   }
-  return entry;
+  // An already-expired deadline never solves, never takes a shared result
+  // and never deserves a queue slot.
+  if (req.deadline.has_value() && Now() >= *req.deadline) {
+    return DroppedResponse(CancelReason::kDeadlineExceeded);
+  }
+  return std::nullopt;
 }
 
 // --- Prepared queries --------------------------------------------------------
@@ -448,89 +407,53 @@ StatusOr<PreparedQuery> AdpEngine::PrepareRequest(const AdpRequest& req) {
   if (IsShutdown()) {
     return Status(StatusCode::kShutdown, "engine is shut down");
   }
-  const std::string plan_key = PlanKey(req);
-  std::shared_ptr<const CachedPlan> plan;
-  try {
-    plan = GetPlan(req, plan_key, nullptr);
-  } catch (const ParseError& e) {
-    return Status(StatusCode::kParseError, e.what());
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInternal, e.what());
-  }
   PreparedQuery prepared;
+  prepared.plan_key_ = PlanKey(req);
+  try {
+    prepared.plan_ = GetPlan(req, prepared.plan_key_, nullptr);
+  } catch (...) {
+    return MapException();
+  }
   prepared.engine_ = this;
-  prepared.plan_ = plan;
-  prepared.fingerprint_ = plan->fingerprint;
-  prepared.plan_key_ = plan_key;
+  prepared.fingerprint_ = prepared.plan_->fingerprint;
   prepared.option_bits_ = OptionBits(req.options);
-  prepared.base_key_ = "P|" + PointerKey(plan.get());
   return prepared;
 }
 
 StatusOr<std::vector<PreparedQuery>> AdpEngine::PrepareBatch(
     std::span<const std::string> query_texts, const AdpOptions& options) {
-  if (IsShutdown()) {
-    return Status(StatusCode::kShutdown, "engine is shut down");
-  }
   std::vector<PreparedQuery> out;
   out.reserve(query_texts.size());
-  // One plan-cache pass per *unique* plan key: duplicates within the batch
-  // reuse the already-resolved plan instead of re-probing (and possibly
-  // re-parsing under) the shared cache.
-  std::unordered_map<std::string, std::shared_ptr<const CachedPlan>> resolved;
+  // One plan-cache pass per *unique* text: duplicates within the batch
+  // copy the already-built handle (and so share its plan object).
+  std::unordered_map<std::string_view, std::size_t> first;
   for (const std::string& text : query_texts) {
+    auto [it, fresh] = first.emplace(text, out.size());
+    if (!fresh) {
+      out.push_back(out[it->second]);
+      continue;
+    }
     AdpRequest req;
     req.query_text = text;
     req.options = options;
-    const std::string plan_key = PlanKey(req);
-    std::shared_ptr<const CachedPlan> plan;
-    auto it = resolved.find(plan_key);
-    if (it != resolved.end()) {
-      plan = it->second;
-    } else {
-      try {
-        plan = GetPlan(req, plan_key, nullptr);
-      } catch (const ParseError& e) {
-        return Status(StatusCode::kParseError,
-                      std::string(e.what()) + " (batch query " +
-                          std::to_string(out.size()) + ")");
-      } catch (const std::exception& e) {
-        return Status(StatusCode::kInternal, e.what());
-      }
-      resolved.emplace(plan_key, plan);
+    StatusOr<PreparedQuery> prepared = PrepareRequest(req);
+    if (!prepared.ok()) {
+      return Status(prepared.status().code(),
+                    prepared.status().message() + " (batch query " +
+                        std::to_string(out.size()) + ")");
     }
-    PreparedQuery prepared;
-    prepared.engine_ = this;
-    prepared.plan_ = plan;
-    prepared.fingerprint_ = plan->fingerprint;
-    prepared.plan_key_ = plan_key;
-    prepared.option_bits_ = OptionBits(options);
-    prepared.base_key_ = "P|" + PointerKey(plan.get());
-    out.push_back(std::move(prepared));
+    out.push_back(std::move(*prepared));
   }
   return out;
 }
 
 Status AdpEngine::BindPrepared(PreparedQuery& prepared, DbId db) {
-  std::shared_ptr<const NamedDatabase> named = database(db);
-  if (named == nullptr) {
-    return Status(StatusCode::kUnknownDatabase,
-                  "unknown database id " + std::to_string(db));
-  }
-  std::shared_ptr<const Database> bound;
   try {
-    bound = BindDatabase(named, *prepared.plan_);
-  } catch (const EngineError& e) {
-    return Status(e.code(), e.what());
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInternal, e.what());
+    prepared.bound_ = BindDatabase(db, *prepared.plan_);
+  } catch (...) {
+    return MapException();
   }
-  prepared.named_ = std::move(named);
-  prepared.bound_ = std::move(bound);
   prepared.db_ = db;
-  prepared.base_key_ =
-      "P|" + PointerKey(prepared.plan_.get()) + "|b" +
-      PointerKey(prepared.bound_.get());
   return Status();
 }
 
@@ -543,8 +466,31 @@ std::shared_ptr<const CachedPlan> AdpEngine::GetPlan(
 }
 
 std::shared_ptr<const Database> AdpEngine::BindDatabase(
-    const std::shared_ptr<const NamedDatabase>& named, const CachedPlan& plan) {
+    DbId db, const CachedPlan& plan) {
   const ConjunctiveQuery& q = plan.query;
+  std::string key;  // the body's relation-name sequence
+  for (int i = 0; i < q.num_relations(); ++i) {
+    key += '|';
+    key += q.relation(i).name;
+  }
+  std::shared_ptr<const NamedDatabase> named;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = databases_.find(db);
+    if (it == databases_.end()) {
+      throw EngineError(StatusCode::kUnknownDatabase,
+                        "unknown database id " + std::to_string(db));
+    }
+    named = it->second.named;
+    if (!named->relation_names.empty()) {
+      auto hit = it->second.bindings.find(key);
+      if (hit != it->second.bindings.end()) {
+        binding_hits_->Increment();
+        return hit->second;
+      }
+      binding_misses_->Increment();
+    }
+  }
   // Row-capacity guard: solutions address tuples as (relation, TupleId) and
   // TupleId is 32-bit, so an instance past RelationInstance::MaxRows() could
   // not be reported against. Surfaces as kInvalidArgument rather than a
@@ -572,25 +518,8 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
     return std::shared_ptr<const Database>(named, &named->db);
   }
 
-  // Named database: bind by relation name, memoized per (database, body
-  // name sequence) so batches share one bound copy.
-  std::string key;
-  key.reserve(32);
-  key += PointerKey(named.get());
-  for (int i = 0; i < q.num_relations(); ++i) {
-    key += '|';
-    key += q.relation(i).name;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = bindings_.find(key);
-    if (it != bindings_.end()) {
-      binding_hits_->Increment();
-      return it->second;
-    }
-    binding_misses_->Increment();
-  }
-
+  // Named database: bind by relation name, cached in the database's entry
+  // so batches share one bound copy.
   auto bound = std::make_shared<Database>(
       static_cast<std::size_t>(q.num_relations()));
   for (int i = 0; i < q.num_relations(); ++i) {
@@ -615,21 +544,21 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
   }
 
   std::lock_guard<std::mutex> lock(mu_);
+  auto it = databases_.find(db);
+  if (it == databases_.end()) return bound;  // unregistered meanwhile
+  auto& bindings = it->second.bindings;
   if (config_.binding_cache_capacity != 0 &&
-      bindings_.size() >= config_.binding_cache_capacity) {
-    bindings_.clear();  // coarse but rare; entries are cheap to rebuild
+      bindings.size() >= config_.binding_cache_capacity) {
+    bindings.clear();  // coarse but rare; entries are cheap to rebuild
   }
-  auto [it, inserted] = bindings_.emplace(key, std::move(bound));
-  return it->second;
+  return bindings.emplace(key, std::move(bound)).first->second;
 }
 
 void AdpEngine::ResolveStatic(const AdpRequest& req,
                               const std::string& plan_key,
                               std::shared_ptr<const CachedPlan>* plan,
                               std::shared_ptr<const Database>* bound,
-                              bool* plan_cache_hit, double* plan_ms,
-                              std::uint64_t* fingerprint,
-                              obs::TraceSink* sink,
+                              AdpResponse* resp, obs::TraceSink* sink,
                               std::uint32_t trace_parent) {
   Stopwatch plan_sw;
   {
@@ -640,29 +569,25 @@ void AdpEngine::ResolveStatic(const AdpRequest& req,
       // Prepared hot path: static work pinned, zero plan-cache traffic.
       *plan = req.prepared.plan_;
       *bound = req.prepared.bound_;  // null when the handle is unbound
-      *plan_cache_hit = true;
+      resp->plan_cache_hit = true;
     } else {
-      *plan = GetPlan(req, plan_key, plan_cache_hit);
+      *plan = GetPlan(req, plan_key, &resp->plan_cache_hit);
     }
-    span.Tag("cache_hit", std::int64_t{*plan_cache_hit ? 1 : 0});
+    span.Tag("cache_hit", std::int64_t{resp->plan_cache_hit ? 1 : 0});
   }
-  *plan_ms = plan_sw.ElapsedMs();
-  if (fingerprint != nullptr) *fingerprint = (*plan)->fingerprint;
+  resp->plan_ms = plan_sw.ElapsedMs();
+  resp->fingerprint = (*plan)->fingerprint;
 
   if (*bound == nullptr) {
     obs::Span span(sink, obs::kSpanBind, trace_parent);
-    const std::shared_ptr<const NamedDatabase> named = database(req.db);
-    if (named == nullptr) {
-      throw EngineError(StatusCode::kUnknownDatabase,
-                        "unknown database id " + std::to_string(req.db));
-    }
-    *bound = BindDatabase(named, **plan);
+    *bound = BindDatabase(req.db, **plan);
   }
 }
 
-AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
-                                const CancelToken* cancel,
-                                double queue_wait_ms) {
+AdpResponse AdpEngine::Solve(const AdpRequest& req,
+                             const std::string& plan_key,
+                             const CancelToken* cancel, double queue_wait_ms,
+                             const AdpEmitter* emit) {
   AdpResponse resp;
   resp.queue_ms = queue_wait_ms;
   Stopwatch total;
@@ -677,7 +602,8 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
     if (queue_wait_ms > 0.0) {
       sink->AddCompleteSpan(obs::kSpanQueue, 0, 0.0, queue_wait_ms);
     }
-    root = obs::Span(sink.get(), obs::kSpanRequest);
+    root = obs::Span(sink.get(),
+                     emit != nullptr ? obs::kSpanStream : obs::kSpanRequest);
     root.Tag("k", req.k);
   }
   try {
@@ -687,8 +613,8 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
 
     std::shared_ptr<const CachedPlan> plan;
     std::shared_ptr<const Database> bound;
-    ResolveStatic(req, keys.plan, &plan, &bound, &resp.plan_cache_hit,
-                  &resp.plan_ms, &resp.fingerprint, sink.get(), root.id());
+    ResolveStatic(req, plan_key, &plan, &bound, &resp, sink.get(),
+                  root.id());
 
     AdpOptions options = req.options;
     options.plan = &plan->dispatch;
@@ -700,7 +626,7 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
     {
       obs::Span solve_span(sink.get(), obs::kSpanSolve, root.id());
       options.trace_parent = solve_span.id();
-      resp.solution = ComputeAdp(plan->query, *bound, req.k, options);
+      resp.solution = ComputeAdp(plan->query, *bound, req.k, options, emit);
     }
     resp.solve_ms = solve_sw.ElapsedMs();
     solve_ms_->Observe(resp.solve_ms);
@@ -714,13 +640,16 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
           static_cast<std::uint64_t>(resp.stats.sharded_decompose_nodes));
     }
   } catch (...) {
+    // Streams do not count into EngineCounters::failures: their terminal
+    // Status is the outcome signal.
     bool genuine_failure = false;
-    resp.status = MapSolveException(/*shutdown_requested=*/false,
-                                    &genuine_failure);
-    if (genuine_failure) failures_->Increment();
+    resp.status = MapException(&genuine_failure);
+    if (genuine_failure && emit == nullptr) failures_->Increment();
   }
   resp.total_ms = total.ElapsedMs();
-  request_latency_ms_->Observe(queue_wait_ms + resp.total_ms);
+  if (emit == nullptr) {
+    request_latency_ms_->Observe(queue_wait_ms + resp.total_ms);
+  }
   if (sink != nullptr) {
     root.End();
     resp.trace = std::make_shared<const obs::Trace>(sink->Take());
@@ -729,60 +658,108 @@ AdpResponse AdpEngine::SolveNow(const AdpRequest& req, const RequestKeys& keys,
   return resp;
 }
 
-// --- Single flight -----------------------------------------------------------
+AdpResponse AdpEngine::SolveAndPublish(const AdpRequest& req,
+                                       const RequestKeys& keys,
+                                       const std::shared_ptr<ResultSlot>& slot,
+                                       double queue_wait_ms) {
+  AdpResponse resp;
+  try {
+    resp = Solve(req, keys.plan, &slot->group->solve_token(), queue_wait_ms);
+  } catch (...) {
+    // Solve absorbs solver failures itself; anything else must still
+    // retire the slot (followers would hang forever on a leaked leader).
+    resp = FailureResponse(
+        Status(StatusCode::kInternal, "solve terminated abnormally"));
+    failures_->Increment();
+  }
+  Publish(keys.solve, slot, resp);
+  return resp;
+}
 
-std::shared_ptr<AdpEngine::InflightSolve> AdpEngine::LeadOrJoin(
-    const std::string& key, const std::shared_ptr<internal::TicketImpl>& ticket,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+// --- Result table ------------------------------------------------------------
+
+AdpEngine::Admission AdpEngine::Admit(
+    const AdpRequest& req, const std::string& key,
+    const std::shared_ptr<internal::TicketImpl>& ticket, bool may_lead) {
+  Admission out;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = inflight_.find(key);
-  if (it != inflight_.end()) {
-    if (ticket != nullptr) {
+  bool shared = !key.empty() && databases_.contains(TargetDb(req));
+  auto it = shared ? results_.find(key) : results_.end();
+  if (it != results_.end()) {
+    ResultSlot& slot = *it->second;
+    if (slot.response != nullptr) {
+      if (MsBetween(slot.completed, Now()) <= config_.coalesce_window_ms) {
+        coalesce_hits_->Increment();
+        out.coalesced = slot.response;
+        return out;
+      }
+      // Expired: a fresh slot replaces it below.
+    } else if (ticket != nullptr) {
       // AddParticipant registers and fired-checks atomically under the
       // group mutex, so a successful join can never land on a solve that
       // was cancelled between probe and registration.
-      if (it->second->group->AddParticipant(deadline)) {
+      if (slot.group->AddParticipant(req.deadline)) {
         dedup_hits_->Increment();
-        ticket->group = it->second->group;
-        it->second->followers.push_back(ticket);
-        return nullptr;  // joined as a follower
+        ticket->group = slot.group;
+        slot.followers.push_back(ticket);
+        out.joined = true;
+        return out;
       }
-      // Stale entry (solve already torn down): replace it below.
-    } else if (it->second->group->solve_token().Check() ==
-               CancelReason::kNone) {
-      // Sync (null ticket): the caller solves independently — joining
-      // would couple its latency to queue depth.
-      return nullptr;
+      // Stale slot (solve already torn down): replaced below.
+    } else if (slot.group->solve_token().Check() == CancelReason::kNone) {
+      // Sync (null ticket): the caller solves alone — joining would couple
+      // its latency to queue depth.
+      shared = false;
     }
   }
-  // No entry, or a stale one whose shared solve was already cancelled /
-  // expired (its queued task will still retire it; the erase-if-same guard
-  // in PublishInflight keeps it from clobbering this fresh entry).
-  auto state = std::make_shared<InflightSolve>();
-  state->group = std::make_shared<internal::SolveCancelGroup>();
-  state->group->AddParticipant(deadline);  // fresh group: always succeeds
-  state->leader = ticket;
-  if (ticket != nullptr) ticket->group = state->group;
-  inflight_[key] = state;
-  return state;
+  if (!may_lead) return out;
+  out.lead = std::make_shared<ResultSlot>();
+  out.lead->group = std::make_shared<internal::SolveCancelGroup>();
+  out.lead->group->AddParticipant(req.deadline);  // fresh: always succeeds
+  out.lead->leader = ticket;
+  if (ticket != nullptr) ticket->group = out.lead->group;
+  // A stale or expired slot's own publish finds itself replaced and leaves
+  // this one alone (EraseSlot compares identity).
+  if (shared) results_[key] = out.lead;
+  return out;
 }
 
-void AdpEngine::PublishInflight(const std::string& key,
-                                const std::shared_ptr<InflightSolve>& state,
-                                const AdpResponse& resp,
-                                std::optional<RecentResult> recent) {
+void AdpEngine::EraseSlot(const std::string& key, const ResultSlot* slot) {
+  auto it = results_.find(key);
+  if (it != results_.end() && it->second.get() == slot) results_.erase(it);
+}
+
+void AdpEngine::Publish(const std::string& key,
+                        const std::shared_ptr<ResultSlot>& slot,
+                        const AdpResponse& resp) {
+  // The deep copy (witness tuples can be large) happens outside the lock.
+  std::shared_ptr<const AdpResponse> kept;
+  if (config_.coalesce_window_ms > 0 && resp.status.ok() && !key.empty()) {
+    kept = std::make_shared<const AdpResponse>(resp);
+  }
   std::shared_ptr<internal::TicketImpl> leader;
   std::vector<std::shared_ptr<internal::TicketImpl>> followers;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = inflight_.find(key);
-    if (it != inflight_.end() && it->second == state) inflight_.erase(it);
-    leader = std::move(state->leader);
-    followers.swap(state->followers);
-    if (recent.has_value()) {
-      recent_.push_back(*std::move(recent));
-      while (recent_.size() > kRecentResultsCapacity) recent_.pop_front();
+    auto it = results_.find(key);
+    if (it != results_.end() && it->second == slot) {
+      if (kept != nullptr) {
+        const auto now = Now();
+        slot->response = std::move(kept);
+        slot->completed = now;
+        completed_.emplace_back(key, slot);
+        while (completed_.size() > kRecentResultsCapacity ||
+               MsBetween(completed_.front().second->completed, now) >
+                   config_.coalesce_window_ms) {
+          EraseSlot(completed_.front().first, completed_.front().second.get());
+          completed_.pop_front();
+        }
+      } else {
+        results_.erase(it);
+      }
     }
+    leader = std::move(slot->leader);
+    followers.swap(slot->followers);
   }
   if (leader != nullptr) internal::Deliver(*leader, resp);
   if (followers.empty()) return;
@@ -794,70 +771,29 @@ void AdpEngine::PublishInflight(const std::string& key,
 // --- Request entry points ----------------------------------------------------
 
 AdpResponse AdpEngine::ExecuteImpl(const AdpRequest& req) {
-  if (IsShutdown()) return ShutdownResponse();
-  if (req.prepared.valid()) {
-    Status valid = ValidatePrepared(req);
-    if (!valid.ok()) return CountRejected(std::move(valid));
+  if (std::optional<AdpResponse> rejected = Reject(req)) {
+    return *std::move(rejected);
   }
   const RequestKeys keys = KeysFor(req);
-  if (std::optional<AdpResponse> coalesced = Admit(keys.solve)) {
-    // An already-expired deadline beats a coalesced result, matching the
-    // async path (whose ticket substitutes kDeadlineExceeded at delivery).
-    if (req.deadline.has_value() && Now() >= *req.deadline) {
-      return DroppedResponse(CancelReason::kDeadlineExceeded);
-    }
-    return *std::move(coalesced);
+  // The synchronous path leads but never follows (see Admit).
+  const Admission admission = Admit(req, keys.solve, nullptr);
+  if (admission.coalesced != nullptr) {
+    return CoalescedCopy(*admission.coalesced);
   }
-
-  // The synchronous path leads but never follows (see LeadOrJoin).
-  const std::shared_ptr<InflightSolve> lead =
-      LeadOrJoin(keys.solve, nullptr, req.deadline);
-  AdpResponse resp;
-  const CancelToken* cancel = nullptr;
-  CancelToken solo;
-  if (lead != nullptr) {
-    cancel = &lead->group->solve_token();
-  } else if (req.deadline.has_value()) {
-    solo = CancelToken::Make();
-    solo.SetDeadline(*req.deadline);
-    cancel = &solo;
-  }
-  try {
-    resp = SolveNow(req, keys, cancel);
-  } catch (...) {
-    // SolveNow absorbs std::exception itself; anything else must still
-    // retire the in-flight entry (followers would hang forever on a
-    // leaked leader) and keep Execute's never-throws contract.
-    resp = FailureResponse(
-        Status(StatusCode::kInternal, "solve terminated abnormally"));
-    failures_->Increment();
-  }
-  if (lead != nullptr) {
-    PublishInflight(keys.solve, lead, resp, MakeRecent(req, keys.solve, resp));
-  }
-  return resp;
+  return SolveAndPublish(req, keys, admission.lead, 0.0);
 }
 
 AdpResponse AdpEngine::Execute(const AdpRequest& req) {
   AdpResponse resp = ExecuteImpl(req);
   // The sync path has no ticket, so terminal cancelled/expired outcomes
   // are counted here (async paths count through Deliver).
-  if (resp.status.code() == StatusCode::kDeadlineExceeded) {
-    ticket_counters_->deadline_expired.fetch_add(1, std::memory_order_relaxed);
-  } else if (resp.status.code() == StatusCode::kCancelled) {
-    ticket_counters_->cancelled.fetch_add(1, std::memory_order_relaxed);
-  }
+  internal::CountTerminal(*registry_, resp.status.code());
   return resp;
 }
 
 AdpResponse AdpEngine::Execute(const PreparedQuery& prepared, std::int64_t k,
                                const AdpOptions& options) {
-  AdpRequest req;
-  req.prepared = prepared;
-  req.db = prepared.bound_db();
-  req.k = k;
-  req.options = options;
-  return Execute(req);
+  return Execute(PreparedRequest(prepared, k, options));
 }
 
 std::future<AdpResponse> AdpEngine::Submit(AdpRequest req, AdpTicket* ticket) {
@@ -876,19 +812,14 @@ std::future<AdpResponse> AdpEngine::Submit(const PreparedQuery& prepared,
                                            std::int64_t k,
                                            const AdpOptions& options,
                                            AdpTicket* ticket) {
-  AdpRequest req;
-  req.prepared = prepared;
-  req.db = prepared.bound_db();
-  req.k = k;
-  req.options = options;
-  return Submit(std::move(req), ticket);
+  return Submit(PreparedRequest(prepared, k, options), ticket);
 }
 
 AdpTicket AdpEngine::SubmitAsync(AdpRequest req,
                                  std::function<void(AdpResponse)> done) {
   auto impl = std::make_shared<internal::TicketImpl>();
   impl->done = std::move(done);
-  impl->counters = ticket_counters_;
+  impl->metrics = registry_;
   if (req.deadline.has_value()) impl->own.SetDeadline(*req.deadline);
   AdpTicket ticket(impl);
 
@@ -897,81 +828,54 @@ AdpTicket AdpEngine::SubmitAsync(AdpRequest req,
     internal::Deliver(*impl, ExecuteImpl(req));
     return ticket;
   }
-  if (IsShutdown()) {
-    internal::Deliver(*impl, ShutdownResponse());
+  if (std::optional<AdpResponse> rejected = Reject(req)) {
+    internal::Deliver(*impl, *std::move(rejected));
     return ticket;
   }
-  if (req.prepared.valid()) {
-    Status valid = ValidatePrepared(req);
-    if (!valid.ok()) {
-      internal::Deliver(*impl, CountRejected(std::move(valid)));
-      return ticket;
-    }
-  }
-
   const RequestKeys keys = KeysFor(req);
-  if (std::optional<AdpResponse> coalesced = Admit(keys.solve)) {
-    internal::Deliver(*impl, *std::move(coalesced));
+  // Past the configured backlog new work is shed (kOverloaded) instead of
+  // queued; joining an in-flight solve or a coalesced hit costs no slot.
+  const bool may_lead = config_.max_queue_depth == 0 ||
+                        pool_.queued() < config_.max_queue_depth;
+  const Admission admission = Admit(req, keys.solve, impl, may_lead);
+  if (admission.coalesced != nullptr) {
+    internal::Deliver(*impl, CoalescedCopy(*admission.coalesced));
     return ticket;
   }
-  // Admission control, before the single-flight probe: an already-dead
-  // deadline never deserves a queue slot, and once the backlog exceeds the
-  // configured bound new work is shed instead of queued (kOverloaded) —
-  // joining an in-flight solve stays allowed (it costs no slot).
-  if (req.deadline.has_value() && Now() >= *req.deadline) {
-    internal::Deliver(*impl, DroppedResponse(CancelReason::kDeadlineExceeded));
+  if (admission.lead == nullptr) {
+    if (!admission.joined) {
+      shed_->Increment();
+      internal::Deliver(*impl, OverloadedResponse());
+    }
     return ticket;
   }
-  if (config_.max_queue_depth > 0 &&
-      pool_.queued() >= config_.max_queue_depth) {
-    const std::shared_ptr<InflightSolve> joined =
-        LeadOrJoin(keys.solve, impl, req.deadline);
-    if (joined == nullptr) return ticket;  // rode an in-flight solve for free
-    // Became the would-be leader: retire the entry immediately with the
-    // overload response (followers that raced in share the rejection).
-    shed_->Increment();
-    PublishInflight(keys.solve, joined, OverloadedResponse(), std::nullopt);
-    return ticket;
-  }
-  const std::shared_ptr<InflightSolve> lead =
-      LeadOrJoin(keys.solve, impl, req.deadline);
-  if (lead == nullptr) return ticket;  // joined an identical in-flight solve
 
-  // From here the in-flight entry MUST be retired on every path — a leaked
-  // leader would hang all future identical requests — so both the solve
-  // and the enqueue are exception-proofed.
+  // From here the slot MUST be retired on every path — a leaked leader
+  // would hang all future identical requests — so both the solve and the
+  // enqueue are exception-proofed.
+  const std::shared_ptr<ResultSlot> lead = admission.lead;
   const TaskAttrs attrs{req.priority, req.deadline};
   try {
     const MonotonicClock::time_point enqueued = Now();
     pool_.Submit([this, req = std::move(req), keys, lead, enqueued] {
-      AdpResponse resp;
       const double queue_wait_ms = MsBetween(enqueued, Now());
       queue_wait_ms_->Observe(queue_wait_ms);
       const CancelReason queued = lead->group->solve_token().Check();
       if (queued != CancelReason::kNone) {
         // Cancelled or expired while queued: the solve never runs — no
         // plan probe, no binding probe, no ComputeAdp.
-        resp = DroppedResponse(queued);
+        Publish(keys.solve, lead, DroppedResponse(queued));
       } else {
-        try {
-          resp = SolveNow(req, keys, &lead->group->solve_token(),
-                          queue_wait_ms);
-        } catch (...) {
-          resp = FailureResponse(
-              Status(StatusCode::kInternal, "solve terminated abnormally"));
-          failures_->Increment();
-        }
+        SolveAndPublish(req, keys, lead, queue_wait_ms);
       }
-      PublishInflight(keys.solve, lead, resp,
-                      MakeRecent(req, keys.solve, resp));
     }, attrs);
   } catch (...) {
     // The ticket delivery is the sole failure signal (`done` fires exactly
     // once); rethrowing too would double-report the submission.
-    AdpResponse failure = FailureResponse(
-        Status(StatusCode::kInternal, "failed to enqueue request"));
     failures_->Increment();
-    PublishInflight(keys.solve, lead, failure, std::nullopt);
+    Publish(keys.solve, lead,
+            FailureResponse(
+                Status(StatusCode::kInternal, "failed to enqueue request")));
   }
   return ticket;
 }
@@ -997,20 +901,6 @@ std::vector<AdpResponse> AdpEngine::ExecuteBatch(
 
 // --- Streaming ---------------------------------------------------------------
 
-namespace {
-
-/// Terminal-only stream: used for admission failures (shutdown, invalid
-/// prepared handle, enqueue failure).
-void FinishStream(const std::shared_ptr<internal::StreamState>& state,
-                  Status status) {
-  StreamItem end;
-  end.kind = StreamItem::Kind::kEnd;
-  end.status = std::move(status);
-  state->Finish(std::move(end));
-}
-
-}  // namespace
-
 ResultStream AdpEngine::StreamAdp(AdpRequest req) {
   auto state = std::make_shared<internal::StreamState>(kStreamBufferItems);
   state->opened = Now();
@@ -1032,13 +922,15 @@ ResultStream AdpEngine::StreamAdp(AdpRequest req) {
                    Status(StatusCode::kShutdown, "engine is shut down"));
       return stream;
     }
-    state->counters = stream_counters_;
+    state->metrics = registry_;
+    state->items_total = stream_items_;
+    state->cancelled_total = stream_cancelled_;
     // Prune streams that already finished (their producers released the
     // state) so the open-stream list stays proportional to live streams.
     std::erase_if(streams_, [](const auto& weak) { return weak.expired(); });
     streams_.push_back(state);
   }
-  stream_counters_->opened.fetch_add(1, std::memory_order_relaxed);
+  streams_opened_->Increment();
   if (req.prepared.valid()) {
     Status valid = ValidatePrepared(req);
     if (!valid.ok()) {
@@ -1052,7 +944,7 @@ ResultStream AdpEngine::StreamAdp(AdpRequest req) {
     // produce, so the capacity bound would deadlock — buffer everything
     // and return a fully-produced stream.
     state->MakeUnbounded();
-    RunStream(req, state);
+    ProduceStream(req, state);
     return stream;
   }
   // Load shedding mirrors SubmitAsync: a producer task needs a queue slot,
@@ -1069,8 +961,9 @@ ResultStream AdpEngine::StreamAdp(AdpRequest req) {
   }
   const TaskAttrs attrs{req.priority, req.deadline};
   try {
-    pool_.Submit([this, req = std::move(req), state] { RunStream(req, state); },
-                 attrs);
+    pool_.Submit(
+        [this, req = std::move(req), state] { ProduceStream(req, state); },
+        attrs);
   } catch (...) {
     FinishStream(state,
                  Status(StatusCode::kInternal, "failed to enqueue stream"));
@@ -1080,197 +973,107 @@ ResultStream AdpEngine::StreamAdp(AdpRequest req) {
 
 ResultStream AdpEngine::StreamAdp(const PreparedQuery& prepared,
                                   std::int64_t k, const AdpOptions& options) {
-  AdpRequest req;
-  req.prepared = prepared;
-  req.db = prepared.bound_db();
-  req.k = k;
-  req.options = options;
-  return StreamAdp(std::move(req));
+  return StreamAdp(PreparedRequest(prepared, k, options));
 }
 
-void AdpEngine::RunStream(const AdpRequest& req,
-                          const std::shared_ptr<internal::StreamState>& state) {
-  StreamItem end;
-  end.kind = StreamItem::Kind::kEnd;
-  Stopwatch total;
+void AdpEngine::ProduceStream(
+    const AdpRequest& req, const std::shared_ptr<internal::StreamState>& state) {
   // Queue wait = StreamAdp admission to here (0-ish for inline production).
   const double queue_wait_ms = MsBetween(state->opened, Now());
   queue_wait_ms_->Observe(queue_wait_ms);
-  end.queue_ms = queue_wait_ms;
-  std::unique_ptr<obs::TraceSink> sink;
-  obs::Span root;
-  if (req.collect_trace) {
-    sink = std::make_unique<obs::TraceSink>(obs::TraceSink::kDefaultMaxSpans,
-                                            queue_wait_ms);
-    if (queue_wait_ms > 0.0) {
-      sink->AddCompleteSpan(obs::kSpanQueue, 0, 0.0, queue_wait_ms);
-    }
-    root = obs::Span(sink.get(), obs::kSpanStream);
-    root.Tag("k", req.k);
-  }
   // Time-to-first-item, measured from admission at the first Emit (profile
   // or witness batch — whichever the consumer could see first).
   bool first_item = true;
-  const auto note_first_item = [&] {
+  const auto emit = [&](StreamItem item) {
     if (first_item) {
       first_item = false;
       stream_first_item_ms_->Observe(MsBetween(state->opened, Now()));
     }
+    state->Emit(std::move(item));
   };
-  try {
-    // Cancelled or expired while queued: never touches the caches.
-    state->cancel_token().ThrowIfCancelled();
-
-    std::shared_ptr<const CachedPlan> plan;
-    std::shared_ptr<const Database> bound;
-    ResolveStatic(req, req.prepared.valid() ? std::string() : PlanKey(req),
-                  &plan, &bound, &end.plan_cache_hit, &end.plan_ms, nullptr,
-                  sink.get(), root.id());
-
-    AdpOptions options = req.options;
-    options.plan = &plan->dispatch;
-    options.stats = &end.stats;
-    options.parallelism = sharding_.run_all ? &sharding_ : nullptr;
-    options.cancel = &state->cancel_token();
-    options.trace = sink.get();
-    options.trace_parent = root.id();
-
-    // Mirror ComputeAdp's preamble (Lemma 12 selection pushdown + the
-    // feasibility gates) so streamed results concatenate to exactly what
-    // Execute would have returned. Kept in sync by the stream-vs-batch
-    // equivalence property test (result_stream_test), which compares the
-    // two paths field-for-field on every CI run.
-    Stopwatch solve_sw;
-    const ConjunctiveQuery* query = &plan->query;
-    const Database* data = bound.get();
-    QueryDb pushed;
-    if (query->HasSelections()) {
-      pushed = ApplySelections(*query, *data);
-      query = &pushed.query;
-      data = &pushed.db;
+  AdpEmitter emitter;
+  emitter.intermediate_witnesses = req.stream_intermediate_witnesses;
+  emitter.profile = [&](std::int64_t k, std::int64_t cost) {
+    StreamItem item;
+    item.kind = StreamItem::Kind::kProfile;
+    item.k = k;
+    item.cost = cost;
+    item.feasible = cost < kInfCost;
+    emit(std::move(item));
+  };
+  emitter.witnesses = [&](std::int64_t k, const std::vector<TupleRef>& tuples) {
+    const std::size_t batch = config_.stream_batch_tuples == 0
+                                  ? std::max<std::size_t>(tuples.size(), 1)
+                                  : config_.stream_batch_tuples;
+    for (std::size_t off = 0; off < tuples.size(); off += batch) {
+      state->cancel_token().ThrowIfCancelled();
+      StreamItem item;
+      item.kind = StreamItem::Kind::kWitnesses;
+      item.k = k;
+      const auto from = tuples.begin() + static_cast<std::ptrdiff_t>(off);
+      item.witnesses.assign(
+          from, from + static_cast<std::ptrdiff_t>(
+                           std::min(batch, tuples.size() - off)));
+      emit(std::move(item));
     }
-    end.output_count = static_cast<std::int64_t>(
-        CountOutputs(query->body(), query->head(), *data));
+  };
+  AdpResponse resp =
+      Solve(req, req.prepared.valid() ? std::string() : PlanKey(req),
+            &state->cancel_token(), queue_wait_ms, &emitter);
 
-    if (req.k > end.output_count) {
-      end.cost = kInfCost;
-      end.feasible = false;
-    } else if (req.k <= 0) {
-      end.removed_outputs = 0;  // nothing to remove; trivially "verified"
-    } else {
-      // THE solve: one DP covering every target 1..k. Per-k increments
-      // stream straight off its profile — no per-k re-solves.
-      AdpNode node = ComputeAdpNode(*query, *data, req.k, options);
-      end.exact = node.exact;
-      // Witnesses stream in enumeration order, NOT normalized: sorting
-      // would force the whole set to be materialized-and-ordered before
-      // the first batch could leave, forfeiting exactly the
-      // time-to-first-witness a stream exists for. Consumers recover
-      // AdpSolution::tuples with NormalizeTupleRefs (docs/STREAMING.md).
-      // Each batch is tagged with the target its witnesses remove
-      // (StreamItem::k): req.k on the default path, intermediate j's too
-      // when AdpRequest::stream_intermediate_witnesses is set. report() is
-      // pure over the finished DP, so re-invoking it per target is safe.
-      const auto stream_witnesses = [&](std::int64_t target) {
-        std::vector<TupleRef> witnesses = node.report(target);
-        const std::size_t batch = config_.stream_batch_tuples == 0
-                                      ? std::max<std::size_t>(
-                                            witnesses.size(), 1)
-                                      : config_.stream_batch_tuples;
-        for (std::size_t off = 0; off < witnesses.size(); off += batch) {
-          state->cancel_token().ThrowIfCancelled();
-          StreamItem item;
-          item.kind = StreamItem::Kind::kWitnesses;
-          item.k = target;
-          const std::size_t hi = std::min(off + batch, witnesses.size());
-          item.witnesses.assign(witnesses.begin() + static_cast<std::ptrdiff_t>(off),
-                                witnesses.begin() + static_cast<std::ptrdiff_t>(hi));
-          note_first_item();
-          state->Emit(std::move(item));
-        }
-        return witnesses;
-      };
-      for (std::int64_t j = 1; j <= req.k; ++j) {
-        state->cancel_token().ThrowIfCancelled();
-        StreamItem item;
-        item.kind = StreamItem::Kind::kProfile;
-        item.k = j;
-        item.cost = node.profile.At(j);
-        item.feasible = item.cost < kInfCost;
-        note_first_item();
-        state->Emit(std::move(item));
-        if (req.stream_intermediate_witnesses && j < req.k &&
-            !options.counting_only && node.report &&
-            node.profile.At(j) < kInfCost) {
-          stream_witnesses(j);
-        }
-      }
-      end.cost = node.profile.At(req.k);
-      end.feasible = end.cost < kInfCost;
-      if (!options.counting_only && node.report && end.feasible) {
-        const std::vector<TupleRef> witnesses = stream_witnesses(req.k);
-        if (options.verify) {
-          // Against the ROOT query/database, as ComputeAdp does.
-          end.removed_outputs =
-              CountRemovedOutputs(plan->query, *bound, witnesses);
-        }
-      }
-    }
-    end.solve_ms = solve_sw.ElapsedMs();
-    solve_ms_->Observe(end.solve_ms);
-    if (end.stats.sharded_universe_nodes > 0 ||
-        end.stats.sharded_decompose_nodes > 0) {
-      // Same rollup SolveNow does: streamed solves shard through the pool
-      // too, and STATS must attribute that engagement.
-      sharded_universe_nodes_->Increment(
-          static_cast<std::uint64_t>(end.stats.sharded_universe_nodes));
-      sharded_decompose_nodes_->Increment(
-          static_cast<std::uint64_t>(end.stats.sharded_decompose_nodes));
-    }
-  } catch (...) {
-    // Streams do not count into EngineCounters::failures (see counters
-    // doc): the terminal Status is the outcome signal.
-    bool genuine_failure = false;
-    end.status =
-        MapSolveException(state->shutdown_requested(), &genuine_failure);
+  StreamItem end;
+  end.kind = StreamItem::Kind::kEnd;
+  end.status = std::move(resp.status);
+  if (end.status.code() == StatusCode::kCancelled &&
+      state->shutdown_requested()) {
+    // A producer torn down by Shutdown(); an expired deadline keeps its
+    // kDeadlineExceeded.
+    end.status = Status(StatusCode::kShutdown, end.status.message());
   }
-  end.total_ms = total.ElapsedMs();
-  if (sink != nullptr) {
-    root.End();
-    end.trace = std::make_shared<const obs::Trace>(sink->Take());
-    traces_collected_->Increment();
-  }
+  end.cost = resp.solution.cost;
+  end.feasible = resp.solution.feasible;
+  end.exact = resp.solution.exact;
+  end.output_count = resp.solution.output_count;
+  end.removed_outputs = resp.solution.removed_outputs;
+  end.stats = resp.stats;
+  end.plan_cache_hit = resp.plan_cache_hit;
+  end.plan_ms = resp.plan_ms;
+  end.solve_ms = resp.solve_ms;
+  end.total_ms = resp.total_ms;
+  end.queue_ms = resp.queue_ms;
+  end.trace = std::move(resp.trace);
   state->Finish(std::move(end));
 }
 
 // --- Introspection -----------------------------------------------------------
 
 EngineCounters AdpEngine::counters() const {
-  // Mirror first so registry readers (METRICS, bench) and this view agree.
-  MirrorExternalMetrics();
+  const obs::MetricsSnapshot snap = registry_->Snapshot();
+  const auto count = [&snap](const char* name) {
+    return snap.counters.at(name);
+  };
+  const auto gauge = [&snap](const char* name) {
+    return static_cast<std::size_t>(snap.gauges.at(name));
+  };
   EngineCounters c;
-  c.plan_hits = plan_cache_.hits();
-  c.plan_misses = plan_cache_.misses();
-  c.plan_cache_size = plan_cache_.size();
-  c.cancelled = ticket_counters_->cancelled.load(std::memory_order_relaxed);
-  c.deadline_expired =
-      ticket_counters_->deadline_expired.load(std::memory_order_relaxed);
-  c.streams_opened =
-      stream_counters_->opened.load(std::memory_order_relaxed);
-  c.stream_items = stream_counters_->items.load(std::memory_order_relaxed);
-  c.stream_cancelled =
-      stream_counters_->cancelled.load(std::memory_order_relaxed);
-  c.requests = requests_->Value();
-  c.failures = failures_->Value();
-  c.binding_hits = binding_hits_->Value();
-  c.binding_misses = binding_misses_->Value();
-  c.dedup_hits = dedup_hits_->Value();
-  c.coalesce_hits = coalesce_hits_->Value();
-  c.shed = shed_->Value();
-  c.sharded_universe_nodes = sharded_universe_nodes_->Value();
-  c.sharded_decompose_nodes = sharded_decompose_nodes_->Value();
-  std::lock_guard<std::mutex> lock(mu_);
-  c.databases = databases_.size();
+  c.requests = count(obs::kMRequests);
+  c.failures = count(obs::kMFailures);
+  c.plan_hits = count(obs::kMPlanCacheHits);
+  c.plan_misses = count(obs::kMPlanCacheMisses);
+  c.binding_hits = count(obs::kMBindingHits);
+  c.binding_misses = count(obs::kMBindingMisses);
+  c.dedup_hits = count(obs::kMDedupHits);
+  c.coalesce_hits = count(obs::kMCoalesceHits);
+  c.cancelled = count(obs::kMCancelled);
+  c.deadline_expired = count(obs::kMDeadlineExpired);
+  c.shed = count(obs::kMShed);
+  c.sharded_universe_nodes = count(obs::kMShardedUniverse);
+  c.sharded_decompose_nodes = count(obs::kMShardedDecompose);
+  c.streams_opened = count(obs::kMStreamsOpened);
+  c.stream_items = count(obs::kMStreamItems);
+  c.stream_cancelled = count(obs::kMStreamCancelled);
+  c.plan_cache_size = gauge(obs::kMPlanCacheSize);
+  c.databases = gauge(obs::kMDatabases);
   return c;
 }
 
@@ -1280,63 +1083,26 @@ std::shared_ptr<obs::MetricsRegistry> AdpEngine::metrics_shared() const {
   return registry_;
 }
 
-void AdpEngine::MirrorExternalMetrics() const {
-  // RecordTotal is a monotonic max-set, so mirroring is idempotent and safe
-  // to run concurrently with itself — the registry copy only ever catches
-  // up to the external source of truth.
-  registry_->GetCounter(obs::kMPlanCacheHits).RecordTotal(plan_cache_.hits());
-  registry_->GetCounter(obs::kMPlanCacheMisses)
-      .RecordTotal(plan_cache_.misses());
-  registry_->GetCounter(obs::kMCancelled)
-      .RecordTotal(ticket_counters_->cancelled.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMDeadlineExpired)
-      .RecordTotal(
-          ticket_counters_->deadline_expired.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMStreamsOpened)
-      .RecordTotal(stream_counters_->opened.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMStreamItems)
-      .RecordTotal(stream_counters_->items.load(std::memory_order_relaxed));
-  registry_->GetCounter(obs::kMStreamCancelled)
-      .RecordTotal(
-          stream_counters_->cancelled.load(std::memory_order_relaxed));
-  registry_->GetGauge(obs::kMPlanCacheSize)
-      .Set(static_cast<std::int64_t>(plan_cache_.size()));
-  std::size_t databases = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    databases = databases_.size();
-  }
-  registry_->GetGauge(obs::kMDatabases)
-      .Set(static_cast<std::int64_t>(databases));
-}
-
 void AdpEngine::WriteMetricsText(std::ostream& out) const {
-  MirrorExternalMetrics();
   registry_->WritePrometheus(out);
 }
 
 void AdpEngine::ClearCaches() {
   plan_cache_.Clear();
   std::lock_guard<std::mutex> lock(mu_);
-  bindings_.clear();
-  recent_.clear();
+  for (auto& [id, entry] : databases_) entry.bindings.clear();
+  for (const auto& [key, slot] : completed_) EraseSlot(key, slot.get());
+  completed_.clear();
 }
 
 std::shared_ptr<const CachedPlan> AdpEngine::PlanFor(const AdpRequest& req,
                                                      Status* status) {
-  if (req.prepared.valid()) {
-    if (status != nullptr) *status = Status();
-    return req.prepared.plan();
-  }
+  if (status != nullptr) *status = Status();
+  if (req.prepared.valid()) return req.prepared.plan();
   try {
-    auto plan = GetPlan(req, PlanKey(req), nullptr);
-    if (status != nullptr) *status = Status();
-    return plan;
-  } catch (const ParseError& e) {
-    if (status != nullptr) *status = Status(StatusCode::kParseError, e.what());
-    return nullptr;
-  } catch (const std::exception& e) {
-    if (status != nullptr) *status = Status(StatusCode::kInternal, e.what());
+    return GetPlan(req, PlanKey(req), nullptr);
+  } catch (...) {
+    if (status != nullptr) *status = MapException();
     return nullptr;
   }
 }

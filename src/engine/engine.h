@@ -12,11 +12,11 @@
 //              set), run on a fixed-size worker pool.
 //
 // Databases are registered once and interned as shared immutable instances;
-// per-(query, database) positional bindings are cached too, so a batch of
-// requests against one database shares a single bound copy. A
-// PreparedQuery::Bind pins one binding into the handle, so the
-// prepare-once / execute-many hot path performs no key derivation, plan
-// probes, or binding probes at all.
+// each database's registry entry also caches its per-query positional
+// bindings, so a batch of requests against one database shares a single
+// bound copy. A PreparedQuery::Bind holds one binding in the handle, so
+// the prepare-once / execute-many hot path performs no plan probes or
+// binding probes at all.
 //
 // Failures are typed: every AdpResponse carries a Status (engine/status.h)
 // whose code distinguishes parse errors, unknown databases/relations,
@@ -32,17 +32,21 @@
 //   * async submission — Submit (future), SubmitAsync (callback), and
 //     SubmitToQueue (tagged CompletionQueue) all return an AdpTicket
 //     supporting Cancel(); AdpRequest::deadline bounds queue wait + solve;
-//   * single-flight solve dedup — identical concurrent (plan key, db, k,
-//     solve knobs) requests share one solve (AdpResponse::deduped); the
-//     shared solve is cancelled only when every participant cancels;
-//   * coalescing admission — with EngineConfig::coalesce_window_ms > 0,
-//     a request identical to one that *completed* within the window is
-//     served from a small recent-results ring without re-solving
-//     (AdpResponse::coalesced, EngineCounters::coalesce_hits);
-//   * streaming enumeration — StreamAdp runs one solve and delivers its
-//     ranked profile (k = 1..K) and witness set incrementally through a
-//     backpressured ResultStream instead of one monolithic response
-//     (engine/result_stream.h, docs/STREAMING.md).
+//   * one result table — requests are keyed by stable values (plan-cache
+//     key, DbId, k, solve knobs, trace flag), so a text request and a
+//     prepared one for the same work share one slot. A slot in flight is
+//     joined by identical requests (AdpResponse::deduped; the shared solve
+//     is cancelled only when every participant cancels); with
+//     EngineConfig::coalesce_window_ms > 0 a completed slot answers
+//     identical requests until the window passes (AdpResponse::coalesced).
+//     Restricted requests have no stable key and never share;
+//   * one solve pipeline — Execute, Submit and StreamAdp run the same
+//     plan / bind / ComputeAdp path; a stream only adds an emitter that
+//     delivers the ranked profile (k = 1..K) and witness set incrementally
+//     through a backpressured ResultStream (engine/result_stream.h,
+//     docs/STREAMING.md);
+//   * one counter source — every counter lives in the MetricsRegistry and
+//     is incremented there directly; counters() reads it.
 //
 // Thread safety: all public methods are safe to call concurrently,
 // including from inside engine callbacks (nested submissions run inline
@@ -86,7 +90,6 @@ namespace adp {
 
 namespace obs {
 class Counter;
-class Gauge;
 class Histogram;
 class MetricsRegistry;
 class TraceSink;
@@ -112,8 +115,8 @@ struct EngineConfig {
   /// PlanCache capacity (0 = unbounded).
   std::size_t plan_cache_capacity = 1024;
 
-  /// Binding-cache capacity in entries (0 = unbounded). One entry per
-  /// (database, query-shape) pair.
+  /// Binding-cache capacity per database, in entries (0 = unbounded). One
+  /// entry per query relation-name sequence; dropped with the database.
   std::size_t binding_cache_capacity = 4096;
 
   /// Intra-request sharding, Universe axis: a Universe node with at least
@@ -131,10 +134,10 @@ struct EngineConfig {
 
   /// Dedup-aware admission window: a request identical to one that
   /// completed successfully within the last `coalesce_window_ms`
-  /// milliseconds is answered from a small recent-results ring instead of
-  /// re-solving. 0 disables coalescing (every request solves, modulo
-  /// in-flight dedup). Serving a result up to this stale must be
-  /// acceptable to the caller.
+  /// milliseconds is answered from that request's completed result-table
+  /// slot (at most 64 are kept) instead of re-solving. 0 disables
+  /// coalescing (every request solves, modulo in-flight dedup). Serving a
+  /// result up to this stale must be acceptable to the caller.
   double coalesce_window_ms = 0.0;
 
   /// StreamAdp: maximum witness tuples per kWitnesses StreamItem. Larger
@@ -152,10 +155,9 @@ struct EngineConfig {
   std::size_t max_queue_depth = 0;
 };
 
-/// Monotonic counters, snapshot via AdpEngine::counters(). Assembled as a
-/// view over the engine's MetricsRegistry (obs/metrics.h) plus the caches'
-/// own counters — see metrics() for the registry itself, which additionally
-/// carries the latency histograms.
+/// Monotonic counters, snapshot via AdpEngine::counters(): a plain read of
+/// the engine's MetricsRegistry (obs/metrics.h) — see metrics() for the
+/// registry itself, which additionally carries the latency histograms.
 struct EngineCounters {
   /// Requests admitted — counted whatever the outcome, except kShutdown
   /// rejections (the engine is no longer serving).
@@ -171,7 +173,7 @@ struct EngineCounters {
   /// Requests served by joining an identical in-flight solve (the solve ran
   /// once; these received copies).
   std::uint64_t dedup_hits = 0;
-  /// Requests served from the recent-results ring (coalescing admission).
+  /// Requests served from a completed result-table slot (coalescing).
   std::uint64_t coalesce_hits = 0;
   /// Requests whose response was kCancelled (AdpTicket::Cancel won).
   std::uint64_t cancelled = 0;
@@ -255,13 +257,13 @@ class AdpEngine {
   // --- Requests ------------------------------------------------------------
 
   /// Runs `req` synchronously in the calling thread. Never throws: failures
-  /// are reported via AdpResponse::status. Leads the single-flight entry
+  /// are reported via AdpResponse::status. Leads the result-table slot
   /// when none exists (concurrent async arrivals then share this solve) but
   /// never *joins* one — an in-flight leader may still be queued behind
   /// other work, and the sync path keeps one-solve latency.
   AdpResponse Execute(const AdpRequest& req);
 
-  /// Prepared-handle hot path: no key derivation, no cache probes.
+  /// Prepared-handle hot path: no plan or binding probes.
   AdpResponse Execute(const PreparedQuery& prepared, std::int64_t k,
                       const AdpOptions& options = {});
 
@@ -313,7 +315,7 @@ class AdpEngine {
   /// the stream is produced inline (fully buffered) before returning.
   ResultStream StreamAdp(AdpRequest req);
 
-  /// Prepared-handle hot path variant: no key derivation, no cache probes.
+  /// Prepared-handle hot path variant: no plan or binding probes.
   ResultStream StreamAdp(const PreparedQuery& prepared, std::int64_t k,
                          const AdpOptions& options = {});
 
@@ -331,24 +333,20 @@ class AdpEngine {
 
   /// The engine's metrics registry: the counters behind counters(), plus
   /// the latency histograms (adp_request_latency_ms, adp_queue_wait_ms,
-  /// adp_solve_ms, adp_stream_first_item_ms — src/obs/names.h). Counters
-  /// whose source of truth lives outside the registry (plan cache, ticket
-  /// and stream terminals) are only guaranteed current after a counters()
-  /// or WriteMetricsText() call mirrored them in. The reference is valid
-  /// only for the engine's lifetime; callers that must read the registry
-  /// after the engine is gone (bench harness, a restarted adp_server)
-  /// take shared ownership via metrics_shared() instead.
+  /// adp_solve_ms, adp_stream_first_item_ms — src/obs/names.h). The
+  /// reference is valid only for the engine's lifetime; callers that must
+  /// read the registry after the engine is gone (bench harness, a restarted
+  /// adp_server) take shared ownership via metrics_shared() instead.
   obs::MetricsRegistry& metrics() const;
   std::shared_ptr<obs::MetricsRegistry> metrics_shared() const;
 
-  /// Prometheus text exposition (0.0.4) of the full registry, externally-
-  /// sourced counters and gauges mirrored in first. Backs the adp_server
-  /// METRICS command.
+  /// Prometheus text exposition (0.0.4) of the full registry. Backs the
+  /// adp_server METRICS command.
   void WriteMetricsText(std::ostream& out) const;
 
-  /// Drops the plan cache, the binding cache, and the recent-results ring.
-  /// In-flight requests and PreparedQuery handles keep the shared
-  /// plans/bindings they already hold; later requests rebuild.
+  /// Drops the plan cache, every database's bindings, and the completed
+  /// result-table slots. In-flight requests and PreparedQuery handles keep
+  /// the shared plans/bindings they already hold; later requests rebuild.
   void ClearCaches();
 
   /// The cached plan a request would use, building it on demand; nullptr
@@ -362,29 +360,36 @@ class AdpEngine {
   /// The two cache identities of one request; solve extends plan.
   struct RequestKeys {
     std::string plan;   // plan-cache key (empty for prepared handles)
-    std::string solve;  // single-flight dedup / coalesce key
+    std::string solve;  // result-table key; empty: the request never shares
   };
 
-  /// A solve shared by every identical request that arrived while it was
-  /// in flight. Tickets are registered and the map entry erased under mu_,
-  /// so a joiner either sees the entry (and its delivery fires at publish)
-  /// or becomes the next leader.
-  struct InflightSolve {
+  /// One result-table entry. In flight it holds the shared solve's cancel
+  /// group and the tickets waiting on it; once published with coalescing
+  /// on, `response` is set and answers identical requests until
+  /// `completed` falls out of the window. Guarded by mu_, except `group`,
+  /// which is fixed at creation.
+  struct ResultSlot {
+    std::shared_ptr<internal::SolveCancelGroup> group;
     std::shared_ptr<internal::TicketImpl> leader;  // null for sync leaders
     std::vector<std::shared_ptr<internal::TicketImpl>> followers;
-    std::shared_ptr<internal::SolveCancelGroup> group;
+    std::shared_ptr<const AdpResponse> response;  // set once completed
+    MonotonicClock::time_point completed;
   };
 
-  /// One completed solve, kept for coalescing admission. `pins` keep alive
-  /// every object whose address appears in `key` (a PreparedQuery's plan
-  /// and binding) — without them the allocator could reuse a freed plan's
-  /// address within the window and a later, different request would match
-  /// this entry (ABA) and be served the wrong result.
-  struct RecentResult {
-    std::string key;
-    MonotonicClock::time_point completed;
-    std::shared_ptr<const AdpResponse> response;
-    std::vector<std::shared_ptr<const void>> pins;
+  /// What the result-table probe decided for one request: lead `lead`'s
+  /// solve, take the `coalesced` response, or follow an in-flight solve
+  /// (`joined`). None of them: the request was not allowed to lead.
+  struct Admission {
+    std::shared_ptr<ResultSlot> lead;
+    std::shared_ptr<const AdpResponse> coalesced;
+    bool joined = false;
+  };
+
+  /// A registered database and the bindings built from it, keyed by the
+  /// query's body relation-name sequence.
+  struct DbEntry {
+    std::shared_ptr<const NamedDatabase> named;
+    std::unordered_map<std::string, std::shared_ptr<const Database>> bindings;
   };
 
   RequestKeys KeysFor(const AdpRequest& req) const;
@@ -401,60 +406,74 @@ class AdpEngine {
   std::shared_ptr<const CachedPlan> GetPlan(const AdpRequest& req,
                                             const std::string& plan_key,
                                             bool* hit);
-  std::shared_ptr<const Database> BindDatabase(
-      const std::shared_ptr<const NamedDatabase>& named,
-      const CachedPlan& plan);
 
-  /// Counts the request and probes the recent-results ring. Returns the
-  /// coalesced response on a hit (deep-copied outside the engine lock).
-  std::optional<AdpResponse> Admit(const std::string& solve_key);
+  /// The binding of database `db` for `plan`'s body, from the database's
+  /// registry entry or built and cached there. Throws EngineError
+  /// (kUnknownDatabase, kUnknownRelation, kInvalidArgument).
+  std::shared_ptr<const Database> BindDatabase(DbId db,
+                                               const CachedPlan& plan);
 
-  /// Counts a request rejected before admission (invalid prepared handle)
-  /// as one request and one failure, and returns its failure response.
-  AdpResponse CountRejected(Status status);
+  /// The one result-table probe, under mu_. A completed slot within the
+  /// window is a coalesced hit; an in-flight slot is joined by `ticket`
+  /// (sync callers, with a null ticket, never join and solve alone);
+  /// otherwise the request leads a fresh slot — stored under `key`, or
+  /// private when the request must not share (empty key, in-flight sync
+  /// duplicate, or a database no longer registered, so no result outlives
+  /// its database). With `may_lead` false no slot is created.
+  Admission Admit(const AdpRequest& req, const std::string& key,
+                  const std::shared_ptr<internal::TicketImpl>& ticket,
+                  bool may_lead = true);
 
-  /// Builds the recent-results ring entry for (req, resp), or nullopt when
-  /// the result must not be remembered: coalescing disabled, a failed
-  /// response, or a key naming caller-owned memory the ring cannot pin
-  /// (deletion restrictions). Called outside mu_ (deep-copies `resp`).
-  std::optional<RecentResult> MakeRecent(const AdpRequest& req,
-                                         const std::string& solve_key,
-                                         const AdpResponse& resp) const;
+  /// Retires `slot`: keeps it as a completed slot when coalescing applies,
+  /// else removes it, then delivers `resp` to its leader and followers.
+  void Publish(const std::string& key, const std::shared_ptr<ResultSlot>& slot,
+               const AdpResponse& resp);
 
-  /// The full request pipeline (plan, bind, solve), without dedup or
-  /// request counting. `keys` are the precomputed cache keys of `req`;
-  /// `cancel`, when non-null, is polled by the solver recursion.
-  /// `queue_wait_ms` — how long the request sat on the pool before this
-  /// call — backdates the trace origin (the synthetic adp.queue span) and
-  /// feeds the end-to-end latency histogram.
-  AdpResponse SolveNow(const AdpRequest& req, const RequestKeys& keys,
-                       const CancelToken* cancel,
-                       double queue_wait_ms = 0.0);
+  /// Removes `slot` from the table if it is still the entry for `key`.
+  /// Requires mu_.
+  void EraseSlot(const std::string& key, const ResultSlot* slot);
+
+  /// The response of a request turned away before the result table:
+  /// shutdown (not counted), an invalid prepared handle (counted as a
+  /// request and a failure) or an already-expired deadline; nullopt when
+  /// the request is admitted (and counted).
+  std::optional<AdpResponse> Reject(const AdpRequest& req);
 
   /// Resolves the static work and database binding of `req` — prepared
-  /// pin, or plan-cache + binding-cache probes — shared by SolveNow and
-  /// RunStream so the two request pipelines cannot drift. `plan_key` is
-  /// the precomputed plan-cache key (unused for prepared handles).
-  /// `plan_cache_hit` (whether the static work was served without
-  /// building), `plan_ms` (plan-fetch time), and `fingerprint` (optional)
-  /// are all assigned before the binding step, so a binding failure leaves
-  /// them filled on the response. Throws EngineError/ParseError on
-  /// failure. `sink`/`trace_parent` (nullable) wrap the two steps in
-  /// adp.plan / adp.bind spans.
+  /// pin, or plan-cache + binding-cache probes. `plan_key` is the
+  /// precomputed plan-cache key (unused for prepared handles).
+  /// `resp->plan_cache_hit`, `plan_ms` and `fingerprint` are assigned
+  /// before the binding step, so a binding failure leaves them filled.
+  /// Throws EngineError/ParseError on failure. `sink`/`trace_parent`
+  /// (nullable) wrap the two steps in adp.plan / adp.bind spans.
   void ResolveStatic(const AdpRequest& req, const std::string& plan_key,
                      std::shared_ptr<const CachedPlan>* plan,
                      std::shared_ptr<const Database>* bound,
-                     bool* plan_cache_hit, double* plan_ms,
-                     std::uint64_t* fingerprint,
-                     obs::TraceSink* sink = nullptr,
-                     std::uint32_t trace_parent = 0);
+                     AdpResponse* resp, obs::TraceSink* sink,
+                     std::uint32_t trace_parent);
 
-  /// Stream producer body: resolves plan + binding, runs the single
-  /// ComputeAdpNode DP, and emits profile/witness items into `state`,
-  /// always ending with a terminal kEnd item. Runs on a pool worker (or
-  /// inline for nested calls).
-  void RunStream(const AdpRequest& req,
-                 const std::shared_ptr<internal::StreamState>& state);
+  /// The one solve pipeline behind Execute, Submit and StreamAdp: trace
+  /// sink and root span, cancel check, plan + binding, ComputeAdp, timing
+  /// and shard rollups, and the mapping of failures to a Status. Never
+  /// dedups or counts the request. `cancel`, when non-null, is polled by
+  /// the solver recursion; `queue_wait_ms` — how long the request sat on
+  /// the pool — backdates the trace origin. With `emit` set (a stream) the
+  /// output goes to it as it is produced (see ComputeAdp), and the run
+  /// counts into neither the request latency nor failures.
+  AdpResponse Solve(const AdpRequest& req, const std::string& plan_key,
+                    const CancelToken* cancel, double queue_wait_ms,
+                    const AdpEmitter* emit = nullptr);
+
+  /// Solve for the leader of `slot`, then Publish. Never throws.
+  AdpResponse SolveAndPublish(const AdpRequest& req, const RequestKeys& keys,
+                              const std::shared_ptr<ResultSlot>& slot,
+                              double queue_wait_ms);
+
+  /// Stream producer: runs Solve with an emitter that slices the output
+  /// into profile/witness items on `state`, then the terminal kEnd item.
+  /// Runs on a pool worker (or inline for nested calls).
+  void ProduceStream(const AdpRequest& req,
+                     const std::shared_ptr<internal::StreamState>& state);
 
   /// Fires the cancel token of every still-open stream with the shutdown
   /// flag set, so producers end promptly with terminal kShutdown. Called by
@@ -465,43 +484,15 @@ class AdpEngine {
   /// inline SubmitAsync path can count through Deliver instead).
   AdpResponse ExecuteImpl(const AdpRequest& req);
 
-  /// Probes the single-flight table under mu_. Returns a fresh in-flight
-  /// record when this request becomes the leader for `key` (ticket may be
-  /// null: sync leaders have no cancellation handle), else null — either
-  /// `ticket` joined the existing entry as a follower (its delivery fires
-  /// with the leader's response, deduped set; counted in dedup_hits), or
-  /// the caller was synchronous and solves independently. An entry whose
-  /// shared solve has already been cancelled is replaced, never joined.
-  std::shared_ptr<InflightSolve> LeadOrJoin(
-      const std::string& key,
-      const std::shared_ptr<internal::TicketImpl>& ticket,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline);
-
-  /// Leader side: retires the entry, remembers `recent` (if any) for
-  /// coalescing, and delivers to the leader's and every follower's ticket.
-  void PublishInflight(const std::string& key,
-                       const std::shared_ptr<InflightSolve>& state,
-                       const AdpResponse& resp,
-                       std::optional<RecentResult> recent);
-
   bool IsShutdown() const;
 
-  /// RecordTotal-mirrors the counters whose source of truth lives outside
-  /// the registry (plan cache, ticket/stream terminals) and refreshes the
-  /// gauges, so a registry read observes them current.
-  void MirrorExternalMetrics() const;
-
   const EngineConfig config_;
-  PlanCache plan_cache_;
-  Parallelism sharding_;  // run_all bound to pool_; unset if disabled
-  std::shared_ptr<internal::TicketCounters> ticket_counters_;
-  std::shared_ptr<internal::StreamCounters> stream_counters_;
 
-  /// The metrics sink (obs/metrics.h). Engine-internal counters below point
-  /// straight into it — their updates are lock-free relaxed atomics, so
-  /// none of them need mu_ anymore. shared_ptr: metrics_shared() lets
-  /// callers (bench harness, adp_server) keep the registry alive past a
-  /// restarted engine.
+  /// The metrics sink (obs/metrics.h), the one source of every counter.
+  /// Instruments below point straight into it — their updates are
+  /// lock-free relaxed atomics. shared_ptr: tickets and streams, which may
+  /// outlive the engine, count into it too, and metrics_shared() lets
+  /// callers keep it past a restarted engine.
   std::shared_ptr<obs::MetricsRegistry> registry_;
   obs::Counter* requests_ = nullptr;
   obs::Counter* failures_ = nullptr;
@@ -513,18 +504,25 @@ class AdpEngine {
   obs::Counter* sharded_universe_nodes_ = nullptr;
   obs::Counter* sharded_decompose_nodes_ = nullptr;
   obs::Counter* traces_collected_ = nullptr;
+  obs::Counter* streams_opened_ = nullptr;
+  obs::Counter* stream_items_ = nullptr;
+  obs::Counter* stream_cancelled_ = nullptr;
   obs::Histogram* request_latency_ms_ = nullptr;
   obs::Histogram* queue_wait_ms_ = nullptr;
   obs::Histogram* solve_ms_ = nullptr;
   obs::Histogram* stream_first_item_ms_ = nullptr;
 
-  mutable std::mutex mu_;  // guards databases_, next_db_id_, bindings_,
-                           // inflight_, recent_, streams_, shutdown_
-  std::unordered_map<DbId, std::shared_ptr<const NamedDatabase>> databases_;
+  PlanCache plan_cache_;
+  Parallelism sharding_;  // run_all bound to pool_; unset if disabled
+
+  mutable std::mutex mu_;  // guards databases_, next_db_id_, results_,
+                           // completed_, streams_, shutdown_
+  std::unordered_map<DbId, DbEntry> databases_;
   DbId next_db_id_ = 0;  // ids are never reused: a released id stays dead
-  std::unordered_map<std::string, std::shared_ptr<const Database>> bindings_;
-  std::unordered_map<std::string, std::shared_ptr<InflightSolve>> inflight_;
-  std::deque<RecentResult> recent_;  // newest at back; bounded ring
+  std::unordered_map<std::string, std::shared_ptr<ResultSlot>> results_;
+  /// Completed slots, oldest first: expired or past kRecentResultsCapacity
+  /// ones are dropped from the front.
+  std::deque<std::pair<std::string, std::shared_ptr<ResultSlot>>> completed_;
   std::vector<std::weak_ptr<internal::StreamState>> streams_;  // open streams
   bool shutdown_ = false;
 

@@ -2,11 +2,27 @@
 
 #include <utility>
 
+#include "obs/metrics.h"
+#include "obs/names.h"
+
 namespace adp {
+
+PlanCache::PlanCache(std::size_t capacity, obs::MetricsRegistry* metrics)
+    : capacity_(capacity) {
+  if (metrics != nullptr) {
+    hits_ = &metrics->GetCounter(obs::kMPlanCacheHits);
+    misses_ = &metrics->GetCounter(obs::kMPlanCacheMisses);
+    size_ = &metrics->GetGauge(obs::kMPlanCacheSize);
+  }
+}
 
 void PlanCache::Touch(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru_pos);
   entry.lru_pos = lru_.begin();
+}
+
+void PlanCache::Resized() {
+  if (size_ != nullptr) size_->Set(static_cast<std::int64_t>(entries_.size()));
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::GetOrBuild(const std::string& key,
@@ -20,11 +36,11 @@ std::shared_ptr<const CachedPlan> PlanCache::GetOrBuild(const std::string& key,
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++hits_;
+      if (hits_ != nullptr) hits_->Increment();
       Touch(it->second);
       fut = it->second.plan;
     } else {
-      ++misses_;
+      if (misses_ != nullptr) misses_->Increment();
       miss = true;
       fut = promise.get_future().share();
       lru_.push_front(key);
@@ -35,6 +51,7 @@ std::shared_ptr<const CachedPlan> PlanCache::GetOrBuild(const std::string& key,
         entries_.erase(lru_.back());
         lru_.pop_back();
       }
+      Resized();
     }
   }
 
@@ -51,22 +68,13 @@ std::shared_ptr<const CachedPlan> PlanCache::GetOrBuild(const std::string& key,
       if (it != entries_.end() && it->second.generation == my_generation) {
         lru_.erase(it->second.lru_pos);
         entries_.erase(it);
+        Resized();
       }
     }
   }
 
   if (hit != nullptr) *hit = !miss;
   return fut.get();  // rethrows a failed build for every waiter
-}
-
-std::uint64_t PlanCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::uint64_t PlanCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 std::size_t PlanCache::size() const {
@@ -78,6 +86,7 @@ void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   lru_.clear();
+  Resized();
 }
 
 }  // namespace adp

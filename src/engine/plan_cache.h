@@ -35,6 +35,12 @@
 
 namespace adp {
 
+namespace obs {
+class Counter;
+class Gauge;
+class MetricsRegistry;
+}  // namespace obs
+
 /// Immutable per-query static work, shared across requests and threads.
 struct CachedPlan {
   /// The parsed query, selections intact. Requests are solved against this
@@ -59,8 +65,10 @@ struct CachedPlan {
 class PlanCache {
  public:
   /// `capacity` bounds the number of cached plans (LRU eviction); 0 means
-  /// unbounded.
-  explicit PlanCache(std::size_t capacity = 1024) : capacity_(capacity) {}
+  /// unbounded. With `metrics` set, lookups count into its plan-cache hit
+  /// and miss counters and the size gauge tracks the entry count.
+  explicit PlanCache(std::size_t capacity = 1024,
+                     obs::MetricsRegistry* metrics = nullptr);
 
   using Builder = std::function<std::shared_ptr<const CachedPlan>()>;
 
@@ -72,13 +80,10 @@ class PlanCache {
                                                const Builder& builder,
                                                bool* hit = nullptr);
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
-  /// Drops every cached plan (in-flight builds are unaffected; counters
-  /// are kept).
+  /// Drops every cached plan (in-flight builds are unaffected).
   void Clear();
 
  private:
@@ -91,14 +96,16 @@ class PlanCache {
   };
 
   void Touch(Entry& entry);  // requires mu_ held
+  void Resized();            // requires mu_ held
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  // front = most recently used
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t next_generation_ = 0;
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Gauge* size_ = nullptr;
 };
 
 }  // namespace adp

@@ -19,7 +19,6 @@ namespace adp {
 class AdpEngine;
 class Database;
 struct CachedPlan;
-struct NamedDatabase;
 
 namespace obs {
 struct Trace;  // obs/trace.h; forward-declared to keep this header light
@@ -34,9 +33,8 @@ inline constexpr DbId kInvalidDbId = -1;
 /// been called, one database binding. Obtained from AdpEngine::Prepare.
 ///
 /// Executing through a bound handle is the prepare-once / execute-many hot
-/// path: the engine skips plan-key derivation, plan-cache probes, and
-/// binding-cache probes entirely and goes straight to the data-dependent
-/// solve.
+/// path: the engine skips plan-cache and binding-cache probes entirely and
+/// goes straight to the data-dependent solve.
 ///
 /// Handles are cheap to copy (shared immutable state) and safe to use from
 /// any thread, but must not outlive the engine that prepared them, and a
@@ -69,13 +67,11 @@ class PreparedQuery {
 
   AdpEngine* engine_ = nullptr;
   std::shared_ptr<const CachedPlan> plan_;
-  std::shared_ptr<const NamedDatabase> named_;  // set by Bind
-  std::shared_ptr<const Database> bound_;       // set by Bind
+  std::shared_ptr<const Database> bound_;  // set by Bind
   DbId db_ = kInvalidDbId;
   std::uint64_t fingerprint_ = 0;
-  std::string plan_key_;     // the text-path plan-cache key this handle pins
+  std::string plan_key_;     // the plan-cache key of plan_
   std::string option_bits_;  // classification knobs the plan was built with
-  std::string base_key_;     // dedup-key prefix (plan + binding identity)
 };
 
 /// One ADP(Q, D, k) request. The query is given as Datalog-style text
@@ -165,9 +161,10 @@ struct AdpResponse {
   /// and timings are copies of the leader request's.
   bool deduped = false;
 
-  /// True iff this response was served from the recent-results ring: an
-  /// identical request completed within EngineConfig::coalesce_window_ms
-  /// and its response was reused without a new solve.
+  /// True iff this response was served from a completed slot of the
+  /// engine's result table: an identical request completed within
+  /// EngineConfig::coalesce_window_ms and its response was reused without a
+  /// new solve.
   bool coalesced = false;
 
   /// Wall-clock timings. `plan_ms` covers plan-cache lookup including any

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "obs/metrics.h"
+
 namespace adp {
 namespace internal {
 namespace {
@@ -35,9 +37,7 @@ void StreamState::Emit(StreamItem item) {
   }
   if (closed_) throw CancelledError(CancelReason::kCancelled);
   items_.push_back(std::move(item));
-  if (counters != nullptr) {
-    counters->items.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (items_total != nullptr) items_total->Increment();
   cv_.notify_all();
 }
 
@@ -49,15 +49,13 @@ void StreamState::Finish(StreamItem end) {
     finished_ = true;
     if (!closed_) {
       items_.push_back(std::move(end));
-      if (counters != nullptr) {
-        counters->items.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (items_total != nullptr) items_total->Increment();
     }
   }
-  if (counters != nullptr &&
+  if (cancelled_total != nullptr &&
       (code == StatusCode::kCancelled || code == StatusCode::kDeadlineExceeded ||
        code == StatusCode::kShutdown)) {
-    counters->cancelled.fetch_add(1, std::memory_order_relaxed);
+    cancelled_total->Increment();
   }
   cv_.notify_all();
 }

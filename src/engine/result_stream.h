@@ -2,9 +2,9 @@
 // streaming ranked-witness enumeration path.
 //
 // Where Execute materializes one AdpResponse — one cost, one witness set,
-// deep-copied as a unit — StreamAdp runs the *same single solve* (one
-// ComputeAdpNode DP, never per-k re-solves) and delivers its result as a
-// sequence of typed StreamItems:
+// deep-copied as a unit — StreamAdp runs the *same pipeline and ComputeAdp
+// call* (one DP, never per-k re-solves) with an emitter attached, and
+// delivers its result as a sequence of typed StreamItems:
 //
 //   1. zero or more kProfile items, k = 1, 2, ..., K in strictly ascending
 //      order: cost[k] = tuples to delete to remove >= k outputs. Costs are
@@ -60,6 +60,8 @@
 namespace adp {
 
 namespace obs {
+class Counter;
+class MetricsRegistry;
 struct Trace;  // obs/trace.h; forward-declared to keep this header light
 }  // namespace obs
 
@@ -134,14 +136,6 @@ struct StreamItem {
 
 namespace internal {
 
-/// Monotonic stream counters shared between the engine and its streams
-/// (streams may outlive the engine, so the storage is jointly owned).
-struct StreamCounters {
-  std::atomic<std::uint64_t> opened{0};
-  std::atomic<std::uint64_t> items{0};
-  std::atomic<std::uint64_t> cancelled{0};
-};
-
 /// Shared state of one stream: a bounded item buffer between the producing
 /// worker and the consuming ResultStream handle, plus the stream's cancel
 /// token. All methods are thread-safe.
@@ -189,10 +183,15 @@ class StreamState {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  std::shared_ptr<StreamCounters> counters;
+  /// The engine's registry and this stream's item / cancelled counters in
+  /// it (shared: a stream may outlive the engine). Unset for streams
+  /// rejected at shutdown, which count nowhere.
+  std::shared_ptr<obs::MetricsRegistry> metrics;
+  obs::Counter* items_total = nullptr;
+  obs::Counter* cancelled_total = nullptr;
 
   /// When StreamAdp admitted the stream (set by the engine before the
-  /// producer is enqueued); RunStream measures queue wait and
+  /// producer is enqueued); the producer measures queue wait and
   /// time-to-first-item from it.
   MonotonicClock::time_point opened{};
 

@@ -1,7 +1,18 @@
 #include "engine/ticket.h"
 
+#include "obs/metrics.h"
+#include "obs/names.h"
+
 namespace adp {
 namespace internal {
+
+void CountTerminal(obs::MetricsRegistry& metrics, StatusCode code) {
+  if (code == StatusCode::kCancelled) {
+    metrics.GetCounter(obs::kMCancelled).Increment();
+  } else if (code == StatusCode::kDeadlineExceeded) {
+    metrics.GetCounter(obs::kMDeadlineExpired).Increment();
+  }
+}
 
 bool SolveCancelGroup::AddParticipant(
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
@@ -41,13 +52,7 @@ bool Deliver(TicketImpl& t, AdpResponse resp) {
     resp = std::move(expired);
   }
   if (t.delivered.exchange(true, std::memory_order_acq_rel)) return false;
-  if (t.counters != nullptr) {
-    if (resp.status.code() == StatusCode::kCancelled) {
-      t.counters->cancelled.fetch_add(1, std::memory_order_relaxed);
-    } else if (resp.status.code() == StatusCode::kDeadlineExceeded) {
-      t.counters->deadline_expired.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  if (t.metrics != nullptr) CountTerminal(*t.metrics, resp.status.code());
   if (t.done) {
     try {
       t.done(std::move(resp));

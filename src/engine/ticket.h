@@ -43,14 +43,11 @@
 
 namespace adp {
 
-namespace internal {
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
 
-/// Engine counters a ticket must be able to bump after the engine is gone
-/// (tickets are caller-held and unordered with engine teardown).
-struct TicketCounters {
-  std::atomic<std::uint64_t> cancelled{0};
-  std::atomic<std::uint64_t> deadline_expired{0};
-};
+namespace internal {
 
 /// Cancellation aggregator of one single-flight solve. Every request
 /// sharing the solve (the leader plus each deduped waiter) is a
@@ -107,9 +104,14 @@ struct TicketImpl {
   /// requests that never reach a solve (coalesce hits, shutdown).
   std::shared_ptr<SolveCancelGroup> group;
 
-  /// Outcome counters (shared with the engine).
-  std::shared_ptr<TicketCounters> counters;
+  /// The engine's registry, which counts this request's cancelled /
+  /// deadline-expired outcome. Shared: a ticket may outlive the engine.
+  std::shared_ptr<obs::MetricsRegistry> metrics;
 };
+
+/// Counts a kCancelled / kDeadlineExceeded outcome into `metrics`' cancelled
+/// / deadline-expired counter; any other code counts nothing.
+void CountTerminal(obs::MetricsRegistry& metrics, StatusCode code);
 
 /// Delivers `resp` to `t` exactly once; returns whether this call performed
 /// the delivery. Counts kCancelled/kDeadlineExceeded outcomes, and — when a

@@ -29,22 +29,11 @@
 
 namespace adp::obs {
 
-/// Monotonic counter. Increment-only from instrumentation; RecordTotal
-/// exists for mirroring an external monotonic source (e.g. a cache's own
-/// hit count) into the registry without double counting.
+/// Monotonic counter, increment-only.
 class Counter {
  public:
   void Increment(std::uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  /// Monotonic absolute update: the stored value only ever grows. Used to
-  /// mirror counters whose source of truth lives outside the registry.
-  void RecordTotal(std::uint64_t total) {
-    std::uint64_t cur = value_.load(std::memory_order_relaxed);
-    while (cur < total && !value_.compare_exchange_weak(
-                              cur, total, std::memory_order_relaxed)) {
-    }
   }
 
   std::uint64_t Value() const {

@@ -196,7 +196,8 @@ AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
 }
 
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t k, const AdpOptions& options) {
+                       std::int64_t k, const AdpOptions& options,
+                       const AdpEmitter* emit) {
   ThrowIfCancelled(options);
   // Lemma 12: push selections down first.
   const ConjunctiveQuery* query = &q;
@@ -221,7 +222,7 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     return solution;
   }
 
-  if (Classify(*query, options) == AdpCase::kDecompose) {
+  if (emit == nullptr && Classify(*query, options) == AdpCase::kDecompose) {
     // Root fast path: avoids profiles of length k (k can be a fraction of a
     // cross-product-sized |Q(D)|). Bypasses ComputeAdpNode, so it opens its
     // own node span.
@@ -240,7 +241,21 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     AdpNode node = ComputeAdpNode(*query, *data, k, options);
     solution.cost = node.profile.At(k);
     solution.exact = node.exact;
-    if (!options.counting_only && node.report && solution.cost < kInfCost) {
+    const bool reports = !options.counting_only && node.report != nullptr;
+    if (emit != nullptr) {
+      // One DP covers every target 1..k: its profile is streamed as is,
+      // never re-solved per target.
+      for (std::int64_t j = 1; j <= k; ++j) {
+        ThrowIfCancelled(options);
+        const std::int64_t cost = node.profile.At(j);
+        emit->profile(j, cost);
+        if (emit->intermediate_witnesses && j < k && reports &&
+            cost < kInfCost) {
+          emit->witnesses(j, node.report(j));
+        }
+      }
+    }
+    if (reports && solution.cost < kInfCost) {
       obs::Span span(options.trace, obs::kSpanWitnesses,
                      options.trace_parent);
       solution.tuples = node.report(k);
@@ -254,7 +269,10 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
   }
 
   if (!options.counting_only) {
-    {
+    if (emit != nullptr) {
+      // Enumeration order: sorting first would hold back the first batch.
+      emit->witnesses(k, solution.tuples);
+    } else {
       obs::Span span(options.trace, obs::kSpanNormalize,
                      options.trace_parent);
       NormalizeTupleRefs(solution.tuples);
@@ -263,6 +281,7 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
       obs::Span span(options.trace, obs::kSpanVerify, options.trace_parent);
       solution.removed_outputs = CountRemovedOutputs(q, db, solution.tuples);
     }
+    if (emit != nullptr) solution.tuples = {};
   }
   return solution;
 }

@@ -194,10 +194,30 @@ inline CancelToken ReporterToken(const AdpOptions& options) {
   return options.cancel != nullptr ? *options.cancel : CancelToken();
 }
 
+/// Incremental consumer of one solve's output; AdpEngine::StreamAdp slices
+/// it into ResultStream items. See ComputeAdp.
+struct AdpEmitter {
+  /// Called for k = 1..K in ascending order with the cost of removing >= k
+  /// outputs (kInfCost when unreachable).
+  std::function<void(std::int64_t k, std::int64_t cost)> profile;
+  /// Called with a witness set removing >= k outputs, in enumeration order
+  /// (not normalized).
+  std::function<void(std::int64_t k, const std::vector<TupleRef>& tuples)>
+      witnesses;
+  /// Also hand over the witness set of every reachable intermediate target
+  /// 1..K-1, right after its profile call.
+  bool intermediate_witnesses = false;
+};
+
 /// Solves ADP(Q, D, k). `q` may carry selections; `db` must be the root
-/// database (instances indexed as in `q`).
+/// database (instances indexed as in `q`). With `emit` set, the root
+/// node's profile is reported through it for every target 1..k and the
+/// final witness set is handed over in enumeration order instead of being
+/// returned (the result's `tuples` stay empty); the root Decompose
+/// single-target shortcut, which has no per-k profile, is not taken.
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t k, const AdpOptions& options = {});
+                       std::int64_t k, const AdpOptions& options = {},
+                       const AdpEmitter* emit = nullptr);
 
 /// Algorithm 2's dispatch decision for a selection-free query. Exposed so
 /// plan builders (solver/plan.h) share the exact logic the recursion uses.

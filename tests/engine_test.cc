@@ -17,6 +17,8 @@
 #include "engine/completion_queue.h"
 #include "engine/engine.h"
 #include "engine/grouped_workload.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "query/parser.h"
 #include "solver/compute_adp.h"
 #include "test_util.h"
@@ -1631,6 +1633,272 @@ TEST(AdpEngineTest, RequestPriorityOrdersSaturatedQueue) {
   ASSERT_EQ(all.get_future().wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
   EXPECT_EQ(completion_order, (std::vector<int>{2, 1, 0}));
+}
+
+// --- Result table: stable keys ---------------------------------------------
+
+// A completed slot must not outlive its database: once the database is
+// unregistered, an identical request fails typed instead of being answered
+// from the slot, on the sync and the async path.
+TEST(AdpEngineTest, CoalescedResultDoesNotOutliveItsDatabase) {
+  EngineConfig config;
+  config.num_workers = 1;
+  config.coalesce_window_ms = 60'000;
+  AdpEngine engine(config);
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  ASSERT_TRUE(engine.Execute(req).ok());
+  ASSERT_TRUE(engine.UnregisterDatabase(db));
+
+  const AdpResponse sync = engine.Execute(req);
+  EXPECT_EQ(sync.status.code(), StatusCode::kUnknownDatabase);
+  EXPECT_FALSE(sync.coalesced);
+  const AdpResponse async_resp = engine.Submit(req).get();
+  EXPECT_EQ(async_resp.status.code(), StatusCode::kUnknownDatabase);
+  EXPECT_FALSE(async_resp.coalesced);
+  EXPECT_EQ(engine.counters().coalesce_hits, 0u);
+}
+
+// A text request and a prepared request for the same query, options,
+// database and target share one result slot: the prepared one is served
+// from the text one's completed slot.
+TEST(AdpEngineTest, PreparedExecuteCoalescesWithIdenticalText) {
+  EngineConfig config;
+  config.num_workers = 1;
+  config.coalesce_window_ms = 60'000;
+  AdpEngine engine(config);
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  const AdpResponse text = engine.Execute(req);
+  ASSERT_TRUE(text.ok()) << text.status.ToString();
+  EXPECT_FALSE(text.coalesced);
+
+  StatusOr<PreparedQuery> prepared = engine.Prepare(kChainText);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->Bind(db).ok());
+  const AdpResponse again = engine.Execute(*prepared, /*k=*/2);
+  ASSERT_TRUE(again.ok()) << again.status.ToString();
+  EXPECT_TRUE(again.coalesced);
+  EXPECT_EQ(again.solution.tuples, text.solution.tuples);
+  EXPECT_EQ(engine.counters().coalesce_hits, 1u);
+}
+
+// The in-flight side of the same key: a text Submit and a prepared Submit
+// queued behind a busy worker share one solve.
+TEST(AdpEngineTest, TextAndPreparedSubmitShareOneSolve) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+  StatusOr<PreparedQuery> prepared = engine.Prepare(kChainText);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->Bind(db).ok());
+
+  WorkerPlug plug;
+  plug.Install(engine, db);
+  const EngineCounters before = engine.counters();
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  std::vector<std::future<AdpResponse>> futures;
+  futures.push_back(engine.Submit(req));
+  futures.push_back(engine.Submit(*prepared, /*k=*/2));
+  plug.release.set_value();
+
+  int deduped = 0;
+  for (auto& fut : futures) {
+    const AdpResponse resp = fut.get();
+    ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+    EXPECT_EQ(resp.solution.cost, 1);
+    if (resp.deduped) ++deduped;
+  }
+  EXPECT_EQ(deduped, 1);
+  EXPECT_EQ(engine.counters().dedup_hits, before.dedup_hits + 1);
+}
+
+// Keys hold no addresses: a dropped plan whose memory a later, different
+// query may reuse can never make that query match the old completed slot.
+TEST(AdpEngineTest, DroppedPlanNeverAliasesANewQuery) {
+  EngineConfig config;
+  config.num_workers = 1;
+  config.coalesce_window_ms = 60'000;
+  AdpEngine engine(config);
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+  {
+    StatusOr<PreparedQuery> a = engine.Prepare(kChainText);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(a->Bind(db).ok());
+    ASSERT_TRUE(engine.Execute(*a, /*k=*/2).ok());
+  }
+  engine.ClearCaches();
+
+  constexpr char kOther[] = "Q(A,B) :- R1(A,B), R2(B,C)";
+  StatusOr<PreparedQuery> b = engine.Prepare(kOther);
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(b->Bind(db).ok());
+  const AdpResponse resp = engine.Execute(*b, /*k=*/2);
+  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+  EXPECT_FALSE(resp.coalesced);
+  const AdpSolution direct =
+      ComputeAdp(ParseQuery(kOther), Fig1NamedDb().db, 2, {});
+  EXPECT_EQ(resp.solution.cost, direct.cost);
+  EXPECT_EQ(resp.solution.tuples, direct.tuples);
+  EXPECT_EQ(resp.solution.output_count, direct.output_count);
+}
+
+// At most 64 completed slots are kept: after 100 distinct targets the
+// earliest is solved again while the latest is still coalesced.
+TEST(AdpEngineTest, CompletedSlotsAreBounded) {
+  EngineConfig config;
+  config.num_workers = 1;
+  config.coalesce_window_ms = 60'000;
+  AdpEngine engine(config);
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  for (std::int64_t k = 1; k <= 100; ++k) {
+    req.k = k;  // k past |Q(D)| is an infeasible but OK answer
+    ASSERT_TRUE(engine.Execute(req).ok()) << "k=" << k;
+  }
+  req.k = 1;
+  EXPECT_FALSE(engine.Execute(req).coalesced);
+  req.k = 100;
+  EXPECT_TRUE(engine.Execute(req).coalesced);
+}
+
+// --- One counter source ------------------------------------------------------
+
+// Every counter lives in the registry: a registry snapshot taken before any
+// counters() / WriteMetricsText() call already matches EngineCounters.
+TEST(AdpEngineTest, RegistryIsCurrentWithoutAMirror) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  ASSERT_TRUE(engine.Execute(req).ok());
+  ASSERT_TRUE(engine.Execute(req).ok());  // plan-cache hit
+
+  ResultStream stream = engine.StreamAdp(req);
+  while (std::optional<StreamItem> item = stream.Next()) {
+  }
+
+  WorkerPlug plug;
+  plug.Install(engine, db);
+  AdpTicket ticket;
+  AdpRequest cancelled = req;
+  cancelled.k = 3;
+  std::future<AdpResponse> fut = engine.Submit(cancelled, &ticket);
+  ASSERT_TRUE(ticket.Cancel());
+  EXPECT_EQ(fut.get().status.code(), StatusCode::kCancelled);
+  plug.release.set_value();
+  AdpRequest drain = req;
+  drain.k = 1;
+  ASSERT_TRUE(engine.Submit(drain).get().ok());  // queue drained behind it
+
+  const obs::MetricsSnapshot snap = engine.metrics().Snapshot();
+  const EngineCounters c = engine.counters();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {obs::kMRequests, c.requests},
+      {obs::kMFailures, c.failures},
+      {obs::kMPlanCacheHits, c.plan_hits},
+      {obs::kMPlanCacheMisses, c.plan_misses},
+      {obs::kMBindingHits, c.binding_hits},
+      {obs::kMBindingMisses, c.binding_misses},
+      {obs::kMDedupHits, c.dedup_hits},
+      {obs::kMCoalesceHits, c.coalesce_hits},
+      {obs::kMCancelled, c.cancelled},
+      {obs::kMDeadlineExpired, c.deadline_expired},
+      {obs::kMShed, c.shed},
+      {obs::kMShardedUniverse, c.sharded_universe_nodes},
+      {obs::kMShardedDecompose, c.sharded_decompose_nodes},
+      {obs::kMStreamsOpened, c.streams_opened},
+      {obs::kMStreamItems, c.stream_items},
+      {obs::kMStreamCancelled, c.stream_cancelled},
+  };
+  for (const auto& [name, value] : expected) {
+    ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    EXPECT_EQ(snap.counters.at(name), value) << name;
+  }
+  EXPECT_EQ(snap.gauges.at(obs::kMPlanCacheSize),
+            static_cast<std::int64_t>(c.plan_cache_size));
+  EXPECT_EQ(snap.gauges.at(obs::kMDatabases),
+            static_cast<std::int64_t>(c.databases));
+  // The run above touched every externally-driven counter.
+  EXPECT_GE(c.plan_hits, 1u);
+  EXPECT_EQ(c.streams_opened, 1u);
+  EXPECT_GT(c.stream_items, 0u);
+  EXPECT_EQ(c.cancelled, 1u);
+  EXPECT_EQ(c.databases, 1u);
+}
+
+// --- Deletion restrictions ---------------------------------------------------
+
+// Restricted requests solve like ComputeAdp with the same restrictions,
+// and — having no stable key — never dedup or coalesce.
+TEST(AdpEngineTest, RestrictedRequestsMatchComputeAdpAndNeverShare) {
+  EngineConfig config;
+  config.num_workers = 1;
+  config.coalesce_window_ms = 60'000;
+  AdpEngine engine(config);
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+
+  DeletionRestrictions restrictions;
+  restrictions.Protect(0, 1);  // R1(12,22), one cost-1 answer at k = 2
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  req.options.restrictions = &restrictions;
+  req.options.verify = true;
+  const AdpResponse resp = engine.Execute(req);
+  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+  const AdpSolution direct = ComputeAdp(ParseQuery(kChainText),
+                                        Fig1NamedDb().db, 2, req.options);
+  EXPECT_EQ(resp.solution.cost, direct.cost);
+  EXPECT_EQ(resp.solution.exact, direct.exact);
+  EXPECT_EQ(resp.solution.feasible, direct.feasible);
+  EXPECT_EQ(resp.solution.tuples, direct.tuples);
+  EXPECT_EQ(resp.solution.removed_outputs, direct.removed_outputs);
+  for (const TupleRef& t : resp.solution.tuples) {
+    EXPECT_FALSE(restrictions.IsProtected(t.relation, t.row));
+  }
+
+  // With the window on, the identical restricted request solves again.
+  const AdpResponse repeat = engine.Execute(req);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_FALSE(repeat.coalesced);
+
+  // Two identical restricted Submits queued behind a busy worker both
+  // solve.
+  WorkerPlug plug;
+  plug.Install(engine, db);
+  const EngineCounters before = engine.counters();
+  std::future<AdpResponse> first = engine.Submit(req);
+  std::future<AdpResponse> second = engine.Submit(req);
+  plug.release.set_value();
+  for (std::future<AdpResponse>* fut : {&first, &second}) {
+    const AdpResponse r = fut->get();
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    EXPECT_FALSE(r.deduped);
+    EXPECT_FALSE(r.coalesced);
+    EXPECT_EQ(r.solution.cost, direct.cost);
+  }
+  const EngineCounters after = engine.counters();
+  EXPECT_EQ(after.dedup_hits, before.dedup_hits);
+  EXPECT_EQ(after.coalesce_hits, 0u);
 }
 
 }  // namespace

@@ -115,16 +115,6 @@ TEST(ObsHistogramTest, SumAndCountTrackObservations) {
 // ---------------------------------------------------------------------------
 // Counters, gauges, registry
 
-TEST(ObsCounterTest, RecordTotalIsMonotonic) {
-  Counter c;
-  c.RecordTotal(5);
-  EXPECT_EQ(c.Value(), 5u);
-  c.RecordTotal(3);  // stale mirror update: must not regress
-  EXPECT_EQ(c.Value(), 5u);
-  c.RecordTotal(9);
-  EXPECT_EQ(c.Value(), 9u);
-}
-
 TEST(ObsRegistryTest, InstrumentsAreStableAndKindChecked) {
   MetricsRegistry reg;
   Counter& c1 = reg.GetCounter("adp_test_total");

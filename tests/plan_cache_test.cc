@@ -32,8 +32,6 @@ TEST(PlanCacheTest, BuildsOnceThenHits) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(builds, 1);
   EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(PlanCacheTest, FailedBuildIsRetried) {
