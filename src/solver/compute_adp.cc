@@ -77,10 +77,9 @@ AdpNode BooleanNode(const ConjunctiveQuery& q, const Database& db,
     node.exact = true;
     // A cut at or above kInfCapacity means the query cannot be falsified
     // with the deletable tuples (possible only under §9 restrictions).
-    const std::int64_t res = exact->resilience >= kInfCapacity
-                                 ? kInfCost
-                                 : exact->resilience;
-    node.profile = CostProfile({0, res});
+    if (exact->resilience < kInfCapacity) {
+      node.profile.Append(exact->resilience, 1);
+    }
     if (!options.counting_only) {
       auto cut = std::make_shared<std::vector<TupleRef>>(
           std::move(exact->cut));
@@ -195,6 +194,17 @@ AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
   return DispatchCase(c, q, db, cap, traced, entry);
 }
 
+void AppendChildReports(const std::vector<AdpNode>& children,
+                        const std::vector<std::int64_t>& targets,
+                        const CancelToken& cancel, std::vector<TupleRef>& out) {
+  for (std::size_t i = targets.size(); i-- > 0;) {
+    if (targets[i] == 0) continue;
+    cancel.ThrowIfCancelled();
+    std::vector<TupleRef> part = children[i].report(targets[i]);
+    out.insert(out.end(), part.begin(), part.end());
+  }
+}
+
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
                        std::int64_t k, const AdpOptions& options,
                        const AdpEmitter* emit) {
@@ -222,18 +232,20 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     return solution;
   }
 
-  if (emit == nullptr && Classify(*query, options) == AdpCase::kDecompose) {
-    // Root fast path: avoids profiles of length k (k can be a fraction of a
-    // cross-product-sized |Q(D)|). Bypasses ComputeAdpNode, so it opens its
-    // own node span.
+  if (emit == nullptr &&
+      options.decompose_strategy !=
+          AdpOptions::DecomposeStrategy::kImprovedDP &&
+      Classify(*query, options) == AdpCase::kDecompose) {
+    // Fig 29 ablation: the paper's baseline strategies solve a Decompose
+    // root for k alone. Bypasses ComputeAdpNode, so it opens its own node
+    // span.
     obs::Span span(options.trace, obs::kSpanNodeDecompose,
                    options.trace_parent);
     span.Tag("cap", k);
     span.Tag("root_single_k", std::int64_t{1});
     AdpOptions inner = options;
     inner.trace_parent = span.id() != 0 ? span.id() : options.trace_parent;
-    DecomposeSingleResult res =
-        SolveDecomposeSingleK(*query, *data, k, inner);
+    AdpSolution res = SolveDecomposeAblationRoot(*query, *data, k, inner);
     solution.cost = res.cost;
     solution.exact = res.exact;
     solution.tuples = std::move(res.tuples);

@@ -213,8 +213,10 @@ struct AdpEmitter {
 /// database (instances indexed as in `q`). With `emit` set, the root
 /// node's profile is reported through it for every target 1..k and the
 /// final witness set is handed over in enumeration order instead of being
-/// returned (the result's `tuples` stay empty); the root Decompose
-/// single-target shortcut, which has no per-k profile, is not taken.
+/// returned (the result's `tuples` stay empty). Every solve reads the root
+/// node's profile, except that without `emit` the Fig 29 ablation
+/// strategies solve a Decompose root for k alone (SolveDecomposeAblationRoot
+/// in solver/decompose.h).
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
                        std::int64_t k, const AdpOptions& options = {},
                        const AdpEmitter* emit = nullptr);
@@ -231,7 +233,8 @@ using Reporter = std::function<std::vector<TupleRef>(std::int64_t)>;
 
 /// One node of the ComputeADP recursion.
 struct AdpNode {
-  /// Profile with kmax == min(cap, |Q'(D')|); entries all finite.
+  /// Profile with kmax <= min(cap, |Q'(D')|): the most the node's deletions
+  /// reach, cut at cap.
   CostProfile profile;
   /// True iff every sub-solver on this subtree was exact.
   bool exact = true;
@@ -242,6 +245,14 @@ struct AdpNode {
 /// Recursion entry point; `q` must be selection-free.
 AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
                        std::int64_t cap, const AdpOptions& options);
+
+/// Appends children[i].report(targets[i]) to `out` for every nonzero
+/// target, last child first, polling `cancel` before each so a cancelled
+/// stream stops mid-enumeration (reporters run after the solve; see
+/// ReporterToken).
+void AppendChildReports(const std::vector<AdpNode>& children,
+                        const std::vector<std::int64_t>& targets,
+                        const CancelToken& cancel, std::vector<TupleRef>& out);
 
 }  // namespace adp
 

@@ -15,9 +15,9 @@
 namespace adp {
 namespace {
 
-// Profiles longer than this indicate a target k proportional to a
-// cross-product-sized output; the root single-k path avoids them, so hitting
-// the limit means the caller nested Decompose under an enormous cap.
+// The Fig 29 baselines run k-indexed loops over dense profiles; longer
+// ones mean a target k proportional to a cross-product-sized output, which
+// those loops cannot finish. The default strategy has no such limit.
 constexpr std::int64_t kProfileLimit = std::int64_t{1} << 25;
 
 struct Components {
@@ -49,41 +49,44 @@ Components SplitComponents(const ConjunctiveQuery& q, const Database& db) {
 void CheckProfileLimit(std::int64_t len) {
   if (len > kProfileLimit) {
     throw std::runtime_error(
-        "Decompose: requested profile length exceeds the supported limit; "
-        "the target k is proportional to a cross-product-sized output count");
+        "Decompose: requested profile length exceeds the supported limit of "
+        "the ablation strategies; the target k is proportional to a "
+        "cross-product-sized output count");
   }
 }
 
 // State shared with reporters.
 struct DecomposeState {
-  std::vector<AdpNode> children;                 // in fold order
-  std::vector<std::int64_t> m;                   // in fold order
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> choices;
+  std::vector<AdpNode> children;  // in fold order
+  std::vector<std::int64_t> m;    // in fold order
+  // kImprovedDP / kPairwiseNaive: the cross-product fold of the children.
+  ProfileFold fold;
+  // kFullEnumeration: each child's profile as At(0..kmax).
+  std::vector<std::vector<std::int64_t>> dense;
 };
 
-// Reconstructs tuples for target `j` of the fold prefix ending at `level`
-// (inclusive). Level 0 means children[0] alone. `cancel` is polled before
-// each per-component report so a cancelled stream stops mid-enumeration
-// (reporters run after the profile solve, possibly much later).
-void ReportFold(const DecomposeState& s, std::size_t level, std::int64_t j,
-                const CancelToken& cancel, std::vector<TupleRef>& out) {
-  std::int64_t target = j;
-  for (std::size_t i = level; i >= 1; --i) {
-    const auto [k1, k2] = s.choices[i][target];
-    if (k2 > 0) {
-      cancel.ThrowIfCancelled();
-      std::vector<TupleRef> part = s.children[i].report(k2);
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    target = k1;
+// Folds children 0..count-1 into s.fold under cross-product semantics, every
+// level cut at `cap`; returns the product of their output counts. The
+// pairwise baseline's levels are dense, so they are held to kProfileLimit.
+std::int64_t FoldPrefix(DecomposeState& s, std::size_t count,
+                        std::int64_t cap, const AdpOptions& options) {
+  const bool naive = options.decompose_strategy ==
+                     AdpOptions::DecomposeStrategy::kPairwiseNaive;
+  ProfileFold& fold = s.fold;
+  fold.levels.assign(1, s.children[0].profile);
+  fold.levels[0].TruncateTo(cap);
+  fold.splits.assign(count, {});
+  std::int64_t prefix_m = s.m[0];
+  for (std::size_t i = 1; i < count; ++i) {
+    ThrowIfCancelled(options);
+    if (naive) CheckProfileLimit(std::min(cap, SatMul(prefix_m, s.m[i])));
+    fold.levels.push_back(CombineProduct(
+        fold.levels[i - 1], prefix_m, s.children[i].profile, s.m[i], cap,
+        naive, options.counting_only ? nullptr : &fold.splits[i]));
+    prefix_m = SatMul(prefix_m, s.m[i]);
   }
-  if (target > 0) {
-    cancel.ThrowIfCancelled();
-    std::vector<TupleRef> part = s.children[0].report(target);
-    out.insert(out.end(), part.begin(), part.end());
-  }
+  return prefix_m;
 }
-
 
 // Full-enumeration (Eq. 2) support: finds the cheapest (k1..ks) vector with
 // >= j outputs removed; returns its cost and (optionally) the vector.
@@ -100,6 +103,11 @@ std::int64_t EnumerateVectors(const DecomposeState& s, std::int64_t j,
   std::int64_t best = kInfCost;
   std::int64_t total = 1;
   for (std::int64_t mi : s.m) total = SatMul(total, mi);
+  auto at = [&s](std::size_t i, std::int64_t ki) {
+    return ki < static_cast<std::int64_t>(s.dense[i].size())
+               ? s.dense[i][static_cast<std::size_t>(ki)]
+               : kInfCost;
+  };
 
   // Depth-first enumeration over per-component removal counts; `surviving`
   // is the partial product of (m_i - k_i), so removed = total - surviving.
@@ -114,12 +122,16 @@ std::int64_t EnumerateVectors(const DecomposeState& s, std::int64_t j,
         }
         for (std::int64_t ki = 0; ki <= j; ++ki) {
           vec[i] = ki;
-          rec(i + 1, cost + s.children[i].profile.At(ki),
+          rec(i + 1, cost + at(i, ki),
               SatMul(surviving, std::max<std::int64_t>(0, s.m[i] - ki)));
         }
       };
   rec(0, 0, 1);
   return best;
+}
+
+void DensifyChildren(DecomposeState& s) {
+  for (const AdpNode& c : s.children) s.dense.push_back(c.profile.Dense());
 }
 
 std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
@@ -202,125 +214,91 @@ AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
                             std::to_string(parts.subs.size()));
   }
   const std::int64_t out_kmax = std::min(cap, parts.total);
-  CheckProfileLimit(out_kmax);
+  const bool full_enumeration =
+      options.decompose_strategy ==
+      AdpOptions::DecomposeStrategy::kFullEnumeration;
+  if (full_enumeration) CheckProfileLimit(out_kmax);
   auto state = BuildChildren(parts, out_kmax, options);
 
   AdpNode node;
   for (const AdpNode& c : state->children) node.exact &= c.exact;
 
-  if (options.decompose_strategy ==
-      AdpOptions::DecomposeStrategy::kFullEnumeration) {
+  if (full_enumeration) {
     // Build the profile by probing every target (ablation-only path).
-    std::vector<std::int64_t> cost(static_cast<std::size_t>(out_kmax) + 1, 0);
+    DensifyChildren(*state);
     for (std::int64_t j = 1; j <= out_kmax; ++j) {
       ThrowIfCancelled(options);
-      cost[j] = EnumerateVectors(*state, j, nullptr);
+      const std::int64_t cost = EnumerateVectors(*state, j, nullptr);
+      if (cost >= kInfCost || !node.profile.Append(cost, j, out_kmax)) break;
     }
-    node.profile = CostProfile(std::move(cost));
     if (!options.counting_only) {
       auto s = state;
       node.report = [s, cancel = ReporterToken(options)](std::int64_t j) {
         std::vector<std::int64_t> vec(s->children.size(), 0);
         EnumerateVectors(*s, j, &vec);
         std::vector<TupleRef> out;
-        for (std::size_t i = 0; i < vec.size(); ++i) {
-          if (vec[i] == 0) continue;
-          cancel.ThrowIfCancelled();
-          std::vector<TupleRef> part = s->children[i].report(vec[i]);
-          out.insert(out.end(), part.begin(), part.end());
-        }
+        AppendChildReports(s->children, vec, cancel, out);
         return out;
       };
     }
     return node;
   }
 
-  const bool naive = options.decompose_strategy ==
-                     AdpOptions::DecomposeStrategy::kPairwiseNaive;
-  CostProfile acc = state->children[0].profile;
-  acc.TruncateTo(out_kmax);
-  std::int64_t prefix_m = state->m[0];
-  state->choices.resize(state->children.size());
-  for (std::size_t i = 1; i < state->children.size(); ++i) {
-    acc = CombineProduct(acc, prefix_m, state->children[i].profile,
-                         state->m[i], out_kmax, naive,
-                         options.counting_only ? nullptr
-                                               : &state->choices[i]);
-    prefix_m = SatMul(prefix_m, state->m[i]);
-  }
-  node.profile = std::move(acc);
-
+  FoldPrefix(*state, state->children.size(), out_kmax, options);
+  node.profile = state->fold.levels.back();
   if (!options.counting_only) {
     auto s = state;
     node.report = [s, cancel = ReporterToken(options)](std::int64_t j) {
       std::vector<TupleRef> out;
-      ReportFold(*s, s->children.size() - 1, j, cancel, out);
+      AppendChildReports(s->children,
+                         s->fold.Targets(s->children.size() - 1, j), cancel,
+                         out);
       return out;
     };
   }
   return node;
 }
 
-DecomposeSingleResult SolveDecomposeSingleK(const ConjunctiveQuery& q,
-                                            const Database& db,
-                                            std::int64_t k,
-                                            const AdpOptions& options) {
+AdpSolution SolveDecomposeAblationRoot(const ConjunctiveQuery& q,
+                                       const Database& db, std::int64_t k,
+                                       const AdpOptions& options) {
   if (options.stats) ++options.stats->decompose_nodes;
   const Components parts = SplitComponents(q, db);
   if (options.trace != nullptr) {
     options.trace->Annotate(options.trace_parent, "components",
                             std::to_string(parts.subs.size()));
   }
-  DecomposeSingleResult result;
+  AdpSolution result;
+  result.cost = kInfCost;
+  auto state = BuildChildren(parts, k, options);
+  for (const AdpNode& c : state->children) result.exact &= c.exact;
+  const std::size_t n = state->children.size();
+  const CancelToken cancel = ReporterToken(options);
 
   if (options.decompose_strategy ==
       AdpOptions::DecomposeStrategy::kFullEnumeration) {
-    auto state = BuildChildren(parts, k, options);
-    for (const AdpNode& c : state->children) result.exact &= c.exact;
-    std::vector<std::int64_t> vec(state->children.size(), 0);
+    DensifyChildren(*state);
+    std::vector<std::int64_t> vec(n, 0);
     result.cost = EnumerateVectors(*state, k,
                                    options.counting_only ? nullptr : &vec);
     if (!options.counting_only) {
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        if (vec[i] == 0) continue;
-        ThrowIfCancelled(options);
-        std::vector<TupleRef> part = state->children[i].report(vec[i]);
-        result.tuples.insert(result.tuples.end(), part.begin(), part.end());
-      }
+      AppendChildReports(state->children, vec, cancel, result.tuples);
     }
     return result;
   }
 
   // Fold all but the largest component into a prefix profile, then scan the
   // largest component's removal count k2 once, deriving the minimal prefix
-  // target k1 in closed form. This never materializes an array of length k.
-  auto state = BuildChildren(parts, k, options);
-  for (const AdpNode& c : state->children) result.exact &= c.exact;
-  const std::size_t n = state->children.size();
-  const bool naive = options.decompose_strategy ==
-                     AdpOptions::DecomposeStrategy::kPairwiseNaive;
-
-  CostProfile prefix = state->children[0].profile;
-  std::int64_t prefix_m = state->m[0];
-  state->choices.resize(n);
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    ThrowIfCancelled(options);
-    const std::int64_t prefix_cap =
-        std::min(k, SatMul(prefix_m, state->m[i]));
-    CheckProfileLimit(prefix_cap);
-    prefix = CombineProduct(prefix, prefix_m, state->children[i].profile,
-                            state->m[i], prefix_cap, naive,
-                            options.counting_only ? nullptr
-                                                  : &state->choices[i]);
-    prefix_m = SatMul(prefix_m, state->m[i]);
-  }
-
-  const AdpNode& last = state->children[n - 1];
+  // target k1 in closed form.
+  const std::int64_t prefix_m = FoldPrefix(*state, n - 1, k, options);
+  const CostProfile& prefix = state->fold.levels.back();
+  const std::vector<std::int64_t> last = state->children[n - 1].profile.Dense();
   const std::int64_t mb = state->m[n - 1];
   ThrowIfCancelled(options);
   std::int64_t best_k1 = 0;
   std::int64_t best_k2 = 0;
-  for (std::int64_t k2 = 0; k2 <= last.profile.kmax(); ++k2) {
+  for (std::int64_t k2 = 0; k2 < static_cast<std::int64_t>(last.size());
+       ++k2) {
     std::int64_t k1;
     if (k2 >= mb) {
       k1 = 0;
@@ -334,7 +312,7 @@ DecomposeSingleResult SolveDecomposeSingleK(const ConjunctiveQuery& q,
       }
     }
     if (k1 > prefix.kmax()) continue;
-    const std::int64_t c = prefix.At(k1) + last.profile.At(k2);
+    const std::int64_t c = prefix.At(k1) + last[static_cast<std::size_t>(k2)];
     if (c < result.cost) {
       result.cost = c;
       best_k1 = k1;
@@ -343,15 +321,9 @@ DecomposeSingleResult SolveDecomposeSingleK(const ConjunctiveQuery& q,
   }
 
   if (!options.counting_only && result.cost < kInfCost) {
-    const CancelToken cancel = ReporterToken(options);
-    if (best_k2 > 0) {
-      cancel.ThrowIfCancelled();
-      std::vector<TupleRef> part = last.report(best_k2);
-      result.tuples.insert(result.tuples.end(), part.begin(), part.end());
-    }
-    if (best_k1 > 0) {
-      ReportFold(*state, n - 2, best_k1, cancel, result.tuples);
-    }
+    std::vector<std::int64_t> targets = state->fold.Targets(n - 2, best_k1);
+    targets.push_back(best_k2);
+    AppendChildReports(state->children, targets, cancel, result.tuples);
   }
   return result;
 }

@@ -2,14 +2,19 @@
 // recursively and combine under cross-product semantics.
 //
 // Three combination strategies are provided (Figure 29 ablation):
-//   * kImprovedDP       — §7.3 recurrence with the closed-form minimal k1
-//                         per (j, k2) pair;
-//   * kPairwiseNaive    — Algorithm 5 as printed, enumerating (k1, k2);
+//   * kImprovedDP       — the budget sweep over profile breakpoints
+//                         (CombineProduct, solver/profile.h), which needs no
+//                         array of length k at any level, root included;
+//   * kPairwiseNaive    — Algorithm 5 as printed, enumerating (k1, k2) per
+//                         target over dense copies of the child profiles;
 //   * kFullEnumeration  — Eq. 2 of Lemma 3: enumerate all (k1..ks) vectors.
 //
-// The root of a ComputeADP call additionally uses a single-target scan
-// (SolveDecomposeSingleK) that avoids materializing a profile of length k —
-// essential when k is a fraction of a cross-product-sized |Q(D)|.
+// The two baselines keep the root the paper measured them with: without a
+// stream attached, ComputeAdp hands a Decompose root under either of them
+// to SolveDecomposeAblationRoot, which folds all but the largest component
+// into a profile and scans the largest one for the single target k. The
+// default strategy has no root special case: ComputeAdp reads the root
+// node's profile as in every other case.
 //
 // When AdpOptions::parallelism is set (Parallelism::min_components > 0),
 // the per-component sub-solves of a node with enough components fan out
@@ -21,7 +26,6 @@
 #define ADP_SOLVER_DECOMPOSE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "query/query.h"
 #include "relational/database.h"
@@ -34,19 +38,13 @@ namespace adp {
 AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
                       std::int64_t cap, const AdpOptions& options);
 
-/// Result of the root-optimized single-target solve.
-struct DecomposeSingleResult {
-  std::int64_t cost = kInfCost;
-  bool exact = true;
-  std::vector<TupleRef> tuples;  // empty when counting_only
-};
-
-/// Solves exactly one target k at the recursion root. Preconditions: q is
-/// disconnected and 1 <= k <= |Q(D)|.
-DecomposeSingleResult SolveDecomposeSingleK(const ConjunctiveQuery& q,
-                                            const Database& db,
-                                            std::int64_t k,
-                                            const AdpOptions& options);
+/// The Fig 29 baselines' root: solves target k alone under
+/// options.decompose_strategy (kPairwiseNaive or kFullEnumeration) and fills
+/// the result's cost, exact flag and tuples (empty when counting_only).
+/// Preconditions: q is disconnected and 1 <= k <= |Q(D)|.
+AdpSolution SolveDecomposeAblationRoot(const ConjunctiveQuery& q,
+                                       const Database& db, std::int64_t k,
+                                       const AdpOptions& options);
 
 }  // namespace adp
 

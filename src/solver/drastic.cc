@@ -26,7 +26,6 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
   // Per-tuple profits are full-join row counts (full CQ: every row is a
   // distinct output).
   const JoinCounts counts = CountJoinRows(q.body(), db);
-  const std::int64_t total = counts.rows;
 
   std::vector<int> candidates = EndogenousRelations(q);
   if (options.restrictions && !options.restrictions->Empty()) {
@@ -59,34 +58,23 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
     plans->push_back(std::move(plan));
   }
 
-  // Node profile: pointwise best relation per target.
-  const std::int64_t kmax = std::min(cap, total);
-  std::vector<std::int64_t> cost(static_cast<std::size_t>(kmax) + 1, 0);
-  // per-j winning plan for reporting
-  auto winner = std::make_shared<std::vector<int>>(
-      static_cast<std::size_t>(kmax) + 1, 0);
-  for (std::int64_t j = 1; j <= kmax; ++j) {
-    std::int64_t best = kInfCost;
-    int best_plan = -1;
-    for (std::size_t i = 0; i < plans->size(); ++i) {
-      const auto& pr = (*plans)[i].prefix_removed;
-      // Smallest prefix length with removed >= j.
-      auto it = std::lower_bound(pr.begin(), pr.end(), j);
-      if (it == pr.end()) continue;
-      const std::int64_t len = static_cast<std::int64_t>(it - pr.begin()) + 1;
-      if (len < best) {
-        best = len;
-        best_plan = static_cast<int>(i);
-      }
-    }
-    cost[j] = best;
-    (*winner)[j] = best_plan;
-    if (cost[j] < cost[j - 1]) cost[j] = cost[j - 1];  // keep monotone
-  }
-
+  // Node profile: c deletions remove the most outputs through the relation
+  // whose first c picks remove the most.
   AdpNode node;
   node.exact = false;
-  node.profile = CostProfile(std::move(cost));
+  std::size_t longest = 0;
+  for (const RelationPlan& plan : *plans) {
+    longest = std::max(longest, plan.picks.size());
+  }
+  for (std::size_t c = 1; c <= longest; ++c) {
+    std::int64_t best = 0;
+    for (const RelationPlan& plan : *plans) {
+      const auto& pr = plan.prefix_removed;
+      if (!pr.empty()) best = std::max(best, pr[std::min(c, pr.size()) - 1]);
+    }
+    if (!node.profile.Append(static_cast<std::int64_t>(c), best, cap)) break;
+  }
+
   if (!options.counting_only) {
     // Capture origin translation tables.
     auto roots = std::make_shared<std::vector<std::pair<int,
@@ -99,18 +87,28 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
       }
       roots->emplace_back(inst.root_relation(), std::move(origins));
     }
-    node.report = [plans, winner, roots](std::int64_t j) {
+    node.report = [plans, roots](std::int64_t j) {
       std::vector<TupleRef> out;
       if (j <= 0) return out;
-      const int w = (*winner)[j];
+      // The profile's winner for j: the shortest pick prefix reaching j,
+      // from the lowest-index relation on ties.
+      int w = -1;
+      std::size_t len = 0;
+      for (std::size_t i = 0; i < plans->size(); ++i) {
+        const auto& pr = (*plans)[i].prefix_removed;
+        const auto it = std::lower_bound(pr.begin(), pr.end(), j);
+        if (it == pr.end()) continue;
+        const std::size_t n = static_cast<std::size_t>(it - pr.begin()) + 1;
+        if (w < 0 || n < len) {
+          w = static_cast<int>(i);
+          len = n;
+        }
+      }
       if (w < 0) return out;
       const RelationPlan& plan = (*plans)[w];
       const auto& [root_rel, origins] = (*roots)[w];
-      std::int64_t removed = 0;
-      for (std::size_t i = 0; i < plan.picks.size(); ++i) {
+      for (std::size_t i = 0; i < len; ++i) {
         out.push_back(TupleRef{root_rel, origins[plan.picks[i].second]});
-        removed = plan.prefix_removed[i];
-        if (removed >= j) break;
       }
       return out;
     };

@@ -122,21 +122,16 @@ AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
   GreedyTrace trace = RunGreedyForCQ(q, db, std::min(cap, std::int64_t{1} << 62),
                                      options.restrictions);
 
-  // Profile from the trajectory: cost[j] = first pick count reaching j.
-  const std::int64_t kmax = std::min<std::int64_t>(
-      cap, trace.removed_after.empty() ? 0 : trace.removed_after.back());
-  std::vector<std::int64_t> cost(static_cast<std::size_t>(kmax) + 1, 0);
-  {
-    std::size_t pick = 0;
-    for (std::int64_t j = 1; j <= kmax; ++j) {
-      while (trace.removed_after[pick] < j) ++pick;
-      cost[j] = static_cast<std::int64_t>(pick) + 1;
-    }
-  }
-
+  // Profile from the trajectory: a breakpoint at every pick that raised
+  // the removed count, so At(j) is the first pick count reaching j.
   AdpNode node;
   node.exact = false;
-  node.profile = CostProfile(std::move(cost));
+  for (std::size_t p = 0; p < trace.removed_after.size(); ++p) {
+    if (!node.profile.Append(static_cast<std::int64_t>(p) + 1,
+                             trace.removed_after[p], cap)) {
+      break;
+    }
+  }
   if (!options.counting_only) {
     auto shared = std::make_shared<GreedyTrace>(std::move(trace));
     node.report = [shared](std::int64_t j) {

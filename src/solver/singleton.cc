@@ -17,19 +17,15 @@ namespace {
 // removes gains[c-1] further outputs.
 CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
                              std::int64_t cap) {
-  std::vector<std::int64_t> cost;
-  cost.push_back(0);
+  CostProfile profile;
   std::int64_t removed = 0;
   for (std::size_t c = 0; c < gains.size(); ++c) {
-    const std::int64_t next = SatAdd(removed, gains[c]);
-    for (std::int64_t j = removed + 1;
-         j <= next && static_cast<std::int64_t>(cost.size()) <= cap; ++j) {
-      cost.push_back(static_cast<std::int64_t>(c) + 1);
+    removed = SatAdd(removed, gains[c]);
+    if (!profile.Append(static_cast<std::int64_t>(c) + 1, removed, cap)) {
+      break;
     }
-    removed = next;
-    if (static_cast<std::int64_t>(cost.size()) > cap) break;
   }
-  return CostProfile(std::move(cost));
+  return profile;
 }
 
 // Case-1 profits under a projected head: the distinct outputs grouped by
@@ -186,18 +182,15 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
       sorted_groups.begin(), sorted_groups.end(),
       [](const auto& a, const auto& b) { return a.size() < b.size(); });
 
-  // Removing the j cheapest groups costs sum of their sizes and removes
+  // Removing the j cheapest groups costs the sum of their sizes and removes
   // exactly j outputs.
-  std::vector<std::int64_t> cost;
-  cost.push_back(0);
-  for (std::size_t g = 0;
-       g < sorted_groups.size() &&
-       static_cast<std::int64_t>(cost.size()) <= cap;
-       ++g) {
-    cost.push_back(cost.back() +
-                   static_cast<std::int64_t>(sorted_groups[g].size()));
+  std::int64_t spent = 0;
+  for (std::size_t g = 0; g < sorted_groups.size(); ++g) {
+    spent += static_cast<std::int64_t>(sorted_groups[g].size());
+    if (!node.profile.Append(spent, static_cast<std::int64_t>(g) + 1, cap)) {
+      break;
+    }
   }
-  node.profile = CostProfile(std::move(cost));
 
   if (!options.counting_only) {
     auto shared =

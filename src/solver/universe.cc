@@ -1,6 +1,7 @@
 #include "solver/universe.h"
 
 #include <algorithm>
+#include <cassert>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -15,9 +16,8 @@ namespace {
 // Children plus everything the reporter needs.
 struct UniverseState {
   std::vector<AdpNode> children;
-  // Generic DP path: per fold level i >= 1, choice[i][j] = outputs taken
-  // from child i when the combined target is j.
-  std::vector<std::vector<std::int64_t>> choices;
+  // Generic DP path: the disjoint-union fold of the children's profiles.
+  ProfileFold fold;
   // Convex path: all marginal steps sorted by gain descending.
   struct Step {
     std::int64_t gain;
@@ -39,61 +39,48 @@ AdpNode CombineChildren(std::shared_ptr<UniverseState> state, std::int64_t cap,
   state->convex = all_convex;
 
   if (all_convex) {
-    // Global greedy over marginal gains: the c-th unit of budget spent on a
-    // child buys MaxRemovedWithin(c) - MaxRemovedWithin(c-1) outputs; for
-    // convex profiles these gains are nonincreasing per child, so merging
-    // all steps by gain is optimal for the disjoint union.
+    // Global greedy over marginal gains: a concave child's breakpoints sit
+    // at budgets 0, 1, 2, ..., and the c-th unit of budget spent on it buys
+    // the c-th breakpoint's gain. Those gains are nonincreasing per child,
+    // so merging all steps by gain is optimal for the disjoint union.
     for (std::size_t i = 0; i < state->children.size(); ++i) {
-      const CostProfile& prof = state->children[i].profile;
-      const std::int64_t budget_max = prof.At(prof.kmax());
-      std::int64_t prev = 0;
-      for (std::int64_t c = 1; c <= budget_max; ++c) {
-        const std::int64_t now = prof.MaxRemovedWithin(c);
-        if (now > prev) {
-          state->steps.push_back(
-              UniverseState::Step{now - prev, static_cast<int>(i)});
-        }
-        prev = now;
+      const std::vector<ProfileStep>& st = state->children[i].profile.steps();
+      assert(st[0].removed == 0);  // solver profiles remove nothing for free
+      for (std::size_t c = 1; c < st.size(); ++c) {
+        state->steps.push_back(UniverseState::Step{
+            st[c].removed - st[c - 1].removed, static_cast<int>(i)});
       }
     }
     std::sort(state->steps.begin(), state->steps.end(),
               [](const auto& a, const auto& b) { return a.gain > b.gain; });
-    std::vector<std::int64_t> cost;
-    cost.push_back(0);
     std::int64_t removed = 0;
-    for (std::size_t s = 0;
-         s < state->steps.size() &&
-         static_cast<std::int64_t>(cost.size()) <= cap;
-         ++s) {
-      const std::int64_t next = removed + state->steps[s].gain;
-      for (std::int64_t j = removed + 1;
-           j <= next && static_cast<std::int64_t>(cost.size()) <= cap; ++j) {
-        cost.push_back(static_cast<std::int64_t>(s) + 1);
+    for (std::size_t s = 0; s < state->steps.size(); ++s) {
+      removed = SatAdd(removed, state->steps[s].gain);
+      if (!node.profile.Append(static_cast<std::int64_t>(s) + 1, removed,
+                               cap)) {
+        break;
       }
-      removed = next;
     }
-    node.profile = CostProfile(std::move(cost));
   } else {
-    // Sequential fold with the plain min-plus DP (Eq. 1), recording split
-    // choices for reporting.
-    CostProfile acc = state->children[0].profile;
-    acc.TruncateTo(cap);
-    state->choices.resize(state->children.size());
-    for (std::size_t i = 1; i < state->children.size(); ++i) {
-      acc = CombineDisjoint(acc, state->children[i].profile, cap,
-                            options.counting_only ? nullptr
-                                                  : &state->choices[i]);
+    // Sequential fold with the disjoint-union budget sweep (Eq. 1),
+    // recording splits for reporting.
+    ProfileFold& fold = state->fold;
+    const std::size_t n = state->children.size();
+    fold.levels.assign(1, state->children[0].profile);
+    fold.levels[0].TruncateTo(cap);
+    fold.splits.assign(n, {});
+    for (std::size_t i = 1; i < n; ++i) {
+      fold.levels.push_back(CombineDisjoint(
+          fold.levels[i - 1], state->children[i].profile, cap,
+          options.counting_only ? nullptr : &fold.splits[i]));
     }
-    node.profile = std::move(acc);
+    node.profile = fold.levels.back();
   }
 
   if (!options.counting_only) {
     const std::shared_ptr<UniverseState> s = state;
-    // Polled per child report so a cancelled stream stops mid-enumeration
-    // instead of finishing the whole witness walk (see ReporterToken).
-    const CancelToken cancel = ReporterToken(options);
-    node.report = [s, cancel](std::int64_t j) {
-      std::vector<TupleRef> out;
+    node.report = [s, cancel = ReporterToken(options)](std::int64_t j) {
+      std::vector<std::int64_t> targets;
       if (s->convex) {
         // Budget per child from the sorted step prefix covering j.
         std::vector<std::int64_t> budget(s->children.size(), 0);
@@ -103,33 +90,15 @@ AdpNode CombineChildren(std::shared_ptr<UniverseState> state, std::int64_t cap,
           ++budget[step.child];
           removed += step.gain;
         }
+        targets.resize(s->children.size());
         for (std::size_t i = 0; i < s->children.size(); ++i) {
-          if (budget[i] == 0) continue;
-          cancel.ThrowIfCancelled();
-          const std::int64_t ji =
-              s->children[i].profile.MaxRemovedWithin(budget[i]);
-          std::vector<TupleRef> part = s->children[i].report(ji);
-          out.insert(out.end(), part.begin(), part.end());
+          targets[i] = s->children[i].profile.MaxRemovedWithin(budget[i]);
         }
       } else {
-        std::int64_t target = j;
-        for (std::size_t i = s->children.size(); i-- > 1;) {
-          const std::int64_t m = s->choices[i].empty()
-                                     ? 0
-                                     : s->choices[i][target];
-          if (m > 0) {
-            cancel.ThrowIfCancelled();
-            std::vector<TupleRef> part = s->children[i].report(m);
-            out.insert(out.end(), part.begin(), part.end());
-          }
-          target -= m;
-        }
-        if (target > 0) {
-          cancel.ThrowIfCancelled();
-          std::vector<TupleRef> part = s->children[0].report(target);
-          out.insert(out.end(), part.begin(), part.end());
-        }
+        targets = s->fold.Targets(s->children.size() - 1, j);
       }
+      std::vector<TupleRef> out;
+      AppendChildReports(s->children, targets, cancel, out);
       return out;
     };
   }

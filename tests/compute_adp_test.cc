@@ -4,14 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "query/parser.h"
+#include "relational/join.h"
 #include "solver/compute_adp.h"
 #include "test_util.h"
+#include "workload/families.h"
 
 namespace adp {
 namespace {
 
 using testing::MakeDb;
+
+// A generated disconnected family, re-rooted so ComputeAdp reports root
+// coordinates (the generator builds databases with Database::Append).
+workload::FamilyInstance DisconnectedFamily(int components,
+                                            workload::CardinalityClass card) {
+  workload::FamilyInstance inst = workload::MakeFamilyInstance(
+      {workload::FamilyShape::kDisconnected, components,
+       workload::HeadClass::kFull, card, workload::DomainClass::kMid},
+      1);
+  for (std::size_t i = 0; i < inst.db.db.num_relations(); ++i) {
+    inst.db.db.rel(i).set_root_relation(static_cast<int>(i));
+  }
+  return inst;
+}
 
 ConjunctiveQuery Fig1Query(const std::string& head) {
   return ParseQuery("Q(" + head + ") :- R1(A,B), R2(B,C), R3(C,E)");
@@ -163,6 +180,51 @@ TEST(ComputeAdpTest, SingletonDisabledStillExactViaUniverse) {
     EXPECT_EQ(a.cost, b.cost) << "k=" << k;
     EXPECT_TRUE(b.exact);
   }
+}
+
+// Six components give |Q(D)| ~ 7e9, so k = 10% is a target of ~7e8. A
+// DP indexed by target used to abort this poly-time query with
+// "requested profile length exceeds the supported limit" (kInternal); the
+// budget-indexed profiles never grow past the deletable tuples.
+TEST(ComputeAdpTest, SixComponentCrossProductAtTenPercent) {
+  const workload::FamilyInstance inst =
+      DisconnectedFamily(6, workload::CardinalityClass::kTiny);
+  const Database& db = inst.db.db;
+  const std::int64_t total = static_cast<std::int64_t>(
+      CountOutputs(inst.query.body(), inst.query.head(), db));
+  const std::int64_t k = total / 10;
+  ASSERT_GT(k, 0);
+  AdpOptions options;
+  options.verify = true;
+  const AdpSolution sol = ComputeAdp(inst.query, db, k, options);
+  ASSERT_TRUE(sol.feasible);
+  EXPECT_EQ(sol.output_count, total);
+  EXPECT_GE(sol.removed_outputs, k);
+  EXPECT_EQ(static_cast<std::int64_t>(sol.tuples.size()), sol.cost);
+
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  AdpRequest req;
+  req.query_text = inst.query_text;
+  req.db = engine.RegisterDatabase(inst.db);
+  req.k = k;
+  const AdpResponse resp = engine.Execute(req);
+  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.solution.cost, sol.cost);
+}
+
+// Structural bound: a profile's breakpoints strictly increase in budget, and
+// budgets count deleted tuples, so the root profile of a cross product with
+// |Q(D)| ~ 1e9 has at most |D| + 1 entries whatever the target.
+TEST(ComputeAdpTest, RootProfileBoundedByTuples) {
+  const workload::FamilyInstance inst =
+      DisconnectedFamily(4, workload::CardinalityClass::kSmall);
+  const Database& db = inst.db.db;
+  const std::int64_t total = static_cast<std::int64_t>(
+      CountOutputs(inst.query.body(), inst.query.head(), db));
+  ASSERT_EQ(ClassifyAdpCase(inst.query, AdpOptions{}), AdpCase::kDecompose);
+  const AdpNode node = ComputeAdpNode(inst.query, db, total, AdpOptions{});
+  EXPECT_LE(node.profile.steps().size(), db.TotalTuples() + 1);
+  EXPECT_EQ(node.profile.kmax(), total);
 }
 
 }  // namespace

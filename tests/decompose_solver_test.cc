@@ -1,5 +1,5 @@
 // Decompose solver tests (Algorithm 5): cross-product accounting, agreement
-// of the three strategies (Fig 29), the root single-k fast path, sharded
+// of the three strategies (Fig 29), root solves through ComputeAdp, sharded
 // component sub-solves (serial/sharded equivalence + cancellation), and an
 // oracle sweep.
 
@@ -78,8 +78,7 @@ TEST(DecomposeTest, SingleKMatchesProfile) {
     AdpOptions options;
     const AdpNode node = DecomposeNode(q, db, total, options);
     for (std::int64_t k = 1; k <= total; ++k) {
-      const DecomposeSingleResult single =
-          SolveDecomposeSingleK(q, db, k, options);
+      const AdpSolution single = ComputeAdp(q, db, k, options);
       EXPECT_EQ(single.cost, node.profile.At(k)) << "k=" << k;
       EXPECT_GE(CountRemovedOutputs(q, db, single.tuples), k);
     }
@@ -93,12 +92,12 @@ TEST(DecomposeTest, ThreeComponentsSingleK) {
       q, {{"R1", {{1}, {2}}}, {"R2", {{1}, {2}}}, {"R3", {{1}, {2}}}});
   // |Q(D)| = 8; removing one tuple removes 4 products.
   AdpOptions options;
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 4, options).cost, 1);
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 5, options).cost, 2);
+  EXPECT_EQ(ComputeAdp(q, db, 4, options).cost, 1);
+  EXPECT_EQ(ComputeAdp(q, db, 5, options).cost, 2);
   // 2 tuples from different factors: 4+4-2=6; same factor: 8.
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 6, options).cost, 2);
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 7, options).cost, 2);  // whole factor
-  EXPECT_EQ(SolveDecomposeSingleK(q, db, 8, options).cost, 2);
+  EXPECT_EQ(ComputeAdp(q, db, 6, options).cost, 2);
+  EXPECT_EQ(ComputeAdp(q, db, 7, options).cost, 2);  // whole factor
+  EXPECT_EQ(ComputeAdp(q, db, 8, options).cost, 2);
 }
 
 // Sharding the component sub-solves across an executor must not change any
@@ -153,12 +152,10 @@ TEST(DecomposeTest, ShardedComponentsMatchSequential) {
             << text << " iter " << iter << " j " << j;
       }
 
-      // The root single-target fast path shards its BuildChildren too.
+      // Root solves through ComputeAdp shard their BuildChildren too.
       for (std::int64_t k = 1; k <= cap; k += 3) {
-        const DecomposeSingleResult sa =
-            SolveDecomposeSingleK(q, db, k, sequential);
-        const DecomposeSingleResult sb =
-            SolveDecomposeSingleK(q, db, k, sharded);
+        const AdpSolution sa = ComputeAdp(q, db, k, sequential);
+        const AdpSolution sb = ComputeAdp(q, db, k, sharded);
         EXPECT_EQ(sa.cost, sb.cost) << text << " iter " << iter << " k " << k;
         EXPECT_EQ(sa.tuples, sb.tuples)
             << text << " iter " << iter << " k " << k;
@@ -181,9 +178,9 @@ TEST(DecomposeTest, ShardedComponentsMatchSequential) {
       EXPECT_EQ(seq_stats.sharded_universe_nodes,
                 shard_stats.sharded_universe_nodes)
           << text;
-      // decompose_nodes: the SolveDecomposeSingleK probes above bump the
-      // counter identically for both options structs, so plain equality
-      // still must hold.
+      // decompose_nodes: the ComputeAdp probes above bump the counter
+      // identically for both options structs, so plain equality still must
+      // hold.
       EXPECT_EQ(seq_stats.decompose_nodes, shard_stats.decompose_nodes)
           << text;
     }
@@ -241,9 +238,8 @@ TEST(DecomposeTest, CancelMidComponentStopsShardedSubSolves) {
   options.cancel = &token;
   options.parallelism = &par;
   try {
-    // Root-path entry (ComputeAdp classifies this query as Decompose and
-    // takes the single-k fast path); the sharded BuildChildren is shared
-    // with DecomposeNode.
+    // Root-path entry: ComputeAdp classifies this query as Decompose and
+    // solves it through DecomposeNode's sharded BuildChildren.
     ComputeAdp(q, db, 6, options);
     FAIL() << "expected CancelledError";
   } catch (const CancelledError& e) {

@@ -781,12 +781,12 @@ std::string ExpectedStormAnswer(const std::string& db_line, std::int64_t k) {
 // A duplicate-query storm: four clients each pipeline 25 *identical*
 // requests on their own connection. The engine must absorb the storm —
 // per connection, only the first request solves; every follow-up either
-// joins the in-flight leader (dedup) or hits the recent-results ring
-// (coalesce), so dedup_hits + coalesce_hits lands exactly on
+// joins the in-flight leader (dedup) or hits the result table's completed
+// slots (coalesce), so dedup_hits + coalesce_hits lands exactly on
 // clients * (storm - 1). And because each client registered a *different*
 // database under the same name "d1", any answer coming from another
-// connection's solve (cross-talk through the shared plan cache, dedup
-// table, or coalesce ring) would be a visibly wrong answer.
+// connection's solve (cross-talk through the shared plan cache or result
+// table) would be a visibly wrong answer.
 TEST(NetTest, DuplicateQueryStormAbsorbedWithoutCrossTalk) {
   constexpr int kClients = 4;
   constexpr int kStorm = 25;

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "profile_oracle.h"
 #include "query/parser.h"
+#include "query/transform.h"
+#include "relational/join.h"
 #include "solver/boolean.h"
 #include "solver/brute_force.h"
 #include "solver/compute_adp.h"
@@ -149,6 +152,62 @@ TEST_P(RestrictedSweep, FeasibleAndMaskRespected) {
   EXPECT_GE(sol.cost, brute->cost);
   for (const TupleRef& t : sol.tuples) {
     EXPECT_FALSE(restrictions.IsProtected(t.relation, t.row));
+  }
+}
+
+// Decompose over Universe children: the components are {R1, R2} (universal
+// attribute A) and {R3}. Same checks as above, plus the root node's profile
+// must equal the dense k-indexed fold (profile_oracle.h) of its children's
+// profiles.
+TEST_P(RestrictedSweep, DisconnectedFeasibleAndMaskRespected) {
+  Rng rng(14000 + GetParam());
+  const ConjunctiveQuery q = ParseQuery("Q(A,B,C) :- R1(A), R2(A,B), R3(C)");
+  const Database db = testing::RandomDb(q, rng, 4, 3);
+  const std::int64_t total = OracleCount(q, db);
+  if (total < 2 || db.TotalTuples() > 13) GTEST_SKIP();
+
+  DeletionRestrictions restrictions;
+  for (int r = 0; r < q.num_relations(); ++r) {
+    for (std::size_t t = 0; t < db.rel(r).size(); ++t) {
+      if (rng.UniformDouble() < 0.3) {
+        restrictions.Protect(r, static_cast<TupleId>(t));
+      }
+    }
+  }
+  AdpOptions options;
+  options.restrictions = &restrictions;
+  options.verify = true;
+  const std::int64_t k = total / 2 + 1;
+  const AdpSolution sol = ComputeAdp(q, db, k, options);
+  const auto brute = BruteForceAdp(q, db, k, -1, &restrictions);
+  if (!brute.has_value()) {
+    EXPECT_FALSE(sol.feasible);
+  } else {
+    ASSERT_TRUE(sol.feasible);
+    EXPECT_GE(sol.removed_outputs, k);
+    EXPECT_GE(sol.cost, brute->cost);
+    for (const TupleRef& t : sol.tuples) {
+      EXPECT_FALSE(restrictions.IsProtected(t.relation, t.row));
+    }
+  }
+
+  ASSERT_EQ(ClassifyAdpCase(q, options), AdpCase::kDecompose);
+  const AdpNode root = ComputeAdpNode(q, db, total, options);
+  testing::DenseProfile fold;
+  std::int64_t fold_m = 1;
+  for (const Subquery& sub : DecomposeQuery(q)) {
+    const Database sub_db = SubDatabase(sub, db);
+    const std::int64_t m = static_cast<std::int64_t>(
+        CountOutputs(sub.query.body(), sub.query.head(), sub_db));
+    const AdpNode child =
+        ComputeAdpNode(sub.query, sub_db, std::min(m, total), options);
+    fold = fold.empty() ? child.profile.Dense()
+                        : testing::DenseCombineProduct(
+                              fold, fold_m, child.profile.Dense(), m, total);
+    fold_m = SatMul(fold_m, m);
+  }
+  for (std::int64_t j = 0; j <= total; ++j) {
+    EXPECT_EQ(root.profile.At(j), testing::DenseAt(fold, j)) << "j=" << j;
   }
 }
 
