@@ -61,8 +61,9 @@
 //                            engagement of both axes (sharded_universe_
 //                            nodes / sharded_decompose_nodes).
 //   --coalesce-window-ms=W   serve a request identical to one completed
-//                            within the last W ms from the recent-results
-//                            ring instead of re-solving (0 = off).
+//                            within the last W ms from the result table's
+//                            completed slots instead of re-solving
+//                            (0 = off).
 //   --timeout-ms=T           per-request deadline: queued or running work
 //                            past it reports DEADLINE_EXCEEDED (0 = none);
 //                            also bounds STREAM solves.

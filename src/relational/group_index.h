@@ -8,10 +8,17 @@
 // dictionaries first (ColumnDict::Lookup); raw codes are NOT comparable
 // across relations.
 //
-// The index is open addressing over 32-bit representative row ids and
-// resolves collisions by comparing key codes against the representative, so
-// no key tuples are ever materialized. Groups are numbered in first-seen
-// row order; each group's row list is in ascending row order.
+// A single-column key whose dictionary has no more entries than the
+// open-addressing table would have slots (DenseKey) maps code -> group
+// through a code-indexed array: no hashing, and a probe is one
+// bounds-checked read. Every other key (several columns, or one column over
+// a dictionary much larger than the instance, as in Universe groups gathered
+// from a large root) goes through open addressing over 32-bit
+// representative row ids, with collisions resolved by comparing key codes
+// against the representative, so no key tuples are ever materialized. The
+// choice is made from the dictionary size against the row count alone, and
+// both paths build the same index: groups are numbered in first-seen row
+// order and each group's row list is in ascending row order.
 //
 // Storage is CSR (compressed sparse row), three flat arrays and no
 // per-group allocation: `rows_` holds every row id grouped by group,
@@ -32,6 +39,14 @@
 #include "relational/relation.h"
 
 namespace adp {
+
+/// True when a single-column key over a dictionary of `dict_size` entries,
+/// on an instance of `rows` rows, is grouped or translated through a
+/// code-indexed array: when the dictionary has no more entries than the
+/// open-addressing table would have slots (the power of two >=
+/// max(16, 2 * rows)), so the array is no larger than the table it
+/// replaces.
+bool DenseKey(std::size_t dict_size, std::size_t rows);
 
 class HashGroupIndex {
  public:
@@ -57,7 +72,8 @@ class HashGroupIndex {
   Tuple KeyValues(std::size_t g) const;
 
   /// Group holding key code combination `codes` (one code per key column,
-  /// in `key_cols` order, expressed in THIS instance's dictionaries), or -1.
+  /// in `key_cols` order, expressed in THIS instance's dictionaries), or -1
+  /// (also for a code past the end of the dictionary).
   std::int64_t FindByCodes(const Code* codes) const;
 
  private:
@@ -66,7 +82,11 @@ class HashGroupIndex {
   std::vector<TupleId> rows_;            // row ids, grouped by group
   std::vector<std::uint32_t> offsets_;   // group g = rows_[offsets_[g]..[g+1])
   std::vector<std::uint32_t> group_of_;  // row -> group
-  std::vector<TupleId> table_;  // slot -> representative row (or kEmptySlot)
+  // Dense single-column keys: code -> group (kNoGroup when absent), and
+  // table_ stays empty. Otherwise: slot -> representative row (kEmptySlot
+  // when free), and group_of_code_ stays empty.
+  std::vector<std::uint32_t> group_of_code_;
+  std::vector<TupleId> table_;
   std::size_t mask_ = 0;
 };
 

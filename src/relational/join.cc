@@ -239,15 +239,36 @@ struct TreeEdge {
 };
 
 // The child group of every parent row on the key columns `pcols`/`ccols`.
-// Each parent row's key values are translated into the child's dictionary
-// codes, as the materializing join's probe does (a value absent from a
-// dictionary matches no child row).
+// Parent key values are translated into the child's dictionary codes, as
+// the materializing join's probe does (a value absent from a dictionary
+// matches no child row). On a single-column key whose parent dictionary has
+// no more entries than the parent has rows, each distinct parent code is
+// translated once into a table, and a parent row's match is one read of it:
+// never more translations than rows. Otherwise (a gathered parent over a
+// larger shared dictionary, or a wider key) every parent row is translated
+// on its own.
 std::vector<std::uint32_t> MatchParentRows(const RelationInstance& parent,
                                            const std::vector<int>& pcols,
                                            const RelationInstance& child,
                                            const std::vector<int>& ccols,
                                            const HashGroupIndex& groups) {
   std::vector<std::uint32_t> match(parent.size(), kNoGroup);
+  if (pcols.size() == 1 && parent.dict(pcols[0]).size() <= parent.size()) {
+    const ColumnDict& from = parent.dict(pcols[0]);
+    const ColumnDict& to = child.dict(ccols[0]);
+    std::vector<std::uint32_t> group_of_code(from.size(), kNoGroup);
+    for (std::size_t c = 0; c < from.size(); ++c) {
+      const std::int64_t code = to.Lookup(from.values[c]);
+      if (code < 0) continue;
+      const Code probe = static_cast<Code>(code);
+      const std::int64_t g = groups.FindByCodes(&probe);
+      if (g >= 0) group_of_code[c] = static_cast<std::uint32_t>(g);
+    }
+    for (std::size_t t = 0; t < parent.size(); ++t) {
+      match[t] = group_of_code[parent.CodeAt(t, pcols[0])];
+    }
+    return match;
+  }
   std::vector<Code> probe(pcols.size());
   for (std::size_t t = 0; t < parent.size(); ++t) {
     bool present = true;
@@ -333,44 +354,72 @@ void PropagateDown(const Database& db, const JoinTree& tree,
   }
 }
 
-// Full-join rows of one connected component; with `per_tuple`, also the
-// rows through each of its tuples. This is the one place that chooses the
-// counting path: propagation over the component's join tree when it has
-// one, else the materializing join (which sets `*materialized`, if given).
-std::int64_t CountComponent(const std::vector<RelationSchema>& body,
-                            const Database& db, const std::vector<int>& comp,
-                            Counts* per_tuple, bool* materialized) {
-  if (const std::optional<JoinTree> tree = BuildJoinTree(body, comp)) {
-    Counts local(per_tuple != nullptr ? 0 : body.size());
-    Counts& up = per_tuple != nullptr ? *per_tuple : local;
-    const std::vector<TreeEdge> edges = PropagateUp(body, db, *tree, up);
-    std::int64_t rows = 0;
-    for (std::int64_t n : up[tree->order.back()]) rows = SatAdd(rows, n);
-    if (per_tuple != nullptr && tree->order.size() > 1) {
-      Counts down(body.size());
-      PropagateDown(db, *tree, edges, down);
-      for (int i : comp) {
-        for (std::size_t t = 0; t < up[i].size(); ++t) {
-          up[i][t] = SatMul(up[i][t], down[i][t]);
+// Join rows of one acyclic component over its join tree; with `per_tuple`,
+// also the rows through each of its tuples.
+std::int64_t PropagateCounts(const std::vector<RelationSchema>& body,
+                             const Database& db, const JoinTree& tree,
+                             Counts* per_tuple) {
+  Counts local(per_tuple != nullptr ? 0 : body.size());
+  Counts& up = per_tuple != nullptr ? *per_tuple : local;
+  const std::vector<TreeEdge> edges = PropagateUp(body, db, tree, up);
+  std::int64_t rows = 0;
+  for (std::int64_t n : up[tree.order.back()]) rows = SatAdd(rows, n);
+  if (per_tuple != nullptr && tree.order.size() > 1) {
+    Counts down(body.size());
+    PropagateDown(db, tree, edges, down);
+    for (int i : tree.order) {
+      for (std::size_t t = 0; t < up[i].size(); ++t) {
+        up[i][t] = SatMul(up[i][t], down[i][t]);
+      }
+    }
+  }
+  return rows;
+}
+
+// Counts one connected component: its join rows and its distinct
+// projections onto `head`, plus, with `per_tuple`, the rows through each of
+// its tuples. This is the one place that chooses the counting path:
+// propagation over the component's join tree when it has one, for the rows
+// of a full or Boolean head and for per-tuple counts; the materializing
+// join for a component without a join tree (which sets `materialized`) and
+// for the distinct outputs of a head keeping some but not all of its
+// attributes.
+void CountComponent(const std::vector<RelationSchema>& body,
+                    const Database& db, AttrSet head,
+                    JoinCounts::Component& comp, Counts* per_tuple,
+                    bool& materialized) {
+  AttrSet attrs;
+  for (int i : comp.rels) attrs = attrs.Union(body[i].attr_set());
+  const bool full = attrs.SubsetOf(head);
+  const bool projected = !full && attrs.Intersects(head);
+  const std::optional<JoinTree> tree = BuildJoinTree(body, comp.rels);
+  if (tree && (!projected || per_tuple != nullptr)) {
+    comp.rows = PropagateCounts(body, db, *tree, per_tuple);
+  }
+  if (!tree || projected) {
+    const bool tally = !tree && per_tuple != nullptr;
+    const JoinResult join = JoinPositions(body, db, comp.rels, tally);
+    comp.rows = static_cast<std::int64_t>(join.NumRows());
+    if (!tree) materialized = true;
+    if (tally) {
+      for (int i : comp.rels) (*per_tuple)[i].assign(db.rel(i).size(), 0);
+      for (std::size_t r = 0; r < join.NumRows(); ++r) {
+        for (std::size_t j = 0; j < comp.rels.size(); ++j) {
+          ++(*per_tuple)[comp.rels[j]][join.SupportOf(r, j)];
         }
       }
     }
-    return rows;
-  }
-  if (materialized != nullptr) *materialized = true;
-  const JoinResult join =
-      JoinPositions(body, db, comp, /*with_support=*/per_tuple != nullptr);
-  if (per_tuple != nullptr) {
-    for (std::size_t i = 0; i < comp.size(); ++i) {
-      (*per_tuple)[comp[i]].assign(db.rel(comp[i]).size(), 0);
-    }
-    for (std::size_t r = 0; r < join.NumRows(); ++r) {
-      for (std::size_t i = 0; i < comp.size(); ++i) {
-        ++(*per_tuple)[comp[i]][join.SupportOf(r, i)];
+    if (projected) {
+      const AttrSet proj = head.Intersect(attrs);
+      std::unordered_set<Tuple, VecHash> distinct;
+      distinct.reserve(join.NumRows() * 2);
+      for (std::size_t r = 0; r < join.NumRows(); ++r) {
+        distinct.insert(join.Project(r, proj));
       }
+      comp.outputs = static_cast<std::int64_t>(distinct.size());
     }
   }
-  return static_cast<std::int64_t>(join.NumRows());
+  if (!projected) comp.outputs = full ? comp.rows : (comp.rows > 0 ? 1 : 0);
 }
 
 bool AnyEmpty(const std::vector<RelationSchema>& body, const Database& db) {
@@ -405,35 +454,63 @@ JoinResult FullJoin(const std::vector<RelationSchema>& body,
   return JoinPositions(body, db, all, with_support);
 }
 
-JoinCounts CountJoinRows(const std::vector<RelationSchema>& body,
-                         const Database& db) {
+std::vector<std::int64_t> JoinCounts::RowsThrough(int rel) const {
+  std::int64_t outside = 1;
+  for (const Component& comp : components) {
+    if (!std::binary_search(comp.rels.begin(), comp.rels.end(), rel)) {
+      outside = SatMul(outside, comp.rows);
+    }
+  }
+  std::vector<std::int64_t> rows = per_tuple[rel];
+  if (outside != 1) {
+    for (std::int64_t& n : rows) n = SatMul(n, outside);
+  }
+  return rows;
+}
+
+JoinCounts CountComponents(const std::vector<RelationSchema>& body,
+                           AttrSet head, const Database& db, bool per_tuple) {
   JoinCounts counts;
-  counts.per_tuple.resize(body.size());
-  if (AnyEmpty(body, db)) {
-    for (std::size_t i = 0; i < body.size(); ++i) {
+  for (std::vector<int>& rels : Components(body)) {
+    counts.components.push_back(JoinCounts::Component{std::move(rels)});
+  }
+  if (per_tuple) counts.per_tuple.resize(body.size());
+  bool empty = AnyEmpty(body, db);
+  counts.rows = 1;
+  counts.outputs = 1;
+  for (JoinCounts::Component& comp : counts.components) {
+    if (empty) break;
+    CountComponent(body, db, head, comp,
+                   per_tuple ? &counts.per_tuple : nullptr,
+                   counts.materialized);
+    empty = comp.rows == 0;
+    counts.rows = SatMul(counts.rows, comp.rows);
+    counts.outputs = SatMul(counts.outputs, comp.outputs);
+  }
+  if (empty) {
+    // The join is empty, so every count is zero; the components after an
+    // empty one were never counted.
+    counts.rows = 0;
+    counts.outputs = 0;
+    for (JoinCounts::Component& comp : counts.components) {
+      comp.rows = 0;
+      comp.outputs = 0;
+    }
+    for (std::size_t i = 0; i < counts.per_tuple.size(); ++i) {
       counts.per_tuple[i].assign(db.rel(i).size(), 0);
     }
-    return counts;
   }
-  // A disconnected body joins by cross product: a row through tuple t
-  // pairs t's rows within its component with any row of every other one.
-  const std::vector<std::vector<int>> comps = Components(body);
-  std::vector<std::int64_t> comp_rows;
-  for (const std::vector<int>& comp : comps) {
-    comp_rows.push_back(CountComponent(body, db, comp, &counts.per_tuple,
-                                       &counts.materialized));
-  }
-  counts.rows = 1;
-  for (std::int64_t n : comp_rows) counts.rows = SatMul(counts.rows, n);
-  if (comps.size() > 1) {
-    for (std::size_t c = 0; c < comps.size(); ++c) {
-      std::int64_t others = 1;
-      for (std::size_t d = 0; d < comps.size(); ++d) {
-        if (d != c) others = SatMul(others, comp_rows[d]);
-      }
-      for (int i : comps[c]) {
-        for (std::int64_t& n : counts.per_tuple[i]) n = SatMul(n, others);
-      }
+  return counts;
+}
+
+JoinCounts CountJoinRows(const std::vector<RelationSchema>& body,
+                         const Database& db) {
+  AttrSet all;
+  for (const RelationSchema& r : body) all = all.Union(r.attr_set());
+  JoinCounts counts = CountComponents(body, all, db, /*per_tuple=*/true);
+  if (counts.components.size() > 1) {
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      counts.per_tuple[i] = counts.RowsThrough(static_cast<int>(i));
     }
   }
   return counts;
@@ -441,36 +518,8 @@ JoinCounts CountJoinRows(const std::vector<RelationSchema>& body,
 
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db) {
-  if (AnyEmpty(body, db)) return 0;
-  // A disconnected body joins by cross product, so the distinct head
-  // projections multiply across connected components — counting them never
-  // requires materializing the product.
-  std::int64_t product = 1;
-  for (const std::vector<int>& comp : Components(body)) {
-    AttrSet attrs;
-    for (int i : comp) attrs = attrs.Union(body[i].attr_set());
-    std::int64_t count = 0;
-    if (attrs.SubsetOf(head)) {
-      // Full on this component: join rows are distinct outputs.
-      count = CountComponent(body, db, comp, nullptr, nullptr);
-    } else if (!attrs.Intersects(head)) {
-      // Boolean on this component: one empty projection, if any row.
-      count =
-          CountComponent(body, db, comp, nullptr, nullptr) > 0 ? 1 : 0;
-    } else {
-      const JoinResult join = JoinPositions(body, db, comp, false);
-      const AttrSet proj = head.Intersect(attrs);
-      std::unordered_set<Tuple, VecHash> distinct;
-      distinct.reserve(join.NumRows() * 2);
-      for (std::size_t r = 0; r < join.NumRows(); ++r) {
-        distinct.insert(join.Project(r, proj));
-      }
-      count = static_cast<std::int64_t>(distinct.size());
-    }
-    if (count == 0) return 0;
-    product = SatMul(product, count);
-  }
-  return static_cast<std::uint64_t>(product);
+  return static_cast<std::uint64_t>(
+      CountComponents(body, head, db, /*per_tuple=*/false).outputs);
 }
 
 std::vector<Tuple> DistinctOutputs(const std::vector<RelationSchema>& body,

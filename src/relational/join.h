@@ -9,17 +9,28 @@
 //
 // Counting splits the body into connected components (a disconnected body
 // joins by cross product, so counts multiply) and picks, per component, one
-// of two paths. This file is the only place that chooses:
+// of two paths. CountComponents, the one counting routine, is the only place
+// that chooses; CountOutputs and CountJoinRows are thin wrappers over it:
 //
-// - Propagation, for acyclic components (a GYO join tree exists), in
-//   CountJoinRows and, when the head keeps every attribute of the component
-//   or none of them (full or Boolean), in CountOutputs: counts flow over the
-//   join tree, bottom-up for |Q(D)| and back down for per-tuple counts.
-//   O(Σ|Rᵢ| + distinct keys) time; no join row is built.
+// - Propagation, for acyclic components (a GYO join tree exists) whose head
+//   keeps every attribute of the component or none of them (full or
+//   Boolean), and for the per-tuple counts of any acyclic component: counts
+//   flow over the join tree, bottom-up for the join rows and back down for
+//   the rows through each tuple. O(Σ|Rᵢ| + distinct keys) time; no join row
+//   is built. A single-column edge key is grouped through a code-indexed
+//   array when the child's dictionary is dense (relational/group_index.h),
+//   and translated through a per-code table when the parent's dictionary
+//   has no more entries than the parent has rows.
 // - The materializing join, for cyclic components (e.g. the triangle) and
-//   for heads that keep some but not all of a component's attributes. A
-//   sequence of hash joins in a greedily chosen connected order builds every
-//   row: O(|join|) time and memory.
+//   for the distinct outputs of heads that keep some but not all of a
+//   component's attributes. A sequence of hash joins in a greedily chosen
+//   connected order builds every row: O(|join|) time and memory.
+//
+// One solve makes one counting pass at its root: ComputeAdp's preamble
+// calls CountComponents once and hands the result to the root node
+// (solver/compute_adp.h), which is why the counts stay per component: a
+// Decompose node gives each component's counts to that component's child,
+// and a saturated cross product could not be divided back into them.
 //
 // Vacuum relations participate trivially: an empty vacuum instance
 // annihilates the result; a {∅} instance joins as a 1-row cross product.
@@ -70,29 +81,64 @@ struct JoinResult {
 JoinResult FullJoin(const std::vector<RelationSchema>& body,
                     const Database& db, bool with_support);
 
-/// Full-join row counts, overall and through every input tuple.
+/// Join-row and output counts of a body, per connected component and
+/// overall (CountComponents).
 struct JoinCounts {
-  /// |join|, saturated at kMaxOutputs.
+  /// One connected component of the body, counted on its own.
+  struct Component {
+    /// Its body positions, ascending.
+    std::vector<int> rels;
+    /// Rows of the component's own join, saturated at kMaxOutputs.
+    std::int64_t rows = 0;
+    /// Its distinct projections onto the head, saturated: `rows` when the
+    /// head keeps every attribute of the component, 0 or 1 when it keeps
+    /// none of them.
+    std::int64_t outputs = 0;
+  };
+
+  /// The components, in order of their smallest body position (the order
+  /// of ConnectedComponents in query/graph.h).
+  std::vector<Component> components;
+
+  /// |join|: the product of the components' rows, saturated.
   std::int64_t rows = 0;
 
-  /// `per_tuple[i][t]`: the number of full-join rows whose relation-`i`
-  /// tuple is `t`, saturated at kMaxOutputs. Zero exactly for the dangling
-  /// tuples (§7.2).
+  /// |Q(D)|: the product of the components' outputs, saturated.
+  std::int64_t outputs = 0;
+
+  /// Filled only when asked for. `per_tuple[i][t]`: the number of rows of
+  /// the join of relation `i`'s own component whose relation-`i` tuple is
+  /// `t`, saturated. Zero exactly for the dangling tuples (§7.2). For a
+  /// connected body these are rows of the whole join; CountJoinRows
+  /// replaces each by RowsThrough(i), so there they always are.
   std::vector<std::vector<std::int64_t>> per_tuple;
 
   /// True when some component had no join tree and was counted by
   /// materializing its join.
   bool materialized = false;
+
+  /// Rows of the whole join through each tuple of relation `rel`: its
+  /// per-tuple counts times the rows of every other component (a
+  /// disconnected body joins by cross product), saturated.
+  std::vector<std::int64_t> RowsThrough(int rel) const;
 };
 
-/// Counts the full join of `body` over `db` without building it where the
-/// body allows (see the file comment).
+/// The counting pass: splits `body` into connected components and counts
+/// each one's join rows and its distinct projections onto `head` (see the
+/// file comment for the path each takes), plus, with `per_tuple`, the rows
+/// through each tuple within its component. When the join is empty (an
+/// empty instance, or a component without rows) every count is zero, and
+/// the components after the first empty one are not counted.
+JoinCounts CountComponents(const std::vector<RelationSchema>& body,
+                           AttrSet head, const Database& db, bool per_tuple);
+
+/// Counts the full join of `body` over `db`: rows overall and, in
+/// `per_tuple`, rows of the whole join through every input tuple.
 JoinCounts CountJoinRows(const std::vector<RelationSchema>& body,
                          const Database& db);
 
 /// |Q(D)|: the number of distinct projections of the full join onto `head`,
-/// saturated at kMaxOutputs. Full and Boolean components of an acyclic body
-/// only need the bottom-up counting pass.
+/// saturated at kMaxOutputs (CountComponents' `outputs`).
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db);
 

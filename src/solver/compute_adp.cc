@@ -1,6 +1,7 @@
 #include "solver/compute_adp.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 
 #include "obs/names.h"
@@ -20,18 +21,6 @@
 namespace adp {
 namespace {
 
-// Algorithm 2 dispatch, preferring the precomputed plan when one is set.
-// The plan entry (if any) is handed back so case handlers reuse it without
-// a second canonical-key lookup.
-AdpCase Classify(const ConjunctiveQuery& q, const AdpOptions& options,
-                 const PlanEntry** entry_out = nullptr) {
-  const PlanEntry* entry =
-      options.plan != nullptr ? options.plan->Find(q) : nullptr;
-  if (entry_out != nullptr) *entry_out = entry;
-  if (entry != nullptr) return entry->op;
-  return ClassifyAdpCase(q, options);
-}
-
 AdpNode TrivialNode(const AdpOptions& options) {
   AdpNode node;
   node.profile = CostProfile();
@@ -42,19 +31,25 @@ AdpNode TrivialNode(const AdpOptions& options) {
   return node;
 }
 
+// Whether a heuristic leaf runs DrasticGreedy (Algorithm 7), which needs a
+// full head, rather than GreedyForCQ.
+bool UsesDrastic(const ConjunctiveQuery& q, const AdpOptions& options) {
+  return options.heuristic == AdpOptions::Heuristic::kDrastic && q.IsFull();
+}
+
 AdpNode HeuristicNode(const ConjunctiveQuery& q, const Database& db,
-                      std::int64_t cap, const AdpOptions& options) {
-  if (options.heuristic == AdpOptions::Heuristic::kDrastic && q.IsFull()) {
-    return DrasticNode(q, db, cap, options);
-  }
+                      std::int64_t cap, const AdpOptions& options,
+                      const JoinCounts* counts) {
+  if (UsesDrastic(q, options)) return DrasticNode(q, db, cap, options, counts);
   return GreedyNode(q, db, cap, options);
 }
 
 AdpNode BooleanNode(const ConjunctiveQuery& q, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
-                    const PlanEntry* entry) {
-  const std::int64_t count = static_cast<std::int64_t>(
-      CountOutputs(q.body(), q.head(), db));
+                    const PlanEntry* entry, const JoinCounts* counts) {
+  JoinCounts own;
+  const std::int64_t count =
+      NodeCounts(q, db, /*per_tuple=*/false, options, counts, own).outputs;
   if (count == 0 || cap <= 0) return TrivialNode(options);
   if (options.stats) ++options.stats->boolean_nodes;
   // With a plan entry, the §7.1 permutation search was done once at plan
@@ -107,26 +102,93 @@ const char* SpanNameFor(AdpCase c) {
 }
 
 // The Algorithm-2 dispatch switch, shared by the traced and untraced paths
-// of ComputeAdpNode.
+// of SolveNode.
 AdpNode DispatchCase(AdpCase c, const ConjunctiveQuery& q, const Database& db,
                      std::int64_t cap, const AdpOptions& options,
-                     const PlanEntry* entry) {
+                     const PlanEntry* entry, const JoinCounts* counts) {
   switch (c) {
     case AdpCase::kBoolean:
-      return BooleanNode(q, db, cap, options, entry);
+      return BooleanNode(q, db, cap, options, entry, counts);
     case AdpCase::kSingleton:
-      return SingletonNode(q, db, cap, options);
+      return SingletonNode(q, db, cap, options, counts);
     case AdpCase::kUniverse:
       return UniverseNode(q, db, cap, options);
     case AdpCase::kDecompose:
-      return DecomposeNode(q, db, cap, options);
+      return DecomposeNode(q, db, cap, options, counts);
     case AdpCase::kHeuristic:
-      return HeuristicNode(q, db, cap, options);
+      return HeuristicNode(q, db, cap, options, counts);
   }
   return TrivialNode(options);  // unreachable
 }
 
 }  // namespace
+
+NodeCase ClassifyNode(const ConjunctiveQuery& q, const AdpOptions& options) {
+  NodeCase node_case;
+  node_case.entry = options.plan != nullptr ? options.plan->Find(q) : nullptr;
+  node_case.c = node_case.entry != nullptr ? node_case.entry->op
+                                           : ClassifyAdpCase(q, options);
+  return node_case;
+}
+
+AdpNode SolveNode(const NodeCase& node_case, const ConjunctiveQuery& q,
+                  const Database& db, std::int64_t cap,
+                  const AdpOptions& options, const JoinCounts* counts) {
+  ThrowIfCancelled(options);
+  if (cap <= 0) return TrivialNode(options);
+  const AdpCase c = node_case.c;
+  if (options.trace == nullptr) {
+    // Tracing disabled: this null check — at the same boundary that polled
+    // the cancel token — is the layer's entire per-node overhead.
+    return DispatchCase(c, q, db, cap, options, node_case.entry, counts);
+  }
+  obs::Span span(options.trace, SpanNameFor(c), options.trace_parent);
+  span.Tag("cap", cap);
+  AdpOptions traced = options;
+  traced.trace_parent = span.id();
+  return DispatchCase(c, q, db, cap, traced, node_case.entry, counts);
+}
+
+bool ReadsTupleCounts(AdpCase c, const ConjunctiveQuery& q,
+                      const AdpOptions& options) {
+  switch (c) {
+    case AdpCase::kSingleton:
+      return SingletonReadsJoinRows(q);
+    case AdpCase::kHeuristic:
+      return UsesDrastic(q, options);
+    case AdpCase::kDecompose:
+      for (const Subquery& sub : DecomposeQuery(q)) {
+        if (ReadsTupleCounts(ClassifyNode(sub.query, options).c, sub.query,
+                             options)) {
+          return true;
+        }
+      }
+      return false;
+    case AdpCase::kBoolean:
+    case AdpCase::kUniverse:
+      return false;
+  }
+  return false;  // unreachable
+}
+
+JoinCounts CountNode(const ConjunctiveQuery& q, const Database& db,
+                     bool per_tuple, const AdpOptions& options) {
+  if (options.stats) ++options.stats->count_passes;
+  return CountComponents(q.body(), q.head(), db, per_tuple);
+}
+
+const JoinCounts& NodeCounts(const ConjunctiveQuery& q, const Database& db,
+                             bool per_tuple, const AdpOptions& options,
+                             const JoinCounts* handed, JoinCounts& own) {
+  if (handed != nullptr && (!per_tuple || !handed->per_tuple.empty())) {
+    return *handed;
+  }
+  // Handed counts without the per-tuple counts this node reads: the
+  // caller's ReadsTupleCounts disagrees with the node.
+  assert(handed == nullptr);
+  own = CountNode(q, db, per_tuple, options);
+  return own;
+}
 
 void MergeAdpStats(AdpStats& into, const AdpStats& from) {
   into.boolean_nodes += from.boolean_nodes;
@@ -139,6 +201,7 @@ void MergeAdpStats(AdpStats& into, const AdpStats& from) {
   into.universe_groups += from.universe_groups;
   into.sharded_universe_nodes += from.sharded_universe_nodes;
   into.sharded_decompose_nodes += from.sharded_decompose_nodes;
+  into.count_passes += from.count_passes;
 }
 
 bool operator==(const AdpStats& a, const AdpStats& b) {
@@ -151,7 +214,8 @@ bool operator==(const AdpStats& a, const AdpStats& b) {
          a.drastic_leaves == b.drastic_leaves &&
          a.universe_groups == b.universe_groups &&
          a.sharded_universe_nodes == b.sharded_universe_nodes &&
-         a.sharded_decompose_nodes == b.sharded_decompose_nodes;
+         a.sharded_decompose_nodes == b.sharded_decompose_nodes &&
+         a.count_passes == b.count_passes;
 }
 
 bool StatsAgreeModuloSharding(const AdpStats& a, const AdpStats& b) {
@@ -177,21 +241,11 @@ AdpCase ClassifyAdpCase(const ConjunctiveQuery& q, const AdpOptions& options) {
 }
 
 AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t cap, const AdpOptions& options) {
+                       std::int64_t cap, const AdpOptions& options,
+                       const JoinCounts* counts) {
   ThrowIfCancelled(options);
   if (cap <= 0) return TrivialNode(options);
-  const PlanEntry* entry = nullptr;
-  const AdpCase c = Classify(q, options, &entry);
-  if (options.trace == nullptr) {
-    // Tracing disabled: this null check — at the same boundary that polled
-    // the cancel token above — is the layer's entire per-node overhead.
-    return DispatchCase(c, q, db, cap, options, entry);
-  }
-  obs::Span span(options.trace, SpanNameFor(c), options.trace_parent);
-  span.Tag("cap", cap);
-  AdpOptions traced = options;
-  traced.trace_parent = span.id();
-  return DispatchCase(c, q, db, cap, traced, entry);
+  return SolveNode(ClassifyNode(q, options), q, db, cap, options, counts);
 }
 
 void AppendChildReports(const std::vector<AdpNode>& children,
@@ -219,9 +273,14 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     data = &pushed.db;
   }
 
+  // The solve's one counting pass at the root: |Q(D)| here, and whatever
+  // the root node reads, handed to it below.
+  const NodeCase root = ClassifyNode(*query, options);
+  const JoinCounts counts =
+      CountNode(*query, *data, ReadsTupleCounts(root.c, *query, options),
+                options);
   AdpSolution solution;
-  solution.output_count = static_cast<std::int64_t>(
-      CountOutputs(query->body(), query->head(), *data));
+  solution.output_count = counts.outputs;
   if (k > solution.output_count) {
     solution.feasible = false;
     solution.cost = kInfCost;
@@ -235,9 +294,9 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
   if (emit == nullptr &&
       options.decompose_strategy !=
           AdpOptions::DecomposeStrategy::kImprovedDP &&
-      Classify(*query, options) == AdpCase::kDecompose) {
+      root.c == AdpCase::kDecompose) {
     // Fig 29 ablation: the paper's baseline strategies solve a Decompose
-    // root for k alone. Bypasses ComputeAdpNode, so it opens its own node
+    // root for k alone. Bypasses SolveNode, so it opens its own node
     // span.
     obs::Span span(options.trace, obs::kSpanNodeDecompose,
                    options.trace_parent);
@@ -245,12 +304,13 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     span.Tag("root_single_k", std::int64_t{1});
     AdpOptions inner = options;
     inner.trace_parent = span.id() != 0 ? span.id() : options.trace_parent;
-    AdpSolution res = SolveDecomposeAblationRoot(*query, *data, k, inner);
+    AdpSolution res =
+        SolveDecomposeAblationRoot(*query, *data, k, inner, counts);
     solution.cost = res.cost;
     solution.exact = res.exact;
     solution.tuples = std::move(res.tuples);
   } else {
-    AdpNode node = ComputeAdpNode(*query, *data, k, options);
+    AdpNode node = SolveNode(root, *query, *data, k, options, &counts);
     solution.cost = node.profile.At(k);
     solution.exact = node.exact;
     const bool reports = !options.counting_only && node.report != nullptr;

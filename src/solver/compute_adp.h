@@ -29,6 +29,8 @@
 namespace adp {
 
 class DispatchPlan;
+struct PlanEntry;  // solver/plan.h
+struct JoinCounts;  // relational/join.h
 
 namespace obs {
 class TraceSink;  // obs/trace.h; forward-declared to keep the solver light
@@ -58,6 +60,12 @@ struct AdpStats {
   /// Decompose nodes whose connected-component sub-solves were solved in
   /// parallel via AdpOptions::parallelism.
   int sharded_decompose_nodes = 0;
+  /// Counting passes: calls into the relational counting API
+  /// (relational/join.h) by ComputeAdp's preamble and by recursion nodes,
+  /// not by `verify`. The preamble's pass also serves the root node, and a
+  /// Decompose node's pass its component children; the nodes of each
+  /// Universe group count for themselves.
+  std::int64_t count_passes = 0;
 };
 
 /// Field-wise accumulation, used to fold per-shard statistics back into the
@@ -242,9 +250,57 @@ struct AdpNode {
   Reporter report;
 };
 
-/// Recursion entry point; `q` must be selection-free.
+/// Algorithm 2's decision for one recursion node: its case and, when
+/// AdpOptions::plan is set, the plan entry it was read from.
+struct NodeCase {
+  AdpCase c = AdpCase::kHeuristic;
+  const PlanEntry* entry = nullptr;
+};
+
+/// Classifies `q` as the recursion does: from the plan when it has `q`,
+/// else by ClassifyAdpCase.
+NodeCase ClassifyNode(const ConjunctiveQuery& q, const AdpOptions& options);
+
+/// Solves a node that ClassifyNode classified, inside its own span when
+/// tracing; `counts` as for ComputeAdpNode, which is ClassifyNode then
+/// SolveNode. A Decompose node classifies each child once, both to choose
+/// what its counting pass asks for and to solve the child.
+AdpNode SolveNode(const NodeCase& node_case, const ConjunctiveQuery& q,
+                  const Database& db, std::int64_t cap,
+                  const AdpOptions& options,
+                  const JoinCounts* counts = nullptr);
+
+/// Recursion entry point; `q` must be selection-free. `counts`, when given,
+/// are CountComponents' counts of exactly this (q, db), with per-tuple
+/// counts if the node's case reads them (ReadsTupleCounts); the node then
+/// makes no counting pass of its own. ComputeAdp hands its preamble's
+/// counts to the root node this way, and a Decompose node hands each child
+/// its component's share. Every other node gets none and counts for itself.
 AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t cap, const AdpOptions& options);
+                       std::int64_t cap, const AdpOptions& options,
+                       const JoinCounts* counts = nullptr);
+
+/// Whether the node of case `c` for `q` reads per-tuple join rows
+/// (JoinCounts::per_tuple): a Singleton node that does
+/// (SingletonReadsJoinRows), a Drastic leaf, and a Decompose node through
+/// such a component child. Decides what a counting pass for that node asks
+/// for.
+bool ReadsTupleCounts(AdpCase c, const ConjunctiveQuery& q,
+                      const AdpOptions& options);
+
+/// A counting pass over a node's own (q, db): CountComponents under q's
+/// head, tallied in AdpStats::count_passes.
+JoinCounts CountNode(const ConjunctiveQuery& q, const Database& db,
+                     bool per_tuple, const AdpOptions& options);
+
+/// The counts a node reads: `handed` when given and, if `per_tuple`, holding
+/// per-tuple counts; else a CountNode pass of the node's own, kept in `own`.
+/// Handed counts lacking the per-tuple counts a node reads (a
+/// ReadsTupleCounts that disagrees with the node) cost a pass, never a wrong
+/// answer; debug builds assert against it.
+const JoinCounts& NodeCounts(const ConjunctiveQuery& q, const Database& db,
+                             bool per_tuple, const AdpOptions& options,
+                             const JoinCounts* handed, JoinCounts& own);
 
 /// Appends children[i].report(targets[i]) to `out` for every nonzero
 /// target, last child first, polling `cancel` before each so a cancelled

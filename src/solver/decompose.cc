@@ -1,6 +1,7 @@
 #include "solver/decompose.h"
 
 #include <algorithm>
+#include <cassert>
 #include <exception>
 #include <memory>
 #include <functional>
@@ -22,19 +23,60 @@ constexpr std::int64_t kProfileLimit = std::int64_t{1} << 25;
 
 struct Components {
   std::vector<Subquery> subs;
+  std::vector<NodeCase> cases;       // each component's classification
   std::vector<Database> dbs;
+  std::vector<JoinCounts> counts;    // handed to each component's child
   std::vector<std::int64_t> m;       // |Q_i(D)| per component
   std::vector<std::size_t> order;    // fold order: ascending m, largest last
   std::int64_t total = 1;            // saturated product of m
 };
 
-Components SplitComponents(const ConjunctiveQuery& q, const Database& db) {
+// Component `c`'s share of a body's counts, as its child reads them: the
+// component's relations renumbered in `rels` order, which is the order
+// RestrictTo keeps. SubDatabase copies whole relations, so tuple ids match.
+JoinCounts ShareOf(const JoinCounts& counts, std::size_t c) {
+  const JoinCounts::Component& comp = counts.components[c];
+  JoinCounts share;
+  share.rows = comp.rows;
+  share.outputs = comp.outputs;
+  JoinCounts::Component& own = share.components.emplace_back(
+      JoinCounts::Component{{}, comp.rows, comp.outputs});
+  for (std::size_t j = 0; j < comp.rels.size(); ++j) {
+    own.rels.push_back(static_cast<int>(j));
+    if (!counts.per_tuple.empty()) {
+      share.per_tuple.push_back(counts.per_tuple[comp.rels[j]]);
+    }
+  }
+  return share;
+}
+
+// Splits q into its connected components (in the order of JoinCounts'
+// components) and classifies each once for its child. A node handed no
+// counts makes the one counting pass for itself and its children here,
+// with per-tuple counts if a child reads them.
+Components SplitComponents(const ConjunctiveQuery& q, const Database& db,
+                           const JoinCounts* counts,
+                           const AdpOptions& options) {
   Components parts;
   parts.subs = DecomposeQuery(q);
   for (const Subquery& sub : parts.subs) {
-    parts.dbs.push_back(SubDatabase(sub, db));
-    parts.m.push_back(static_cast<std::int64_t>(CountOutputs(
-        sub.query.body(), sub.query.head(), parts.dbs.back())));
+    parts.cases.push_back(ClassifyNode(sub.query, options));
+  }
+  JoinCounts own;
+  if (counts == nullptr) {
+    bool per_tuple = false;
+    for (std::size_t c = 0; c < parts.subs.size(); ++c) {
+      per_tuple = per_tuple || ReadsTupleCounts(parts.cases[c].c,
+                                                parts.subs[c].query, options);
+    }
+    own = CountNode(q, db, per_tuple, options);
+    counts = &own;
+  }
+  assert(counts->components.size() == parts.subs.size());
+  for (std::size_t c = 0; c < parts.subs.size(); ++c) {
+    parts.dbs.push_back(SubDatabase(parts.subs[c], db));
+    parts.counts.push_back(ShareOf(*counts, c));
+    parts.m.push_back(parts.counts.back().outputs);
     parts.total = SatMul(parts.total, parts.m.back());
   }
   parts.order.resize(parts.subs.size());
@@ -173,9 +215,9 @@ std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
           // mid-fan-out stops the remaining components at their boundary.
           ThrowIfCancelled(shard);
           const std::int64_t child_cap = std::min(parts.m[idx], cap);
-          state->children[i] = ComputeAdpNode(parts.subs[idx].query,
-                                              parts.dbs[idx], child_cap,
-                                              shard);
+          state->children[i] =
+              SolveNode(parts.cases[idx], parts.subs[idx].query,
+                        parts.dbs[idx], child_cap, shard, &parts.counts[idx]);
           state->m[i] = parts.m[idx];
         } catch (...) {
           errors[i] = std::current_exception();
@@ -194,8 +236,9 @@ std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
   for (std::size_t idx : parts.order) {
     ThrowIfCancelled(options);
     const std::int64_t child_cap = std::min(parts.m[idx], cap);
-    state->children.push_back(ComputeAdpNode(
-        parts.subs[idx].query, parts.dbs[idx], child_cap, options));
+    state->children.push_back(
+        SolveNode(parts.cases[idx], parts.subs[idx].query, parts.dbs[idx],
+                  child_cap, options, &parts.counts[idx]));
     state->m.push_back(parts.m[idx]);
   }
   return state;
@@ -204,12 +247,13 @@ std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
 }  // namespace
 
 AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
-                      std::int64_t cap, const AdpOptions& options) {
+                      std::int64_t cap, const AdpOptions& options,
+                      const JoinCounts* counts) {
   if (options.stats) ++options.stats->decompose_nodes;
-  const Components parts = SplitComponents(q, db);
+  const Components parts = SplitComponents(q, db, counts, options);
   if (options.trace != nullptr) {
     // options.trace_parent is this node's own span (opened by
-    // ComputeAdpNode before dispatching here).
+    // SolveNode before dispatching here).
     options.trace->Annotate(options.trace_parent, "components",
                             std::to_string(parts.subs.size()));
   }
@@ -261,9 +305,10 @@ AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
 
 AdpSolution SolveDecomposeAblationRoot(const ConjunctiveQuery& q,
                                        const Database& db, std::int64_t k,
-                                       const AdpOptions& options) {
+                                       const AdpOptions& options,
+                                       const JoinCounts& counts) {
   if (options.stats) ++options.stats->decompose_nodes;
-  const Components parts = SplitComponents(q, db);
+  const Components parts = SplitComponents(q, db, &counts, options);
   if (options.trace != nullptr) {
     options.trace->Annotate(options.trace_parent, "components",
                             std::to_string(parts.subs.size()));

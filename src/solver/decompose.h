@@ -34,17 +34,23 @@
 namespace adp {
 
 /// Builds the recursion node with a full profile up to `cap`.
-/// Precondition: q is disconnected (>= 2 components).
+/// Precondition: q is disconnected (>= 2 components). Each |Q_i(D)| is read
+/// from `counts` (as for ComputeAdpNode), and each child is handed its
+/// component's share of them; a node handed none makes that one counting
+/// pass itself, with per-tuple counts if a child reads them.
 AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
-                      std::int64_t cap, const AdpOptions& options);
+                      std::int64_t cap, const AdpOptions& options,
+                      const JoinCounts* counts = nullptr);
 
 /// The Fig 29 baselines' root: solves target k alone under
 /// options.decompose_strategy (kPairwiseNaive or kFullEnumeration) and fills
 /// the result's cost, exact flag and tuples (empty when counting_only).
+/// `counts`: ComputeAdp's counts of (q, db), as for DecomposeNode.
 /// Preconditions: q is disconnected and 1 <= k <= |Q(D)|.
 AdpSolution SolveDecomposeAblationRoot(const ConjunctiveQuery& q,
                                        const Database& db, std::int64_t k,
-                                       const AdpOptions& options);
+                                       const AdpOptions& options,
+                                       const JoinCounts& counts);
 
 }  // namespace adp
 

@@ -21,11 +21,14 @@ struct RelationPlan {
 }  // namespace
 
 AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
-                    std::int64_t cap, const AdpOptions& options) {
+                    std::int64_t cap, const AdpOptions& options,
+                    const JoinCounts* counts) {
   if (options.stats) ++options.stats->drastic_leaves;
   // Per-tuple profits are full-join row counts (full CQ: every row is a
   // distinct output).
-  const JoinCounts counts = CountJoinRows(q.body(), db);
+  JoinCounts own;
+  const JoinCounts& join =
+      NodeCounts(q, db, /*per_tuple=*/true, options, counts, own);
 
   std::vector<int> candidates = EndogenousRelations(q);
   if (options.restrictions && !options.restrictions->Empty()) {
@@ -38,7 +41,7 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
   for (int rel : candidates) {
     RelationPlan plan;
     plan.rel = rel;
-    const std::vector<std::int64_t>& profit = counts.per_tuple[rel];
+    const std::vector<std::int64_t> profit = join.RowsThrough(rel);
     for (TupleId t = 0; t < profit.size(); ++t) {
       if (profit[t] <= 0) continue;
       if (options.restrictions &&

@@ -32,10 +32,12 @@ CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
 // their projection onto attr(Ri). Each group corresponds to exactly one Ri
 // tuple (instances are duplicate-free).
 std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
-                                           const Database& db, int ri) {
+                                           const Database& db, int ri,
+                                           const AdpOptions& options) {
   const RelationSchema& schema = q.relation(ri);
   const RelationInstance& inst = db.rel(ri);
   const AttrSet ai = schema.attr_set();
+  if (options.stats) ++options.stats->count_passes;
   const std::vector<Tuple> outputs = DistinctOutputs(q.body(), q.head(), db);
   // Column positions of attr(Ri) inside the head projection (both use
   // increasing AttrId order).
@@ -88,13 +90,26 @@ bool IsSingletonQuery(const ConjunctiveQuery& q, int* which) {
   return true;
 }
 
+bool SingletonReadsJoinRows(const ConjunctiveQuery& q) {
+  int ri = -1;
+  IsSingletonQuery(q, &ri);
+  return !q.relation(ri).attr_set().SubsetOf(q.head()) ||
+         q.all_attrs().SubsetOf(q.head());
+}
+
 AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
-                      std::int64_t cap, const AdpOptions& options) {
+                      std::int64_t cap, const AdpOptions& options,
+                      const JoinCounts* counts) {
   int ri = -1;
   IsSingletonQuery(q, &ri);
   const RelationSchema& schema = q.relation(ri);
   const RelationInstance& inst = db.rel(ri);
   const AttrSet ai = schema.attr_set();
+  JoinCounts own;
+  const JoinCounts* join =
+      SingletonReadsJoinRows(q)
+          ? &NodeCounts(q, db, /*per_tuple=*/true, options, counts, own)
+          : nullptr;
 
   AdpNode node;
   node.exact = true;
@@ -113,8 +128,8 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
     // rows through the tuple.
     const std::vector<std::int64_t> profit =
         q.all_attrs().SubsetOf(q.head())
-            ? std::move(CountJoinRows(q.body(), db).per_tuple[ri])
-            : ProjectedProfits(q, db, ri);
+            ? join->RowsThrough(ri)
+            : ProjectedProfits(q, db, ri, options);
     struct Pick {
       std::int64_t profit;
       TupleId t;
@@ -159,8 +174,7 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
 
   // Case 2: head(Q) ⊆ attr(Ri). Discard dangling Ri tuples, group the rest
   // by head projection (one group per output), delete cheapest groups first.
-  const std::vector<std::int64_t> through =
-      std::move(CountJoinRows(q.body(), db).per_tuple[ri]);
+  const std::vector<std::int64_t> through = join->RowsThrough(ri);
   std::vector<int> hcols;
   for (AttrId a : q.head()) hcols.push_back(schema.ColumnOf(a));
   // Group by head-projection codes (no key materialization), then drop the

@@ -26,9 +26,17 @@ namespace adp {
 /// minimum attribute count, per Algorithm 3 line 1).
 bool IsSingletonQuery(const ConjunctiveQuery& q, int* which);
 
+/// True when SingletonNode reads per-tuple join rows (JoinCounts): case 1
+/// under a full head (the profits) and case 2 (the dangling filter). Case 1
+/// under a projected head groups the distinct outputs instead.
+/// Precondition: IsSingletonQuery(q).
+bool SingletonReadsJoinRows(const ConjunctiveQuery& q);
+
 /// Builds the exact recursion node. Precondition: IsSingletonQuery(q).
+/// `counts`: as for ComputeAdpNode; null makes the node count for itself.
 AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
-                      std::int64_t cap, const AdpOptions& options);
+                      std::int64_t cap, const AdpOptions& options,
+                      const JoinCounts* counts = nullptr);
 
 }  // namespace adp
 

@@ -13,6 +13,7 @@
 
 #include "query/graph.h"
 #include "query/parser.h"
+#include "relational/group_index.h"
 #include "relational/join.h"
 #include "test_util.h"
 #include "util/saturating.h"
@@ -154,6 +155,37 @@ TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
   mixed.rel(0).AppendGathered(root1, std::vector<TupleId>{10, 20, 30});
   mixed.Load(1, {{20, 1}, {30, 2}, {40, 3}});
   EXPECT_FALSE(ExpectCountsMatchOracle(q, mixed));
+
+  // The join tree's edge runs from child R1 to parent R2 on B. Both sides
+  // dense: standalone instances, whose dictionaries hold only their own
+  // values, so the child is grouped through a code-indexed array and the
+  // parent translated through a per-code table.
+  Database dense(2);
+  dense.Load(0, {{0, 10}, {1, 20}, {1, 30}, {2, 20}});
+  dense.Load(1, {{20, 1}, {30, 2}, {40, 3}, {20, 4}});
+  ASSERT_TRUE(DenseKey(dense.rel(0).dict(1).size(), dense.rel(0).size()));
+  ASSERT_LE(dense.rel(1).dict(0).size(), dense.rel(1).size());
+  EXPECT_FALSE(ExpectCountsMatchOracle(q, dense));
+
+  // The child gathered over a larger dictionary (its array path off), under
+  // a parent holding all of its own 10k values (translated per distinct
+  // code).
+  Database large_parent(2);
+  large_parent.rel(0).AppendGathered(root1,
+                                     std::vector<TupleId>{10, 20, 30});
+  large_parent.rel(1) = root2;
+  ASSERT_FALSE(DenseKey(large_parent.rel(0).dict(1).size(),
+                        large_parent.rel(0).size()));
+  ASSERT_LE(large_parent.rel(1).dict(0).size(), large_parent.rel(1).size());
+  EXPECT_FALSE(ExpectCountsMatchOracle(q, large_parent));
+
+  // Disjoint dictionaries: no parent value is in the child's, so every
+  // translation misses and nothing joins.
+  Database disjoint(2);
+  disjoint.Load(0, {{0, 10}, {1, 20}, {1, 30}});
+  disjoint.Load(1, {{11, 1}, {21, 2}, {31, 3}});
+  EXPECT_FALSE(ExpectCountsMatchOracle(q, disjoint));
+  EXPECT_EQ(CountJoinRows(q.body(), disjoint).rows, 0);
 }
 
 // A star of `arms` arms of 2^13 rows each around a one-row hub. With

@@ -196,6 +196,61 @@ TEST(HashGroupIndexTest, GroupsAreFirstSeenOrderWithAscendingRows) {
   for (TupleId r = 0; r < 5; ++r) EXPECT_EQ(index.group_of(r), r % 2);
 }
 
+// The same single-column data grouped two ways: a standalone instance,
+// whose dictionary holds only its own values (the code-indexed array), and
+// the same rows gathered from a root holding 10k values in that column
+// (open addressing). Both must build the same index.
+TEST(HashGroupIndexTest, DenseIndexMatchesHashedIndex) {
+  const std::vector<Tuple> data = {{7, 0}, {3, 0}, {7, 1}, {9, 0},
+                                   {3, 1}, {3, 2}, {12, 0}, {7, 2}};
+  RelationInstance standalone;
+  for (const Tuple& t : data) standalone.Add(t);
+  // Root row j * 10000 + v holds (v, j).
+  RelationInstance root;
+  for (Value j = 0; j < 3; ++j) {
+    for (Value v = 0; v < 10000; ++v) root.Add({v, j});
+  }
+  std::vector<TupleId> picked;
+  for (const Tuple& t : data) {
+    picked.push_back(static_cast<TupleId>(t[1] * 10000 + t[0]));
+  }
+  RelationInstance gathered;
+  gathered.AppendGathered(root, picked);
+  ASSERT_TRUE(DenseKey(standalone.dict(0).size(), standalone.size()));
+  ASSERT_FALSE(DenseKey(gathered.dict(0).size(), gathered.size()));
+
+  const HashGroupIndex dense(standalone, {0});
+  const HashGroupIndex hashed(gathered, {0});
+  ASSERT_EQ(dense.num_groups(), 4u);
+  ASSERT_EQ(hashed.num_groups(), dense.num_groups());
+  for (std::size_t g = 0; g < dense.num_groups(); ++g) {
+    EXPECT_EQ(hashed.KeyValues(g), dense.KeyValues(g));
+    EXPECT_EQ(RowsOf(hashed, g), RowsOf(dense, g));
+  }
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    EXPECT_EQ(hashed.group_of(r), dense.group_of(r));
+  }
+  // Every code of either dictionary finds the same group as its value's
+  // code in the other one, or none when the other lacks the value.
+  auto expect_same_probe = [](const HashGroupIndex& a, const ColumnDict& in_a,
+                              const HashGroupIndex& b, const ColumnDict& in_b) {
+    for (std::size_t c = 0; c < in_a.size(); ++c) {
+      const Code code = static_cast<Code>(c);
+      const std::int64_t other = in_b.Lookup(in_a.values[c]);
+      const Code other_code = static_cast<Code>(other);
+      EXPECT_EQ(a.FindByCodes(&code),
+                other < 0 ? -1 : b.FindByCodes(&other_code))
+          << "value " << in_a.values[c];
+    }
+  };
+  expect_same_probe(dense, standalone.dict(0), hashed, gathered.dict(0));
+  expect_same_probe(hashed, gathered.dict(0), dense, standalone.dict(0));
+  const Code past_dense[] = {static_cast<Code>(standalone.dict(0).size())};
+  const Code past_hashed[] = {static_cast<Code>(gathered.dict(0).size())};
+  EXPECT_EQ(dense.FindByCodes(past_dense), -1);
+  EXPECT_EQ(hashed.FindByCodes(past_hashed), -1);
+}
+
 // Dictionary codes are assigned per column in first-intern order, so the
 // same value generally has *different* codes in different relations — and
 // the same code maps to different values. A probe must translate values

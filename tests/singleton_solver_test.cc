@@ -115,31 +115,44 @@ TEST(SingletonVacuumTest, SingleTupleKillsEverything) {
 
 // Oracle sweep: singleton solutions are optimal for every feasible k, in
 // case 1 under a full head (profits from join-row counts) and a projected
-// head (profits from the distinct outputs), and in case 2.
+// head (profits from the distinct outputs), and in case 2; also over a
+// disconnected body, where the vacuum R0 = {∅} is the singleton relation and
+// its one tuple's profit is a cross product (instances 24-31). Each k is
+// solved both by the node counting for itself and through ComputeAdp, whose
+// root node reads the preamble's counts.
 class SingletonOracleSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SingletonOracleSweep, OptimalForAllK) {
   Rng rng(600 + GetParam());
   const char* const shapes[] = {"Q(A,B) :- R1(A), R2(A,B)",
                                 "Q(A) :- R1(A,B), R2(A,B,C)",
-                                "Q(A,B) :- R1(A), R2(A,B,C)"};
-  const ConjunctiveQuery q = ParseQuery(shapes[GetParam() % 3]);
+                                "Q(A,B) :- R1(A), R2(A,B,C)",
+                                "Q(A,B) :- R0(), R1(A), R2(B)"};
+  const ConjunctiveQuery q =
+      ParseQuery(shapes[GetParam() < 24 ? GetParam() % 3 : 3]);
   const Database db = RandomDb(q, rng, 8, 3);
   const std::int64_t total = OracleCount(q, db);
   if (total == 0) GTEST_SKIP();
   AdpOptions options;
   const AdpNode node = SingletonNode(q, db, total, options);
+  AdpOptions verified;
+  verified.verify = true;
   for (std::int64_t k = 1; k <= total; ++k) {
-    EXPECT_EQ(node.profile.At(k), OracleAdp(q, db, k))
-        << q.ToString() << " k=" << k;
+    const std::int64_t optimum = OracleAdp(q, db, k);
+    EXPECT_EQ(node.profile.At(k), optimum) << q.ToString() << " k=" << k;
     const auto tuples = node.report(k);
     EXPECT_GE(CountRemovedOutputs(q, db, tuples), k);
     EXPECT_EQ(static_cast<std::int64_t>(tuples.size()), node.profile.At(k));
+
+    const AdpSolution sol = ComputeAdp(q, db, k, verified);
+    EXPECT_TRUE(sol.feasible) << q.ToString() << " k=" << k;
+    EXPECT_EQ(sol.cost, optimum) << q.ToString() << " k=" << k;
+    EXPECT_GE(sol.removed_outputs, k) << q.ToString() << " k=" << k;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SingletonOracleSweep,
-                         ::testing::Range(0, 24));
+                         ::testing::Range(0, 32));
 
 }  // namespace
 }  // namespace adp

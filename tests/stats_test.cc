@@ -28,6 +28,21 @@ TEST(StatsTest, SingletonQueryHitsSingletonOnly) {
   EXPECT_EQ(stats.greedy_leaves, 0);
   EXPECT_EQ(stats.universe_nodes, 0);
   EXPECT_EQ(stats.decompose_nodes, 0);
+  // The preamble's counting pass carries the profits to the root.
+  EXPECT_EQ(stats.count_passes, 1);
+}
+
+TEST(StatsTest, VerifyMakesNoCountingPass) {
+  const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A), R2(A,B)");
+  const Database db = MakeDb(q, {{"R1", {{1}, {2}}},
+                                 {"R2", {{1, 5}, {2, 6}}}});
+  AdpStats stats;
+  AdpOptions options;
+  options.stats = &stats;
+  options.verify = true;
+  const AdpSolution sol = ComputeAdp(q, db, 1, options);
+  EXPECT_EQ(sol.removed_outputs, 1);
+  EXPECT_EQ(stats.count_passes, 1);
 }
 
 TEST(StatsTest, HardQueryHitsHeuristicLeaf) {
@@ -47,6 +62,7 @@ TEST(StatsTest, HardQueryHitsHeuristicLeaf) {
   options.heuristic = AdpOptions::Heuristic::kDrastic;
   ComputeAdp(q, db, 1, options);
   EXPECT_EQ(drastic_stats.drastic_leaves, 1);
+  EXPECT_EQ(drastic_stats.count_passes, 1);
 }
 
 TEST(StatsTest, UniverseCountsGroups) {
@@ -59,6 +75,9 @@ TEST(StatsTest, UniverseCountsGroups) {
   ComputeAdp(q, db, 2, options);
   EXPECT_EQ(stats.universe_nodes, 1);
   EXPECT_EQ(stats.universe_groups, 2);  // keys a=1 and a=2
+  // The preamble, then per group one pass by its Decompose node, which
+  // hands each of its two Singleton children that child's share.
+  EXPECT_EQ(stats.count_passes, 3);
 }
 
 TEST(StatsTest, SelectedTpchExercisesDecomposeAndSingleton) {
@@ -73,6 +92,9 @@ TEST(StatsTest, SelectedTpchExercisesDecomposeAndSingleton) {
   EXPECT_EQ(stats.decompose_nodes, 1);
   EXPECT_EQ(stats.singleton_nodes, 2);
   EXPECT_EQ(stats.greedy_leaves, 0);
+  // The root's one counting pass gives each |Q_i(D)| and each Singleton
+  // child's profits.
+  EXPECT_EQ(stats.count_passes, 1);
 }
 
 TEST(StatsTest, BooleanQueryCountsBooleanNode) {
@@ -84,6 +106,7 @@ TEST(StatsTest, BooleanQueryCountsBooleanNode) {
   ComputeAdp(q, db, 1, options);
   EXPECT_EQ(stats.boolean_nodes, 1);
   EXPECT_EQ(stats.boolean_fallbacks, 0);
+  EXPECT_EQ(stats.count_passes, 1);
 }
 
 TEST(StatsTest, NonLinearizableBooleanFallsBack) {
