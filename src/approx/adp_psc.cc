@@ -8,7 +8,7 @@ namespace adp {
 AdpPscReduction ReduceFullCqToPsc(const ConjunctiveQuery& q,
                                   const Database& db) {
   AdpPscReduction red;
-  JoinResult join = FullJoin(q.body(), db, /*with_support=*/true);
+  JoinResult join = FullJoin(q.body(), db);
   const std::size_t p = q.body().size();
   red.instance.num_elements = static_cast<std::int64_t>(join.NumRows());
 

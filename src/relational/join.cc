@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <unordered_set>
+#include <stdexcept>
 
 #include "relational/group_index.h"
 #include "util/hash.h"
@@ -51,11 +51,76 @@ std::vector<int> JoinOrder(const std::vector<RelationSchema>& body,
   return order;
 }
 
+constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
+constexpr Code kNoCode = std::numeric_limits<Code>::max();
+
+// Finds the build-side group of each probing row's key (kNoGroup: none).
+// Key column j holds codes of dictionary `from[j]`, translated into the
+// build side's `to[j]` (a value absent there matches no build row): once per
+// code, into a table, when TranslatesByTable holds, and a one-column key's
+// table maps each code straight to its group; else once per row (Lookup).
+class KeyProbe {
+ public:
+  KeyProbe(const HashGroupIndex& build, std::vector<const ColumnDict*> from,
+           std::vector<const ColumnDict*> to, std::size_t probing_rows)
+      : build_(&build), from_(std::move(from)), to_(std::move(to)),
+        table_(from_.size()), probe_(from_.size()) {
+    for (std::size_t j = 0; j < from_.size(); ++j) {
+      const ColumnDict& dict = *from_[j];
+      if (!TranslatesByTable(dict.size(), probing_rows)) continue;
+      table_[j].assign(dict.size(), kNoCode);  // kNoCode == kNoGroup
+      for (std::size_t c = 0; c < dict.size(); ++c) {
+        const std::int64_t code = to_[j]->Lookup(dict.values[c]);
+        if (code < 0) continue;
+        const Code to_code = static_cast<Code>(code);
+        const std::int64_t g =
+            from_.size() == 1 ? build_->FindByCodes(&to_code) : to_code;
+        if (g >= 0) table_[j][c] = static_cast<Code>(g);
+      }
+    }
+  }
+
+  // Calls `emit(r, g)` for every probing row r < `rows`, with g the group
+  // holding its key; row r's column-j code is `code_of(r, j)`.
+  template <typename CodeOf, typename Emit>
+  void ForEachRow(std::size_t rows, CodeOf code_of, Emit emit) {
+    if (table_.size() == 1 && !table_[0].empty()) {
+      for (std::size_t r = 0; r < rows; ++r) emit(r, table_[0][code_of(r, 0)]);
+      return;
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < probe_.size(); ++j) {
+        const Code c = code_of(r, j);
+        const std::int64_t code =
+            table_[j].empty() ? to_[j]->Lookup(from_[j]->values[c])
+                              : static_cast<std::int64_t>(table_[j][c]);
+        probe_[j] = code < 0 ? kNoCode : static_cast<Code>(code);
+      }
+      emit(r, Group(probe_.data()));
+    }
+  }
+
+ private:
+  std::uint32_t Group(const Code* codes) const {
+    for (std::size_t j = 0; j < probe_.size(); ++j) {
+      if (codes[j] == kNoCode) return kNoGroup;
+    }
+    const std::int64_t g = build_->FindByCodes(codes);
+    return g < 0 ? kNoGroup : static_cast<std::uint32_t>(g);
+  }
+
+  const HashGroupIndex* build_;
+  std::vector<const ColumnDict*> from_;
+  std::vector<const ColumnDict*> to_;
+  std::vector<std::vector<Code>> table_;  // per key column; empty: Lookup
+  std::vector<Code> probe_;
+};
+
 // The natural join of the relations at body positions `pos`. Support column
-// `i` of the result refers to relation `pos[i]`.
+// `i` of the result refers to relation `pos[i]`. Rows, intermediate or
+// final, are support vectors; key codes are read through them.
 JoinResult JoinPositions(const std::vector<RelationSchema>& body,
-                         const Database& db, const std::vector<int>& pos,
-                         bool with_support) {
+                         const Database& db, const std::vector<int>& pos) {
   const std::size_t p = pos.size();
   JoinResult result;
   result.num_relations = p;
@@ -65,98 +130,57 @@ JoinResult JoinPositions(const std::vector<RelationSchema>& body,
     if (db.rel(rel).empty()) return result;
   }
 
-  const std::vector<int> order = JoinOrder(body, db, pos);
-
-  // Seed with the first relation (materialized row-major: intermediate join
-  // results are wide and short-lived, so they stay rows).
-  {
-    const int l0 = order[0];
-    result.attrs = body[pos[l0]].attrs;
-    const RelationInstance& inst = db.rel(pos[l0]);
-    result.rows.reserve(inst.size());
-    for (std::size_t t = 0; t < inst.size(); ++t) {
-      result.rows.push_back(inst.tuple(t));
-    }
-    if (with_support) {
-      result.support.assign(result.rows.size() * p, 0);
-      for (std::size_t i = 0; i < result.rows.size(); ++i) {
-        result.support[i * p + l0] = static_cast<TupleId>(i);
-      }
-    }
-  }
-
-  for (std::size_t step = 1; step < p; ++step) {
-    const int local = order[step];
+  // Start from one row with no columns; the first relation joins it as a
+  // cross product.
+  result.support.assign(p, 0);
+  std::vector<TupleId> next;
+  for (const int local : JoinOrder(body, db, pos)) {
     const RelationSchema& schema = body[pos[local]];
     const RelationInstance& inst = db.rel(pos[local]);
+    const std::size_t rows = result.NumRows();
 
     // Shared attributes define the join key; new attributes get appended.
-    AttrSet cur_set;
-    for (AttrId a : result.attrs) cur_set.Add(a);
-    const AttrSet shared = cur_set.Intersect(schema.attr_set());
-
-    std::vector<int> key_cols_left;   // column positions in current rows
-    std::vector<int> key_cols_right;  // column positions in `inst` tuples
-    for (AttrId a : shared) {
-      key_cols_left.push_back(result.ColumnOf(a));
-      key_cols_right.push_back(schema.ColumnOf(a));
-    }
-    std::vector<int> new_cols;  // columns of `inst` not yet in the join
-    std::vector<AttrId> new_attrs;
+    std::vector<JoinResult::ColumnSource> key_left;  // read through a row
+    std::vector<int> key_right;                      // columns of `inst`
+    std::vector<const ColumnDict*> from, to;
+    std::vector<JoinResult::ColumnSource> added;
     for (std::size_t c = 0; c < schema.attrs.size(); ++c) {
-      if (!shared.Contains(schema.attrs[c])) {
-        new_cols.push_back(static_cast<int>(c));
-        new_attrs.push_back(schema.attrs[c]);
+      const int col = result.ColumnOf(schema.attrs[c]);
+      if (col < 0) {
+        added.push_back({static_cast<std::size_t>(local), c, &inst});
+        continue;
       }
+      const JoinResult::ColumnSource& src = result.sources[col];
+      key_left.push_back(src);
+      key_right.push_back(static_cast<int>(c));
+      from.push_back(&src.inst->dict(src.col));
+      to.push_back(&inst.dict(c));
     }
 
-    // Build: group the new relation's rows by their key-code combination —
-    // no key tuples are materialized, collisions resolve by 32-bit code
-    // compares against each group's representative row.
-    const HashGroupIndex build(inst, key_cols_right);
-
-    // Probe: translate each current row's key values into `inst`'s
-    // dictionary codes (a value absent from a dictionary cannot match any
-    // row, so the probe short-circuits), then look the code combination up.
-    std::vector<Tuple> next_rows;
-    std::vector<TupleId> next_support;
-    next_rows.reserve(result.rows.size());
-    std::vector<Code> probe(key_cols_left.size());
-    for (std::size_t r = 0; r < result.rows.size(); ++r) {
-      const Tuple& row = result.rows[r];
-      bool translatable = true;
-      for (std::size_t j = 0; j < key_cols_left.size(); ++j) {
-        const std::int64_t code =
-            inst.dict(key_cols_right[j]).Lookup(row[key_cols_left[j]]);
-        if (code < 0) {
-          translatable = false;
-          break;
-        }
-        probe[j] = static_cast<Code>(code);
+    // Build: group the new relation's rows by their key codes. Probe: read
+    // each row's key codes through its support and find their group.
+    const HashGroupIndex build(inst, key_right);
+    KeyProbe probe(build, std::move(from), std::move(to), rows);
+    next.clear();
+    next.reserve(rows * p);
+    auto code_of = [&](std::size_t r, std::size_t j) {
+      const JoinResult::ColumnSource& k = key_left[j];
+      return k.inst->CodeAt(result.support[r * p + k.rel], k.col);
+    };
+    probe.ForEachRow(rows, code_of, [&](std::size_t r, std::uint32_t g) {
+      if (g == kNoGroup) return;
+      const TupleId* sup = &result.support[r * p];
+      for (TupleId t : build.rows(g)) {
+        next.insert(next.end(), sup, sup + p);
+        next[next.size() - p + local] = t;
       }
-      if (!translatable) continue;
-      const std::int64_t g = build.FindByCodes(probe.data());
-      if (g < 0) continue;
-      for (TupleId t : build.rows(static_cast<std::size_t>(g))) {
-        Tuple out = row;
-        for (int c : new_cols) out.push_back(inst.ValueAt(t, c));
-        next_rows.push_back(std::move(out));
-        if (with_support) {
-          const std::size_t base = next_support.size();
-          next_support.resize(base + p);
-          std::copy(result.support.begin() + r * p,
-                    result.support.begin() + (r + 1) * p,
-                    next_support.begin() + base);
-          next_support[base + local] = t;
-        }
-      }
+    });
+    result.support.swap(next);
+    for (const JoinResult::ColumnSource& src : added) {
+      result.attrs.push_back(schema.attrs[src.col]);
+      result.sources.push_back(src);
     }
-
-    result.rows = std::move(next_rows);
-    result.support = std::move(next_support);
-    for (AttrId a : new_attrs) result.attrs.push_back(a);
   }
-
   return result;
 }
 
@@ -225,8 +249,6 @@ std::optional<JoinTree> BuildJoinTree(const std::vector<RelationSchema>& body,
   return tree;
 }
 
-constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
-
 // One join-tree edge after the bottom-up pass: the child's rows grouped by
 // the edge key (the attributes child and parent share), the sum of the
 // child's subtree counts per group, and each parent row's child group.
@@ -238,50 +260,24 @@ struct TreeEdge {
   std::vector<std::uint32_t> match;  // per parent row; kNoGroup = no match
 };
 
-// The child group of every parent row on the key columns `pcols`/`ccols`.
-// Parent key values are translated into the child's dictionary codes, as
-// the materializing join's probe does (a value absent from a dictionary
-// matches no child row). On a single-column key whose parent dictionary has
-// no more entries than the parent has rows, each distinct parent code is
-// translated once into a table, and a parent row's match is one read of it:
-// never more translations than rows. Otherwise (a gathered parent over a
-// larger shared dictionary, or a wider key) every parent row is translated
-// on its own.
+// The child group of every parent row on the key columns `pcols`/`ccols`,
+// translated as the materializing join's probe does (KeyProbe).
 std::vector<std::uint32_t> MatchParentRows(const RelationInstance& parent,
                                            const std::vector<int>& pcols,
                                            const RelationInstance& child,
                                            const std::vector<int>& ccols,
                                            const HashGroupIndex& groups) {
-  std::vector<std::uint32_t> match(parent.size(), kNoGroup);
-  if (pcols.size() == 1 && parent.dict(pcols[0]).size() <= parent.size()) {
-    const ColumnDict& from = parent.dict(pcols[0]);
-    const ColumnDict& to = child.dict(ccols[0]);
-    std::vector<std::uint32_t> group_of_code(from.size(), kNoGroup);
-    for (std::size_t c = 0; c < from.size(); ++c) {
-      const std::int64_t code = to.Lookup(from.values[c]);
-      if (code < 0) continue;
-      const Code probe = static_cast<Code>(code);
-      const std::int64_t g = groups.FindByCodes(&probe);
-      if (g >= 0) group_of_code[c] = static_cast<std::uint32_t>(g);
-    }
-    for (std::size_t t = 0; t < parent.size(); ++t) {
-      match[t] = group_of_code[parent.CodeAt(t, pcols[0])];
-    }
-    return match;
+  std::vector<const ColumnDict*> from, to;
+  for (std::size_t j = 0; j < pcols.size(); ++j) {
+    from.push_back(&parent.dict(pcols[j]));
+    to.push_back(&child.dict(ccols[j]));
   }
-  std::vector<Code> probe(pcols.size());
-  for (std::size_t t = 0; t < parent.size(); ++t) {
-    bool present = true;
-    for (std::size_t j = 0; j < pcols.size() && present; ++j) {
-      const std::int64_t code =
-          child.dict(ccols[j]).Lookup(parent.ValueAt(t, pcols[j]));
-      present = code >= 0;
-      probe[j] = static_cast<Code>(code);
-    }
-    if (!present) continue;
-    const std::int64_t g = groups.FindByCodes(probe.data());
-    if (g >= 0) match[t] = static_cast<std::uint32_t>(g);
-  }
+  KeyProbe probe(groups, std::move(from), std::move(to), parent.size());
+  std::vector<std::uint32_t> match(parent.size());
+  probe.ForEachRow(
+      parent.size(),
+      [&](std::size_t t, std::size_t j) { return parent.CodeAt(t, pcols[j]); },
+      [&](std::size_t t, std::uint32_t g) { match[t] = g; });
   return match;
 }
 
@@ -397,11 +393,10 @@ void CountComponent(const std::vector<RelationSchema>& body,
     comp.rows = PropagateCounts(body, db, *tree, per_tuple);
   }
   if (!tree || projected) {
-    const bool tally = !tree && per_tuple != nullptr;
-    const JoinResult join = JoinPositions(body, db, comp.rels, tally);
+    const JoinResult join = JoinPositions(body, db, comp.rels);
     comp.rows = static_cast<std::int64_t>(join.NumRows());
     if (!tree) materialized = true;
-    if (tally) {
+    if (!tree && per_tuple != nullptr) {
       for (int i : comp.rels) (*per_tuple)[i].assign(db.rel(i).size(), 0);
       for (std::size_t r = 0; r < join.NumRows(); ++r) {
         for (std::size_t j = 0; j < comp.rels.size(); ++j) {
@@ -410,13 +405,8 @@ void CountComponent(const std::vector<RelationSchema>& body,
       }
     }
     if (projected) {
-      const AttrSet proj = head.Intersect(attrs);
-      std::unordered_set<Tuple, VecHash> distinct;
-      distinct.reserve(join.NumRows() * 2);
-      for (std::size_t r = 0; r < join.NumRows(); ++r) {
-        distinct.insert(join.Project(r, proj));
-      }
-      comp.outputs = static_cast<std::int64_t>(distinct.size());
+      comp.outputs = static_cast<std::int64_t>(
+          GroupJoinRows(join, head.Intersect(attrs)).num_groups());
     }
   }
   if (!projected) comp.outputs = full ? comp.rows : (comp.rows > 0 ? 1 : 0);
@@ -441,17 +431,53 @@ int JoinResult::ColumnOf(AttrId a) const {
 Tuple JoinResult::Project(std::size_t row, AttrSet set) const {
   Tuple out;
   out.reserve(set.Size());
-  for (AttrId a : set) {
-    out.push_back(rows[row][ColumnOf(a)]);
-  }
+  for (AttrId a : set) out.push_back(ValueAt(row, ColumnOf(a)));
   return out;
 }
 
 JoinResult FullJoin(const std::vector<RelationSchema>& body,
-                    const Database& db, bool with_support) {
+                    const Database& db) {
   std::vector<int> all(body.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-  return JoinPositions(body, db, all, with_support);
+  return JoinPositions(body, db, all);
+}
+
+JoinGroups GroupJoinRows(const JoinResult& join, AttrSet key) {
+  std::vector<int> cols;
+  for (AttrId a : key) {
+    const int c = join.ColumnOf(a);
+    if (c >= 0) cols.push_back(c);
+  }
+  const std::size_t rows = join.NumRows();
+  if (rows >= kNoGroup) throw std::length_error("join too large to group");
+  std::size_t cap = 16;
+  while (cap < rows * 2) cap <<= 1;
+  const std::size_t mask = cap - 1;
+  std::vector<std::uint32_t> table(cap, kNoGroup);  // slot -> first row
+  JoinGroups groups;
+  groups.group_of.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::uint64_t h = 0x2545f4914f6cdd1dULL;
+    for (int c : cols) h = HashMix(h, join.CodeAt(r, c));
+    for (std::size_t slot = h & mask;; slot = (slot + 1) & mask) {
+      const std::uint32_t rep = table[slot];
+      if (rep == kNoGroup) {
+        table[slot] = static_cast<std::uint32_t>(r);
+        groups.group_of[r] = static_cast<std::uint32_t>(groups.num_groups());
+        groups.first_row.push_back(static_cast<std::uint32_t>(r));
+        break;
+      }
+      bool eq = true;
+      for (std::size_t j = 0; j < cols.size() && eq; ++j) {
+        eq = join.CodeAt(rep, cols[j]) == join.CodeAt(r, cols[j]);
+      }
+      if (eq) {
+        groups.group_of[r] = groups.group_of[rep];
+        break;
+      }
+    }
+  }
+  return groups;
 }
 
 std::vector<std::int64_t> JoinCounts::RowsThrough(int rel) const {
@@ -503,39 +529,10 @@ JoinCounts CountComponents(const std::vector<RelationSchema>& body,
   return counts;
 }
 
-JoinCounts CountJoinRows(const std::vector<RelationSchema>& body,
-                         const Database& db) {
-  AttrSet all;
-  for (const RelationSchema& r : body) all = all.Union(r.attr_set());
-  JoinCounts counts = CountComponents(body, all, db, /*per_tuple=*/true);
-  if (counts.components.size() > 1) {
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      counts.per_tuple[i] = counts.RowsThrough(static_cast<int>(i));
-    }
-  }
-  return counts;
-}
-
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db) {
   return static_cast<std::uint64_t>(
       CountComponents(body, head, db, /*per_tuple=*/false).outputs);
-}
-
-std::vector<Tuple> DistinctOutputs(const std::vector<RelationSchema>& body,
-                                   AttrSet head, const Database& db) {
-  const JoinResult join = FullJoin(body, db, /*with_support=*/false);
-  AttrSet all;
-  for (AttrId a : join.attrs) all.Add(a);
-  const AttrSet proj = head.Intersect(all);
-  std::vector<Tuple> out;
-  std::unordered_set<Tuple, VecHash> seen;
-  seen.reserve(join.rows.size() * 2);
-  for (std::size_t r = 0; r < join.rows.size(); ++r) {
-    Tuple t = join.Project(r, proj);
-    if (seen.insert(t).second) out.push_back(std::move(t));
-  }
-  return out;
 }
 
 }  // namespace adp

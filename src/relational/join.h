@@ -10,7 +10,7 @@
 // Counting splits the body into connected components (a disconnected body
 // joins by cross product, so counts multiply) and picks, per component, one
 // of two paths. CountComponents, the one counting routine, is the only place
-// that chooses; CountOutputs and CountJoinRows are thin wrappers over it:
+// that chooses; CountOutputs is a thin wrapper over it:
 //
 // - Propagation, for acyclic components (a GYO join tree exists) whose head
 //   keeps every attribute of the component or none of them (full or
@@ -18,13 +18,22 @@
 //   flow over the join tree, bottom-up for the join rows and back down for
 //   the rows through each tuple. O(Σ|Rᵢ| + distinct keys) time; no join row
 //   is built. A single-column edge key is grouped through a code-indexed
-//   array when the child's dictionary is dense (relational/group_index.h),
-//   and translated through a per-code table when the parent's dictionary
-//   has no more entries than the parent has rows.
+//   array when the child's dictionary is dense (relational/group_index.h).
 // - The materializing join, for cyclic components (e.g. the triangle) and
 //   for the distinct outputs of heads that keep some but not all of a
 //   component's attributes. A sequence of hash joins in a greedily chosen
-//   connected order builds every row: O(|join|) time and memory.
+//   connected order builds every row.
+//
+// The materializing join works on dictionary codes. A row, intermediate or
+// final, is just its support, one TupleId per relation, and each result
+// column names the instance column it is read from: O(|join|·p) words, no
+// allocation per row, no value copied. Its probe, like the propagation's
+// parent match, translates a key column into the build side's dictionary
+// once per code when the column's dictionary has no more entries than the
+// rows probing it (TranslatesByTable), else per row. GroupJoinRows, the one
+// grouping routine over join rows, groups them by their head codes: the
+// distinct outputs of a projected component, ProvenanceIndex's output
+// groups and the Singleton case-1 profits under a projected head.
 //
 // One solve makes one counting pass at its root: ComputeAdp's preamble
 // calls CountComponents once and hands the result to the root node
@@ -48,23 +57,44 @@
 
 namespace adp {
 
-/// Full join output.
+/// Full join output: every row as its support, with the columns read
+/// through it. The instances joined must outlive the result.
 struct JoinResult {
-  /// Column order of `rows`: the union of body attributes, in join order.
+  /// Where a column is read: column `col` of `inst` (the first joined
+  /// relation holding the attribute), at the tuple support slot `rel` names.
+  struct ColumnSource {
+    std::size_t rel;
+    std::size_t col;
+    const RelationInstance* inst;
+  };
+
+  /// The union of body attributes, in join order, and where each is read.
+  /// Both are empty when an empty instance annihilated the join.
   std::vector<AttrId> attrs;
+  std::vector<ColumnSource> sources;
 
-  /// One row per full-join result, over `attrs`.
-  std::vector<Tuple> rows;
-
-  /// If requested: flattened support matrix with stride `num_relations`.
+  /// Flattened support matrix with stride `num_relations`:
   /// `support[r * num_relations + i]` is the index (within relation `i`'s
   /// instance) of the tuple that produced row `r`.
   std::vector<TupleId> support;
   std::size_t num_relations = 0;
 
-  std::size_t NumRows() const { return rows.size(); }
+  std::size_t NumRows() const {
+    return num_relations == 0 ? 0 : support.size() / num_relations;
+  }
   TupleId SupportOf(std::size_t row, std::size_t rel) const {
     return support[row * num_relations + rel];
+  }
+
+  /// Code and value of row `row` in column `col`. An attribute's codes are
+  /// comparable across rows: they always come from one instance column.
+  Code CodeAt(std::size_t row, std::size_t col) const {
+    const ColumnSource& s = sources[col];
+    return s.inst->CodeAt(SupportOf(row, s.rel), s.col);
+  }
+  Value ValueAt(std::size_t row, std::size_t col) const {
+    const ColumnSource& s = sources[col];
+    return s.inst->ValueAt(SupportOf(row, s.rel), s.col);
   }
 
   /// Column position of attribute `a` in `attrs`, or -1.
@@ -75,11 +105,34 @@ struct JoinResult {
   Tuple Project(std::size_t row, AttrSet set) const;
 };
 
-/// Computes the full natural join of `body` over `db`.
-/// If `with_support` is set, records the contributing tuple of every relation
-/// for every row (costs O(rows * body.size()) extra memory).
+/// Computes the full natural join of `body` over `db`, support included.
 JoinResult FullJoin(const std::vector<RelationSchema>& body,
-                    const Database& db, bool with_support);
+                    const Database& db);
+
+/// True when a probing key column over a dictionary of `dict_size` entries,
+/// probed by `probing_rows` rows, is translated into the build side's
+/// dictionary once per code, through a table (never more translations than
+/// rows), rather than once per row through ColumnDict::Lookup.
+inline bool TranslatesByTable(std::size_t dict_size, std::size_t probing_rows) {
+  return dict_size <= probing_rows;
+}
+
+/// Join rows grouped by their codes on some attributes (GroupJoinRows).
+struct JoinGroups {
+  /// Per join row: its group, numbered in first-seen row order.
+  std::vector<std::uint32_t> group_of;
+  /// Per group: its first row.
+  std::vector<std::uint32_t> first_row;
+
+  std::size_t num_groups() const { return first_row.size(); }
+};
+
+/// Groups the rows of `join` by their codes on the attributes of `key` that
+/// the join has: open addressing over representative row ids, collisions
+/// resolved by comparing codes. Under a head, the groups are the distinct
+/// outputs. Throws std::length_error when the join has 2^32 - 1 rows or
+/// more.
+JoinGroups GroupJoinRows(const JoinResult& join, AttrSet key);
 
 /// Join-row and output counts of a body, per connected component and
 /// overall (CountComponents).
@@ -109,8 +162,8 @@ struct JoinCounts {
   /// Filled only when asked for. `per_tuple[i][t]`: the number of rows of
   /// the join of relation `i`'s own component whose relation-`i` tuple is
   /// `t`, saturated. Zero exactly for the dangling tuples (§7.2). For a
-  /// connected body these are rows of the whole join; CountJoinRows
-  /// replaces each by RowsThrough(i), so there they always are.
+  /// connected body these are rows of the whole join; RowsThrough gives
+  /// them for any body.
   std::vector<std::vector<std::int64_t>> per_tuple;
 
   /// True when some component had no join tree and was counted by
@@ -132,20 +185,10 @@ struct JoinCounts {
 JoinCounts CountComponents(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db, bool per_tuple);
 
-/// Counts the full join of `body` over `db`: rows overall and, in
-/// `per_tuple`, rows of the whole join through every input tuple.
-JoinCounts CountJoinRows(const std::vector<RelationSchema>& body,
-                         const Database& db);
-
 /// |Q(D)|: the number of distinct projections of the full join onto `head`,
 /// saturated at kMaxOutputs (CountComponents' `outputs`).
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db);
-
-/// The distinct head projections themselves, in first-seen order, from the
-/// materializing join.
-std::vector<Tuple> DistinctOutputs(const std::vector<RelationSchema>& body,
-                                   AttrSet head, const Database& db);
 
 }  // namespace adp
 

@@ -4,64 +4,18 @@
 #include <stdexcept>
 
 #include "relational/join.h"
-#include "util/hash.h"
 
 namespace adp {
 namespace {
 
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
-// Groups the join's rows by their values on columns `cols`; returns each
-// row's group id (first-seen order) and sets `num_groups`. Open addressing
-// over representative rows: a slot holds the first row of its group, so no
-// key tuples are built.
-std::vector<std::uint32_t> GroupRows(const JoinResult& join,
-                                     const std::vector<int>& cols,
-                                     std::size_t* num_groups) {
-  const std::size_t rows = join.NumRows();
-  std::size_t cap = 16;
-  while (cap < rows * 2) cap <<= 1;
-  const std::size_t mask = cap - 1;
-  std::vector<std::uint32_t> table(cap, kNone);  // slot -> representative row
-  std::vector<std::uint32_t> group(rows);
-  std::uint32_t groups = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const Tuple& row = join.rows[r];
-    std::uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (int c : cols) h = HashMix(h, static_cast<std::uint64_t>(row[c]));
-    std::size_t slot = h & mask;
-    for (;;) {
-      const std::uint32_t rep = table[slot];
-      if (rep == kNone) {
-        table[slot] = static_cast<std::uint32_t>(r);
-        group[r] = groups++;
-        break;
-      }
-      const Tuple& other = join.rows[rep];
-      bool eq = true;
-      for (int c : cols) {
-        if (other[c] != row[c]) {
-          eq = false;
-          break;
-        }
-      }
-      if (eq) {
-        group[r] = group[rep];
-        break;
-      }
-      slot = (slot + 1) & mask;
-    }
-  }
-  *num_groups = groups;
-  return group;
-}
-
 }  // namespace
 
 ProvenanceIndex::ProvenanceIndex(const std::vector<RelationSchema>& body,
                                  AttrSet head, const Database& db)
     : p_(body.size()) {
-  JoinResult join = FullJoin(body, db, /*with_support=*/true);
+  JoinResult join = FullJoin(body, db);
   const std::size_t rows = join.NumRows();
   if (rows * p_ >= kNone) {
     throw std::length_error("provenance index: join too large");
@@ -73,12 +27,10 @@ ProvenanceIndex::ProvenanceIndex(const std::vector<RelationSchema>& body,
   for (AttrId a : join.attrs) all.Add(a);
   std::size_t groups = rows;
   if (!all.SubsetOf(head)) {
-    std::vector<int> cols;
-    for (AttrId a : head.Intersect(all)) cols.push_back(join.ColumnOf(a));
-    row_group_ = GroupRows(join, cols, &groups);
-    if (groups == rows) row_group_.clear();
+    JoinGroups outputs = GroupJoinRows(join, head);
+    groups = outputs.num_groups();
+    if (groups != rows) row_group_ = std::move(outputs.group_of);
   }
-  std::vector<Tuple>().swap(join.rows);
   support_ = std::move(join.support);
   total_outputs_ = alive_outputs_ = static_cast<std::int64_t>(groups);
   row_alive_.assign(rows, 1);

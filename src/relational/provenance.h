@@ -18,7 +18,9 @@
 // projected head, a group's other supporter loses its last row there).
 //
 // Cost model (rows = |join|, p = body size, tuples = Σ |instances|):
-//   build:      O(rows·p + tuples) time and words, over one FullJoin;
+//   build:      O(rows·p + tuples) time and words: one FullJoin, whose rows
+//               are already support and become the index's own, then one
+//               GroupJoinRows pass over head codes (relational/join.h);
 //   Delete:     O(p) per join row it kills — each row dies once, so a whole
 //               deletion sequence costs O(rows·p);
 //   Profit, IsRelevant: O(1) reads.
@@ -39,8 +41,8 @@ namespace adp {
 
 class ProvenanceIndex {
  public:
-  /// Builds the index by materializing the full join of `body` over `db`
-  /// with support, then grouping rows by head projection. Throws
+  /// Builds the index by materializing the full join of `body` over `db`,
+  /// then grouping its rows by their head codes. Throws
   /// std::length_error when the join has 2^32 or more (row, relation)
   /// support entries.
   ProvenanceIndex(const std::vector<RelationSchema>& body, AttrSet head,

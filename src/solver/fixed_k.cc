@@ -46,7 +46,7 @@ std::optional<AdpSolution> SolveFixedKFullCq(const ConjunctiveQuery& q,
   if (!q.IsFull() || q.HasSelections()) return std::nullopt;
   if (k > max_k || k < 0 || k >= 31) return std::nullopt;
 
-  JoinResult join = FullJoin(q.body(), db, /*with_support=*/true);
+  JoinResult join = FullJoin(q.body(), db);
   const std::int64_t rows = static_cast<std::int64_t>(join.NumRows());
   if (k > rows) return std::nullopt;
 

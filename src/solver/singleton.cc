@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "obs/trace.h"
 #include "relational/group_index.h"
 #include "relational/join.h"
-#include "util/hash.h"
 #include "util/saturating.h"
 
 namespace adp {
@@ -28,45 +26,18 @@ CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
   return profile;
 }
 
-// Case-1 profits under a projected head: the distinct outputs grouped by
-// their projection onto attr(Ri). Each group corresponds to exactly one Ri
-// tuple (instances are duplicate-free).
+// Case-1 profits under a projected head: a tuple's profit is the number of
+// outputs it supports. attr(Ri) ⊆ head, so every join row of one output
+// carries the same Ri tuple (instances are duplicate-free), and its first
+// row names it.
 std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
                                            const Database& db, int ri,
                                            const AdpOptions& options) {
-  const RelationSchema& schema = q.relation(ri);
-  const RelationInstance& inst = db.rel(ri);
-  const AttrSet ai = schema.attr_set();
   if (options.stats) ++options.stats->count_passes;
-  const std::vector<Tuple> outputs = DistinctOutputs(q.body(), q.head(), db);
-  // Column positions of attr(Ri) inside the head projection (both use
-  // increasing AttrId order).
-  std::vector<int> cols;
-  {
-    int pos = 0;
-    for (AttrId a : q.head()) {
-      if (ai.Contains(a)) cols.push_back(pos);
-      ++pos;
-    }
-  }
-  std::unordered_map<Tuple, std::int64_t, VecHash> profit_of;
-  profit_of.reserve(outputs.size() * 2);
-  Tuple key(cols.size());
-  for (const Tuple& out : outputs) {
-    for (std::size_t j = 0; j < cols.size(); ++j) key[j] = out[cols[j]];
-    ++profit_of[key];
-  }
-  // Match profits to Ri tuples (tuple column order may differ from AttrId
-  // order; normalize).
-  std::vector<int> tcols;
-  for (AttrId a : ai) tcols.push_back(schema.ColumnOf(a));
-  std::vector<std::int64_t> profit(inst.size(), 0);
-  for (std::size_t t = 0; t < inst.size(); ++t) {
-    for (std::size_t j = 0; j < tcols.size(); ++j) {
-      key[j] = inst.ValueAt(t, tcols[j]);
-    }
-    auto it = profit_of.find(key);
-    if (it != profit_of.end()) profit[t] = it->second;
+  const JoinResult join = FullJoin(q.body(), db);
+  std::vector<std::int64_t> profit(db.rel(ri).size(), 0);
+  for (std::uint32_t r : GroupJoinRows(join, q.head()).first_row) {
+    ++profit[join.SupportOf(r, ri)];
   }
   return profit;
 }

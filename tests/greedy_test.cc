@@ -34,7 +34,7 @@ class ReferenceProvenance {
  public:
   ReferenceProvenance(const std::vector<RelationSchema>& body, AttrSet head,
                       const Database& db) {
-    const JoinResult join = FullJoin(body, db, /*with_support=*/true);
+    const JoinResult join = FullJoin(body, db);
     AttrSet all;
     for (AttrId a : join.attrs) all.Add(a);
     tuple_rows_.resize(body.size());

@@ -1,12 +1,15 @@
-// Join-free counting (relational/join.h): CountJoinRows and CountOutputs
-// against the materializing join and the nested-loop oracle. Random bodies
-// (vacuum relations, empty instances, disconnected and cyclic bodies) under
-// full, Boolean and projected heads; fixed acyclic and cyclic shapes; the
-// key translation on gathered sub-instances; and saturation.
+// Join-free counting (relational/join.h): CountComponents' rows through
+// each tuple and CountOutputs against the materializing join and the
+// nested-loop oracle. Random bodies (vacuum relations, empty instances,
+// disconnected and cyclic bodies) under full, Boolean and projected heads;
+// fixed acyclic and cyclic shapes; the key translation on gathered
+// sub-instances, for propagation and for the materializing join; and
+// saturation.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +25,9 @@
 namespace adp {
 namespace {
 
+using testing::DistinctOutputs;
 using testing::OracleCount;
+using testing::OracleOutputs;
 using testing::RandomDb;
 using testing::RandomQuery;
 
@@ -30,7 +35,7 @@ using Counts = std::vector<std::vector<std::int64_t>>;
 
 // Rows through each tuple, tallied over the materializing join's support.
 Counts TalliedCounts(const ConjunctiveQuery& q, const Database& db) {
-  const JoinResult join = FullJoin(q.body(), db, /*with_support=*/true);
+  const JoinResult join = FullJoin(q.body(), db);
   Counts tally(q.num_relations());
   for (int i = 0; i < q.num_relations(); ++i) {
     tally[i].assign(db.rel(i).size(), 0);
@@ -43,15 +48,30 @@ Counts TalliedCounts(const ConjunctiveQuery& q, const Database& db) {
   return tally;
 }
 
-// Checks CountJoinRows against the materializing join and CountOutputs
-// against the oracle under q's own head, the full head and the Boolean head.
-// Returns whether CountJoinRows fell back to the materializing join.
+// The full-head counting pass with the rows of the whole join through each
+// tuple.
+JoinCounts CountRowsThrough(const ConjunctiveQuery& q, const Database& db) {
+  return CountComponents(q.body(), q.all_attrs(), db, /*per_tuple=*/true);
+}
+
+Counts RowsThroughEach(const JoinCounts& counts) {
+  Counts rows(counts.per_tuple.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = counts.RowsThrough(static_cast<int>(i));
+  }
+  return rows;
+}
+
+// Checks the full-head counting pass against the materializing join and
+// CountOutputs against the oracle under q's own head, the full head and the
+// Boolean head. Returns whether the pass fell back to the materializing
+// join.
 bool ExpectCountsMatchOracle(ConjunctiveQuery q, const Database& db) {
-  const JoinCounts counts = CountJoinRows(q.body(), db);
+  const JoinCounts counts = CountRowsThrough(q, db);
   EXPECT_EQ(counts.rows, static_cast<std::int64_t>(
-                             FullJoin(q.body(), db, false).NumRows()))
+                             FullJoin(q.body(), db).NumRows()))
       << q.ToString();
-  EXPECT_EQ(counts.per_tuple, TalliedCounts(q, db)) << q.ToString();
+  EXPECT_EQ(RowsThroughEach(counts), TalliedCounts(q, db)) << q.ToString();
   for (const AttrSet head : {q.head(), q.all_attrs(), AttrSet()}) {
     q.SetHead(head);
     EXPECT_EQ(static_cast<std::int64_t>(CountOutputs(q.body(), head, db)),
@@ -143,11 +163,11 @@ TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
   ASSERT_GT(db.rel(0).dict(1).size(), db.rel(0).size());
   ASSERT_GT(db.rel(1).dict(0).size(), db.rel(1).size());
 
-  const JoinCounts counts = CountJoinRows(q.body(), db);
+  const JoinCounts counts = CountRowsThrough(q, db);
   EXPECT_FALSE(counts.materialized);
   EXPECT_EQ(counts.rows, 2);
-  EXPECT_EQ(counts.per_tuple[0], (std::vector<std::int64_t>{0, 1, 1}));
-  EXPECT_EQ(counts.per_tuple[1], (std::vector<std::int64_t>{1, 1, 0}));
+  EXPECT_EQ(counts.RowsThrough(0), (std::vector<std::int64_t>{0, 1, 1}));
+  EXPECT_EQ(counts.RowsThrough(1), (std::vector<std::int64_t>{1, 1, 0}));
   EXPECT_FALSE(ExpectCountsMatchOracle(q, db));
 
   // Against a standalone instance with a dictionary of its own.
@@ -185,7 +205,53 @@ TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
   disjoint.Load(0, {{0, 10}, {1, 20}, {1, 30}});
   disjoint.Load(1, {{11, 1}, {21, 2}, {31, 3}});
   EXPECT_FALSE(ExpectCountsMatchOracle(q, disjoint));
-  EXPECT_EQ(CountJoinRows(q.body(), disjoint).rows, 0);
+  EXPECT_EQ(CountRowsThrough(q, disjoint).rows, 0);
+
+  // A projected head takes the materializing join and the grouping routine.
+  // The join starts from R1 (ties go to the first relation), so R1's rows
+  // probe R2 on B: through the per-row Lookup when R1 was gathered over
+  // 10k values, through a table when its dictionary is its own.
+  const ConjunctiveQuery projected =
+      ParseQuery("Q(A,C) :- R1(A,B), R2(B,C)");
+  const std::pair<const Database*, bool> inputs[] = {
+      {&db, false}, {&mixed, false}, {&dense, true},
+      {&large_parent, false}, {&disjoint, true}};
+  for (const auto& [input, tabled] : inputs) {
+    const RelationInstance& r1 = input->rel(0);
+    EXPECT_EQ(TranslatesByTable(r1.dict(1).size(), r1.size()), tabled);
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  CountOutputs(projected.body(), projected.head(), *input)),
+              OracleCount(projected, *input));
+    const std::vector<Tuple> outs =
+        DistinctOutputs(projected.body(), projected.head(), *input);
+    EXPECT_EQ(std::set<Tuple>(outs.begin(), outs.end()),
+              OracleOutputs(projected, *input));
+    EXPECT_EQ(outs.size(), OracleOutputs(projected, *input).size());
+  }
+
+  // The triangle over gathered sub-instances: cyclic, so materialized. The
+  // join starts from R2, the smallest, whose B column holds 10k values, so
+  // its rows probe R1 per row.
+  const ConjunctiveQuery triangle =
+      ParseQuery("Q(A,B,C) :- R1(A,B), R2(B,C), R3(C,A)");
+  RelationInstance root3;
+  for (Value v = 0; v < 10000; ++v) root3.Add({v, v % 3});
+  Database cyclic(3);
+  cyclic.rel(0).AppendGathered(root1, std::vector<TupleId>{10, 20, 30, 31});
+  cyclic.rel(1).AppendGathered(root2, std::vector<TupleId>{20, 30, 40});
+  cyclic.rel(2).AppendGathered(root3, std::vector<TupleId>{0, 1, 2, 3, 4});
+  EXPECT_FALSE(
+      TranslatesByTable(cyclic.rel(1).dict(0).size(), cyclic.rel(1).size()));
+  EXPECT_TRUE(ExpectCountsMatchOracle(triangle, cyclic));
+  EXPECT_GT(CountOutputs(triangle.body(), triangle.head(), cyclic), 0u);
+  for (const char* head : {"A", "A,B"}) {
+    const ConjunctiveQuery q_head =
+        ParseQuery(std::string("Q(") + head + ") :- R1(A,B), R2(B,C), R3(C,A)");
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  CountOutputs(q_head.body(), q_head.head(), cyclic)),
+              OracleCount(q_head, cyclic))
+        << head;
+  }
 }
 
 // A star of `arms` arms of 2^13 rows each around a one-row hub. With
@@ -228,12 +294,12 @@ TEST(JoinCountsTest, CountsSaturateWithoutOverflow) {
       q.SetHead(q.all_attrs());
       EXPECT_EQ(CountOutputs(q.body(), q.head(), db),
                 static_cast<std::uint64_t>(kMaxOutputs));
-      const JoinCounts counts = CountJoinRows(q.body(), db);
+      const JoinCounts counts = CountRowsThrough(q, db);
       EXPECT_FALSE(counts.materialized);
       EXPECT_EQ(counts.rows, kMaxOutputs);
-      EXPECT_EQ(counts.per_tuple[0], std::vector<std::int64_t>{kMaxOutputs});
+      EXPECT_EQ(counts.RowsThrough(0), std::vector<std::int64_t>{kMaxOutputs});
       for (int i = 1; i <= 5; ++i) {
-        for (std::int64_t n : counts.per_tuple[i]) {
+        for (std::int64_t n : counts.RowsThrough(i)) {
           ASSERT_EQ(n, std::int64_t{1} << 52);
         }
       }
@@ -244,9 +310,9 @@ TEST(JoinCountsTest, CountsSaturateWithoutOverflow) {
     // saturates.
     {
       const auto [q, db] = HugeStar(6, shared_key);
-      const JoinCounts counts = CountJoinRows(q.body(), db);
+      const JoinCounts counts = CountRowsThrough(q, db);
       EXPECT_EQ(counts.rows, kMaxOutputs);
-      for (const std::vector<std::int64_t>& rel : counts.per_tuple) {
+      for (const std::vector<std::int64_t>& rel : RowsThroughEach(counts)) {
         for (std::int64_t n : rel) ASSERT_EQ(n, kMaxOutputs);
       }
     }

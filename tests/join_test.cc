@@ -4,18 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "query/parser.h"
 #include "relational/group_index.h"
 #include "relational/join.h"
+#include "relational/provenance.h"
 #include "test_util.h"
 
 namespace adp {
 namespace {
 
+using testing::DistinctOutputs;
 using testing::MakeDb;
 using testing::OracleCount;
+using testing::OracleJoinRows;
 using testing::OracleOutputs;
 using testing::RandomDb;
 using testing::RandomQuery;
@@ -35,7 +39,7 @@ Database Fig1Db(const ConjunctiveQuery& q) {
 TEST(JoinTest, Figure1FullJoinHasFourRows) {
   const ConjunctiveQuery q = Fig1Query("A,B,C,E");
   const Database db = Fig1Db(q);
-  const JoinResult join = FullJoin(q.body(), db, /*with_support=*/false);
+  const JoinResult join = FullJoin(q.body(), db);
   EXPECT_EQ(join.NumRows(), 4u);
   EXPECT_EQ(CountOutputs(q.body(), q.head(), db), 4u);
 }
@@ -54,7 +58,7 @@ TEST(JoinTest, Figure1ProjectionQ2HasThreeOutputs) {
 TEST(JoinTest, SupportIdentifiesContributingTuples) {
   const ConjunctiveQuery q = Fig1Query("A,B,C,E");
   const Database db = Fig1Db(q);
-  const JoinResult join = FullJoin(q.body(), db, /*with_support=*/true);
+  const JoinResult join = FullJoin(q.body(), db);
   ASSERT_EQ(join.NumRows(), 4u);
   for (std::size_t r = 0; r < join.NumRows(); ++r) {
     // Reconstruct the row from its supports and compare attribute-wise.
@@ -65,7 +69,7 @@ TEST(JoinTest, SupportIdentifiesContributingTuples) {
       for (std::size_t c = 0; c < schema.attrs.size(); ++c) {
         const int col = join.ColumnOf(schema.attrs[c]);
         ASSERT_GE(col, 0);
-        EXPECT_EQ(join.rows[r][col], src[c]);
+        EXPECT_EQ(join.ValueAt(r, col), src[c]);
       }
     }
   }
@@ -74,31 +78,50 @@ TEST(JoinTest, SupportIdentifiesContributingTuples) {
 TEST(JoinTest, RowsThroughEachTupleFigure1) {
   const ConjunctiveQuery q = Fig1Query("A,B,C,E");
   const Database db = Fig1Db(q);
-  const JoinCounts counts = CountJoinRows(q.body(), db);
+  const JoinCounts counts =
+      CountComponents(q.body(), q.all_attrs(), db, /*per_tuple=*/true);
   EXPECT_EQ(counts.rows, 4);
   EXPECT_FALSE(counts.materialized);
   // Every tuple of Figure 1 participates in some join row; b2 fans out to
   // c2 and c3, and c3 is reached from both b2 and b3.
-  EXPECT_EQ(counts.per_tuple[0], (std::vector<std::int64_t>{1, 2, 1}));
-  EXPECT_EQ(counts.per_tuple[1], (std::vector<std::int64_t>{1, 1, 1, 1}));
-  EXPECT_EQ(counts.per_tuple[2], (std::vector<std::int64_t>{1, 1, 2}));
+  EXPECT_EQ(counts.RowsThrough(0), (std::vector<std::int64_t>{1, 2, 1}));
+  EXPECT_EQ(counts.RowsThrough(1), (std::vector<std::int64_t>{1, 1, 1, 1}));
+  EXPECT_EQ(counts.RowsThrough(2), (std::vector<std::int64_t>{1, 1, 2}));
 }
 
 TEST(JoinTest, DanglingTupleCountsZeroRows) {
   const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A), R2(A,B)");
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}},
                                  {"R2", {{1, 5}, {3, 6}}}});
-  const JoinCounts counts = CountJoinRows(q.body(), db);
-  EXPECT_EQ(counts.per_tuple[0][0], 1);  // R1(1) joins
-  EXPECT_EQ(counts.per_tuple[0][1], 0);  // R1(2) dangling
-  EXPECT_EQ(counts.per_tuple[1][0], 1);
-  EXPECT_EQ(counts.per_tuple[1][1], 0);  // R2(3,6) dangling
+  const JoinCounts counts =
+      CountComponents(q.body(), q.all_attrs(), db, /*per_tuple=*/true);
+  EXPECT_EQ(counts.RowsThrough(0)[0], 1);  // R1(1) joins
+  EXPECT_EQ(counts.RowsThrough(0)[1], 0);  // R1(2) dangling
+  EXPECT_EQ(counts.RowsThrough(1)[0], 1);
+  EXPECT_EQ(counts.RowsThrough(1)[1], 0);  // R2(3,6) dangling
 }
 
 TEST(JoinTest, EmptyRelationAnnihilates) {
   const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A), R2(A,B)");
   const Database db = MakeDb(q, {{"R1", {}}, {"R2", {{1, 2}}}});
   EXPECT_EQ(CountOutputs(q.body(), q.head(), db), 0u);
+}
+
+// An emptied instance annihilates the join before any column source is
+// known: a projected head over it groups nothing and reads no column.
+TEST(JoinTest, ProjectedHeadOverAnEmptiedInstance) {
+  const ConjunctiveQuery q = ParseQuery("Q(A) :- R1(A,B), R2(B,C)");
+  const Database db = MakeDb(q, {{"R1", {{1, 2}, {3, 4}}}, {"R2", {}}});
+  const JoinResult join = FullJoin(q.body(), db);
+  EXPECT_EQ(join.NumRows(), 0u);
+  EXPECT_TRUE(join.attrs.empty());
+  EXPECT_TRUE(join.sources.empty());
+  EXPECT_EQ(GroupJoinRows(join, q.head()).num_groups(), 0u);
+  EXPECT_TRUE(DistinctOutputs(q.body(), q.head(), db).empty());
+  EXPECT_EQ(CountOutputs(q.body(), q.head(), db), 0u);
+  const ProvenanceIndex index(q.body(), q.head(), db);
+  EXPECT_EQ(index.total_outputs(), 0);
+  EXPECT_FALSE(index.IsRelevant(0, 0));
 }
 
 TEST(JoinTest, CrossProductForDisconnectedBody) {
@@ -301,6 +324,28 @@ TEST_P(JoinOracleSweep, MatchesOracle) {
   EXPECT_EQ(static_cast<std::int64_t>(
                 CountOutputs(q.body(), q.head(), db)),
             OracleCount(q, db));
+
+  // The join's rows, as support, against the nested-loop join; every
+  // column decodes to the value of the tuple it is read from.
+  const JoinResult join = FullJoin(q.body(), db);
+  const std::size_t p = join.num_relations;
+  std::vector<std::vector<TupleId>> rows;
+  for (std::size_t r = 0; r < join.NumRows(); ++r) {
+    rows.emplace_back(join.support.begin() + r * p,
+                      join.support.begin() + (r + 1) * p);
+    for (int i = 0; i < q.num_relations(); ++i) {
+      const RelationSchema& schema = q.relation(i);
+      for (std::size_t c = 0; c < schema.attrs.size(); ++c) {
+        ASSERT_EQ(join.ValueAt(r, join.ColumnOf(schema.attrs[c])),
+                  db.rel(i).ValueAt(join.SupportOf(r, i), c))
+            << q.ToString();
+      }
+    }
+  }
+  std::vector<std::vector<TupleId>> want = OracleJoinRows(q, db);
+  std::sort(rows.begin(), rows.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(rows, want) << q.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, JoinOracleSweep,

@@ -12,6 +12,7 @@
 
 #include "query/query.h"
 #include "relational/database.h"
+#include "relational/join.h"
 #include "util/rng.h"
 
 namespace adp::testing {
@@ -91,6 +92,58 @@ inline std::set<Tuple> OracleOutputs(const ConjunctiveQuery& q,
   };
   rec(rec, 0, AttrSet());
   return outputs;
+}
+
+/// The distinct head projections of the full join, in first-seen order: one
+/// per group of its rows.
+inline std::vector<Tuple> DistinctOutputs(
+    const std::vector<RelationSchema>& body, AttrSet head,
+    const Database& db) {
+  const JoinResult join = FullJoin(body, db);
+  AttrSet all;
+  for (AttrId a : join.attrs) all.Add(a);
+  std::vector<Tuple> out;
+  for (std::uint32_t r : GroupJoinRows(join, head).first_row) {
+    out.push_back(join.Project(r, head.Intersect(all)));
+  }
+  return out;
+}
+
+/// Oracle: the rows of the natural join of q's body (selections not
+/// applied), by nested loops over every choice of one tuple per relation
+/// that agrees on shared attributes. Each row is its support: entry i is
+/// the tuple of relation i.
+inline std::vector<std::vector<TupleId>> OracleJoinRows(
+    const ConjunctiveQuery& q, const Database& db) {
+  const int p = q.num_relations();
+  std::vector<std::vector<TupleId>> rows;
+  std::vector<TupleId> support(p);
+  auto agree = [&](int depth) {
+    const RelationSchema& schema = q.relation(depth);
+    for (int prev = 0; prev < depth; ++prev) {
+      const RelationSchema& other = q.relation(prev);
+      for (std::size_t c = 0; c < schema.attrs.size(); ++c) {
+        const int oc = other.ColumnOf(schema.attrs[c]);
+        if (oc >= 0 && db.rel(depth).ValueAt(support[depth], c) !=
+                           db.rel(prev).ValueAt(support[prev], oc)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  auto rec = [&](auto&& self, int depth) -> void {
+    if (depth == p) {
+      rows.push_back(support);
+      return;
+    }
+    for (std::size_t t = 0; t < db.rel(depth).size(); ++t) {
+      support[depth] = static_cast<TupleId>(t);
+      if (agree(depth)) self(self, depth + 1);
+    }
+  };
+  if (p > 0) rec(rec, 0);
+  return rows;
 }
 
 /// |Q(D)| by the oracle.
