@@ -129,18 +129,15 @@ std::string SolveBits(const AdpOptions& options) {
 std::shared_ptr<const CachedPlan> BuildPlan(const AdpRequest& req) {
   auto plan = std::make_shared<CachedPlan>();
   plan->query = req.query.has_value() ? *req.query : ParseQuery(req.query_text);
-  plan->residual =
+  plan->dispatch = BuildDispatchPlan(
       plan->query.HasSelections()
           ? RemoveAttributes(plan->query, plan->query.SelectedAttrs())
-          : plan->query;
-  plan->dispatch = BuildDispatchPlan(plan->residual, req.options);
+          : plan->query,
+      req.options);
   // The dispatch build already ran the linearization search for a boolean
   // residual; reuse its result instead of searching again.
-  const PlanEntry* root = plan->dispatch.Find(plan->residual);
-  plan->verdict = ClassifyResidual(
-      plan->residual, root != nullptr && root->op == AdpCase::kBoolean
-                          ? root->linear_order
-                          : std::nullopt);
+  plan->verdict = ClassifyResidual(plan->dispatch.query,
+                                   plan->dispatch.linear_order);
   plan->fingerprint = QueryFingerprint(plan->query);
   return plan;
 }

@@ -1,11 +1,11 @@
 // Thread-safe, single-flight LRU cache of per-query static work.
 //
 // A CachedPlan bundles everything about an ADP request that does not depend
-// on the data: the parsed query, the Lemma-12 residual query, the dichotomy
-// verdict (IsPtime / triad witness / linearization), and the Algorithm-2
-// dispatch plan. Building one costs a parse plus several query-complexity
-// searches (the linearization alone is an exhaustive permutation search);
-// serving one is a hash lookup.
+// on the data: the parsed query, the dichotomy verdict (IsPtime / triad
+// witness / linearization), and the compiled Algorithm-2 dispatch tree,
+// rooted at the Lemma-12 residual query. Building one costs a parse, the
+// tree's compile and several query-complexity searches (the linearization
+// alone is an exhaustive permutation search); serving one is a hash lookup.
 //
 // Concurrency: lookups share one mutex, but plan *construction* happens
 // outside it. Concurrent requests for the same key are single-flighted —
@@ -47,15 +47,12 @@ struct CachedPlan {
   /// instance, so a cached parse is reused verbatim.
   ConjunctiveQuery query;
 
-  /// Residual query after Lemma-12 selection pushdown (== `query` when
-  /// selection-free). The dispatch plan is rooted here, matching what
-  /// ComputeAdp recurses on.
-  ConjunctiveQuery residual;
-
-  /// Dichotomy analysis of the residual query.
+  /// Dichotomy analysis of the residual query (dispatch.query).
   DichotomyVerdict verdict;
 
-  /// Algorithm-2 dispatch skeleton, fed to AdpOptions::plan.
+  /// Compiled Algorithm-2 dispatch tree, fed to AdpOptions::plan. Its root
+  /// query is the residual after Lemma-12 selection pushdown (== `query`
+  /// when selection-free), matching what ComputeAdp recurses on.
   DispatchPlan dispatch;
 
   /// 64-bit canonical fingerprint of `query`.

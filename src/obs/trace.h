@@ -3,7 +3,7 @@
 //
 // One TraceSink exists per traced request (AdpRequest::collect_trace); the
 // engine threads a `TraceSink*` through AdpOptions::trace into the solver
-// recursion, so every ComputeAdpNode dispatch — including sharded
+// recursion, so every SolveNode dispatch — including sharded
 // Universe/Decompose sub-solves running on other pool threads — opens one
 // span, tagged with its case kind and fan-out facts. With tracing disabled
 // the pointer is null and the entire layer costs one pointer compare per

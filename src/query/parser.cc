@@ -1,7 +1,7 @@
 #include "query/parser.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <set>
 
 namespace adp {
@@ -64,8 +64,16 @@ class Scanner {
     }
     while (pos_ < text_.size() && std::isdigit(Byte(pos_))) ++pos_;
     if (pos_ == start) Fail("expected integer");
-    return std::strtoll(std::string(text_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
+    // from_chars takes a '-' sign but not a '+' one.
+    const char* first = text_.data() + start + (text_[start] == '+' ? 1 : 0);
+    const char* last = text_.data() + pos_;
+    Value value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range) {
+      Fail("integer literal out of the 64-bit range");
+    }
+    if (ec != std::errc() || end != last) Fail("expected integer");
+    return value;
   }
 
   [[noreturn]] void Fail(const std::string& msg) {
@@ -115,6 +123,12 @@ ConjunctiveQuery ParseQuery(std::string_view text) {
     if (!s.Consume(')')) {
       do {
         std::string attr_name = s.Identifier();
+        if (q.FindAttribute(attr_name) < 0 &&
+            q.num_attributes() >= kMaxAttrs) {
+          // Attribute sets are one 64-bit word (util/attr_set.h).
+          s.Fail("more than " + std::to_string(kMaxAttrs) +
+                 " distinct attributes");
+        }
         AttrId a = q.AddAttribute(attr_name);
         for (AttrId existing : attrs) {
           if (existing == a) {

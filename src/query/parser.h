@@ -7,8 +7,9 @@
 //   Q(A)   :- R1(A),   R2()             vacuum relation R2
 //
 // Relation names must be distinct (the library is restricted to
-// self-join-free CQs, as in the paper), and every head attribute must occur
-// in the body.
+// self-join-free CQs, as in the paper), every head attribute must occur in
+// the body, a query has at most kMaxAttrs (64) distinct attributes, and
+// selection values are 64-bit signed integers.
 
 #ifndef ADP_QUERY_PARSER_H_
 #define ADP_QUERY_PARSER_H_

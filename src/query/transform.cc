@@ -65,9 +65,9 @@ std::vector<Subquery> DecomposeQuery(const ConjunctiveQuery& q) {
   return out;
 }
 
-Database SubDatabase(const Subquery& sub, const Database& db) {
+Database SubDatabase(const std::vector<int>& rels, const Database& db) {
   Database out;
-  for (int parent : sub.parent_relation) {
+  for (int parent : rels) {
     out.Append(db.rel(parent));
   }
   return out;

@@ -50,9 +50,10 @@ Subquery RestrictTo(const ConjunctiveQuery& q, const std::vector<int>& rels);
 /// Connected subqueries of `q` (Lemma 3), in component order.
 std::vector<Subquery> DecomposeQuery(const ConjunctiveQuery& q);
 
-/// Builds the database for a subquery by copying the instances of its
-/// relations from `db` (root bookkeeping is inherited).
-Database SubDatabase(const Subquery& sub, const Database& db);
+/// Builds the database of the subquery over body positions `rels` (a
+/// Subquery's parent_relation) by copying those instances from `db` (root
+/// bookkeeping is inherited).
+Database SubDatabase(const std::vector<int>& rels, const Database& db);
 
 /// Selection pushdown (Lemma 12): filters every relation instance by its
 /// predicates, removes the selected attributes Aθ from schemas, head and

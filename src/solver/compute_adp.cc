@@ -6,6 +6,7 @@
 
 #include "obs/names.h"
 #include "obs/trace.h"
+#include "query/fingerprint.h"
 #include "query/graph.h"
 #include "query/transform.h"
 #include "relational/join.h"
@@ -44,30 +45,21 @@ AdpNode HeuristicNode(const ConjunctiveQuery& q, const Database& db,
   return GreedyNode(q, db, cap, options);
 }
 
-AdpNode BooleanNode(const ConjunctiveQuery& q, const Database& db,
+AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
-                    const PlanEntry* entry, const JoinCounts* counts) {
+                    const JoinCounts* counts) {
+  const ConjunctiveQuery& q = plan.query;
   JoinCounts own;
   const std::int64_t count =
       NodeCounts(q, db, /*per_tuple=*/false, options, counts, own).outputs;
   if (count == 0 || cap <= 0) return TrivialNode(options);
   if (options.stats) ++options.stats->boolean_nodes;
-  // With a plan entry, the §7.1 permutation search was done once at plan
-  // time: reuse its arrangement, or skip straight to the fallback if it
-  // proved none exists.
-  const std::vector<int>* planned_order = nullptr;
-  bool planned_no_order = false;
-  if (entry != nullptr && entry->op == AdpCase::kBoolean) {
-    if (entry->linear_order) {
-      planned_order = &*entry->linear_order;
-    } else {
-      planned_no_order = true;
-    }
-  }
-  if (auto exact = planned_no_order
-                       ? std::nullopt
-                       : SolveBooleanExact(q, db, options.restrictions,
-                                           planned_order)) {
+  // The §7.1 permutation search ran once, when the plan was compiled: no
+  // arrangement means it proved none exists.
+  if (auto exact = plan.linear_order
+                       ? SolveBooleanExact(q, db, options.restrictions,
+                                           &*plan.linear_order)
+                       : std::nullopt) {
     AdpNode node;
     node.exact = true;
     // A cut at or above kInfCapacity means the query cannot be falsified
@@ -103,65 +95,52 @@ const char* SpanNameFor(AdpCase c) {
 
 // The Algorithm-2 dispatch switch, shared by the traced and untraced paths
 // of SolveNode.
-AdpNode DispatchCase(AdpCase c, const ConjunctiveQuery& q, const Database& db,
+AdpNode DispatchCase(const DispatchPlan& node, const Database& db,
                      std::int64_t cap, const AdpOptions& options,
-                     const PlanEntry* entry, const JoinCounts* counts) {
-  switch (c) {
+                     const JoinCounts* counts) {
+  switch (node.op) {
     case AdpCase::kBoolean:
-      return BooleanNode(q, db, cap, options, entry, counts);
+      return BooleanNode(node, db, cap, options, counts);
     case AdpCase::kSingleton:
-      return SingletonNode(q, db, cap, options, counts);
+      return SingletonNode(node.query, db, cap, options, counts);
     case AdpCase::kUniverse:
-      return UniverseNode(q, db, cap, options);
+      return UniverseNode(node, db, cap, options);
     case AdpCase::kDecompose:
-      return DecomposeNode(q, db, cap, options, counts);
+      return DecomposeNode(node, db, cap, options, counts);
     case AdpCase::kHeuristic:
-      return HeuristicNode(q, db, cap, options, counts);
+      return HeuristicNode(node.query, db, cap, options, counts);
   }
   return TrivialNode(options);  // unreachable
 }
 
 }  // namespace
 
-NodeCase ClassifyNode(const ConjunctiveQuery& q, const AdpOptions& options) {
-  NodeCase node_case;
-  node_case.entry = options.plan != nullptr ? options.plan->Find(q) : nullptr;
-  node_case.c = node_case.entry != nullptr ? node_case.entry->op
-                                           : ClassifyAdpCase(q, options);
-  return node_case;
-}
-
-AdpNode SolveNode(const NodeCase& node_case, const ConjunctiveQuery& q,
-                  const Database& db, std::int64_t cap,
-                  const AdpOptions& options, const JoinCounts* counts) {
+AdpNode SolveNode(const DispatchPlan& node, const Database& db,
+                  std::int64_t cap, const AdpOptions& options,
+                  const JoinCounts* counts) {
   ThrowIfCancelled(options);
   if (cap <= 0) return TrivialNode(options);
-  const AdpCase c = node_case.c;
   if (options.trace == nullptr) {
     // Tracing disabled: this null check — at the same boundary that polled
     // the cancel token — is the layer's entire per-node overhead.
-    return DispatchCase(c, q, db, cap, options, node_case.entry, counts);
+    return DispatchCase(node, db, cap, options, counts);
   }
-  obs::Span span(options.trace, SpanNameFor(c), options.trace_parent);
+  obs::Span span(options.trace, SpanNameFor(node.op), options.trace_parent);
   span.Tag("cap", cap);
   AdpOptions traced = options;
   traced.trace_parent = span.id();
-  return DispatchCase(c, q, db, cap, traced, node_case.entry, counts);
+  return DispatchCase(node, db, cap, traced, counts);
 }
 
-bool ReadsTupleCounts(AdpCase c, const ConjunctiveQuery& q,
-                      const AdpOptions& options) {
-  switch (c) {
+bool ReadsTupleCounts(const DispatchPlan& node, const AdpOptions& options) {
+  switch (node.op) {
     case AdpCase::kSingleton:
-      return SingletonReadsJoinRows(q);
+      return SingletonReadsJoinRows(node.query);
     case AdpCase::kHeuristic:
-      return UsesDrastic(q, options);
+      return UsesDrastic(node.query, options);
     case AdpCase::kDecompose:
-      for (const Subquery& sub : DecomposeQuery(q)) {
-        if (ReadsTupleCounts(ClassifyNode(sub.query, options).c, sub.query,
-                             options)) {
-          return true;
-        }
+      for (const DispatchPlan& child : node.children) {
+        if (ReadsTupleCounts(child, options)) return true;
       }
       return false;
     case AdpCase::kBoolean:
@@ -240,14 +219,6 @@ AdpCase ClassifyAdpCase(const ConjunctiveQuery& q, const AdpOptions& options) {
   return AdpCase::kHeuristic;
 }
 
-AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t cap, const AdpOptions& options,
-                       const JoinCounts* counts) {
-  ThrowIfCancelled(options);
-  if (cap <= 0) return TrivialNode(options);
-  return SolveNode(ClassifyNode(q, options), q, db, cap, options, counts);
-}
-
 void AppendChildReports(const std::vector<AdpNode>& children,
                         const std::vector<std::int64_t>& targets,
                         const CancelToken& cancel, std::vector<TupleRef>& out) {
@@ -273,12 +244,17 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     data = &pushed.db;
   }
 
+  // The solve walks one compiled plan: the caller's, or one compiled here.
+  DispatchPlan compiled;
+  if (options.plan == nullptr) compiled = BuildDispatchPlan(*query, options);
+  const DispatchPlan& root =
+      options.plan != nullptr ? *options.plan : compiled;
+  assert(CanonicalQueryKey(root.query) == CanonicalQueryKey(*query));
+
   // The solve's one counting pass at the root: |Q(D)| here, and whatever
   // the root node reads, handed to it below.
-  const NodeCase root = ClassifyNode(*query, options);
-  const JoinCounts counts =
-      CountNode(*query, *data, ReadsTupleCounts(root.c, *query, options),
-                options);
+  const JoinCounts counts = CountNode(
+      root.query, *data, ReadsTupleCounts(root, options), options);
   AdpSolution solution;
   solution.output_count = counts.outputs;
   if (k > solution.output_count) {
@@ -294,7 +270,7 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
   if (emit == nullptr &&
       options.decompose_strategy !=
           AdpOptions::DecomposeStrategy::kImprovedDP &&
-      root.c == AdpCase::kDecompose) {
+      root.op == AdpCase::kDecompose) {
     // Fig 29 ablation: the paper's baseline strategies solve a Decompose
     // root for k alone. Bypasses SolveNode, so it opens its own node
     // span.
@@ -304,13 +280,12 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     span.Tag("root_single_k", std::int64_t{1});
     AdpOptions inner = options;
     inner.trace_parent = span.id() != 0 ? span.id() : options.trace_parent;
-    AdpSolution res =
-        SolveDecomposeAblationRoot(*query, *data, k, inner, counts);
+    AdpSolution res = SolveDecomposeAblationRoot(root, *data, k, inner, counts);
     solution.cost = res.cost;
     solution.exact = res.exact;
     solution.tuples = std::move(res.tuples);
   } else {
-    AdpNode node = SolveNode(root, *query, *data, k, options, &counts);
+    AdpNode node = SolveNode(root, *data, k, options, &counts);
     solution.cost = node.profile.At(k);
     solution.exact = node.exact;
     const bool reports = !options.counting_only && node.report != nullptr;

@@ -7,7 +7,9 @@
 //   3. Universe      — partition on universal attributes + DP (Algorithm 4);
 //   4. Decompose     — connected components + cross-product DP (Algorithm 5);
 //   5. Greedy leaf   — GreedyForCQ (Alg 6) or DrasticGreedy (Alg 7).
-// Selections are pushed down first (Lemma 12).
+// Selections are pushed down first (Lemma 12). The case of every node is
+// decided once, when the selection-free query's DispatchPlan is compiled
+// (solver/plan.h); the recursion walks that tree.
 //
 // Internally every recursion node produces a CostProfile plus a lazy
 // reporter; see solver/profile.h for the combination semantics.
@@ -28,9 +30,8 @@
 
 namespace adp {
 
-class DispatchPlan;
-struct PlanEntry;  // solver/plan.h
-struct JoinCounts;  // relational/join.h
+struct DispatchPlan;  // solver/plan.h
+struct JoinCounts;    // relational/join.h
 
 namespace obs {
 class TraceSink;  // obs/trace.h; forward-declared to keep the solver light
@@ -38,7 +39,7 @@ class TraceSink;  // obs/trace.h; forward-declared to keep the solver light
 
 /// The per-node decision of Algorithm 2. Data-independent: it is a function
 /// of the (selection-free) query structure and the option knobs alone, which
-/// is what makes dispatch plans cacheable (solver/plan.h).
+/// is what lets a dispatch plan be compiled once and cached (solver/plan.h).
 enum class AdpCase { kBoolean, kSingleton, kUniverse, kDecompose, kHeuristic };
 
 /// Recursion statistics, filled when AdpOptions::stats is set. Useful for
@@ -153,13 +154,13 @@ struct AdpOptions {
   /// If set, receives recursion statistics. Not owned.
   AdpStats* stats = nullptr;
 
-  /// Precomputed dispatch plan (solver/plan.h). When set, recursion nodes
-  /// whose query structure appears in the plan reuse the recorded case and
-  /// linear arrangement instead of re-deriving them. Must have been built
-  /// with options whose classification-relevant knobs (use_singleton,
-  /// universe_strategy, presence of restrictions) match this request's.
-  /// Not owned; must outlive the solve. Read-only, so one plan may serve
-  /// many concurrent solves.
+  /// Compiled dispatch plan (solver/plan.h) for the selection-free form of
+  /// the query ComputeAdp is given (equal canonical keys; debug builds
+  /// assert it); the solve walks it instead of compiling its own. Must have
+  /// been built with options whose classification-relevant knobs
+  /// (use_singleton, universe_strategy, presence of restrictions) match this
+  /// request's. Not owned; must outlive the solve. Read-only, so one plan
+  /// may serve many concurrent solves.
   const DispatchPlan* plan = nullptr;
 
   /// Intra-request parallelism (see Parallelism above). Not owned; must
@@ -218,7 +219,8 @@ struct AdpEmitter {
 };
 
 /// Solves ADP(Q, D, k). `q` may carry selections; `db` must be the root
-/// database (instances indexed as in `q`). With `emit` set, the root
+/// database (instances indexed as in `q`). The solve walks options.plan, or
+/// a plan it compiles for the selection-free query. With `emit` set, the root
 /// node's profile is reported through it for every target 1..k and the
 /// final witness set is handed over in enumeration order instead of being
 /// returned (the result's `tuples` stay empty). Every solve reads the root
@@ -229,8 +231,8 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
                        std::int64_t k, const AdpOptions& options = {},
                        const AdpEmitter* emit = nullptr);
 
-/// Algorithm 2's dispatch decision for a selection-free query. Exposed so
-/// plan builders (solver/plan.h) share the exact logic the recursion uses.
+/// Algorithm 2's dispatch decision for a selection-free query: what
+/// BuildDispatchPlan (solver/plan.h) records for each node.
 AdpCase ClassifyAdpCase(const ConjunctiveQuery& q, const AdpOptions& options);
 
 // --- Internal recursion interface (exposed for sub-solvers and tests) -----
@@ -250,43 +252,23 @@ struct AdpNode {
   Reporter report;
 };
 
-/// Algorithm 2's decision for one recursion node: its case and, when
-/// AdpOptions::plan is set, the plan entry it was read from.
-struct NodeCase {
-  AdpCase c = AdpCase::kHeuristic;
-  const PlanEntry* entry = nullptr;
-};
-
-/// Classifies `q` as the recursion does: from the plan when it has `q`,
-/// else by ClassifyAdpCase.
-NodeCase ClassifyNode(const ConjunctiveQuery& q, const AdpOptions& options);
-
-/// Solves a node that ClassifyNode classified, inside its own span when
-/// tracing; `counts` as for ComputeAdpNode, which is ClassifyNode then
-/// SolveNode. A Decompose node classifies each child once, both to choose
-/// what its counting pass asks for and to solve the child.
-AdpNode SolveNode(const NodeCase& node_case, const ConjunctiveQuery& q,
-                  const Database& db, std::int64_t cap,
-                  const AdpOptions& options,
+/// Solves the plan node `node` over `db` (instances indexed as in
+/// node.query) up to `cap`, inside its own span when tracing. `counts`, when
+/// given, are CountComponents' counts of exactly this (node.query, db), with
+/// per-tuple counts if the node reads them (ReadsTupleCounts); the node then
+/// makes no counting pass of its own. ComputeAdp hands its preamble's counts
+/// to the root node this way, and a Decompose node hands each child its
+/// component's share. Every other node gets none and counts for itself.
+AdpNode SolveNode(const DispatchPlan& node, const Database& db,
+                  std::int64_t cap, const AdpOptions& options,
                   const JoinCounts* counts = nullptr);
 
-/// Recursion entry point; `q` must be selection-free. `counts`, when given,
-/// are CountComponents' counts of exactly this (q, db), with per-tuple
-/// counts if the node's case reads them (ReadsTupleCounts); the node then
-/// makes no counting pass of its own. ComputeAdp hands its preamble's
-/// counts to the root node this way, and a Decompose node hands each child
-/// its component's share. Every other node gets none and counts for itself.
-AdpNode ComputeAdpNode(const ConjunctiveQuery& q, const Database& db,
-                       std::int64_t cap, const AdpOptions& options,
-                       const JoinCounts* counts = nullptr);
-
-/// Whether the node of case `c` for `q` reads per-tuple join rows
-/// (JoinCounts::per_tuple): a Singleton node that does
-/// (SingletonReadsJoinRows), a Drastic leaf, and a Decompose node through
-/// such a component child. Decides what a counting pass for that node asks
-/// for.
-bool ReadsTupleCounts(AdpCase c, const ConjunctiveQuery& q,
-                      const AdpOptions& options);
+/// Whether solving `node` reads per-tuple join rows (JoinCounts::per_tuple):
+/// a Singleton node that does (SingletonReadsJoinRows), a Drastic leaf, and
+/// a Decompose node through such a component child. Decides what a counting
+/// pass for that node asks for. A walk at solve time, not a plan field: a
+/// heuristic leaf is Drastic by options.heuristic, which plans do not fix.
+bool ReadsTupleCounts(const DispatchPlan& node, const AdpOptions& options);
 
 /// A counting pass over a node's own (q, db): CountComponents under q's
 /// head, tallied in AdpStats::count_passes.

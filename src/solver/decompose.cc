@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "query/transform.h"
 #include "relational/join.h"
+#include "solver/plan.h"
 
 namespace adp {
 namespace {
@@ -22,8 +23,6 @@ namespace {
 constexpr std::int64_t kProfileLimit = std::int64_t{1} << 25;
 
 struct Components {
-  std::vector<Subquery> subs;
-  std::vector<NodeCase> cases;       // each component's classification
   std::vector<Database> dbs;
   std::vector<JoinCounts> counts;    // handed to each component's child
   std::vector<std::int64_t> m;       // |Q_i(D)| per component
@@ -32,8 +31,8 @@ struct Components {
 };
 
 // Component `c`'s share of a body's counts, as its child reads them: the
-// component's relations renumbered in `rels` order, which is the order
-// RestrictTo keeps. SubDatabase copies whole relations, so tuple ids match.
+// component's relations renumbered in `rels` order, which is the order of
+// the child's body. SubDatabase copies whole relations, so tuple ids match.
 JoinCounts ShareOf(const JoinCounts& counts, std::size_t c) {
   const JoinCounts::Component& comp = counts.components[c];
   JoinCounts share;
@@ -50,36 +49,28 @@ JoinCounts ShareOf(const JoinCounts& counts, std::size_t c) {
   return share;
 }
 
-// Splits q into its connected components (in the order of JoinCounts'
-// components) and classifies each once for its child. A node handed no
-// counts makes the one counting pass for itself and its children here,
-// with per-tuple counts if a child reads them.
-Components SplitComponents(const ConjunctiveQuery& q, const Database& db,
+// Splits the node's database by its plan's components (in the order of
+// JoinCounts' components). A node handed no counts makes the one counting
+// pass for itself and its children here, with per-tuple counts if a child
+// reads them.
+Components SplitComponents(const DispatchPlan& plan, const Database& db,
                            const JoinCounts* counts,
                            const AdpOptions& options) {
+  assert(plan.op == AdpCase::kDecompose);
   Components parts;
-  parts.subs = DecomposeQuery(q);
-  for (const Subquery& sub : parts.subs) {
-    parts.cases.push_back(ClassifyNode(sub.query, options));
-  }
   JoinCounts own;
   if (counts == nullptr) {
-    bool per_tuple = false;
-    for (std::size_t c = 0; c < parts.subs.size(); ++c) {
-      per_tuple = per_tuple || ReadsTupleCounts(parts.cases[c].c,
-                                                parts.subs[c].query, options);
-    }
-    own = CountNode(q, db, per_tuple, options);
+    own = CountNode(plan.query, db, ReadsTupleCounts(plan, options), options);
     counts = &own;
   }
-  assert(counts->components.size() == parts.subs.size());
-  for (std::size_t c = 0; c < parts.subs.size(); ++c) {
-    parts.dbs.push_back(SubDatabase(parts.subs[c], db));
+  assert(counts->components.size() == plan.components.size());
+  for (std::size_t c = 0; c < plan.components.size(); ++c) {
+    parts.dbs.push_back(SubDatabase(plan.components[c], db));
     parts.counts.push_back(ShareOf(*counts, c));
     parts.m.push_back(parts.counts.back().outputs);
     parts.total = SatMul(parts.total, parts.m.back());
   }
-  parts.order.resize(parts.subs.size());
+  parts.order.resize(plan.components.size());
   std::iota(parts.order.begin(), parts.order.end(), 0);
   std::sort(parts.order.begin(), parts.order.end(),
             [&](std::size_t a, std::size_t b) {
@@ -176,7 +167,8 @@ void DensifyChildren(DecomposeState& s) {
   for (const AdpNode& c : s.children) s.dense.push_back(c.profile.Dense());
 }
 
-std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
+std::shared_ptr<DecomposeState> BuildChildren(const DispatchPlan& plan,
+                                              const Components& parts,
                                               std::int64_t cap,
                                               const AdpOptions& options) {
   auto state = std::make_shared<DecomposeState>();
@@ -216,8 +208,8 @@ std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
           ThrowIfCancelled(shard);
           const std::int64_t child_cap = std::min(parts.m[idx], cap);
           state->children[i] =
-              SolveNode(parts.cases[idx], parts.subs[idx].query,
-                        parts.dbs[idx], child_cap, shard, &parts.counts[idx]);
+              SolveNode(plan.children[idx], parts.dbs[idx], child_cap, shard,
+                        &parts.counts[idx]);
           state->m[i] = parts.m[idx];
         } catch (...) {
           errors[i] = std::current_exception();
@@ -236,9 +228,9 @@ std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
   for (std::size_t idx : parts.order) {
     ThrowIfCancelled(options);
     const std::int64_t child_cap = std::min(parts.m[idx], cap);
-    state->children.push_back(
-        SolveNode(parts.cases[idx], parts.subs[idx].query, parts.dbs[idx],
-                  child_cap, options, &parts.counts[idx]));
+    state->children.push_back(SolveNode(plan.children[idx], parts.dbs[idx],
+                                        child_cap, options,
+                                        &parts.counts[idx]));
     state->m.push_back(parts.m[idx]);
   }
   return state;
@@ -246,23 +238,23 @@ std::shared_ptr<DecomposeState> BuildChildren(const Components& parts,
 
 }  // namespace
 
-AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
+AdpNode DecomposeNode(const DispatchPlan& plan, const Database& db,
                       std::int64_t cap, const AdpOptions& options,
                       const JoinCounts* counts) {
   if (options.stats) ++options.stats->decompose_nodes;
-  const Components parts = SplitComponents(q, db, counts, options);
+  const Components parts = SplitComponents(plan, db, counts, options);
   if (options.trace != nullptr) {
     // options.trace_parent is this node's own span (opened by
     // SolveNode before dispatching here).
     options.trace->Annotate(options.trace_parent, "components",
-                            std::to_string(parts.subs.size()));
+                            std::to_string(plan.children.size()));
   }
   const std::int64_t out_kmax = std::min(cap, parts.total);
   const bool full_enumeration =
       options.decompose_strategy ==
       AdpOptions::DecomposeStrategy::kFullEnumeration;
   if (full_enumeration) CheckProfileLimit(out_kmax);
-  auto state = BuildChildren(parts, out_kmax, options);
+  auto state = BuildChildren(plan, parts, out_kmax, options);
 
   AdpNode node;
   for (const AdpNode& c : state->children) node.exact &= c.exact;
@@ -303,19 +295,19 @@ AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
   return node;
 }
 
-AdpSolution SolveDecomposeAblationRoot(const ConjunctiveQuery& q,
+AdpSolution SolveDecomposeAblationRoot(const DispatchPlan& plan,
                                        const Database& db, std::int64_t k,
                                        const AdpOptions& options,
                                        const JoinCounts& counts) {
   if (options.stats) ++options.stats->decompose_nodes;
-  const Components parts = SplitComponents(q, db, &counts, options);
+  const Components parts = SplitComponents(plan, db, &counts, options);
   if (options.trace != nullptr) {
     options.trace->Annotate(options.trace_parent, "components",
-                            std::to_string(parts.subs.size()));
+                            std::to_string(plan.children.size()));
   }
   AdpSolution result;
   result.cost = kInfCost;
-  auto state = BuildChildren(parts, k, options);
+  auto state = BuildChildren(plan, parts, k, options);
   for (const AdpNode& c : state->children) result.exact &= c.exact;
   const std::size_t n = state->children.size();
   const CancelToken cancel = ReporterToken(options);

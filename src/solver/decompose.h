@@ -27,27 +27,27 @@
 
 #include <cstdint>
 
-#include "query/query.h"
 #include "relational/database.h"
 #include "solver/compute_adp.h"
 
 namespace adp {
 
 /// Builds the recursion node with a full profile up to `cap`.
-/// Precondition: q is disconnected (>= 2 components). Each |Q_i(D)| is read
-/// from `counts` (as for ComputeAdpNode), and each child is handed its
-/// component's share of them; a node handed none makes that one counting
-/// pass itself, with per-tuple counts if a child reads them.
-AdpNode DecomposeNode(const ConjunctiveQuery& q, const Database& db,
+/// Precondition: plan.op is kDecompose (>= 2 components). Each |Q_i(D)| is
+/// read from `counts` (as for SolveNode), and each child plan is solved
+/// over its component's relations, handed that component's share of them;
+/// a node handed none makes that one counting pass itself, with per-tuple
+/// counts if a child reads them.
+AdpNode DecomposeNode(const DispatchPlan& plan, const Database& db,
                       std::int64_t cap, const AdpOptions& options,
                       const JoinCounts* counts = nullptr);
 
 /// The Fig 29 baselines' root: solves target k alone under
 /// options.decompose_strategy (kPairwiseNaive or kFullEnumeration) and fills
 /// the result's cost, exact flag and tuples (empty when counting_only).
-/// `counts`: ComputeAdp's counts of (q, db), as for DecomposeNode.
-/// Preconditions: q is disconnected and 1 <= k <= |Q(D)|.
-AdpSolution SolveDecomposeAblationRoot(const ConjunctiveQuery& q,
+/// `counts`: ComputeAdp's counts of (plan.query, db), as for DecomposeNode.
+/// Preconditions: plan.op is kDecompose and 1 <= k <= |Q(D)|.
+AdpSolution SolveDecomposeAblationRoot(const DispatchPlan& plan,
                                        const Database& db, std::int64_t k,
                                        const AdpOptions& options,
                                        const JoinCounts& counts);

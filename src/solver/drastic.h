@@ -14,7 +14,7 @@
 namespace adp {
 
 /// Builds the (non-exact) recursion node. Precondition: q.IsFull().
-/// `counts`: as for ComputeAdpNode; null makes the node count for itself.
+/// `counts`: as for SolveNode; null makes the node count for itself.
 AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
                     const JoinCounts* counts = nullptr);

@@ -3,68 +3,9 @@
 #include <utility>
 
 #include "dichotomy/linearize.h"
-#include "query/fingerprint.h"
 #include "query/transform.h"
 
 namespace adp {
-namespace {
-
-DispatchPlan::TreeNode BuildNode(
-    const ConjunctiveQuery& q, const AdpOptions& options,
-    std::unordered_map<std::string, PlanEntry>& entries) {
-  DispatchPlan::TreeNode node;
-  node.key = CanonicalQueryKey(q);
-  node.op = ClassifyAdpCase(q, options);
-
-  const bool seen = entries.count(node.key) > 0;
-  if (!seen) {
-    PlanEntry entry;
-    entry.op = node.op;
-    if (node.op == AdpCase::kBoolean) {
-      entry.linear_order = FindLinearOrder(q);
-    }
-    entries.emplace(node.key, std::move(entry));
-  }
-
-  // Recurse into the structures the solver will derive. Structures already
-  // planned are not expanded again (identical structure => identical
-  // subtree), which keeps e.g. the one-by-one Universe chain linear.
-  if (seen) return node;
-  switch (node.op) {
-    case AdpCase::kUniverse: {
-      AttrSet to_remove = q.UniversalAttrs();
-      if (options.universe_strategy ==
-          AdpOptions::UniverseStrategy::kOneByOne) {
-        to_remove = AttrSet::Of(*to_remove.begin());
-      }
-      node.children.push_back(
-          BuildNode(RemoveAttributes(q, to_remove), options, entries));
-      break;
-    }
-    case AdpCase::kDecompose: {
-      for (const Subquery& sub : DecomposeQuery(q)) {
-        node.children.push_back(BuildNode(sub.query, options, entries));
-      }
-      break;
-    }
-    case AdpCase::kBoolean:
-    case AdpCase::kSingleton:
-    case AdpCase::kHeuristic:
-      break;  // leaves of the query-structure recursion
-  }
-  return node;
-}
-
-void Render(const DispatchPlan::TreeNode& node, int depth, std::string& out) {
-  out.append(static_cast<std::size_t>(2 * depth), ' ');
-  out += AdpCaseName(node.op);
-  out += ' ';
-  out += node.key;
-  out += '\n';
-  for (const auto& child : node.children) Render(child, depth + 1, out);
-}
-
-}  // namespace
 
 const char* AdpCaseName(AdpCase c) {
   switch (c) {
@@ -77,26 +18,37 @@ const char* AdpCaseName(AdpCase c) {
   return "?";
 }
 
-const PlanEntry* DispatchPlan::Find(const ConjunctiveQuery& q) const {
-  return FindByKey(CanonicalQueryKey(q));
-}
-
-const PlanEntry* DispatchPlan::FindByKey(const std::string& key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-std::string DispatchPlan::ToString() const {
-  std::string out;
-  Render(root_, 0, out);
-  return out;
-}
-
 DispatchPlan BuildDispatchPlan(const ConjunctiveQuery& q,
                                const AdpOptions& options) {
-  DispatchPlan plan;
-  plan.root_ = BuildNode(q, options, plan.entries_);
-  return plan;
+  DispatchPlan node;
+  node.op = ClassifyAdpCase(q, options);
+  switch (node.op) {
+    case AdpCase::kBoolean:
+      node.linear_order = FindLinearOrder(q);
+      break;
+    case AdpCase::kUniverse:
+      node.removed = q.UniversalAttrs();
+      if (options.universe_strategy ==
+          AdpOptions::UniverseStrategy::kOneByOne) {
+        // Figure 28 strategy 1: peel a single universal attribute; the
+        // residual still has the rest, so the recursion stacks partitions.
+        node.removed = AttrSet::Of(*node.removed.begin());
+      }
+      node.children.push_back(
+          BuildDispatchPlan(RemoveAttributes(q, node.removed), options));
+      break;
+    case AdpCase::kDecompose:
+      for (Subquery& sub : DecomposeQuery(q)) {
+        node.components.push_back(std::move(sub.parent_relation));
+        node.children.push_back(BuildDispatchPlan(sub.query, options));
+      }
+      break;
+    case AdpCase::kSingleton:
+    case AdpCase::kHeuristic:
+      break;  // leaves of the query-structure recursion
+  }
+  node.query = q;
+  return node;
 }
 
 }  // namespace adp

@@ -29,10 +29,20 @@ CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
 // Case-1 profits under a projected head: a tuple's profit is the number of
 // outputs it supports. attr(Ri) ⊆ head, so every join row of one output
 // carries the same Ri tuple (instances are duplicate-free), and its first
-// row names it.
+// row names it. `counts` as for SingletonNode.
 std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
                                            const Database& db, int ri,
-                                           const AdpOptions& options) {
+                                           const AdpOptions& options,
+                                           const JoinCounts* counts) {
+  if (q.relation(ri).attrs.empty()) {
+    // A vacuum Ri holds at most the empty tuple, which every output
+    // inherits: its profit is |Q(D)|. Ri shares no attribute, so the body is
+    // disconnected, and its join is the cross product of the components.
+    JoinCounts own;
+    return std::vector<std::int64_t>(
+        db.rel(ri).size(),
+        NodeCounts(q, db, /*per_tuple=*/false, options, counts, own).outputs);
+  }
   if (options.stats) ++options.stats->count_passes;
   const JoinResult join = FullJoin(q.body(), db);
   std::vector<std::int64_t> profit(db.rel(ri).size(), 0);
@@ -100,7 +110,7 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
     const std::vector<std::int64_t> profit =
         q.all_attrs().SubsetOf(q.head())
             ? join->RowsThrough(ri)
-            : ProjectedProfits(q, db, ri, options);
+            : ProjectedProfits(q, db, ri, options, counts);
     struct Pick {
       std::int64_t profit;
       TupleId t;

@@ -33,7 +33,7 @@ bool IsSingletonQuery(const ConjunctiveQuery& q, int* which);
 bool SingletonReadsJoinRows(const ConjunctiveQuery& q);
 
 /// Builds the exact recursion node. Precondition: IsSingletonQuery(q).
-/// `counts`: as for ComputeAdpNode; null makes the node count for itself.
+/// `counts`: as for SolveNode; null makes the node count for itself.
 AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
                       std::int64_t cap, const AdpOptions& options,
                       const JoinCounts* counts = nullptr);

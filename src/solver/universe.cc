@@ -9,6 +9,7 @@
 #include "obs/names.h"
 #include "obs/trace.h"
 #include "query/transform.h"
+#include "solver/plan.h"
 
 namespace adp {
 namespace {
@@ -107,25 +108,20 @@ AdpNode CombineChildren(std::shared_ptr<UniverseState> state, std::int64_t cap,
 
 }  // namespace
 
-AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
+AdpNode UniverseNode(const DispatchPlan& plan, const Database& db,
                      std::int64_t cap, const AdpOptions& options) {
-  AttrSet to_remove = q.UniversalAttrs();
-  if (options.universe_strategy == AdpOptions::UniverseStrategy::kOneByOne) {
-    // Figure 28 strategy 1: peel a single universal attribute; the residual
-    // query still has the rest, so the recursion stacks partitions.
-    to_remove = AttrSet::Of(*to_remove.begin());
-  }
-
-  const ConjunctiveQuery residual = RemoveAttributes(q, to_remove);
-  std::vector<UniverseGroup> groups = PartitionByAttrs(q, db, to_remove);
+  assert(plan.op == AdpCase::kUniverse && plan.children.size() == 1);
+  const DispatchPlan& residual = plan.children[0];
+  std::vector<UniverseGroup> groups =
+      PartitionByAttrs(plan.query, db, plan.removed);
   if (options.stats) {
     ++options.stats->universe_nodes;
     options.stats->universe_groups +=
         static_cast<std::int64_t>(groups.size());
   }
   if (options.trace != nullptr) {
-    // options.trace_parent is this node's own span (ComputeAdpNode opened
-    // it before dispatching here); the tag lands on that span.
+    // options.trace_parent is this node's own span (SolveNode opened it
+    // before dispatching here); the tag lands on that span.
     options.trace->Annotate(options.trace_parent, "groups",
                             std::to_string(groups.size()));
   }
@@ -163,8 +159,7 @@ AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
           // Sharded sub-solves poll the token too: a cancel that lands
           // mid-fan-out stops the remaining shards at their boundary.
           ThrowIfCancelled(shard);
-          state->children[i] =
-              ComputeAdpNode(residual, groups[i].db, cap, shard);
+          state->children[i] = SolveNode(residual, groups[i].db, cap, shard);
         } catch (...) {
           errors[i] = std::current_exception();
         }
@@ -181,7 +176,7 @@ AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
     state->children.reserve(groups.size());
     for (UniverseGroup& g : groups) {
       ThrowIfCancelled(options);
-      state->children.push_back(ComputeAdpNode(residual, g.db, cap, options));
+      state->children.push_back(SolveNode(residual, g.db, cap, options));
     }
   }
   if (state->children.empty()) {

@@ -18,14 +18,15 @@
 #ifndef ADP_SOLVER_UNIVERSE_H_
 #define ADP_SOLVER_UNIVERSE_H_
 
-#include "query/query.h"
 #include "relational/database.h"
 #include "solver/compute_adp.h"
 
 namespace adp {
 
-/// Builds the recursion node. Precondition: q.UniversalAttrs() nonempty.
-AdpNode UniverseNode(const ConjunctiveQuery& q, const Database& db,
+/// Builds the recursion node: partitions `db` on plan.removed and solves
+/// the plan's one residual child over every group. Precondition: plan.op is
+/// kUniverse.
+AdpNode UniverseNode(const DispatchPlan& plan, const Database& db,
                      std::int64_t cap, const AdpOptions& options);
 
 }  // namespace adp

@@ -8,6 +8,7 @@
 #include "query/parser.h"
 #include "relational/join.h"
 #include "solver/compute_adp.h"
+#include "solver/plan.h"
 #include "test_util.h"
 #include "workload/families.h"
 
@@ -222,7 +223,8 @@ TEST(ComputeAdpTest, RootProfileBoundedByTuples) {
   const std::int64_t total = static_cast<std::int64_t>(
       CountOutputs(inst.query.body(), inst.query.head(), db));
   ASSERT_EQ(ClassifyAdpCase(inst.query, AdpOptions{}), AdpCase::kDecompose);
-  const AdpNode node = ComputeAdpNode(inst.query, db, total, AdpOptions{});
+  const AdpNode node = SolveNode(BuildDispatchPlan(inst.query, AdpOptions{}),
+                                 db, total, AdpOptions{});
   EXPECT_LE(node.profile.steps().size(), db.TotalTuples() + 1);
   EXPECT_EQ(node.profile.kmax(), total);
 }

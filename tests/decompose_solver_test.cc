@@ -13,6 +13,7 @@
 #include "engine/thread_pool.h"
 #include "query/parser.h"
 #include "solver/decompose.h"
+#include "solver/plan.h"
 #include "solver/solution.h"
 #include "test_util.h"
 
@@ -33,7 +34,8 @@ TEST(DecomposeTest, CrossProductCosts) {
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}}, {"R2", {{5}, {6}, {7}}}});
   // |Q(D)| = 6. Removing one R1 tuple removes 3 products; one R2 tuple, 2.
   AdpOptions options;
-  const AdpNode node = DecomposeNode(q, db, 6, options);
+  const DispatchPlan plan = BuildDispatchPlan(q, options);
+  const AdpNode node = DecomposeNode(plan, db, 6, options);
   EXPECT_TRUE(node.exact);
   EXPECT_EQ(node.profile.At(1), 1);
   EXPECT_EQ(node.profile.At(3), 1);   // one R1 tuple
@@ -59,9 +61,10 @@ TEST(DecomposeTest, StrategiesAgreeOnOptimalCosts) {
   AdpOptions full;
   full.decompose_strategy = AdpOptions::DecomposeStrategy::kFullEnumeration;
 
-  const AdpNode a = DecomposeNode(q, db, cap, improved);
-  const AdpNode b = DecomposeNode(q, db, cap, naive);
-  const AdpNode c = DecomposeNode(q, db, cap, full);
+  const DispatchPlan plan = BuildDispatchPlan(q, improved);
+  const AdpNode a = DecomposeNode(plan, db, cap, improved);
+  const AdpNode b = DecomposeNode(plan, db, cap, naive);
+  const AdpNode c = DecomposeNode(plan, db, cap, full);
   for (std::int64_t j = 0; j <= cap; ++j) {
     EXPECT_EQ(a.profile.At(j), b.profile.At(j)) << "j=" << j;
     EXPECT_EQ(a.profile.At(j), c.profile.At(j)) << "j=" << j;
@@ -70,13 +73,14 @@ TEST(DecomposeTest, StrategiesAgreeOnOptimalCosts) {
 
 TEST(DecomposeTest, SingleKMatchesProfile) {
   const ConjunctiveQuery q = TwoParts();
+  const DispatchPlan plan = BuildDispatchPlan(q, AdpOptions{});
   Rng rng(83);
   for (int iter = 0; iter < 20; ++iter) {
     const Database db = RandomDb(q, rng, 5, 6);
     const std::int64_t total = OracleCount(q, db);
     if (total == 0) continue;
     AdpOptions options;
-    const AdpNode node = DecomposeNode(q, db, total, options);
+    const AdpNode node = DecomposeNode(plan, db, total, options);
     for (std::int64_t k = 1; k <= total; ++k) {
       const AdpSolution single = ComputeAdp(q, db, k, options);
       EXPECT_EQ(single.cost, node.profile.At(k)) << "k=" << k;
@@ -125,6 +129,7 @@ TEST(DecomposeTest, ShardedComponentsMatchSequential) {
   int sharded_nodes = 0;
   for (const char* text : shapes) {
     const ConjunctiveQuery q = ParseQuery(text);
+    const DispatchPlan plan = BuildDispatchPlan(q, AdpOptions{});
     for (int iter = 0; iter < 8; ++iter) {
       const Database db = RandomDb(q, rng, 4, 3);
       const std::int64_t total = OracleCount(q, db);
@@ -134,13 +139,13 @@ TEST(DecomposeTest, ShardedComponentsMatchSequential) {
       AdpOptions sequential;
       AdpStats seq_stats;
       sequential.stats = &seq_stats;
-      const AdpNode a = DecomposeNode(q, db, cap, sequential);
+      const AdpNode a = DecomposeNode(plan, db, cap, sequential);
 
       AdpOptions sharded = sequential;
       AdpStats shard_stats;
       sharded.stats = &shard_stats;
       sharded.parallelism = &par;
-      const AdpNode b = DecomposeNode(q, db, cap, sharded);
+      const AdpNode b = DecomposeNode(plan, db, cap, sharded);
 
       for (std::int64_t j = 0; j <= cap; ++j) {
         ASSERT_EQ(a.profile.At(j), b.profile.At(j))
@@ -205,7 +210,8 @@ TEST(DecomposeTest, ZeroMinComponentsDisablesSharding) {
   AdpStats stats;
   options.stats = &stats;
   options.parallelism = &par;
-  const AdpNode node = DecomposeNode(q, db, 4, options);
+  const DispatchPlan plan = BuildDispatchPlan(q, options);
+  const AdpNode node = DecomposeNode(plan, db, 4, options);
   EXPECT_EQ(node.profile.At(2), 1);
   EXPECT_EQ(fanouts.load(), 0);
   EXPECT_EQ(stats.sharded_decompose_nodes, 0);
@@ -259,7 +265,8 @@ TEST_P(DecomposeOracleSweep, OptimalForAllK) {
   const std::int64_t total = OracleCount(q, db);
   if (total == 0 || db.TotalTuples() > 12) GTEST_SKIP();
   AdpOptions options;
-  const AdpNode node = DecomposeNode(q, db, total, options);
+  const DispatchPlan plan = BuildDispatchPlan(q, options);
+  const AdpNode node = DecomposeNode(plan, db, total, options);
   ASSERT_TRUE(node.exact);
   for (std::int64_t k = 1; k <= total; ++k) {
     EXPECT_EQ(node.profile.At(k), OracleAdp(q, db, k)) << "k=" << k;

@@ -902,6 +902,12 @@ TEST(AdpEngineTest, PreparedValidationIsTyped) {
   // Parse failure comes back as a Status, not an exception.
   EXPECT_EQ(engine.Prepare("not a query").status().code(),
             StatusCode::kParseError);
+  // So does a 65th distinct attribute, which the 64-bit attribute sets
+  // cannot hold.
+  std::string wide = "Q(A0,A64) :- R(A0";
+  for (int a = 1; a <= 64; ++a) wide += ",A" + std::to_string(a);
+  EXPECT_EQ(engine.Prepare(wide + ")").status().code(),
+            StatusCode::kParseError);
 
   StatusOr<PreparedQuery> prepared = engine.Prepare(kChainText);
   ASSERT_TRUE(prepared.ok());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "query/parser.h"
 
 namespace adp {
@@ -80,6 +83,36 @@ TEST(ParserTest, RejectsTrailingGarbage) {
 
 TEST(ParserTest, RejectsEmptyBody) {
   EXPECT_THROW(ParseQuery("Q(A) :- "), ParseError);
+}
+
+// Q(A0,A<n-1>) :- R(A0,...,A<n-1>).
+std::string WideQuery(int n) {
+  std::string body = "A0";
+  for (int a = 1; a < n; ++a) body += ",A" + std::to_string(a);
+  return "Q(A0,A" + std::to_string(n - 1) + ") :- R(" + body + ")";
+}
+
+// Attribute sets are one 64-bit word: 64 attributes fit, and a 65th would
+// alias attribute 0 in every set (1 << 64 is undefined), so it is rejected.
+TEST(ParserTest, AttributeLimit) {
+  const ConjunctiveQuery q = ParseQuery(WideQuery(64));
+  EXPECT_EQ(q.num_attributes(), 64);
+  EXPECT_EQ(q.head(),
+            AttrSet({q.FindAttribute("A0"), q.FindAttribute("A63")}));
+  EXPECT_THROW(ParseQuery(WideQuery(65)), ParseError);
+}
+
+TEST(ParserTest, IntegerLiteralRange) {
+  const ConjunctiveQuery q = ParseQuery(
+      "Q(A) :- R1(A,B=9223372036854775807), R2(A,C=-9223372036854775808), "
+      "R3(A,E=+5)");
+  EXPECT_EQ(q.selections()[0][0].value, INT64_MAX);
+  EXPECT_EQ(q.selections()[1][0].value, INT64_MIN);
+  EXPECT_EQ(q.selections()[2][0].value, 5);
+  EXPECT_THROW(ParseQuery("Q(A) :- R(A,B=9223372036854775808)"), ParseError);
+  EXPECT_THROW(ParseQuery("Q(A) :- R(A,B=99999999999999999999)"), ParseError);
+  EXPECT_THROW(ParseQuery("Q(A) :- R(A,B=-9223372036854775809)"), ParseError);
+  EXPECT_THROW(ParseQuery("Q(A) :- R(A,B=-)"), ParseError);
 }
 
 TEST(ParserTest, PaperQueriesParse) {

@@ -11,6 +11,7 @@
 #include "solver/boolean.h"
 #include "solver/brute_force.h"
 #include "solver/compute_adp.h"
+#include "solver/plan.h"
 #include "test_util.h"
 
 namespace adp {
@@ -192,15 +193,16 @@ TEST_P(RestrictedSweep, DisconnectedFeasibleAndMaskRespected) {
   }
 
   ASSERT_EQ(ClassifyAdpCase(q, options), AdpCase::kDecompose);
-  const AdpNode root = ComputeAdpNode(q, db, total, options);
+  const AdpNode root =
+      SolveNode(BuildDispatchPlan(q, options), db, total, options);
   testing::DenseProfile fold;
   std::int64_t fold_m = 1;
   for (const Subquery& sub : DecomposeQuery(q)) {
-    const Database sub_db = SubDatabase(sub, db);
+    const Database sub_db = SubDatabase(sub.parent_relation, db);
     const std::int64_t m = static_cast<std::int64_t>(
         CountOutputs(sub.query.body(), sub.query.head(), sub_db));
-    const AdpNode child =
-        ComputeAdpNode(sub.query, sub_db, std::min(m, total), options);
+    const AdpNode child = SolveNode(BuildDispatchPlan(sub.query, options),
+                                    sub_db, std::min(m, total), options);
     fold = fold.empty() ? child.profile.Dense()
                         : testing::DenseCombineProduct(
                               fold, fold_m, child.profile.Dense(), m, total);

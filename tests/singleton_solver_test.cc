@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "query/parser.h"
 #include "solver/singleton.h"
 #include "solver/solution.h"
@@ -111,6 +113,43 @@ TEST(SingletonVacuumTest, SingleTupleKillsEverything) {
   const auto tuples = node.report(3);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].relation, 1);
+}
+
+// A vacuum R0 under a projected head is the singleton relation of a
+// disconnected body: its tuple, if any, is inherited by every output, so
+// its profit is |Q(D)|. Optimal for every k with R0 = {∅}; with R0 = ∅,
+// Q(D) is empty and nothing is removable.
+TEST(SingletonVacuumTest, ProjectedDisconnectedBodyMatchesOracle) {
+  const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R0(), R1(A,C), R2(B,D)");
+  Rng rng(62);
+  for (int iter = 0; iter < 12; ++iter) {
+    Database db = RandomDb(q, rng, 4, 3);
+    const bool r0_empty = iter % 3 == 2;
+    if (r0_empty) {
+      db.rel(0) = RelationInstance();
+      db.rel(0).set_root_relation(0);
+    }
+    const std::int64_t total = OracleCount(q, db);
+    ASSERT_EQ(total == 0, r0_empty);
+    AdpOptions options;
+    const AdpNode node = SingletonNode(q, db, std::max<std::int64_t>(total, 1),
+                                       options);
+    EXPECT_EQ(node.profile.kmax(), total);
+    AdpOptions verified;
+    verified.verify = true;
+    if (r0_empty) {
+      EXPECT_FALSE(ComputeAdp(q, db, 1, verified).feasible);
+      continue;
+    }
+    for (std::int64_t k = 1; k <= total; ++k) {
+      const std::int64_t optimum = OracleAdp(q, db, k);
+      EXPECT_EQ(node.profile.At(k), optimum) << "iter " << iter << " k=" << k;
+      EXPECT_GE(CountRemovedOutputs(q, db, node.report(k)), k);
+      const AdpSolution sol = ComputeAdp(q, db, k, verified);
+      EXPECT_EQ(sol.cost, optimum) << "iter " << iter << " k=" << k;
+      EXPECT_GE(sol.removed_outputs, k) << "iter " << iter << " k=" << k;
+    }
+  }
 }
 
 // Oracle sweep: singleton solutions are optimal for every feasible k, in

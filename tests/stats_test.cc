@@ -32,6 +32,28 @@ TEST(StatsTest, SingletonQueryHitsSingletonOnly) {
   EXPECT_EQ(stats.count_passes, 1);
 }
 
+// A vacuum Singleton relation under a projected head: its one tuple's
+// profit is |Q(D)|, read from the preamble's counts, so the solve joins
+// nothing more (the body is disconnected, and its join a cross product).
+TEST(StatsTest, VacuumSingletonReadsPreambleCount) {
+  const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R0(), R1(A,C), R2(B,D)");
+  Database db(3);
+  db.rel(0).Add({});
+  for (Value i = 0; i < 1000; ++i) {
+    db.rel(1).Add({i, i % 7});
+    db.rel(2).Add({i, i % 11});
+  }
+  AdpStats stats;
+  AdpOptions options;
+  options.counting_only = true;
+  options.stats = &stats;
+  const AdpSolution sol = ComputeAdp(q, db, 1, options);
+  EXPECT_EQ(sol.output_count, 1000 * 1000);
+  EXPECT_EQ(sol.cost, 1);
+  EXPECT_EQ(stats.singleton_nodes, 1);
+  EXPECT_EQ(stats.count_passes, 1);
+}
+
 TEST(StatsTest, VerifyMakesNoCountingPass) {
   const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A), R2(A,B)");
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}},

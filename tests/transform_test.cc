@@ -57,7 +57,7 @@ TEST(TransformTest, SubDatabaseAlignsInstances) {
                                  {"R2", {{1, 2}}},
                                  {"R3", {{9}, {8}}}});
   const auto subs = DecomposeQuery(q);
-  const Database sub_db = SubDatabase(subs[1], db);
+  const Database sub_db = SubDatabase(subs[1].parent_relation, db);
   ASSERT_EQ(sub_db.num_relations(), 1u);
   EXPECT_EQ(sub_db.rel(0).size(), 2u);
   EXPECT_EQ(sub_db.rel(0).root_relation(), 2);  // points at root R3

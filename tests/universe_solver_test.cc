@@ -10,6 +10,8 @@
 
 #include "engine/thread_pool.h"
 #include "query/parser.h"
+#include "query/transform.h"
+#include "solver/plan.h"
 #include "solver/solution.h"
 #include "solver/universe.h"
 #include "test_util.h"
@@ -25,13 +27,31 @@ using testing::RandomDb;
 // Q(A,B,C) :- R1(A,B), R2(A,C): A universal; groups solved independently.
 ConjunctiveQuery UQ() { return ParseQuery("Q(A,B,C) :- R1(A,B), R2(A,C)"); }
 
+// A Universe node for `q` even where ClassifyAdpCase picks an earlier case
+// (Singleton): it removes what the compiled Universe case would, and its
+// residual child is compiled as usual.
+DispatchPlan UniverseRoot(const ConjunctiveQuery& q,
+                          const AdpOptions& options) {
+  DispatchPlan node;
+  node.op = AdpCase::kUniverse;
+  node.query = q;
+  node.removed = q.UniversalAttrs();
+  if (options.universe_strategy == AdpOptions::UniverseStrategy::kOneByOne) {
+    node.removed = AttrSet::Of(*node.removed.begin());
+  }
+  node.children.push_back(
+      BuildDispatchPlan(RemoveAttributes(q, node.removed), options));
+  return node;
+}
+
 TEST(UniverseTest, PartitionedOptimum) {
   const ConjunctiveQuery q = UQ();
   const Database db = MakeDb(q, {{"R1", {{1, 5}, {1, 6}, {2, 5}}},
                                  {"R2", {{1, 7}, {2, 7}, {2, 8}}}});
   // Group a=1: 2x1 = 2 outputs; group a=2: 1x2 = 2 outputs.
   AdpOptions options;
-  const AdpNode node = UniverseNode(q, db, 4, options);
+  const DispatchPlan plan = BuildDispatchPlan(q, options);
+  const AdpNode node = UniverseNode(plan, db, 4, options);
   EXPECT_TRUE(node.exact);
   // Removing 2 outputs: cheapest is one tuple (R2(1,7) kills group 1;
   // R1(2,5) kills group 2).
@@ -46,6 +66,7 @@ TEST(UniverseTest, PartitionedOptimum) {
 TEST(UniverseTest, ConvexAndDpPathsAgree) {
   Rng rng(71);
   const ConjunctiveQuery q = UQ();
+  const DispatchPlan plan = BuildDispatchPlan(q, AdpOptions{});
   for (int iter = 0; iter < 20; ++iter) {
     const Database db = RandomDb(q, rng, 10, 4);
     const std::int64_t total = OracleCount(q, db);
@@ -53,8 +74,8 @@ TEST(UniverseTest, ConvexAndDpPathsAgree) {
     AdpOptions fast;
     AdpOptions slow;
     slow.universe_convex_merge = false;
-    const AdpNode a = UniverseNode(q, db, total, fast);
-    const AdpNode b = UniverseNode(q, db, total, slow);
+    const AdpNode a = UniverseNode(plan, db, total, fast);
+    const AdpNode b = UniverseNode(plan, db, total, slow);
     for (std::int64_t j = 0; j <= total; ++j) {
       EXPECT_EQ(a.profile.At(j), b.profile.At(j)) << "iter " << iter;
     }
@@ -73,8 +94,10 @@ TEST(UniverseTest, OneByOneStrategySameCosts) {
   AdpOptions combined;
   AdpOptions one_by_one;
   one_by_one.universe_strategy = AdpOptions::UniverseStrategy::kOneByOne;
-  const AdpNode a = UniverseNode(q, db, total, combined);
-  const AdpNode b = UniverseNode(q, db, total, one_by_one);
+  const AdpNode a =
+      UniverseNode(UniverseRoot(q, combined), db, total, combined);
+  const AdpNode b =
+      UniverseNode(UniverseRoot(q, one_by_one), db, total, one_by_one);
   for (std::int64_t j = 0; j <= total; ++j) {
     EXPECT_EQ(a.profile.At(j), b.profile.At(j)) << "j=" << j;
   }
@@ -93,6 +116,7 @@ TEST(UniverseTest, ShardedGroupsMatchSequential) {
 
   Rng rng(73);
   const ConjunctiveQuery q = UQ();
+  const DispatchPlan plan = BuildDispatchPlan(q, AdpOptions{});
   int sharded_nodes = 0;
   for (int iter = 0; iter < 20; ++iter) {
     const Database db = RandomDb(q, rng, 10, 4);
@@ -102,13 +126,13 @@ TEST(UniverseTest, ShardedGroupsMatchSequential) {
     AdpOptions sequential;
     AdpStats seq_stats;
     sequential.stats = &seq_stats;
-    const AdpNode a = UniverseNode(q, db, total, sequential);
+    const AdpNode a = UniverseNode(plan, db, total, sequential);
 
     AdpOptions sharded = sequential;
     AdpStats shard_stats;
     sharded.stats = &shard_stats;
     sharded.parallelism = &par;
-    const AdpNode b = UniverseNode(q, db, total, sharded);
+    const AdpNode b = UniverseNode(plan, db, total, sharded);
 
     for (std::int64_t j = 0; j <= total; ++j) {
       ASSERT_EQ(a.profile.At(j), b.profile.At(j))
@@ -151,7 +175,8 @@ TEST_P(UniverseOracleSweep, OptimalForAllK) {
   const std::int64_t total = OracleCount(q, db);
   if (total == 0 || db.TotalTuples() > 14) GTEST_SKIP();
   AdpOptions options;
-  const AdpNode node = UniverseNode(q, db, total, options);
+  const DispatchPlan plan = BuildDispatchPlan(q, options);
+  const AdpNode node = UniverseNode(plan, db, total, options);
   ASSERT_TRUE(node.exact);
   for (std::int64_t k = 1; k <= total; ++k) {
     EXPECT_EQ(node.profile.At(k), OracleAdp(q, db, k)) << "k=" << k;
