@@ -1,23 +1,13 @@
 #include "io/csv.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "util/parse_int.h"
+
 namespace adp {
 namespace {
-
-bool LooksNumeric(const std::string& field) {
-  if (field.empty()) return false;
-  std::size_t i = (field[0] == '-' || field[0] == '+') ? 1 : 0;
-  if (i >= field.size()) return false;
-  for (; i < field.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(field[i]))) return false;
-  }
-  return true;
-}
 
 std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> fields;
@@ -34,11 +24,27 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return fields;
 }
 
-}  // namespace
+// The one field parser: a whole field, in the int64 range. `context` (the
+// path) and `lineno` locate the field in the error.
+Value ParseField(const std::string& field, const std::string& context,
+                 std::size_t lineno) {
+  Value value = 0;
+  const IntParse status = ParseInt64(field, &value);
+  if (status == IntParse::kOk) return value;
+  std::ostringstream os;
+  os << context << ": line " << lineno << ": "
+     << (status == IntParse::kOutOfRange ? "integer out of the 64-bit range"
+                                         : "non-integer field")
+     << " '" << field << "'";
+  throw CsvError(os.str());
+}
 
-std::vector<Tuple> ReadTuplesCsv(std::istream& in, std::size_t arity,
-                                 const std::string& context) {
-  std::vector<Tuple> out;
+// Calls `row(values)` for every data row of `in`, `values` holding its
+// `arity` integers (none for a vacuum tuple's blank line).
+template <typename RowFn>
+void ForEachCsvRow(std::istream& in, std::size_t arity,
+                   const std::string& context, RowFn row) {
+  Tuple values(arity);
   std::string line;
   std::size_t lineno = 0;
   bool first_data_line = true;
@@ -47,10 +53,12 @@ std::vector<Tuple> ReadTuplesCsv(std::istream& in, std::size_t arity,
     if (line.empty() || line[0] == '#') continue;
     const std::vector<std::string> fields = SplitCsvLine(line);
     if (fields.empty() || (fields.size() == 1 && fields[0].empty())) {
-      if (arity == 0) out.push_back({});  // vacuum tuple
+      if (arity == 0) row(values);  // vacuum tuple
       continue;
     }
-    if (first_data_line && !LooksNumeric(fields[0])) {
+    Value ignored = 0;
+    if (first_data_line &&
+        ParseInt64(fields[0], &ignored) == IntParse::kMalformed) {
       first_data_line = false;
       continue;  // header
     }
@@ -61,19 +69,20 @@ std::vector<Tuple> ReadTuplesCsv(std::istream& in, std::size_t arity,
          << " fields, expected " << arity;
       throw CsvError(os.str());
     }
-    Tuple row;
-    row.reserve(arity);
-    for (const std::string& f : fields) {
-      if (!LooksNumeric(f)) {
-        std::ostringstream os;
-        os << context << ": line " << lineno << ": non-integer field '" << f
-           << "'";
-        throw CsvError(os.str());
-      }
-      row.push_back(std::strtoll(f.c_str(), nullptr, 10));
+    for (std::size_t c = 0; c < arity; ++c) {
+      values[c] = ParseField(fields[c], context, lineno);
     }
-    out.push_back(std::move(row));
+    row(values);
   }
+}
+
+}  // namespace
+
+std::vector<Tuple> ReadTuplesCsv(std::istream& in, std::size_t arity,
+                                 const std::string& context) {
+  std::vector<Tuple> out;
+  ForEachCsvRow(in, arity, context,
+                [&](const Tuple& values) { out.push_back(values); });
   return out;
 }
 
@@ -85,53 +94,20 @@ std::vector<Tuple> LoadTuplesCsv(const std::string& path, std::size_t arity) {
 
 Database LoadDatabaseCsv(const ConjunctiveQuery& q, const std::string& dir) {
   Database db(q.num_relations());
-  std::string line;
   for (int i = 0; i < q.num_relations(); ++i) {
     const RelationSchema& schema = q.relation(i);
-    const std::size_t arity = schema.attrs.size();
     const std::string path = dir + "/" + schema.name + ".csv";
     std::ifstream in(path);
     if (!in) {
       throw CsvError("missing instance file " + path + " for relation " +
                      schema.name);
     }
-    // Stream rows straight into the columnar instance through one reused
-    // scratch buffer: no per-row Tuple allocation, and each value is
-    // interned once per column dictionary.
+    // Stream rows straight into the columnar instance: no per-row Tuple
+    // allocation, and each value is interned once per column dictionary.
     RelationInstance& rel = db.rel(i);
-    Tuple scratch(arity);
-    std::size_t lineno = 0;
-    bool first_data_line = true;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty() || line[0] == '#') continue;
-      const std::vector<std::string> fields = SplitCsvLine(line);
-      if (fields.empty() || (fields.size() == 1 && fields[0].empty())) {
-        if (arity == 0) rel.AppendRow(scratch.data(), 0);  // vacuum tuple
-        continue;
-      }
-      if (first_data_line && !LooksNumeric(fields[0])) {
-        first_data_line = false;
-        continue;  // header
-      }
-      first_data_line = false;
-      if (fields.size() != arity) {
-        std::ostringstream os;
-        os << path << ": line " << lineno << " has " << fields.size()
-           << " fields, expected " << arity;
-        throw CsvError(os.str());
-      }
-      for (std::size_t c = 0; c < arity; ++c) {
-        if (!LooksNumeric(fields[c])) {
-          std::ostringstream os;
-          os << path << ": line " << lineno << ": non-integer field '"
-             << fields[c] << "'";
-          throw CsvError(os.str());
-        }
-        scratch[c] = std::strtoll(fields[c].c_str(), nullptr, 10);
-      }
-      rel.AppendRow(scratch.data(), arity);
-    }
+    ForEachCsvRow(in, schema.attrs.size(), path, [&](const Tuple& values) {
+      rel.AppendRow(values.data(), values.size());
+    });
     rel.Dedup();
   }
   return db;

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
+#include "util/parse_int.h"
 #include "util/stopwatch.h"
 
 namespace adp::net {
@@ -46,11 +47,23 @@ std::pair<std::string, RelationInstance> ParseRelationSpec(
       std::istringstream rin(row);
       std::string val;
       while (std::getline(rin, val, ',')) {
-        tuple.push_back(static_cast<Value>(std::stoll(val)));
+        Value v = 0;
+        const IntParse status = ParseInt64(val, &v);
+        if (status != IntParse::kOk) {
+          throw std::runtime_error(
+              "relation " + out.first + ": " +
+              (status == IntParse::kOutOfRange
+                   ? "value out of the 64-bit range: "
+                   : "non-integer value: ") +
+              val);
+        }
+        tuple.push_back(v);
       }
     }
     out.second.Add(std::move(tuple));
   }
+  // A relation is a set: a repeated row is one tuple, as in the CSV loader.
+  out.second.Dedup();
   return out;
 }
 
@@ -70,15 +83,9 @@ namespace {
 
 // Strict integer option value: rejects empty, trailing junk, and overflow.
 std::int64_t ParseOptionInt(const std::string& tok, std::size_t prefix_len) {
-  const std::string value = tok.substr(prefix_len);
-  std::size_t pos = 0;
   std::int64_t out = 0;
-  try {
-    out = std::stoll(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (value.empty() || pos != value.size()) {
+  if (ParseInt64(std::string_view(tok).substr(prefix_len), &out) !=
+      IntParse::kOk) {
     throw std::runtime_error("bad option value: " + tok);
   }
   return out;

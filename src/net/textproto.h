@@ -47,7 +47,8 @@ std::string JsonEscape(const std::string& s);
 
 /// Parses one "R1=11,21/12,22" relation spec into (name, instance).
 /// "()" denotes the empty tuple (vacuum instance); "R1=" alone is an empty
-/// instance.
+/// instance. Repeated rows collapse into one tuple. A value that is not a
+/// whole 64-bit integer throws, naming the relation and the value.
 std::pair<std::string, RelationInstance> ParseRelationSpec(
     const std::string& spec);
 

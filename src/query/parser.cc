@@ -1,8 +1,9 @@
 #include "query/parser.h"
 
 #include <cctype>
-#include <charconv>
 #include <set>
+
+#include "util/parse_int.h"
 
 namespace adp {
 namespace {
@@ -63,16 +64,13 @@ class Scanner {
       ++pos_;
     }
     while (pos_ < text_.size() && std::isdigit(Byte(pos_))) ++pos_;
-    if (pos_ == start) Fail("expected integer");
-    // from_chars takes a '-' sign but not a '+' one.
-    const char* first = text_.data() + start + (text_[start] == '+' ? 1 : 0);
-    const char* last = text_.data() + pos_;
     Value value = 0;
-    const auto [end, ec] = std::from_chars(first, last, value);
-    if (ec == std::errc::result_out_of_range) {
+    const IntParse status =
+        ParseInt64(text_.substr(start, pos_ - start), &value);
+    if (status == IntParse::kOutOfRange) {
       Fail("integer literal out of the 64-bit range");
     }
-    if (ec != std::errc() || end != last) Fail("expected integer");
+    if (status != IntParse::kOk) Fail("expected integer");
     return value;
   }
 

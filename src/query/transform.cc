@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "query/graph.h"
 #include "relational/group_index.h"
@@ -77,6 +78,17 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db) {
   const AttrSet selected = q.SelectedAttrs();
   QueryDb out;
   out.query = RemoveAttributes(q, selected);
+  // A natural join equates an attribute across its atoms, so a predicate on
+  // A, whichever atom states it, filters every atom that holds A. Each
+  // selected attribute maps to its required value, or to nullopt when two
+  // predicates require different values (nothing is selected then).
+  std::map<AttrId, std::optional<Value>> required;
+  for (const std::vector<Selection>& preds : q.selections()) {
+    for (const Selection& s : preds) {
+      auto [it, inserted] = required.try_emplace(s.attr, s.value);
+      if (!inserted && it->second != s.value) it->second.reset();
+    }
+  }
   // RemoveAttributes keeps predicates on surviving attributes; none survive
   // because every selected attribute was removed. Rebuild the instances.
   for (int i = 0; i < q.num_relations(); ++i) {
@@ -92,26 +104,26 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db) {
       }
     }
 
-    // Translate each predicate's required value into the column's
-    // dictionary code once; a value absent from the dictionary matches no
-    // row and empties the instance without scanning.
+    // Translate each required value into the column's dictionary code
+    // once; a value absent from the dictionary matches no row and empties
+    // the instance without scanning.
     std::vector<std::pair<int, Code>> preds;  // (column, required code)
-    bool satisfiable = true;
-    for (const Selection& s : q.selections()[i]) {
-      const int col = schema.ColumnOf(s.attr);
+    bool satisfiable = !inst.empty();
+    for (auto it = required.begin(); satisfiable && it != required.end();
+         ++it) {
+      const int col = schema.ColumnOf(it->first);
+      if (col < 0) continue;
       const std::int64_t code =
-          inst.empty() ? -1 : inst.dict(col).Lookup(s.value);
-      if (code < 0) {
-        satisfiable = false;
-        break;
-      }
+          it->second ? inst.dict(col).Lookup(*it->second) : -1;
+      satisfiable = code >= 0;
       preds.emplace_back(col, static_cast<Code>(code));
     }
 
-    if (satisfiable && !inst.empty()) {
+    if (satisfiable) {
       // Columnar scan: integer code compares only, then one gather of the
       // passing rows over the kept columns (dictionaries are shared, codes
-      // copied, origins carried).
+      // copied, origins carried). Every dropped column holds one value
+      // across the passing rows, so distinct rows stay distinct.
       std::vector<TupleId> pass;
       pass.reserve(inst.size());
       for (std::size_t t = 0; t < inst.size(); ++t) {
@@ -125,7 +137,6 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db) {
         if (ok) pass.push_back(static_cast<TupleId>(t));
       }
       derived.AppendGathered(inst, pass, kept_cols);
-      derived.Dedup();
     }
     out.db.Append(std::move(derived));
   }

@@ -55,10 +55,11 @@ std::vector<Subquery> DecomposeQuery(const ConjunctiveQuery& q);
 /// bookkeeping is inherited).
 Database SubDatabase(const std::vector<int>& rels, const Database& db);
 
-/// Selection pushdown (Lemma 12): filters every relation instance by its
-/// predicates, removes the selected attributes Aθ from schemas, head and
-/// instances, and clears the predicates. The result is an ordinary CQ whose
-/// ADP solutions coincide with the original's.
+/// Selection pushdown (Lemma 12): filters every relation instance by every
+/// predicate on an attribute it holds, whichever atom states the predicate,
+/// removes the selected attributes Aθ from schemas, head and instances, and
+/// clears the predicates. The result is an ordinary CQ whose ADP solutions
+/// coincide with the original's. Duplicate-free instances stay so.
 QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db);
 
 /// Universe partitioning (Algorithm 4): splits `db` into groups by the value

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "util/hash.h"
@@ -14,46 +15,6 @@ std::atomic<std::uint64_t> g_max_rows{
     static_cast<std::uint64_t>(std::numeric_limits<TupleId>::max())};
 
 }  // namespace
-
-RelationInstance::RelationInstance() = default;
-RelationInstance::~RelationInstance() = default;
-RelationInstance::RelationInstance(RelationInstance&&) noexcept = default;
-RelationInstance& RelationInstance::operator=(RelationInstance&&) noexcept =
-    default;
-
-RelationInstance::RelationInstance(const RelationInstance& other)
-    : num_rows_(other.num_rows_),
-      reserve_hint_(other.reserve_hint_),
-      root_relation_(other.root_relation_) {
-  if (other.cols_.empty() && other.origin_.empty()) return;
-  Arena& a = ArenaRef();
-  cols_.reserve(other.cols_.size());
-  for (const Column& c : other.cols_) {
-    Column copy;
-    // Dictionaries are append-only, so sharing them across copies is sound;
-    // a later mutating append clones its column dictionary first
-    // (copy-on-write in MutableDict).
-    copy.dict = c.dict;
-    copy.codes.AppendN(a, c.codes.data(), c.codes.size());
-    cols_.push_back(std::move(copy));
-  }
-  if (!other.origin_.empty()) {
-    origin_.AppendN(a, other.origin_.data(), other.origin_.size());
-  }
-}
-
-RelationInstance& RelationInstance::operator=(const RelationInstance& other) {
-  if (this != &other) {
-    RelationInstance tmp(other);
-    *this = std::move(tmp);
-  }
-  return *this;
-}
-
-Arena& RelationInstance::ArenaRef() {
-  if (arena_ == nullptr) arena_ = std::make_unique<Arena>();
-  return *arena_;
-}
 
 Tuple RelationInstance::tuple(std::size_t i) const {
   Tuple out(cols_.size());
@@ -71,11 +32,7 @@ void RelationInstance::EnsureArity(std::size_t n) {
     return;
   }
   cols_.resize(n);
-  Arena& a = ArenaRef();
-  for (Column& c : cols_) {
-    c.dict = std::make_shared<ColumnDict>();
-    if (reserve_hint_ > 0) c.codes.Reserve(a, reserve_hint_);
-  }
+  for (Column& c : cols_) c.dict = std::make_shared<ColumnDict>();
 }
 
 void RelationInstance::CheckCapacity(std::size_t extra) const {
@@ -93,25 +50,24 @@ ColumnDict& RelationInstance::MutableDict(std::size_t c) {
   return *d;
 }
 
+void RelationInstance::MaterializeOrigins() {
+  if (!origin_.empty() || num_rows_ == 0) return;
+  origin_.resize(num_rows_);
+  std::iota(origin_.begin(), origin_.end(), TupleId{0});
+}
+
 void RelationInstance::AppendRowImpl(const Value* vals, std::size_t n,
                                      TupleId origin, bool explicit_origin) {
   CheckCapacity(1);
   EnsureArity(n);
-  Arena& a = ArenaRef();
   for (std::size_t c = 0; c < n; ++c) {
-    cols_[c].codes.PushBack(a, MutableDict(c).Intern(vals[c]));
+    cols_[c].codes.push_back(MutableDict(c).Intern(vals[c]));
   }
   if (explicit_origin) {
-    if (origin_.empty() && num_rows_ > 0) {
-      // Promote the identity mapping to an explicit one.
-      origin_.Reserve(a, num_rows_ + 1);
-      for (std::size_t i = 0; i < num_rows_; ++i) {
-        origin_.PushBack(a, static_cast<TupleId>(i));
-      }
-    }
-    origin_.PushBack(a, origin);
+    MaterializeOrigins();
+    origin_.push_back(origin);
   } else if (!origin_.empty()) {
-    origin_.PushBack(a, static_cast<TupleId>(num_rows_));
+    origin_.push_back(static_cast<TupleId>(num_rows_));
   }
   ++num_rows_;
 }
@@ -130,7 +86,6 @@ void RelationInstance::AppendGathered(const RelationInstance& src,
                                       std::span<const TupleId> rows,
                                       const std::vector<int>& kept_cols) {
   CheckCapacity(rows.size());
-  Arena& a = ArenaRef();
   if (num_rows_ == 0 && cols_.empty()) {
     // Adopt the source layout: share its dictionaries outright.
     cols_.resize(kept_cols.size());
@@ -143,31 +98,29 @@ void RelationInstance::AppendGathered(const RelationInstance& src,
                                 " columns, gather has " +
                                 std::to_string(kept_cols.size()));
   }
+  // resize() sizes an empty column exactly (a fresh derived instance) and
+  // grows a filled one geometrically.
   for (std::size_t j = 0; j < cols_.size(); ++j) {
     const Column& sc = src.cols_[kept_cols[j]];
     Column& dc = cols_[j];
-    if (dc.dict.get() == sc.dict.get()) {
+    const std::size_t base = dc.codes.size();
+    dc.codes.resize(base + rows.size());
+    Code* out = dc.codes.data() + base;
+    if (dc.dict == sc.dict) {
       // Same dictionary: codes transfer verbatim.
-      dc.codes.Reserve(a, dc.codes.size() + rows.size());
-      for (TupleId r : rows) dc.codes.PushBack(a, sc.codes[r]);
+      for (TupleId r : rows) *out++ = sc.codes[r];
     } else {
       // Different dictionary (destination was populated another way):
       // decode and re-intern.
       ColumnDict& dict = MutableDict(j);
-      dc.codes.Reserve(a, dc.codes.size() + rows.size());
-      for (TupleId r : rows) {
-        dc.codes.PushBack(a, dict.Intern(sc.dict->values[sc.codes[r]]));
-      }
+      for (TupleId r : rows) *out++ = dict.Intern(sc.dict->values[sc.codes[r]]);
     }
   }
-  if (origin_.empty() && num_rows_ > 0) {
-    origin_.Reserve(a, num_rows_ + rows.size());
-    for (std::size_t i = 0; i < num_rows_; ++i) {
-      origin_.PushBack(a, static_cast<TupleId>(i));
-    }
-  }
-  origin_.Reserve(a, origin_.size() + rows.size());
-  for (TupleId r : rows) origin_.PushBack(a, src.OriginOf(r));
+  MaterializeOrigins();
+  const std::size_t base = origin_.size();
+  origin_.resize(base + rows.size());
+  TupleId* out = origin_.data() + base;
+  for (TupleId r : rows) *out++ = src.OriginOf(r);
   num_rows_ += rows.size();
 }
 
@@ -217,35 +170,22 @@ void RelationInstance::Dedup() {
   }
   if (kept.size() == num_rows_) return;
 
-  // Compact into a fresh arena so dropped rows do not pin old storage.
-  auto fresh = std::make_unique<Arena>();
+  // Fresh vectors of the kept size, so dropped rows hold no storage.
   for (Column& c : cols_) {
-    ArenaVec<Code> codes;
-    codes.Reserve(*fresh, kept.size());
-    for (TupleId r : kept) codes.PushBack(*fresh, c.codes[r]);
-    c.codes = codes;
+    std::vector<Code> codes(kept.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) codes[i] = c.codes[kept[i]];
+    c.codes = std::move(codes);
   }
-  const bool identity = origin_.empty();
   bool identity_after = true;
-  ArenaVec<TupleId> origins;
-  origins.Reserve(*fresh, kept.size());
+  std::vector<TupleId> origins(kept.size());
   for (std::size_t i = 0; i < kept.size(); ++i) {
-    const TupleId o = identity ? kept[i] : origin_[kept[i]];
-    if (o != i) identity_after = false;
-    origins.PushBack(*fresh, o);
+    origins[i] = OriginOf(kept[i]);
+    if (origins[i] != i) identity_after = false;
   }
   // Keep the cheap identity representation when the kept origins are still
   // the identity.
-  origin_ = identity_after ? ArenaVec<TupleId>() : origins;
-  arena_ = std::move(fresh);
+  origin_ = identity_after ? std::vector<TupleId>() : std::move(origins);
   num_rows_ = kept.size();
-}
-
-void RelationInstance::Reserve(std::size_t n) {
-  reserve_hint_ = n;
-  if (cols_.empty()) return;
-  Arena& a = ArenaRef();
-  for (Column& c : cols_) c.codes.Reserve(a, n);
 }
 
 std::uint64_t RelationInstance::MaxRows() {

@@ -1,8 +1,9 @@
 // Relation schemas and columnar relation instances.
 //
 // Storage layout (docs/RELATIONAL.md): a RelationInstance is column-major.
-// Each column holds dictionary codes (`Code`, uint32) in an arena-backed
-// vector; the per-column dictionary maps codes to the original values.
+// Each column holds dictionary codes (`Code`, uint32) in a std::vector
+// sized by its rows; the per-column dictionary maps codes to the original
+// values.
 // Equality, grouping, and deduplication therefore compare 32-bit codes
 // instead of materialized rows, and the dictionary size of a column is its
 // exact distinct count — per-column stats the planner can read for free.
@@ -27,10 +28,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
-#include "relational/arena.h"
 #include "relational/tuple.h"
 #include "util/attr_set.h"
 
@@ -107,13 +108,6 @@ class TupleView;
 /// can be reported against the root database.
 class RelationInstance {
  public:
-  RelationInstance();
-  ~RelationInstance();
-  RelationInstance(const RelationInstance& other);
-  RelationInstance& operator=(const RelationInstance& other);
-  RelationInstance(RelationInstance&&) noexcept;
-  RelationInstance& operator=(RelationInstance&&) noexcept;
-
   /// Number of tuples.
   std::size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
@@ -181,9 +175,6 @@ class RelationInstance {
   /// equality is value-row equality.
   void Dedup();
 
-  /// Reserves storage for `n` tuples (effective once arity is known).
-  void Reserve(std::size_t n);
-
   /// Current append capacity: appends that would exceed it throw
   /// TupleLimitError. Defaults to the TupleId ceiling (2^32 - 1).
   static std::uint64_t MaxRows();
@@ -193,13 +184,14 @@ class RelationInstance {
   static std::uint64_t OverrideMaxRowsForTest(std::uint64_t n);
 
  private:
+  // A copy of the instance copies the codes and shares the dictionary. That
+  // is sound because dictionaries are append-only and a mutating append
+  // clones a shared one first (MutableDict).
   struct Column {
-    ArenaVec<Code> codes;
+    std::vector<Code> codes;
     std::shared_ptr<ColumnDict> dict;
   };
 
-  // The owning arena, created lazily on first append.
-  Arena& ArenaRef();
   // Fixes the column count on first append; throws on arity mismatch.
   void EnsureArity(std::size_t n);
   // Throws TupleLimitError if `extra` more rows would pass MaxRows().
@@ -207,16 +199,21 @@ class RelationInstance {
   // Dictionary of column `c`, cloned first if still shared (copy-on-write);
   // only mutating appends call this.
   ColumnDict& MutableDict(std::size_t c);
+  // Writes the identity origins of the rows so far into origin_, before
+  // the first row with an explicit origin is appended.
+  void MaterializeOrigins();
   void AppendRowImpl(const Value* vals, std::size_t n, TupleId origin,
                      bool explicit_origin);
 
-  std::unique_ptr<Arena> arena_;
   std::vector<Column> cols_;
-  ArenaVec<TupleId> origin_;  // empty => identity mapping
+  std::vector<TupleId> origin_;  // empty => identity mapping
   std::size_t num_rows_ = 0;
-  std::size_t reserve_hint_ = 0;
   int root_relation_ = -1;
 };
+
+// Instances live in growing vectors (Database, Universe groups): those must
+// move them when they reallocate, not copy them.
+static_assert(std::is_nothrow_move_constructible_v<RelationInstance>);
 
 /// A non-owning (instance, row) handle: tuple semantics without
 /// materialization. Valid while the instance is alive and un-appended.

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "io/csv.h"
@@ -50,6 +52,40 @@ TEST(CsvTest, RejectsWrongArity) {
 TEST(CsvTest, RejectsNonNumericDataAfterHeader) {
   std::istringstream in("a,b\n1,2\nx,y\n");
   EXPECT_THROW(ReadTuplesCsv(in, 2, "test"), CsvError);
+}
+
+// The error of a bad field names the input, the line and the field.
+void ExpectCsvError(const std::function<void()>& read,
+                    const std::string& context, const std::string& line,
+                    const std::string& field) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted '" << field << "'";
+  } catch (const CsvError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(context), std::string::npos) << what;
+    EXPECT_NE(what.find(line), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + field + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(CsvTest, RejectsOutOfRangeAndTrailingJunk) {
+  // 99999999999999999999 used to clamp to INT64_MAX and alias the next row.
+  for (const std::string field : {"99999999999999999999",
+                                  "-99999999999999999999", "12x"}) {
+    SCOPED_TRACE(field);
+    ExpectCsvError(
+        [&] {
+          std::istringstream in("9223372036854775807,2\n" + field + ",1\n");
+          ReadTuplesCsv(in, 2, "edges.csv");
+        },
+        "edges.csv", "line 2", field);
+  }
+  std::istringstream in("9223372036854775807,-9223372036854775808\n");
+  const auto rows = ReadTuplesCsv(in, 2, "test");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0], Tuple({std::numeric_limits<Value>::max(),
+                            std::numeric_limits<Value>::min()}));
 }
 
 TEST(CsvTest, MissingFileThrows) {
@@ -98,6 +134,14 @@ TEST_F(CsvDirTest, DeduplicatesOnLoad) {
   const ConjunctiveQuery q = ParseQuery("Q(A) :- R1(A)");
   const Database db = LoadDatabaseCsv(q, dir_.string());
   EXPECT_EQ(db.rel(0).size(), 2u);
+}
+
+TEST_F(CsvDirTest, RejectsOutOfRangeFieldOnLoad) {
+  WriteFile("R1.csv", "# ids\n1\n99999999999999999999\n");
+  const ConjunctiveQuery q = ParseQuery("Q(A) :- R1(A)");
+  ExpectCsvError([&] { LoadDatabaseCsv(q, dir_.string()); },
+                 (dir_ / "R1.csv").string(), "line 3",
+                 "99999999999999999999");
 }
 
 TEST_F(CsvDirTest, MissingRelationFileThrows) {

@@ -59,18 +59,32 @@ TEST(SelectionTest, SelectedQueryBecomesExact) {
 }
 
 TEST(SelectionTest, MatchesBruteForceOnSelectedInstances) {
-  const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A), R2(A,B=1)");
-  Rng rng(61);
-  for (int iter = 0; iter < 10; ++iter) {
-    const Database db = testing::RandomDb(q, rng, 4, 2);
-    const std::int64_t total = OracleCount(q, db);
-    if (total == 0) continue;
-    for (std::int64_t k = 1; k <= total; ++k) {
-      const auto brute = BruteForceAdp(q, db, k);
-      ASSERT_TRUE(brute.has_value());
-      const AdpSolution sol = ComputeAdp(q, db, k, AdpOptions{});
-      EXPECT_TRUE(sol.exact);
-      EXPECT_EQ(sol.cost, brute->cost) << "k=" << k;
+  // The second query states its predicate in one atom of two holding A;
+  // the third requires two different values of A and selects nothing.
+  // Their domain holds both constants.
+  struct Input {
+    const char* text;
+    std::int64_t domain;
+  };
+  for (const Input& in : {Input{"Q(A,B) :- R1(A), R2(A,B=1)", 2},
+                          Input{"Q(B,C) :- R(A=1,B), S(A,C)", 3},
+                          Input{"Q(B,C) :- R(A=1,B), S(A=2,C)", 3}}) {
+    SCOPED_TRACE(in.text);
+    const ConjunctiveQuery q = ParseQuery(in.text);
+    Rng rng(61);
+    for (int iter = 0; iter < 10; ++iter) {
+      const Database db = testing::RandomDb(q, rng, 4, in.domain);
+      const std::int64_t total = OracleCount(q, db);
+      EXPECT_EQ(ComputeAdp(q, db, 1, AdpOptions{}).output_count, total);
+      if (total == 0) continue;
+      for (std::int64_t k = 1; k <= total; ++k) {
+        const auto brute = BruteForceAdp(q, db, k);
+        ASSERT_TRUE(brute.has_value());
+        EXPECT_EQ(brute->cost, testing::OracleAdp(q, db, k)) << "k=" << k;
+        const AdpSolution sol = ComputeAdp(q, db, k, AdpOptions{});
+        EXPECT_TRUE(sol.exact);
+        EXPECT_EQ(sol.cost, brute->cost) << "k=" << k;
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,7 +45,50 @@ TEST(TextProtoTest, ParseRelationSpecRowsAndVacuum) {
   EXPECT_EQ(ename, "E");
   EXPECT_EQ(empty.size(), 0u);
 
+  // A relation is a set: the repeated row is one tuple.
+  auto [dname, dup] = ParseRelationSpec("D=1,2/1,2/3,4");
+  EXPECT_EQ(dname, "D");
+  ASSERT_EQ(dup.size(), 2u);
+  EXPECT_EQ(dup.tuple(0), Tuple({1, 2}));
+  EXPECT_EQ(dup.tuple(1), Tuple({3, 4}));
+
   EXPECT_THROW(ParseRelationSpec("no-equals"), std::runtime_error);
+}
+
+TEST(TextProtoTest, ParseRelationSpecRejectsBadIntegers) {
+  // Each value must be a whole 64-bit integer; the error names the
+  // relation and the value.
+  for (const std::string value :
+       {"1x", "99999999999999999999", "abc", "", "-"}) {
+    SCOPED_TRACE(value);
+    try {
+      ParseRelationSpec("R1=" + value + ",2");
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("relation R1"), std::string::npos) << what;
+      if (!value.empty()) {
+        EXPECT_NE(what.find(value), std::string::npos) << what;
+      }
+    }
+  }
+  EXPECT_EQ(ParseRelationSpec("R1=-9223372036854775808,+7")
+                .second.tuple(0),
+            Tuple({std::numeric_limits<Value>::min(), 7}));
+}
+
+TEST(TextProtoTest, RepeatedFrameRowCountsOnce) {
+  // R holds (1,2) twice in the frame; Q(D) = {(1,2), (3,4)}.
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  ParsedDb parsed = ParseDbLine(SplitWs("DB d R=1,2/1,2/3,4 S=2/4"));
+  AdpRequest req;
+  req.db = engine.RegisterDatabase(std::move(parsed.db));
+  req.query_text = "Q(A,B) :- R(A,B), S(B)";
+  req.k = 1;
+  const AdpResponse resp = engine.Execute(req);
+  ASSERT_TRUE(resp.status.ok()) << resp.status.message();
+  EXPECT_EQ(resp.solution.output_count, 2);
+  EXPECT_EQ(resp.solution.cost, 1);
 }
 
 TEST(TextProtoTest, ParseDbLineBindsNamesInOrder) {
