@@ -2,18 +2,20 @@
 
 namespace adp {
 
-std::vector<char> ExogenousFlags(const ConjunctiveQuery& q) {
-  const int p = q.num_relations();
-  std::vector<char> exo(p, 0);
-  for (int j = 0; j < p; ++j) {
-    const AttrSet aj = q.relation(j).attr_set();
-    for (int i = 0; i < p && !exo[j]; ++i) {
-      if (i == j) continue;
-      const AttrSet ai = q.relation(i).attr_set();
-      if (ai.StrictSubsetOf(aj)) exo[j] = 1;
-      if (ai == aj && i < j) exo[j] = 1;  // tie rule: first one endogenous
-    }
+bool IsExogenous(const ConjunctiveQuery& q, int j) {
+  const AttrSet aj = q.relation(j).attr_set();
+  for (int i = 0; i < q.num_relations(); ++i) {
+    if (i == j) continue;
+    const AttrSet ai = q.relation(i).attr_set();
+    if (ai.StrictSubsetOf(aj)) return true;
+    if (ai == aj && i < j) return true;  // tie rule: first one endogenous
   }
+  return false;
+}
+
+std::vector<char> ExogenousFlags(const ConjunctiveQuery& q) {
+  std::vector<char> exo(q.num_relations(), 0);
+  for (int j = 0; j < q.num_relations(); ++j) exo[j] = IsExogenous(q, j);
   return exo;
 }
 

@@ -13,10 +13,13 @@
 
 namespace adp {
 
-/// flags[i] == 1 iff relation `i` is exogenous: some other relation's
-/// attribute set is a strict subset of attr(Ri). When several relations
-/// share the same attribute set, the lowest-index one counts as endogenous
-/// and the rest as exogenous.
+/// True iff relation `j` is exogenous: some other relation's attribute set
+/// is a strict subset of attr(Rj). When several relations share the same
+/// attribute set, the lowest-index one counts as endogenous and the rest as
+/// exogenous.
+bool IsExogenous(const ConjunctiveQuery& q, int j);
+
+/// flags[i] == 1 iff relation `i` is exogenous (IsExogenous).
 std::vector<char> ExogenousFlags(const ConjunctiveQuery& q);
 
 /// Body indices of endogenous relations.

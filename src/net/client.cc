@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/parse_int.h"
+
 // See src/net/server.cc: writes must surface EPIPE, not raise SIGPIPE in
 // the embedding application.
 #ifndef MSG_NOSIGNAL
@@ -90,9 +92,7 @@ bool AdpNetClient::Connect(const std::string& host, int port) {
     Close();
     return false;
   }
-  try {
-    version_ = static_cast<std::uint32_t>(std::stoul(reply->payload));
-  } catch (const std::exception&) {
+  if (!ParseUint32(reply->payload, &version_)) {
     error_ = "bad HELLO_OK payload: " + reply->payload;
     Close();
     return false;

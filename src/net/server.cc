@@ -22,6 +22,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "util/parse_int.h"
 
 // Platforms without the per-call flag (macOS/BSD) suppress SIGPIPE with
 // the per-socket option below instead.
@@ -487,11 +488,8 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
     }
     const std::vector<std::string> toks = SplitWs(payload);
     std::uint32_t lo = 0, hi = 0;
-    try {
-      if (toks.size() != 2) throw std::runtime_error("HELLO <min> <max>");
-      lo = static_cast<std::uint32_t>(std::stoul(toks[0]));
-      hi = static_cast<std::uint32_t>(std::stoul(toks[1]));
-    } catch (const std::exception&) {
+    if (toks.size() != 2 || !ParseUint32(toks[0], &lo) ||
+        !ParseUint32(toks[1], &hi)) {
       protocol_errors_->Increment();
       SendError(conn, 0, StatusCode::kInvalidArgument,
                 "malformed HELLO payload");
@@ -639,7 +637,10 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
         if (toks.size() < 4 || toks[0] != "EXEC") {
           throw std::runtime_error("EXEC <handle> <db> <k> [+opt ...]");
         }
-        const std::int64_t handle = std::stoll(toks[1]);
+        std::int64_t handle = 0;
+        if (ParseInt64(toks[1], &handle) != IntParse::kOk) {
+          throw std::runtime_error("bad prepared handle: " + toks[1]);
+        }
         auto pit = conn.prepared.find(handle);
         if (pit == conn.prepared.end()) {
           throw std::runtime_error("unknown prepared handle " + toks[1]);
@@ -691,7 +692,10 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
         }
         int cancelled = 0;
         if (toks.size() == 2) {
-          const std::int64_t target = std::stoll(toks[1]);
+          std::int64_t target = 0;
+          if (ParseInt64(toks[1], &target) != IntParse::kOk) {
+            throw std::runtime_error("bad cancel target: " + toks[1]);
+          }
           auto tit = conn.tickets.find(target);
           if (tit != conn.tickets.end() && tit->second.Cancel()) ++cancelled;
           for (auto& run : conn.streams) {

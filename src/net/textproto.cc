@@ -99,9 +99,7 @@ ParsedRequest ParseRequestLine(const std::vector<std::string>& toks,
   if (toks.size() < 3) throw std::runtime_error(usage);
   ParsedRequest out;
   out.db_name = toks[1];
-  try {
-    out.req.k = std::stoll(toks[2]);
-  } catch (const std::exception&) {
+  if (ParseInt64(toks[2], &out.req.k) != IntParse::kOk) {
     throw std::runtime_error("bad k: " + toks[2]);
   }
   if (default_timeout_ms > 0) {

@@ -59,11 +59,13 @@ constexpr Code kNoCode = std::numeric_limits<Code>::max();
 // build side's `to[j]` (a value absent there matches no build row): once per
 // code, into a table, when TranslatesByTable holds, and a one-column key's
 // table maps each code straight to its group; else once per row (Lookup).
+// Without a `build` index the key has one column, and its group is its
+// build-side code (a code-keyed tree edge).
 class KeyProbe {
  public:
-  KeyProbe(const HashGroupIndex& build, std::vector<const ColumnDict*> from,
+  KeyProbe(const HashGroupIndex* build, std::vector<const ColumnDict*> from,
            std::vector<const ColumnDict*> to, std::size_t probing_rows)
-      : build_(&build), from_(std::move(from)), to_(std::move(to)),
+      : build_(build), from_(std::move(from)), to_(std::move(to)),
         table_(from_.size()), probe_(from_.size()) {
     for (std::size_t j = 0; j < from_.size(); ++j) {
       const ColumnDict& dict = *from_[j];
@@ -73,8 +75,9 @@ class KeyProbe {
         const std::int64_t code = to_[j]->Lookup(dict.values[c]);
         if (code < 0) continue;
         const Code to_code = static_cast<Code>(code);
-        const std::int64_t g =
-            from_.size() == 1 ? build_->FindByCodes(&to_code) : to_code;
+        const std::int64_t g = from_.size() == 1 && build_ != nullptr
+                                   ? build_->FindByCodes(&to_code)
+                                   : to_code;
         if (g >= 0) table_[j][c] = static_cast<Code>(g);
       }
     }
@@ -105,11 +108,12 @@ class KeyProbe {
     for (std::size_t j = 0; j < probe_.size(); ++j) {
       if (codes[j] == kNoCode) return kNoGroup;
     }
+    if (build_ == nullptr) return codes[0];
     const std::int64_t g = build_->FindByCodes(codes);
     return g < 0 ? kNoGroup : static_cast<std::uint32_t>(g);
   }
 
-  const HashGroupIndex* build_;
+  const HashGroupIndex* build_;  // null: the key's code is its group
   std::vector<const ColumnDict*> from_;
   std::vector<const ColumnDict*> to_;
   std::vector<std::vector<Code>> table_;  // per key column; empty: Lookup
@@ -160,7 +164,7 @@ JoinResult JoinPositions(const std::vector<RelationSchema>& body,
     // Build: group the new relation's rows by their key codes. Probe: read
     // each row's key codes through its support and find their group.
     const HashGroupIndex build(inst, key_right);
-    KeyProbe probe(build, std::move(from), std::move(to), rows);
+    KeyProbe probe(&build, std::move(from), std::move(to), rows);
     next.clear();
     next.reserve(rows * p);
     auto code_of = [&](std::size_t r, std::size_t j) {
@@ -221,13 +225,18 @@ struct JoinTree {
   std::vector<int> parent;
 };
 
-// The join tree of `comp`, or nullopt when the component is cyclic.
+// The join tree of `comp`, or nullopt when the component is cyclic. A
+// `root` in `comp` is never removed as an ear, so it becomes the tree's
+// root: an acyclic hypergraph of two or more relations has at least two
+// ears (the leaves of any join tree), so another one is always left.
+// Otherwise (-1) the root is the relation GYO removes last.
 std::optional<JoinTree> BuildJoinTree(const std::vector<RelationSchema>& body,
-                                      std::vector<int> comp) {
+                                      std::vector<int> comp, int root) {
   JoinTree tree;
   while (comp.size() > 1) {
     bool removed = false;
     for (std::size_t e = 0; e < comp.size() && !removed; ++e) {
+      if (comp[e] == root) continue;
       AttrSet rest;
       for (std::size_t o = 0; o < comp.size(); ++o) {
         if (o != e) rest = rest.Union(body[comp[o]].attr_set());
@@ -249,24 +258,40 @@ std::optional<JoinTree> BuildJoinTree(const std::vector<RelationSchema>& body,
   return tree;
 }
 
-// One join-tree edge after the bottom-up pass: the child's rows grouped by
-// the edge key (the attributes child and parent share), the sum of the
-// child's subtree counts per group, and each parent row's child group.
+// One join-tree edge after the bottom-up pass: a key id per child row, the
+// sum of the child's subtree counts per key id, and each parent row's key
+// id. A key of one column over a dense child dictionary (DenseKey) is
+// code-keyed: a child row's key id is its code in that column. Any other key
+// groups the child's rows (HashGroupIndex), and a row's key id is its group.
 struct TreeEdge {
   int child;
   int parent;
-  HashGroupIndex groups;
-  std::vector<std::int64_t> sum;     // per child group
+  int code_col = -1;  // the child's key column when code-keyed
+  std::optional<HashGroupIndex> groups;  // set unless code-keyed
+  std::vector<std::int64_t> sum;     // per key id
   std::vector<std::uint32_t> match;  // per parent row; kNoGroup = no match
+
+  // Calls f(s, key id of row s) for every row s of the edge's child.
+  template <typename F>
+  void ForEachChildKey(const RelationInstance& child, F f) const {
+    if (code_col >= 0) {
+      for (std::size_t s = 0; s < child.size(); ++s) {
+        f(s, child.CodeAt(s, code_col));
+      }
+    } else {
+      for (std::size_t s = 0; s < child.size(); ++s) f(s, groups->group_of(s));
+    }
+  }
 };
 
-// The child group of every parent row on the key columns `pcols`/`ccols`,
-// translated as the materializing join's probe does (KeyProbe).
+// The key id of every parent row on the key columns `pcols`/`ccols`
+// (`groups` null: code-keyed), translated as the materializing join's probe
+// does (KeyProbe).
 std::vector<std::uint32_t> MatchParentRows(const RelationInstance& parent,
                                            const std::vector<int>& pcols,
                                            const RelationInstance& child,
                                            const std::vector<int>& ccols,
-                                           const HashGroupIndex& groups) {
+                                           const HashGroupIndex* groups) {
   std::vector<const ColumnDict*> from, to;
   for (std::size_t j = 0; j < pcols.size(); ++j) {
     from.push_back(&parent.dict(pcols[j]));
@@ -299,14 +324,23 @@ std::vector<TreeEdge> PropagateUp(const std::vector<RelationSchema>& body,
       pcols.push_back(body[pr].ColumnOf(a));
     }
     const RelationInstance& child = db.rel(c);
-    TreeEdge& e = edges.emplace_back(
-        TreeEdge{c, pr, HashGroupIndex(child, ccols), {}, {}});
-    e.sum.assign(e.groups.num_groups(), 0);
-    for (std::size_t s = 0; s < child.size(); ++s) {
-      std::int64_t& sum = e.sum[e.groups.group_of(s)];
-      sum = SatAdd(sum, up[c][s]);
+    TreeEdge& e = edges.emplace_back();
+    e.child = c;
+    e.parent = pr;
+    if (ccols.size() == 1 &&
+        DenseKey(child.DistinctInColumn(ccols[0]), child.size())) {
+      e.code_col = ccols[0];
+      e.sum.assign(child.DistinctInColumn(e.code_col), 0);
+    } else {
+      e.groups.emplace(child, ccols);
+      e.sum.assign(e.groups->num_groups(), 0);
     }
-    e.match = MatchParentRows(db.rel(pr), pcols, child, ccols, e.groups);
+    const std::vector<std::int64_t>& up_c = up[c];
+    e.ForEachChildKey(child, [&](std::size_t s, std::uint32_t key) {
+      e.sum[key] = SatAdd(e.sum[key], up_c[s]);
+    });
+    e.match = MatchParentRows(db.rel(pr), pcols, child, ccols,
+                              e.groups ? &*e.groups : nullptr);
     std::vector<std::int64_t>& up_pr = up[pr];
     for (std::size_t t = 0; t < up_pr.size(); ++t) {
       up_pr[t] = e.match[t] == kNoGroup ? 0 : SatMul(up_pr[t],
@@ -318,7 +352,7 @@ std::vector<TreeEdge> PropagateUp(const std::vector<RelationSchema>& body,
 
 // Top-down pass: `down[i][t]` becomes the number of ways to extend tuple t
 // of relation i to the relations outside i's subtree. A child's tuple is
-// reached through the parent rows of its group, each extended outside the
+// reached through the parent rows of its key, each extended outside the
 // parent's subtree and through the parent's other children.
 void PropagateDown(const Database& db, const JoinTree& tree,
                    const std::vector<TreeEdge>& edges, Counts& down) {
@@ -333,7 +367,7 @@ void PropagateDown(const Database& db, const JoinTree& tree,
       if (f.parent == e.parent && &f != &e) siblings.push_back(&f);
     }
     const std::vector<std::int64_t>& down_pr = down[e.parent];
-    acc.assign(e.groups.num_groups(), 0);
+    acc.assign(e.sum.size(), 0);
     for (std::size_t t = 0; t < down_pr.size(); ++t) {
       if (e.match[t] == kNoGroup) continue;
       std::int64_t ways = down_pr[t];
@@ -344,26 +378,37 @@ void PropagateDown(const Database& db, const JoinTree& tree,
     }
     std::vector<std::int64_t>& down_c = down[e.child];
     down_c.resize(db.rel(e.child).size());
-    for (std::size_t s = 0; s < down_c.size(); ++s) {
-      down_c[s] = acc[e.groups.group_of(s)];
-    }
+    e.ForEachChildKey(db.rel(e.child), [&](std::size_t s, std::uint32_t key) {
+      down_c[s] = acc[key];
+    });
   }
 }
 
-// Join rows of one acyclic component over its join tree; with `per_tuple`,
-// also the rows through each of its tuples.
+// Join rows of one acyclic component over its join tree, and the rows
+// through each tuple of its relations that `reads` reads, into `per_tuple`
+// (sized by the body when some position is read, else empty). The root's
+// bottom-up counts are its per-tuple counts; the top-down pass runs only
+// for a read relation below the root.
 std::int64_t PropagateCounts(const std::vector<RelationSchema>& body,
                              const Database& db, const JoinTree& tree,
-                             Counts* per_tuple) {
-  Counts local(per_tuple != nullptr ? 0 : body.size());
-  Counts& up = per_tuple != nullptr ? *per_tuple : local;
+                             const CountReads& reads, Counts& per_tuple) {
+  // The bottom-up counts go straight into `per_tuple` when it has room; an
+  // unread relation's are dropped after.
+  Counts local(per_tuple.empty() ? body.size() : 0);
+  Counts& up = per_tuple.empty() ? local : per_tuple;
   const std::vector<TreeEdge> edges = PropagateUp(body, db, tree, up);
+  const int root = tree.order.back();
   std::int64_t rows = 0;
-  for (std::int64_t n : up[tree.order.back()]) rows = SatAdd(rows, n);
-  if (per_tuple != nullptr && tree.order.size() > 1) {
-    Counts down(body.size());
-    PropagateDown(db, tree, edges, down);
-    for (int i : tree.order) {
+  for (std::int64_t n : up[root]) rows = SatAdd(rows, n);
+  Counts down;
+  for (int i : tree.order) {
+    if (!reads.Reads(i)) {
+      std::vector<std::int64_t>().swap(up[i]);
+    } else if (i != root) {
+      if (down.empty()) {
+        down.resize(body.size());
+        PropagateDown(db, tree, edges, down);
+      }
       for (std::size_t t = 0; t < up[i].size(); ++t) {
         up[i][t] = SatMul(up[i][t], down[i][t]);
       }
@@ -373,40 +418,58 @@ std::int64_t PropagateCounts(const std::vector<RelationSchema>& body,
 }
 
 // Counts one connected component: its join rows and its distinct
-// projections onto `head`, plus, with `per_tuple`, the rows through each of
-// its tuples. This is the one place that chooses the counting path:
+// projections onto `head`, plus what `reads` asks for: the rows through each
+// tuple of its read relations, into `per_tuple`, and the join if it
+// materializes one. This is the one place that chooses the counting path:
 // propagation over the component's join tree when it has one, for the rows
 // of a full or Boolean head and for per-tuple counts; the materializing
 // join for a component without a join tree (which sets `materialized`) and
 // for the distinct outputs of a head keeping some but not all of its
-// attributes.
+// attributes. The join tree is rooted at the component's read relation when
+// it has exactly one.
 void CountComponent(const std::vector<RelationSchema>& body,
-                    const Database& db, AttrSet head,
-                    JoinCounts::Component& comp, Counts* per_tuple,
+                    const Database& db, AttrSet head, const CountReads& reads,
+                    JoinCounts::Component& comp, Counts& per_tuple,
                     bool& materialized) {
   AttrSet attrs;
-  for (int i : comp.rels) attrs = attrs.Union(body[i].attr_set());
+  int read = 0;
+  int last_read = -1;
+  for (int i : comp.rels) {
+    attrs = attrs.Union(body[i].attr_set());
+    if (reads.Reads(i)) {
+      ++read;
+      last_read = i;
+    }
+  }
   const bool full = attrs.SubsetOf(head);
   const bool projected = !full && attrs.Intersects(head);
-  const std::optional<JoinTree> tree = BuildJoinTree(body, comp.rels);
-  if (tree && (!projected || per_tuple != nullptr)) {
-    comp.rows = PropagateCounts(body, db, *tree, per_tuple);
+  const std::optional<JoinTree> tree =
+      BuildJoinTree(body, comp.rels, read == 1 ? last_read : -1);
+  if (tree && (!projected || read > 0)) {
+    comp.rows = PropagateCounts(body, db, *tree, reads, per_tuple);
   }
   if (!tree || projected) {
-    const JoinResult join = JoinPositions(body, db, comp.rels);
+    JoinResult join = JoinPositions(body, db, comp.rels);
     comp.rows = static_cast<std::int64_t>(join.NumRows());
-    if (!tree) materialized = true;
-    if (!tree && per_tuple != nullptr) {
-      for (int i : comp.rels) (*per_tuple)[i].assign(db.rel(i).size(), 0);
-      for (std::size_t r = 0; r < join.NumRows(); ++r) {
-        for (std::size_t j = 0; j < comp.rels.size(); ++j) {
-          ++(*per_tuple)[comp.rels[j]][join.SupportOf(r, j)];
+    if (!tree) {
+      materialized = true;
+      for (std::size_t j = 0; j < comp.rels.size(); ++j) {
+        const int i = comp.rels[j];
+        if (!reads.Reads(i)) continue;
+        per_tuple[i].assign(db.rel(i).size(), 0);
+        for (std::size_t r = 0; r < join.NumRows(); ++r) {
+          ++per_tuple[i][join.SupportOf(r, j)];
         }
       }
     }
+    std::optional<JoinGroups> outputs;
     if (projected) {
-      comp.outputs = static_cast<std::int64_t>(
-          GroupJoinRows(join, head.Intersect(attrs)).num_groups());
+      outputs = GroupJoinRows(join, head.Intersect(attrs));
+      comp.outputs = static_cast<std::int64_t>(outputs->num_groups());
+    }
+    if (reads.joins) {
+      comp.join = std::make_shared<const ComponentJoin>(
+          ComponentJoin{std::move(join), std::move(outputs)});
     }
   }
   if (!projected) comp.outputs = full ? comp.rows : (comp.rows > 0 ? 1 : 0);
@@ -495,19 +558,20 @@ std::vector<std::int64_t> JoinCounts::RowsThrough(int rel) const {
 }
 
 JoinCounts CountComponents(const std::vector<RelationSchema>& body,
-                           AttrSet head, const Database& db, bool per_tuple) {
+                           AttrSet head, const Database& db,
+                           const CountReads& reads) {
   JoinCounts counts;
   for (std::vector<int>& rels : Components(body)) {
     counts.components.push_back(JoinCounts::Component{std::move(rels)});
   }
-  if (per_tuple) counts.per_tuple.resize(body.size());
+  counts.reads = reads;
+  if (reads.rels != 0) counts.per_tuple.resize(body.size());
   bool empty = AnyEmpty(body, db);
   counts.rows = 1;
   counts.outputs = 1;
   for (JoinCounts::Component& comp : counts.components) {
     if (empty) break;
-    CountComponent(body, db, head, comp,
-                   per_tuple ? &counts.per_tuple : nullptr,
+    CountComponent(body, db, head, reads, comp, counts.per_tuple,
                    counts.materialized);
     empty = comp.rows == 0;
     counts.rows = SatMul(counts.rows, comp.rows);
@@ -521,9 +585,10 @@ JoinCounts CountComponents(const std::vector<RelationSchema>& body,
     for (JoinCounts::Component& comp : counts.components) {
       comp.rows = 0;
       comp.outputs = 0;
+      comp.join.reset();
     }
     for (std::size_t i = 0; i < counts.per_tuple.size(); ++i) {
-      counts.per_tuple[i].assign(db.rel(i).size(), 0);
+      if (reads.Reads(i)) counts.per_tuple[i].assign(db.rel(i).size(), 0);
     }
   }
   return counts;
@@ -532,7 +597,7 @@ JoinCounts CountComponents(const std::vector<RelationSchema>& body,
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db) {
   return static_cast<std::uint64_t>(
-      CountComponents(body, head, db, /*per_tuple=*/false).outputs);
+      CountComponents(body, head, db, CountReads{}).outputs);
 }
 
 }  // namespace adp

@@ -15,14 +15,27 @@
 // - Propagation, for acyclic components (a GYO join tree exists) whose head
 //   keeps every attribute of the component or none of them (full or
 //   Boolean), and for the per-tuple counts of any acyclic component: counts
-//   flow over the join tree, bottom-up for the join rows and back down for
-//   the rows through each tuple. O(Σ|Rᵢ| + distinct keys) time; no join row
-//   is built. A single-column edge key is grouped through a code-indexed
-//   array when the child's dictionary is dense (relational/group_index.h).
+//   flow over the join tree bottom-up, for the join rows. O(Σ|Rᵢ| + distinct
+//   keys) time; no join row is built. An edge whose key is one column over a
+//   dense child dictionary (DenseKey, relational/group_index.h) sums the
+//   child's counts into an array indexed by the child's code; any other key
+//   groups the child's rows through a HashGroupIndex.
 // - The materializing join, for cyclic components (e.g. the triangle) and
 //   for the distinct outputs of heads that keep some but not all of a
 //   component's attributes. A sequence of hash joins in a greedily chosen
 //   connected order builds every row.
+//
+// A pass computes only what its reads (CountReads) ask for beyond the rows
+// and outputs. Per-tuple counts are filled for the read body positions
+// only. A component with exactly one read relation roots its join tree
+// there, so the bottom-up counts of that relation are its counts and no
+// top-down pass runs; with two or more, the tree keeps GYO's root and the
+// top-down pass runs, multiplied in for the read relations only. Saturating
+// addition and multiplication are monotone, so every count is
+// min(kMaxOutputs, true count) whatever the root. A materialized join, and
+// its output groups, are kept when the reads ask for joins, for the leaf
+// that would otherwise build them again (ProvenanceIndex, projected
+// Singleton profits).
 //
 // The materializing join works on dictionary codes. A row, intermediate or
 // final, is just its support, one TupleId per relation, and each result
@@ -38,8 +51,9 @@
 // One solve makes one counting pass at its root: ComputeAdp's preamble
 // calls CountComponents once and hands the result to the root node
 // (solver/compute_adp.h), which is why the counts stay per component: a
-// Decompose node gives each component's counts to that component's child,
-// and a saturated cross product could not be divided back into them.
+// Decompose node gives each component's counts, and its kept join, to that
+// component's child, and a saturated cross product could not be divided
+// back into them.
 //
 // Vacuum relations participate trivially: an empty vacuum instance
 // annihilates the result; a {∅} instance joins as a 1-row cross product.
@@ -48,7 +62,10 @@
 #ifndef ADP_RELATIONAL_JOIN_H_
 #define ADP_RELATIONAL_JOIN_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "relational/database.h"
@@ -134,6 +151,41 @@ struct JoinGroups {
 /// more.
 JoinGroups GroupJoinRows(const JoinResult& join, AttrSet key);
 
+/// What a counting pass keeps besides the rows and outputs
+/// (CountComponents): the per-tuple counts of some body positions, and the
+/// joins it materializes.
+struct CountReads {
+  /// Bit i: the per-tuple counts of body position i. Bit 63 stands for
+  /// position 63 and every later one.
+  std::uint64_t rels = 0;
+  /// Keep each materialized component's join and output groups.
+  bool joins = false;
+
+  /// The per-tuple counts of every body position.
+  static CountReads AllRelations() { return {~std::uint64_t{0}, false}; }
+
+  bool Reads(std::size_t i) const {
+    return ((rels >> std::min<std::size_t>(i, 63)) & 1) != 0;
+  }
+  void Add(std::size_t i) {
+    rels |= std::uint64_t{1} << std::min<std::size_t>(i, 63);
+  }
+  /// True when these reads hold every per-tuple count `want` reads.
+  bool Covers(const CountReads& want) const {
+    return (want.rels & ~rels) == 0;
+  }
+};
+
+/// A component's join as the counting pass materialized it, kept for the
+/// leaf that reads it (CountReads::joins).
+struct ComponentJoin {
+  /// Support column j is the component's j-th relation (Component::rels).
+  JoinResult join;
+  /// Its rows grouped by their head codes (GroupJoinRows), when the head
+  /// keeps some but not all of the component's attributes.
+  std::optional<JoinGroups> outputs;
+};
+
 /// Join-row and output counts of a body, per connected component and
 /// overall (CountComponents).
 struct JoinCounts {
@@ -147,6 +199,9 @@ struct JoinCounts {
     /// head keeps every attribute of the component, 0 or 1 when it keeps
     /// none of them.
     std::int64_t outputs = 0;
+    /// The join the pass materialized to count the component, kept only
+    /// when the reads ask for joins; null otherwise.
+    std::shared_ptr<const ComponentJoin> join = nullptr;
   };
 
   /// The components, in order of their smallest body position (the order
@@ -159,34 +214,47 @@ struct JoinCounts {
   /// |Q(D)|: the product of the components' outputs, saturated.
   std::int64_t outputs = 0;
 
-  /// Filled only when asked for. `per_tuple[i][t]`: the number of rows of
-  /// the join of relation `i`'s own component whose relation-`i` tuple is
-  /// `t`, saturated. Zero exactly for the dangling tuples (§7.2). For a
+  /// What the pass kept: `per_tuple` holds the counts of the positions
+  /// `reads` reads.
+  CountReads reads;
+
+  /// `per_tuple[i][t]`, for a read position i: the number of rows of the
+  /// join of relation `i`'s own component whose relation-`i` tuple is `t`,
+  /// saturated. Zero exactly for the dangling tuples (§7.2). For a
   /// connected body these are rows of the whole join; RowsThrough gives
-  /// them for any body.
+  /// them for any body. Empty for an unread i, and wholly empty when no
+  /// position is read.
   std::vector<std::vector<std::int64_t>> per_tuple;
 
   /// True when some component had no join tree and was counted by
   /// materializing its join.
   bool materialized = false;
 
-  /// Rows of the whole join through each tuple of relation `rel`: its
-  /// per-tuple counts times the rows of every other component (a
-  /// disconnected body joins by cross product), saturated.
+  /// Rows of the whole join through each tuple of relation `rel`, which
+  /// must be read: its per-tuple counts times the rows of every other
+  /// component (a disconnected body joins by cross product), saturated.
   std::vector<std::int64_t> RowsThrough(int rel) const;
+
+  /// The kept join of the whole body: that of its one component, or null
+  /// when the body has several or the pass kept none.
+  const ComponentJoin* WholeJoin() const {
+    return components.size() == 1 ? components[0].join.get() : nullptr;
+  }
 };
 
 /// The counting pass: splits `body` into connected components and counts
 /// each one's join rows and its distinct projections onto `head` (see the
-/// file comment for the path each takes), plus, with `per_tuple`, the rows
-/// through each tuple within its component. When the join is empty (an
-/// empty instance, or a component without rows) every count is zero, and
-/// the components after the first empty one are not counted.
+/// file comment for the path each takes), plus what `reads` asks for: the
+/// rows through each tuple of a read relation within its component, and
+/// each materialized component's join. When the join is empty (an empty
+/// instance, or a component without rows) every count is zero, and the
+/// components after the first empty one are not counted.
 JoinCounts CountComponents(const std::vector<RelationSchema>& body,
-                           AttrSet head, const Database& db, bool per_tuple);
+                           AttrSet head, const Database& db,
+                           const CountReads& reads);
 
 /// |Q(D)|: the number of distinct projections of the full join onto `head`,
-/// saturated at kMaxOutputs (CountComponents' `outputs`).
+/// saturated at kMaxOutputs (CountComponents' `outputs`, reading nothing more).
 std::uint64_t CountOutputs(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db);
 

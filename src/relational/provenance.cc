@@ -14,8 +14,11 @@ constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 ProvenanceIndex::ProvenanceIndex(const std::vector<RelationSchema>& body,
                                  AttrSet head, const Database& db)
-    : p_(body.size()) {
-  JoinResult join = FullJoin(body, db);
+    : ProvenanceIndex(FullJoin(body, db), head, db) {}
+
+ProvenanceIndex::ProvenanceIndex(JoinResult join, AttrSet head,
+                                 const Database& db, const JoinGroups* outputs)
+    : p_(join.num_relations) {
   const std::size_t rows = join.NumRows();
   if (rows * p_ >= kNone) {
     throw std::length_error("provenance index: join too large");
@@ -27,9 +30,13 @@ ProvenanceIndex::ProvenanceIndex(const std::vector<RelationSchema>& body,
   for (AttrId a : join.attrs) all.Add(a);
   std::size_t groups = rows;
   if (!all.SubsetOf(head)) {
-    JoinGroups outputs = GroupJoinRows(join, head);
-    groups = outputs.num_groups();
-    if (groups != rows) row_group_ = std::move(outputs.group_of);
+    JoinGroups own;
+    if (outputs == nullptr) {
+      own = GroupJoinRows(join, head);
+      outputs = &own;
+    }
+    groups = outputs->num_groups();
+    if (groups != rows) row_group_ = outputs->group_of;
   }
   support_ = std::move(join.support);
   total_outputs_ = alive_outputs_ = static_cast<std::int64_t>(groups);

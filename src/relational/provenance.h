@@ -18,9 +18,12 @@
 // projected head, a group's other supporter loses its last row there).
 //
 // Cost model (rows = |join|, p = body size, tuples = Σ |instances|):
-//   build:      O(rows·p + tuples) time and words: one FullJoin, whose rows
-//               are already support and become the index's own, then one
-//               GroupJoinRows pass over head codes (relational/join.h);
+//   build:      O(rows·p + tuples) time and words: the join's rows are
+//               already support and become the index's own, grouped by head
+//               codes (GroupJoinRows, relational/join.h). Built from a body,
+//               the index runs FullJoin and that grouping itself; built from
+//               the join a counting pass kept (ComponentJoin), it copies the
+//               support and the output groups and joins nothing;
 //   Delete:     O(p) per join row it kills — each row dies once, so a whole
 //               deletion sequence costs O(rows·p);
 //   Profit, IsRelevant: O(1) reads.
@@ -35,16 +38,23 @@
 #include <vector>
 
 #include "relational/database.h"
+#include "relational/join.h"
 #include "util/attr_set.h"
 
 namespace adp {
 
 class ProvenanceIndex {
  public:
+  /// Builds the index over `join`, the full join of a body over `db`
+  /// (support column i is relation i of `db`), its rows grouped by their
+  /// head codes: `outputs` when given (GroupJoinRows(join, head)), else
+  /// grouped here. Throws std::length_error when the join has 2^32 or more
+  /// (row, relation) support entries.
+  ProvenanceIndex(JoinResult join, AttrSet head, const Database& db,
+                  const JoinGroups* outputs = nullptr);
+
   /// Builds the index by materializing the full join of `body` over `db`,
-  /// then grouping its rows by their head codes. Throws
-  /// std::length_error when the join has 2^32 or more (row, relation)
-  /// support entries.
+  /// as above.
   ProvenanceIndex(const std::vector<RelationSchema>& body, AttrSet head,
                   const Database& db);
 

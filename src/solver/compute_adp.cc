@@ -42,7 +42,7 @@ AdpNode HeuristicNode(const ConjunctiveQuery& q, const Database& db,
                       std::int64_t cap, const AdpOptions& options,
                       const JoinCounts* counts) {
   if (UsesDrastic(q, options)) return DrasticNode(q, db, cap, options, counts);
-  return GreedyNode(q, db, cap, options);
+  return GreedyNode(q, db, cap, options, counts);
 }
 
 AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
@@ -51,7 +51,7 @@ AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
   const ConjunctiveQuery& q = plan.query;
   JoinCounts own;
   const std::int64_t count =
-      NodeCounts(q, db, /*per_tuple=*/false, options, counts, own).outputs;
+      NodeCounts(q, db, CountReads{}, options, counts, own).outputs;
   if (count == 0 || cap <= 0) return TrivialNode(options);
   if (options.stats) ++options.stats->boolean_nodes;
   // The §7.1 permutation search ran once, when the plan was compiled: no
@@ -79,7 +79,7 @@ AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
   // No linear arrangement (possible only for NP-hard boolean queries, or
   // exotic triad-free shapes outside the paper's scope): greedy fallback.
   if (options.stats) ++options.stats->boolean_fallbacks;
-  return GreedyNode(q, db, cap, options);
+  return GreedyNode(q, db, cap, options, counts);
 }
 
 const char* SpanNameFor(AdpCase c) {
@@ -132,40 +132,56 @@ AdpNode SolveNode(const DispatchPlan& node, const Database& db,
   return DispatchCase(node, db, cap, traced, counts);
 }
 
-bool ReadsTupleCounts(const DispatchPlan& node, const AdpOptions& options) {
+CountReads ReadsTupleCounts(const DispatchPlan& node,
+                            const AdpOptions& options) {
+  const ConjunctiveQuery& q = node.query;
+  CountReads reads;
   switch (node.op) {
     case AdpCase::kSingleton:
-      return SingletonReadsJoinRows(node.query);
+      reads = SingletonReads(q);
+      break;
     case AdpCase::kHeuristic:
-      return UsesDrastic(node.query, options);
-    case AdpCase::kDecompose:
-      for (const DispatchPlan& child : node.children) {
-        if (ReadsTupleCounts(child, options)) return true;
+      if (UsesDrastic(q, options)) {
+        reads = DrasticReads(q, options);
+      } else {
+        reads.joins = true;  // GreedyForCQ's ProvenanceIndex
       }
-      return false;
+      break;
     case AdpCase::kBoolean:
+      // No linear arrangement: the greedy fallback's ProvenanceIndex.
+      reads.joins = !node.linear_order.has_value();
+      break;
+    case AdpCase::kDecompose:
+      for (std::size_t c = 0; c < node.children.size(); ++c) {
+        const CountReads child = ReadsTupleCounts(node.children[c], options);
+        const std::vector<int>& rels = node.components[c];
+        for (std::size_t j = 0; j < rels.size(); ++j) {
+          if (child.Reads(j)) reads.Add(static_cast<std::size_t>(rels[j]));
+        }
+        reads.joins = reads.joins || child.joins;
+      }
+      break;
     case AdpCase::kUniverse:
-      return false;
+      break;  // each group counts for itself
   }
-  return false;  // unreachable
+  return reads;
 }
 
 JoinCounts CountNode(const ConjunctiveQuery& q, const Database& db,
-                     bool per_tuple, const AdpOptions& options) {
+                     const CountReads& reads, const AdpOptions& options) {
   if (options.stats) ++options.stats->count_passes;
-  return CountComponents(q.body(), q.head(), db, per_tuple);
+  return CountComponents(q.body(), q.head(), db, reads);
 }
 
 const JoinCounts& NodeCounts(const ConjunctiveQuery& q, const Database& db,
-                             bool per_tuple, const AdpOptions& options,
+                             const CountReads& reads,
+                             const AdpOptions& options,
                              const JoinCounts* handed, JoinCounts& own) {
-  if (handed != nullptr && (!per_tuple || !handed->per_tuple.empty())) {
-    return *handed;
-  }
+  if (handed != nullptr && handed->reads.Covers(reads)) return *handed;
   // Handed counts without the per-tuple counts this node reads: the
   // caller's ReadsTupleCounts disagrees with the node.
   assert(handed == nullptr);
-  own = CountNode(q, db, per_tuple, options);
+  own = CountNode(q, db, reads, options);
   return own;
 }
 

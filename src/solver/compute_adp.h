@@ -30,6 +30,7 @@
 
 namespace adp {
 
+struct CountReads;    // relational/join.h
 struct DispatchPlan;  // solver/plan.h
 struct JoinCounts;    // relational/join.h
 
@@ -61,11 +62,14 @@ struct AdpStats {
   /// Decompose nodes whose connected-component sub-solves were solved in
   /// parallel via AdpOptions::parallelism.
   int sharded_decompose_nodes = 0;
-  /// Counting passes: calls into the relational counting API
+  /// Passes over the data: calls into the relational counting API
   /// (relational/join.h) by ComputeAdp's preamble and by recursion nodes,
-  /// not by `verify`. The preamble's pass also serves the root node, and a
-  /// Decompose node's pass its component children; the nodes of each
-  /// Universe group count for themselves.
+  /// and the joins a leaf materializes for itself (a projected Singleton's
+  /// or a Greedy leaf's FullJoin, when it was handed none); not `verify`.
+  /// The preamble's pass also serves the root node, and a Decompose node's
+  /// pass its component children, joins included when the pass had to
+  /// materialize them; the nodes of each Universe group count for
+  /// themselves.
   std::int64_t count_passes = 0;
 };
 
@@ -254,34 +258,47 @@ struct AdpNode {
 
 /// Solves the plan node `node` over `db` (instances indexed as in
 /// node.query) up to `cap`, inside its own span when tracing. `counts`, when
-/// given, are CountComponents' counts of exactly this (node.query, db), with
-/// per-tuple counts if the node reads them (ReadsTupleCounts); the node then
-/// makes no counting pass of its own. ComputeAdp hands its preamble's counts
-/// to the root node this way, and a Decompose node hands each child its
+/// given, are CountComponents' counts of exactly this (node.query, db),
+/// under reads that cover the node's (ReadsTupleCounts); the node then
+/// makes no counting pass of its own, and a leaf that reads a join uses the
+/// one the counts kept, if any. ComputeAdp hands its preamble's counts to
+/// the root node this way, and a Decompose node hands each child its
 /// component's share. Every other node gets none and counts for itself.
 AdpNode SolveNode(const DispatchPlan& node, const Database& db,
                   std::int64_t cap, const AdpOptions& options,
                   const JoinCounts* counts = nullptr);
 
-/// Whether solving `node` reads per-tuple join rows (JoinCounts::per_tuple):
-/// a Singleton node that does (SingletonReadsJoinRows), a Drastic leaf, and
-/// a Decompose node through such a component child. Decides what a counting
-/// pass for that node asks for. A walk at solve time, not a plan field: a
+/// What solving `node` reads of a counting pass over its (query, db),
+/// which decides what a pass for that node keeps:
+/// - per-tuple join rows (JoinCounts::per_tuple) of the body positions a
+///   Singleton node reads (its Ri, SingletonReads) or a Drastic leaf reads
+///   (its candidates, DrasticReads: the endogenous relations, or all of
+///   them under restrictions);
+/// - joins, for a leaf that reads a component's materialized join: a
+///   Greedy leaf, the Boolean greedy fallback (a Boolean node without a
+///   linear order), and a projected case-1 Singleton (SingletonReads);
+/// - for a Decompose node, its children's reads, mapped through
+///   node.components; nothing for a Universe node, whose groups count for
+///   themselves.
+/// A walk at solve time that allocates nothing, not a plan field: a
 /// heuristic leaf is Drastic by options.heuristic, which plans do not fix.
-bool ReadsTupleCounts(const DispatchPlan& node, const AdpOptions& options);
+CountReads ReadsTupleCounts(const DispatchPlan& node,
+                            const AdpOptions& options);
 
 /// A counting pass over a node's own (q, db): CountComponents under q's
-/// head, tallied in AdpStats::count_passes.
+/// head with `reads`, tallied in AdpStats::count_passes.
 JoinCounts CountNode(const ConjunctiveQuery& q, const Database& db,
-                     bool per_tuple, const AdpOptions& options);
+                     const CountReads& reads, const AdpOptions& options);
 
-/// The counts a node reads: `handed` when given and, if `per_tuple`, holding
-/// per-tuple counts; else a CountNode pass of the node's own, kept in `own`.
-/// Handed counts lacking the per-tuple counts a node reads (a
-/// ReadsTupleCounts that disagrees with the node) cost a pass, never a wrong
-/// answer; debug builds assert against it.
+/// The counts a node reads: `handed` when given and holding the per-tuple
+/// counts of every position `reads` reads; else a CountNode pass of the
+/// node's own with `reads`, kept in `own`. Handed counts lacking some (a
+/// ReadsTupleCounts that disagrees with the node) cost a pass, never a
+/// wrong answer; debug builds assert against it. A kept join is not
+/// checked: a leaf handed none builds its own.
 const JoinCounts& NodeCounts(const ConjunctiveQuery& q, const Database& db,
-                             bool per_tuple, const AdpOptions& options,
+                             const CountReads& reads,
+                             const AdpOptions& options,
                              const JoinCounts* handed, JoinCounts& own);
 
 /// Appends children[i].report(targets[i]) to `out` for every nonzero

@@ -32,19 +32,25 @@ struct Components {
 
 // Component `c`'s share of a body's counts, as its child reads them: the
 // component's relations renumbered in `rels` order, which is the order of
-// the child's body. SubDatabase copies whole relations, so tuple ids match.
+// the child's body, with the per-tuple counts of the read ones and the
+// component's kept join. SubDatabase copies whole relations and shares
+// their dictionaries, so tuple ids and codes match; the join's column
+// sources stay on this node's instances, which outlive the child's solve.
 JoinCounts ShareOf(const JoinCounts& counts, std::size_t c) {
   const JoinCounts::Component& comp = counts.components[c];
   JoinCounts share;
   share.rows = comp.rows;
   share.outputs = comp.outputs;
-  JoinCounts::Component& own = share.components.emplace_back(
-      JoinCounts::Component{{}, comp.rows, comp.outputs});
+  share.reads.joins = counts.reads.joins;
+  share.components.push_back(
+      JoinCounts::Component{{}, comp.rows, comp.outputs, comp.join});
+  std::vector<int>& rels = share.components[0].rels;
   for (std::size_t j = 0; j < comp.rels.size(); ++j) {
-    own.rels.push_back(static_cast<int>(j));
-    if (!counts.per_tuple.empty()) {
-      share.per_tuple.push_back(counts.per_tuple[comp.rels[j]]);
-    }
+    rels.push_back(static_cast<int>(j));
+    if (!counts.reads.Reads(static_cast<std::size_t>(comp.rels[j]))) continue;
+    share.reads.Add(j);
+    share.per_tuple.resize(comp.rels.size());
+    share.per_tuple[j] = counts.per_tuple[comp.rels[j]];
   }
   return share;
 }

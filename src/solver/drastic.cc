@@ -18,7 +18,25 @@ struct RelationPlan {
   std::vector<std::int64_t> prefix_removed;  // cumulative outputs removed
 };
 
+// Whether the node proposes picks from relation `rel`. Restrictions
+// invalidate the endogenous-only shortcut of Lemma 13: the exogenous
+// substitute of a protected tuple may be the only deletable one (see the
+// greedy note).
+bool IsCandidate(const ConjunctiveQuery& q, int rel,
+                 const AdpOptions& options) {
+  return (options.restrictions && !options.restrictions->Empty()) ||
+         !IsExogenous(q, rel);
+}
+
 }  // namespace
+
+CountReads DrasticReads(const ConjunctiveQuery& q, const AdpOptions& options) {
+  CountReads reads;
+  for (int i = 0; i < q.num_relations(); ++i) {
+    if (IsCandidate(q, i, options)) reads.Add(static_cast<std::size_t>(i));
+  }
+  return reads;
+}
 
 AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
@@ -28,17 +46,11 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
   // distinct output).
   JoinCounts own;
   const JoinCounts& join =
-      NodeCounts(q, db, /*per_tuple=*/true, options, counts, own);
+      NodeCounts(q, db, DrasticReads(q, options), options, counts, own);
 
-  std::vector<int> candidates = EndogenousRelations(q);
-  if (options.restrictions && !options.restrictions->Empty()) {
-    // See the greedy note: restrictions invalidate the endogenous-only
-    // shortcut of Lemma 13.
-    candidates.clear();
-    for (int i = 0; i < q.num_relations(); ++i) candidates.push_back(i);
-  }
   auto plans = std::make_shared<std::vector<RelationPlan>>();
-  for (int rel : candidates) {
+  for (int rel = 0; rel < q.num_relations(); ++rel) {
+    if (!IsCandidate(q, rel, options)) continue;
     RelationPlan plan;
     plan.rel = rel;
     const std::vector<std::int64_t> profit = join.RowsThrough(rel);

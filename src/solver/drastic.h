@@ -13,6 +13,11 @@
 
 namespace adp {
 
+/// The per-tuple join rows DrasticNode reads: those of the relations it
+/// proposes picks from, the endogenous ones (Lemma 13), or all of them under
+/// deletion restrictions.
+CountReads DrasticReads(const ConjunctiveQuery& q, const AdpOptions& options);
+
 /// Builds the (non-exact) recursion node. Precondition: q.IsFull().
 /// `counts`: as for SolveNode; null makes the node count for itself.
 AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,

@@ -51,12 +51,23 @@ class LeftmostMaxTree {
   std::vector<std::uint32_t> node_;  // node -> position of its leftmost max
 };
 
+// The join `counts` kept for the whole body, or null.
+const ComponentJoin* KeptJoin(const JoinCounts* counts) {
+  return counts != nullptr ? counts->WholeJoin() : nullptr;
+}
+
 }  // namespace
 
 GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
                            std::int64_t target,
-                           const DeletionRestrictions* restrictions) {
-  ProvenanceIndex index(q.body(), q.head(), db);
+                           const DeletionRestrictions* restrictions,
+                           const JoinCounts* counts) {
+  const ComponentJoin* kept = KeptJoin(counts);
+  ProvenanceIndex index =
+      kept != nullptr
+          ? ProvenanceIndex(kept->join, q.head(), db,
+                            kept->outputs ? &*kept->outputs : nullptr)
+          : ProvenanceIndex(q.body(), q.head(), db);
   GreedyTrace trace;
   trace.total_outputs = index.total_outputs();
   // Lemma 13 lets the unrestricted greedy consider endogenous relations
@@ -117,10 +128,14 @@ GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
 }
 
 AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
-                   std::int64_t cap, const AdpOptions& options) {
-  if (options.stats) ++options.stats->greedy_leaves;
+                   std::int64_t cap, const AdpOptions& options,
+                   const JoinCounts* counts) {
+  if (options.stats) {
+    ++options.stats->greedy_leaves;
+    if (KeptJoin(counts) == nullptr) ++options.stats->count_passes;
+  }
   GreedyTrace trace = RunGreedyForCQ(q, db, std::min(cap, std::int64_t{1} << 62),
-                                     options.restrictions);
+                                     options.restrictions, counts);
 
   // Profile from the trajectory: a breakpoint at every pick that raised
   // the removed count, so At(j) is the first pick count reaching j.

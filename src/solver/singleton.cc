@@ -29,7 +29,8 @@ CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
 // Case-1 profits under a projected head: a tuple's profit is the number of
 // outputs it supports. attr(Ri) ⊆ head, so every join row of one output
 // carries the same Ri tuple (instances are duplicate-free), and its first
-// row names it. `counts` as for SingletonNode.
+// row names it. `counts` as for SingletonNode; the join and output groups
+// they kept are read, and only counts without them cost a join here.
 std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
                                            const Database& db, int ri,
                                            const AdpOptions& options,
@@ -41,13 +42,19 @@ std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
     JoinCounts own;
     return std::vector<std::int64_t>(
         db.rel(ri).size(),
-        NodeCounts(q, db, /*per_tuple=*/false, options, counts, own).outputs);
+        NodeCounts(q, db, CountReads{}, options, counts, own).outputs);
   }
-  if (options.stats) ++options.stats->count_passes;
-  const JoinResult join = FullJoin(q.body(), db);
+  const ComponentJoin* kept = counts != nullptr ? counts->WholeJoin() : nullptr;
+  ComponentJoin own;
+  if (kept == nullptr || !kept->outputs) {
+    if (options.stats) ++options.stats->count_passes;
+    own.join = FullJoin(q.body(), db);
+    own.outputs = GroupJoinRows(own.join, q.head());
+    kept = &own;
+  }
   std::vector<std::int64_t> profit(db.rel(ri).size(), 0);
-  for (std::uint32_t r : GroupJoinRows(join, q.head()).first_row) {
-    ++profit[join.SupportOf(r, ri)];
+  for (std::uint32_t r : kept->outputs->first_row) {
+    ++profit[kept->join.SupportOf(r, ri)];
   }
   return profit;
 }
@@ -71,11 +78,17 @@ bool IsSingletonQuery(const ConjunctiveQuery& q, int* which) {
   return true;
 }
 
-bool SingletonReadsJoinRows(const ConjunctiveQuery& q) {
+CountReads SingletonReads(const ConjunctiveQuery& q) {
   int ri = -1;
   IsSingletonQuery(q, &ri);
-  return !q.relation(ri).attr_set().SubsetOf(q.head()) ||
-         q.all_attrs().SubsetOf(q.head());
+  CountReads reads;
+  if (!q.relation(ri).attr_set().SubsetOf(q.head()) ||
+      q.all_attrs().SubsetOf(q.head())) {
+    reads.Add(static_cast<std::size_t>(ri));
+  } else {
+    reads.joins = !q.relation(ri).vacuum();
+  }
+  return reads;
 }
 
 AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
@@ -86,11 +99,11 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
   const RelationSchema& schema = q.relation(ri);
   const RelationInstance& inst = db.rel(ri);
   const AttrSet ai = schema.attr_set();
+  const CountReads reads = SingletonReads(q);
   JoinCounts own;
   const JoinCounts* join =
-      SingletonReadsJoinRows(q)
-          ? &NodeCounts(q, db, /*per_tuple=*/true, options, counts, own)
-          : nullptr;
+      reads.rels != 0 ? &NodeCounts(q, db, reads, options, counts, own)
+                      : nullptr;
 
   AdpNode node;
   node.exact = true;

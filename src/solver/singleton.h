@@ -26,11 +26,12 @@ namespace adp {
 /// minimum attribute count, per Algorithm 3 line 1).
 bool IsSingletonQuery(const ConjunctiveQuery& q, int* which);
 
-/// True when SingletonNode reads per-tuple join rows (JoinCounts): case 1
-/// under a full head (the profits) and case 2 (the dangling filter). Case 1
-/// under a projected head groups the distinct outputs instead.
-/// Precondition: IsSingletonQuery(q).
-bool SingletonReadsJoinRows(const ConjunctiveQuery& q);
+/// What SingletonNode reads of a counting pass (JoinCounts): Ri's per-tuple
+/// join rows in case 1 under a full head (the profits) and in case 2 (the
+/// dangling filter). Case 1 under a projected head groups the distinct
+/// outputs instead, so it reads the join, unless a vacuum Ri makes its one
+/// profit |Q(D)|. Precondition: IsSingletonQuery(q).
+CountReads SingletonReads(const ConjunctiveQuery& q);
 
 /// Builds the exact recursion node. Precondition: IsSingletonQuery(q).
 /// `counts`: as for SolveNode; null makes the node count for itself.

@@ -1,13 +1,15 @@
 // Whole-field integer parsing for the text inputs (query literals, DB
-// frames, request options, CSV fields). Unlike strtoll and std::stoll it
-// rejects trailing junk and tells an out-of-range value from a malformed
-// one, so no input is silently truncated or clamped into another value.
+// frames, request k and options, prepared handles, cancel targets, HELLO
+// versions, CSV fields). Unlike strtoll and std::stoll it rejects trailing
+// junk and tells an out-of-range value from a malformed one, so no input is
+// silently truncated or clamped into another value.
 
 #ifndef ADP_UTIL_PARSE_INT_H_
 #define ADP_UTIL_PARSE_INT_H_
 
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <system_error>
 
@@ -29,6 +31,18 @@ inline IntParse ParseInt64(std::string_view text, std::int64_t* out) {
   if (ec != std::errc() || end != last) return IntParse::kMalformed;
   *out = value;
   return IntParse::kOk;
+}
+
+/// Parses all of `text` as ParseInt64 does, and accepts it only in the
+/// uint32 range. Writes `*out` only when it returns true.
+inline bool ParseUint32(std::string_view text, std::uint32_t* out) {
+  std::int64_t value = 0;
+  if (ParseInt64(text, &value) != IntParse::kOk || value < 0 ||
+      value > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(value);
+  return true;
 }
 
 }  // namespace adp

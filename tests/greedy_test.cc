@@ -1,7 +1,9 @@
 // GreedyForCQ and DrasticGreedy tests: feasibility, trajectory shape, the
 // paper's qualitative claims (greedy finds optimal on friendly
 // distributions; drastic restricted to full CQs), and pick-for-pick
-// agreement of the incremental greedy with the rescanning reference.
+// agreement of the incremental greedy with the rescanning reference, also
+// when it is handed the join a counting pass kept, at a root or in a
+// Decompose child over SubDatabase copies.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 
 #include "dichotomy/relations.h"
 #include "query/parser.h"
+#include "query/transform.h"
 #include "relational/join.h"
 #include "solver/drastic.h"
 #include "solver/greedy.h"
@@ -141,17 +144,30 @@ GreedyTrace ReferenceGreedy(const ConjunctiveQuery& q, const Database& db,
   return trace;
 }
 
-// Runs both greedies to |Q(D)| and asserts identical traces; returns the
-// number of picks.
-std::size_t ExpectSameTrace(const ConjunctiveQuery& q, const Database& db,
-                            const DeletionRestrictions* restrictions) {
-  const GreedyTrace want =
-      ReferenceGreedy(q, db, OracleCount(q, db), restrictions);
-  const GreedyTrace got =
-      RunGreedyForCQ(q, db, OracleCount(q, db), restrictions);
+void ExpectTraceEq(const GreedyTrace& got, const GreedyTrace& want,
+                   const ConjunctiveQuery& q) {
   EXPECT_EQ(got.total_outputs, want.total_outputs) << q.ToString();
   EXPECT_EQ(got.picks, want.picks) << q.ToString();
   EXPECT_EQ(got.removed_after, want.removed_after) << q.ToString();
+}
+
+// Runs both greedies to |Q(D)| and asserts identical traces, also for the
+// greedy handed the counting pass's counts, joins kept; returns the number
+// of picks. `handed` counts the runs whose counts held the join.
+std::size_t ExpectSameTrace(const ConjunctiveQuery& q, const Database& db,
+                            const DeletionRestrictions* restrictions,
+                            int& handed) {
+  const GreedyTrace want =
+      ReferenceGreedy(q, db, OracleCount(q, db), restrictions);
+  ExpectTraceEq(RunGreedyForCQ(q, db, OracleCount(q, db), restrictions),
+                want, q);
+  CountReads reads;
+  reads.joins = true;
+  const JoinCounts counts = CountComponents(q.body(), q.head(), db, reads);
+  if (counts.WholeJoin() != nullptr) ++handed;
+  ExpectTraceEq(
+      RunGreedyForCQ(q, db, OracleCount(q, db), restrictions, &counts), want,
+      q);
   return want.picks.size();
 }
 
@@ -189,6 +205,7 @@ TEST_P(GreedyMatchesReference, OnFixedAndRandomQueries) {
   Rng rng(61 + static_cast<int>(GetParam()));
   std::size_t picks = 0;
   std::size_t restricted_picks = 0;
+  int handed = 0;
   for (int iter = 0; iter < 24; ++iter) {
     ConjunctiveQuery q = iter < 2 * static_cast<int>(texts.size())
                              ? ParseQuery(texts[iter % texts.size()])
@@ -213,18 +230,61 @@ TEST_P(GreedyMatchesReference, OnFixedAndRandomQueries) {
     }
     const Database db =
         RandomDb(q, rng, rng.UniformInt(6, 30), rng.UniformInt(3, 6));
-    picks += ExpectSameTrace(q, db, nullptr);
+    picks += ExpectSameTrace(q, db, nullptr, handed);
     const DeletionRestrictions restrictions = RandomRestrictions(db, rng);
-    restricted_picks += ExpectSameTrace(q, db, &restrictions);
+    restricted_picks += ExpectSameTrace(q, db, &restrictions, handed);
   }
   EXPECT_GT(picks, 50u);
   EXPECT_GT(restricted_picks, 50u);
+  // Every param has a cyclic or projected fixed query, whose pass keeps its
+  // join.
+  EXPECT_GE(handed, 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Heads, GreedyMatchesReference,
                          ::testing::Values(HeadKind::kFull,
                                            HeadKind::kProjected,
                                            HeadKind::kBoolean));
+
+// The Q4 shape: two projected components. The root's pass keeps each one's
+// join and output groups; a Decompose node hands them to the component's
+// child, whose instances are SubDatabase copies (same tuple ids, shared
+// dictionaries), as its one component. The child's greedy then picks what a
+// greedy joining the copies itself picks.
+TEST(GreedyTest, HandedComponentJoinMatchesOwnJoin) {
+  const ConjunctiveQuery q =
+      ParseQuery("Q(A,C,E,G) :- R1(A,B), R2(B,C), R3(E,F), R4(F,G)");
+  const std::vector<Subquery> subs = DecomposeQuery(q);
+  ASSERT_EQ(subs.size(), 2u);
+  Rng rng(4);
+  for (int iter = 0; iter < 12; ++iter) {
+    const Database db = RandomDb(q, rng, rng.UniformInt(6, 30), 5);
+    CountReads reads;
+    reads.joins = true;
+    const JoinCounts counts = CountComponents(q.body(), q.head(), db, reads);
+    ASSERT_EQ(counts.components.size(), subs.size());
+    for (std::size_t c = 0; c < subs.size(); ++c) {
+      const JoinCounts::Component& comp = counts.components[c];
+      ASSERT_NE(comp.join, nullptr);
+      ASSERT_TRUE(comp.join->outputs.has_value());
+      JoinCounts share;
+      share.rows = comp.rows;
+      share.outputs = comp.outputs;
+      share.reads = reads;
+      share.components.push_back(
+          JoinCounts::Component{{0, 1}, comp.rows, comp.outputs, comp.join});
+      const Database sub_db = SubDatabase(subs[c].parent_relation, db);
+      const ConjunctiveQuery& child = subs[c].query;
+      const GreedyTrace own = RunGreedyForCQ(child, sub_db, comp.outputs);
+      EXPECT_EQ(own.total_outputs, comp.outputs);
+      ExpectTraceEq(
+          RunGreedyForCQ(child, sub_db, comp.outputs, nullptr, &share), own,
+          child);
+      ExpectTraceEq(ReferenceGreedy(child, sub_db, comp.outputs, nullptr),
+                    own, child);
+    }
+  }
+}
 
 TEST(GreedyTest, PicksHighestProfitFirst) {
   // Qpath with a hub: deleting R3(5) removes three outputs at once.

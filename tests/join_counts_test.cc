@@ -1,14 +1,16 @@
 // Join-free counting (relational/join.h): CountComponents' rows through
 // each tuple and CountOutputs against the materializing join and the
 // nested-loop oracle. Random bodies (vacuum relations, empty instances,
-// disconnected and cyclic bodies) under full, Boolean and projected heads;
-// fixed acyclic and cyclic shapes; the key translation on gathered
-// sub-instances, for propagation and for the materializing join; and
-// saturation.
+// disconnected and cyclic bodies) under full, Boolean and projected heads,
+// with every relation read and under random read sets; fixed acyclic and
+// cyclic shapes; code-keyed and hashed join-tree edges; the key translation
+// on gathered sub-instances, for propagation and for the materializing
+// join; and saturation.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <utility>
@@ -51,7 +53,52 @@ Counts TalliedCounts(const ConjunctiveQuery& q, const Database& db) {
 // The full-head counting pass with the rows of the whole join through each
 // tuple.
 JoinCounts CountRowsThrough(const ConjunctiveQuery& q, const Database& db) {
-  return CountComponents(q.body(), q.all_attrs(), db, /*per_tuple=*/true);
+  return CountComponents(q.body(), q.all_attrs(), db,
+                         CountReads::AllRelations());
+}
+
+// Reads the per-tuple counts of the body positions in `rels` only.
+CountReads ReadsOf(std::initializer_list<int> rels) {
+  CountReads reads;
+  for (int i : rels) reads.Add(static_cast<std::size_t>(i));
+  return reads;
+}
+
+// Checks a pass under `reads` and `head` against the oracle: the rows and
+// outputs, each read relation's rows through its tuples against the tally of
+// the materializing join, no counts for an unread relation, and a kept join
+// exactly when asked for. Returns whether the pass kept some join.
+bool ExpectReadCountsMatchOracle(const ConjunctiveQuery& q, AttrSet head,
+                                 const Database& db, const CountReads& reads,
+                                 const Counts& tally) {
+  ConjunctiveQuery under = q;
+  under.SetHead(head);
+  const JoinCounts counts = CountComponents(q.body(), head, db, reads);
+  EXPECT_EQ(counts.rows,
+            static_cast<std::int64_t>(FullJoin(q.body(), db).NumRows()))
+      << q.ToString();
+  EXPECT_EQ(counts.outputs, OracleCount(under, db)) << under.ToString();
+  bool kept = false;
+  for (int i = 0; i < q.num_relations(); ++i) {
+    if (reads.Reads(static_cast<std::size_t>(i))) {
+      EXPECT_EQ(counts.RowsThrough(i), tally[i]) << q.ToString() << " R" << i;
+    } else {
+      EXPECT_TRUE(counts.per_tuple.empty() || counts.per_tuple[i].empty())
+          << q.ToString() << " R" << i;
+    }
+  }
+  for (const JoinCounts::Component& comp : counts.components) {
+    if (comp.join == nullptr) continue;
+    kept = true;
+    EXPECT_TRUE(reads.joins);
+    EXPECT_EQ(static_cast<std::int64_t>(comp.join->join.NumRows()),
+              comp.rows);
+    if (comp.join->outputs) {
+      EXPECT_EQ(static_cast<std::int64_t>(comp.join->outputs->num_groups()),
+                comp.outputs);
+    }
+  }
+  return kept;
 }
 
 Counts RowsThroughEach(const JoinCounts& counts) {
@@ -117,6 +164,95 @@ TEST(JoinCountsTest, RandomBodiesMatchTheMaterializingJoin) {
   EXPECT_GE(disconnected, 50);
   EXPECT_GE(with_vacuum, 20);
   EXPECT_GE(with_empty, 20);
+}
+
+// Random bodies under random read sets and heads: each read relation's
+// counts equal the oracle tally whatever the join tree's root (one read
+// relation roots it), and an unread relation gets none.
+TEST(JoinCountsTest, RandomReadSetsMatchTheOracleTally) {
+  Rng rng(4049);
+  int single_read = 0;
+  int several_read = 0;
+  int kept_joins = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const ConjunctiveQuery q =
+        RandomQuery(rng, 5, 5, /*allow_vacuum=*/rng.Uniform(4) == 0);
+    Database db = RandomDb(q, rng, 1 + static_cast<std::int64_t>(
+                                           rng.Uniform(8)),
+                           2 + static_cast<std::int64_t>(rng.Uniform(3)));
+    if (rng.Uniform(12) == 0) {
+      const int i = static_cast<int>(rng.Uniform(q.num_relations()));
+      RelationInstance empty;
+      empty.set_root_relation(i);
+      db.rel(i) = std::move(empty);
+    }
+    CountReads reads;
+    int read = 0;
+    for (int i = 0; i < q.num_relations(); ++i) {
+      if (rng.Uniform(2) == 0) {
+        reads.Add(static_cast<std::size_t>(i));
+        ++read;
+      }
+    }
+    reads.joins = rng.Uniform(2) == 0;
+    (read == 1 ? single_read : several_read) += read > 0 ? 1 : 0;
+    const Counts tally = TalliedCounts(q, db);
+    for (const AttrSet head : {q.head(), q.all_attrs(), AttrSet()}) {
+      kept_joins += ExpectReadCountsMatchOracle(q, head, db, reads, tally);
+    }
+  }
+  EXPECT_GE(single_read, 80);
+  EXPECT_GE(several_read, 150);
+  EXPECT_GE(kept_joins, 50);
+}
+
+// Which path a join-tree edge takes: one key column over a dense child
+// dictionary is code-keyed, any other key is hashed. The path R1(A,B),
+// R2(B,C) has one edge, on B; reading one relation roots the tree there,
+// so the other one is the edge's child.
+TEST(JoinCountsTest, EdgesAreCodeKeyedOrHashed) {
+  const ConjunctiveQuery q = ParseQuery("Q(A,B,C) :- R1(A,B), R2(B,C)");
+  RelationInstance root;
+  for (Value v = 0; v < 10000; ++v) root.Add({v, v % 4});
+  Database db(2);
+  // R1 is standalone, so dense on B; R2 is gathered over a 10k-value B.
+  db.Load(0, {{0, 10}, {1, 20}, {1, 30}, {2, 20}, {3, 40}});
+  db.rel(1).AppendGathered(root, std::vector<TupleId>{20, 30, 40, 50});
+  ASSERT_TRUE(DenseKey(db.rel(0).dict(1).size(), db.rel(0).size()));
+  ASSERT_FALSE(DenseKey(db.rel(1).dict(0).size(), db.rel(1).size()));
+  const Counts tally = TalliedCounts(q, db);
+  // Rooted at R2: the child R1 is code-keyed. Rooted at R1: the child R2 is
+  // hashed. Both read, GYO's own root and the top-down pass.
+  for (const CountReads& reads :
+       {ReadsOf({1}), ReadsOf({0}), ReadsOf({0, 1})}) {
+    ExpectReadCountsMatchOracle(q, q.head(), db, reads, tally);
+  }
+  EXPECT_EQ(CountComponents(q.body(), q.head(), db, ReadsOf({1})).per_tuple[1],
+            (std::vector<std::int64_t>{2, 1, 1, 0}));
+
+  // A two-column key is hashed whatever the dictionaries.
+  const ConjunctiveQuery wide =
+      ParseQuery("Q(A,B,C) :- R1(A,B), R2(A,B,C)");
+  Database both(2);
+  both.Load(0, {{0, 1}, {0, 2}, {1, 1}});
+  both.Load(1, {{0, 1, 5}, {0, 1, 6}, {1, 1, 7}, {2, 2, 8}});
+  const Counts wide_tally = TalliedCounts(wide, both);
+  for (const CountReads& reads :
+       {ReadsOf({1}), ReadsOf({0}), ReadsOf({0, 1})}) {
+    ExpectReadCountsMatchOracle(wide, wide.head(), both, reads, wide_tally);
+  }
+
+  // A child code absent from the parent's dictionary, and a parent value
+  // absent from the child's, match nothing on the code-keyed path.
+  Database disjoint(2);
+  disjoint.Load(0, {{0, 10}, {1, 20}});
+  disjoint.Load(1, {{20, 1}, {99, 2}});
+  ASSERT_TRUE(DenseKey(disjoint.rel(0).dict(1).size(),
+                       disjoint.rel(0).size()));
+  const JoinCounts counts =
+      CountComponents(q.body(), q.head(), disjoint, ReadsOf({1}));
+  EXPECT_EQ(counts.rows, 1);
+  EXPECT_EQ(counts.per_tuple[1], (std::vector<std::int64_t>{1, 0}));
 }
 
 struct Shape {

@@ -79,7 +79,7 @@ TEST(JoinTest, RowsThroughEachTupleFigure1) {
   const ConjunctiveQuery q = Fig1Query("A,B,C,E");
   const Database db = Fig1Db(q);
   const JoinCounts counts =
-      CountComponents(q.body(), q.all_attrs(), db, /*per_tuple=*/true);
+      CountComponents(q.body(), q.all_attrs(), db, CountReads::AllRelations());
   EXPECT_EQ(counts.rows, 4);
   EXPECT_FALSE(counts.materialized);
   // Every tuple of Figure 1 participates in some join row; b2 fans out to
@@ -94,7 +94,7 @@ TEST(JoinTest, DanglingTupleCountsZeroRows) {
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}},
                                  {"R2", {{1, 5}, {3, 6}}}});
   const JoinCounts counts =
-      CountComponents(q.body(), q.all_attrs(), db, /*per_tuple=*/true);
+      CountComponents(q.body(), q.all_attrs(), db, CountReads::AllRelations());
   EXPECT_EQ(counts.RowsThrough(0)[0], 1);  // R1(1) joins
   EXPECT_EQ(counts.RowsThrough(0)[1], 0);  // R1(2) dangling
   EXPECT_EQ(counts.RowsThrough(1)[0], 1);

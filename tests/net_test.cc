@@ -691,6 +691,55 @@ TEST(NetTest, PrepareExecHotPathMatchesDirect) {
   EXPECT_EQ(reply->type, FrameType::kError);
 }
 
+// Integers in request and frame payloads parse whole: k, a prepared handle
+// and a cancel target with trailing junk, and HELLO versions that are not
+// whole uint32s, each get a typed error, and the server keeps serving.
+TEST(NetTest, IntegerTokensParseWhole) {
+  NetFixture fx;
+  AdpNetClient client = fx.Client();
+  std::string body;
+  ASSERT_TRUE(client.Call(FrameType::kDb, kDbLine, &body).has_value());
+  std::optional<Frame> prep = client.Call(
+      FrameType::kPrepare, "PREPARE " + std::string(kChainText), &body);
+  ASSERT_TRUE(prep.has_value());
+  ASSERT_EQ(prep->type, FrameType::kPrepared) << body;
+
+  const std::pair<FrameType, std::string> bad[] = {
+      {FrameType::kReq, "REQ d1 2x " + std::string(kChainText)},
+      {FrameType::kExec, "EXEC 1x d1 2"},
+      {FrameType::kExec, "EXEC 1 d1 2x"},
+      {FrameType::kCancel, "CANCEL 7x"},
+  };
+  for (const auto& [type, payload] : bad) {
+    std::optional<Frame> reply = client.Call(type, payload, &body);
+    ASSERT_TRUE(reply.has_value()) << payload;
+    EXPECT_EQ(reply->type, FrameType::kError) << payload;
+    EXPECT_EQ(body.rfind("INVALID_ARGUMENT bad ", 0), 0u) << body;
+  }
+  std::optional<Frame> reply =
+      client.Call(FrameType::kExec, "EXEC 1 d1 2", &body);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kResult) << body;
+  EXPECT_EQ(ExtractAnswer(body), DirectAnswer(fx.engine, kChainText, 2));
+
+  for (const char* hello : {"1 2x", "1 -1", "1 4294967297"}) {
+    RawConn raw(fx.server.port());
+    raw.SendFrame(FrameType::kHello, hello);
+    const std::vector<Frame> frames = raw.DrainToEof();  // EOF => closed
+    ASSERT_EQ(frames.size(), 1u) << hello;
+    EXPECT_EQ(frames[0].type, FrameType::kError) << hello;
+    EXPECT_NE(frames[0].payload.find("malformed HELLO"), std::string::npos)
+        << frames[0].payload;
+  }
+  AdpNetClient again = fx.Client();
+  EXPECT_EQ(again.version(), kProtocolVersionMax);
+  reply = again.Call(FrameType::kReq, "REQ d1 2 " + std::string(kChainText),
+                     &body);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kError);  // d1 belongs to `client`
+  EXPECT_NE(body.find("unknown database"), std::string::npos) << body;
+}
+
 TEST(NetTest, StatsAndMetricsVerbs) {
   NetFixture fx;
   AdpNetClient client = fx.Client();

@@ -119,6 +119,39 @@ TEST(StatsTest, SelectedTpchExercisesDecomposeAndSingleton) {
   EXPECT_EQ(stats.count_passes, 1);
 }
 
+// Passes over the data, joins included, at roots that read a join. Ego Q5's
+// shape (a projected heuristic root), Q4's (a Decompose root over two
+// projected Greedy components) and a projected case-1 Singleton root read
+// the join the preamble materialized to count them: one pass. Q2's shape (a
+// full acyclic heuristic root) is counted by propagation, so its greedy
+// joins for itself: two.
+TEST(StatsTest, CountPassesIncludeTheLeafJoins) {
+  struct Case {
+    const char* text;
+    std::int64_t passes;
+  };
+  const Case cases[] = {
+      {"Q(A,B,C) :- R1(A,E), R2(B,E), R3(C,E)", 1},
+      {"Q(A,C,E,G) :- R1(A,B), R2(B,C), R3(E,F), R4(F,G)", 1},
+      {"Q(A,B) :- R1(A), R2(A,B,C)", 1},
+      {"Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)", 2},
+  };
+  Rng rng(12);
+  for (const Case& c : cases) {
+    const ConjunctiveQuery q = ParseQuery(c.text);
+    const Database db = testing::RandomDb(q, rng, 12, 4);
+    AdpStats stats;
+    AdpOptions options;
+    options.stats = &stats;
+    const AdpSolution sol = ComputeAdp(q, db, 1, options);
+    ASSERT_TRUE(sol.feasible) << c.text;
+    EXPECT_EQ(stats.count_passes, c.passes) << c.text;
+    EXPECT_EQ(stats.greedy_leaves + stats.singleton_nodes,
+              stats.decompose_nodes == 1 ? 2 : 1)
+        << c.text;
+  }
+}
+
 TEST(StatsTest, BooleanQueryCountsBooleanNode) {
   const ConjunctiveQuery q = ParseQuery("Q() :- R1(A), R2(A)");
   const Database db = MakeDb(q, {{"R1", {{1}}}, {"R2", {{1}}}});

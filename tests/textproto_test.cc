@@ -154,6 +154,14 @@ TEST(TextProtoTest, ParseRequestLineRejectsMalformedInput) {
   EXPECT_THROW(ParseRequestLine(SplitWs("REQ d1 x Q(A) :- R1(A,B)"),
                                 "usage", 0),
                std::runtime_error);
+  // k parses whole and in the int64 range: no trailing junk, no clamping.
+  EXPECT_THROW(ParseRequestLine(SplitWs("REQ d1 2x Q(A) :- R1(A,B)"),
+                                "usage", 0),
+               std::runtime_error);
+  EXPECT_THROW(ParseRequestLine(
+                   SplitWs("REQ d1 99999999999999999999 Q(A) :- R1(A,B)"),
+                   "usage", 0),
+               std::runtime_error);
   // Options but no query left.
   EXPECT_THROW(ParseRequestLine(SplitWs("REQ d1 2 +p1"), "usage", 0),
                std::runtime_error);

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "util/attr_set.h"
 #include "util/hash.h"
+#include "util/parse_int.h"
 #include "util/rng.h"
 
 namespace adp {
@@ -150,6 +154,60 @@ TEST(HashTest, DistinctVectorsHashDifferently) {
 TEST(HashTest, EmptyVectorStable) {
   VecHash h;
   EXPECT_EQ(h({}), h({}));
+}
+
+// The value ParseInt64 gives `text`, or the failure; `out` is untouched on
+// failure.
+std::int64_t ParsedOr(std::string_view text, IntParse want_status) {
+  std::int64_t out = 42;
+  EXPECT_EQ(ParseInt64(text, &out), want_status) << "'" << text << "'";
+  if (want_status != IntParse::kOk) {
+    EXPECT_EQ(out, 42) << text;
+  }
+  return out;
+}
+
+TEST(ParseInt64Test, SignForms) {
+  EXPECT_EQ(ParsedOr("0", IntParse::kOk), 0);
+  EXPECT_EQ(ParsedOr("17", IntParse::kOk), 17);
+  EXPECT_EQ(ParsedOr("+17", IntParse::kOk), 17);
+  EXPECT_EQ(ParsedOr("-17", IntParse::kOk), -17);
+  EXPECT_EQ(ParsedOr("-0", IntParse::kOk), 0);
+  EXPECT_EQ(ParsedOr("+0", IntParse::kOk), 0);
+  for (const char* text : {"+", "-", "+-1", "-+1", "++1", "--1"}) {
+    ParsedOr(text, IntParse::kMalformed);
+  }
+}
+
+TEST(ParseInt64Test, BoundsAndOverflow) {
+  EXPECT_EQ(ParsedOr("9223372036854775807", IntParse::kOk),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(ParsedOr("-9223372036854775808", IntParse::kOk),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(ParsedOr("+9223372036854775807", IntParse::kOk),
+            std::numeric_limits<std::int64_t>::max());
+  ParsedOr("9223372036854775808", IntParse::kOutOfRange);
+  ParsedOr("-9223372036854775809", IntParse::kOutOfRange);
+  ParsedOr("99999999999999999999", IntParse::kOutOfRange);
+}
+
+TEST(ParseInt64Test, RejectsTrailingJunkAndEmpty) {
+  for (const char* text : {"", "2x", "1 ", " 1", "1.5", "0x10", "1e3", "x"}) {
+    ParsedOr(text, IntParse::kMalformed);
+  }
+}
+
+TEST(ParseUint32Test, AcceptsTheUint32RangeOnly) {
+  std::uint32_t out = 7;
+  EXPECT_TRUE(ParseUint32("0", &out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(ParseUint32("4294967295", &out));
+  EXPECT_EQ(out, 4294967295u);
+  for (const char* text : {"-1", "4294967296", "4294967297", "2x", ""}) {
+    out = 7;
+    EXPECT_FALSE(ParseUint32(text, &out)) << text;
+    EXPECT_EQ(out, 7u) << text;
+  }
 }
 
 }  // namespace
