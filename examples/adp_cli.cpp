@@ -6,30 +6,32 @@
 //
 //   <query>     datalog syntax, e.g. "Q(A,B) :- R(A,B), S(B,C=5)"
 //   <data-dir>  directory holding <RelationName>.csv per body relation
-//   <k|P%>      absolute output-removal target, or a percentage of |Q(D)|
+//   <k|P%>      output-removal target k, or a percentage P <= 100 of |Q(D)|
 //
 // Options:
 //   --counting        cost only, skip the witness tuples
 //   --drastic         use DrasticGreedy on NP-hard leaves (full CQs)
 //   --verify          re-evaluate the query after deletion
 //   --classify-only   print the dichotomy verdict and exit
-//   --timeout-ms=N    abort the solve after N milliseconds
+//   --timeout-ms=N    abort the solve after N <= 86400000 milliseconds
 //                     (exit code = StatusExitCode(kDeadlineExceeded))
 //
-// Exit codes: 0 success, 1 usage error, 2 infeasible target, and
+// Exit codes: 0 success, 1 usage error or bad value, 2 infeasible target, and
 // StatusExitCode(code) — a distinct code per Status — for engine failures
 // (parse errors, missing relations, deadline expiry, ...).
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "engine/engine.h"
 #include "io/csv.h"
 #include "query/parser.h"
+#include "util/parse_int.h"
 #include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
@@ -46,19 +48,37 @@ int main(int argc, char** argv) {
   AdpOptions options;
   options.verify = false;
   bool classify_only = false;
-  long long timeout_ms = 0;
+  std::int64_t timeout_ms = 0;
   for (int i = 4; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--counting")) options.counting_only = true;
     else if (!std::strcmp(argv[i], "--drastic"))
       options.heuristic = AdpOptions::Heuristic::kDrastic;
     else if (!std::strcmp(argv[i], "--verify")) options.verify = true;
     else if (!std::strcmp(argv[i], "--classify-only")) classify_only = true;
-    else if (!std::strncmp(argv[i], "--timeout-ms=", 13))
-      timeout_ms = std::atoll(argv[i] + 13);
-    else {
+    else if (!std::strncmp(argv[i], "--timeout-ms=", 13)) {
+      if (!ParseIntInRange(argv[i] + 13, 0, 86'400'000, &timeout_ms)) {
+        std::fprintf(stderr, "bad flag value: %s\n", argv[i]);
+        return 1;
+      }
+    } else {
       std::fprintf(stderr, "unknown option %s\n", argv[i]);
       return 1;
     }
+  }
+
+  // The target: a whole k, or P% (resolved against |Q(D)| below).
+  const std::string_view target = argv[3];
+  const bool is_pct = !target.empty() && target.back() == '%';
+  std::int64_t k = 0;
+  double pct = -1;  // left out of range unless all of P parses
+  if (is_pct) {
+    const char* last = target.data() + target.size() - 1;
+    if (std::from_chars(target.data(), last, pct).ptr != last) pct = -1;
+  }
+  if (is_pct ? !(pct >= 0 && pct <= 100)
+             : ParseInt64(target, &k) != IntParse::kOk) {
+    std::fprintf(stderr, "bad target: %s\n", argv[3]);
+    return 1;
   }
 
   AdpEngine engine({.num_workers = 2});
@@ -93,11 +113,7 @@ int main(int argc, char** argv) {
     return StatusExitCode(bind.code());
   }
 
-  // Resolve the target: absolute k or percentage of |Q(D)|.
-  const std::string target = argv[3];
-  std::int64_t k;
-  if (!target.empty() && target.back() == '%') {
-    const double pct = std::atof(target.substr(0, target.size() - 1).c_str());
+  if (is_pct) {
     // Probe run (k = 0) to learn |Q(D)|; served through the bound handle.
     const AdpResponse probe = engine.Execute(*prepared, 0, options);
     if (!probe.ok()) {
@@ -109,8 +125,6 @@ int main(int argc, char** argv) {
                                   static_cast<double>(
                                       probe.solution.output_count));
     if (k < 1) k = 1;
-  } else {
-    k = std::atoll(target.c_str());
   }
 
   AdpRequest req;

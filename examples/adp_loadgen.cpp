@@ -14,18 +14,21 @@
 //   adp_loadgen --net --concurrency=8
 //   adp_loadgen --family=star3.proj.small.mid --json=report.json
 //
-// Exit codes: 0 success, 1 outcome-invariant violation, 2 usage error.
+// Exit codes: 0 success, 1 outcome-invariant violation, 2 usage error (a
+// malformed or out-of-range flag value is one).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
 #include "net/server.h"
+#include "util/parse_int.h"
 #include "workload/driver.h"
 #include "workload/families.h"
 
@@ -67,13 +70,8 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseI64(const char* s, std::int64_t* out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  *out = v;
-  return true;
-}
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
 
 bool ParseF64(const char* s, double* out) {
   char* end = nullptr;
@@ -118,18 +116,19 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--requests=", 0) == 0 &&
-               ParseI64(value("--requests="), &n)) {
+               ParseIntInRange(value("--requests="), 0, kIntMax, &n)) {
       dc.requests = static_cast<int>(n);
     } else if (arg.rfind("--concurrency=", 0) == 0 &&
-               ParseI64(value("--concurrency="), &n)) {
+               ParseIntInRange(value("--concurrency="), 1, 4096, &n)) {
       dc.concurrency = static_cast<int>(n);
     } else if (arg.rfind("--workers=", 0) == 0 &&
-               ParseI64(value("--workers="), &n)) {
+               ParseIntInRange(value("--workers="), 1, 4096, &n)) {
       ec.num_workers = static_cast<int>(n);
     } else if (arg.rfind("--max-k=", 0) == 0 &&
-               ParseI64(value("--max-k="), &n)) {
+               ParseIntInRange(value("--max-k="), 1, kI64Max, &n)) {
       dc.max_k = n;
-    } else if (arg.rfind("--seed=", 0) == 0 && ParseI64(value("--seed="), &n)) {
+    } else if (arg.rfind("--seed=", 0) == 0 &&
+               ParseIntInRange(value("--seed="), 0, kI64Max, &n)) {
       dc.seed = static_cast<std::uint64_t>(n);
     } else if (arg == "--open-loop") {
       dc.open_loop = true;
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
                ParseF64(value("--coalesce-window-ms="), &f)) {
       ec.coalesce_window_ms = f;
     } else if (arg.rfind("--max-queue-depth=", 0) == 0 &&
-               ParseI64(value("--max-queue-depth="), &n)) {
+               ParseIntInRange(value("--max-queue-depth="), 0, 1 << 24, &n)) {
       ec.max_queue_depth = static_cast<std::size_t>(n);
     } else if (arg == "--net") {
       net = true;

@@ -1,18 +1,20 @@
-// adp_netclient: drives an adp_netserver over TCP with the same line
-// protocol adp_server reads from stdin.
+// adp_netclient: replays a request file against an adp_netserver over TCP.
 //
-// Reads commands from a file (or stdin) — DB / REQ / STREAM / CANCEL /
-// STATS / METRICS, grammar in src/net/textproto.h — sends each as one
-// protocol frame (docs/PROTOCOL.md), and prints the server's reply bodies:
-// the same JSON result lines adp_server would print for the same input.
+// Reads commands from a file (or stdin) — DB / REQ / STREAM / PREPARE /
+// EXEC / CANCEL / STATS / METRICS, one per line, '#' starting a comment,
+// grammar in src/net/textproto.h — sends each as one protocol frame
+// (docs/PROTOCOL.md), and prints the server's reply bodies, one line each.
 // REQ is pipelined (replies are collected in request order at STATS /
-// METRICS / EOF); STREAM drains its pushed frames in place.
+// METRICS / EOF); STREAM drains its pushed frames in place. README.md's
+// "Serving requests" has an example file.
 //
 // Usage:  adp_netclient --port=P [--host=A] [requests.txt]
 //
+// P must be a whole number in [1, 65535]; anything else exits 1.
+//
 // Exit code: 0 when every request succeeded (or was explicitly CANCELled);
-// otherwise StatusExitCode of the first failing reply — mirroring
-// adp_server's exit-code contract.
+// otherwise StatusExitCode of the first failing reply, one distinct code
+// per Status code.
 
 #include <cstdlib>
 #include <fstream>
@@ -24,6 +26,7 @@
 #include "net/client.h"
 #include "net/textproto.h"
 #include "net/wire.h"
+#include "util/parse_int.h"
 
 namespace {
 
@@ -56,7 +59,7 @@ std::string ExtractStatusName(const std::string& body) {
   return body.substr(start, end - start);
 }
 
-// Mirrors adp_server: CANCELLED is operator-initiated, not a failure.
+// CANCELLED is operator-initiated, not a failure.
 void NoteBody(const Frame& frame, Status& first_error) {
   std::string name;
   if (frame.type == FrameType::kError) {
@@ -108,10 +111,9 @@ int main(int argc, char** argv) {
     if (arg.rfind("--host=", 0) == 0) {
       host = arg.substr(7);
     } else if (arg.rfind("--port=", 0) == 0) {
-      try {
-        port = std::stoi(arg.substr(7));
-      } catch (const std::exception&) {
-        port = 0;
+      if (!adp::ParseIntInRange(arg.substr(7), 1, 65535, &port)) {
+        std::cerr << "bad flag value: " << arg << "\n";
+        return 1;
       }
     } else {
       path = arg;
@@ -176,8 +178,8 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    // STATS/METRICS first drain pipelined REQs, mirroring adp_server's
-    // request-order output.
+    // STATS/METRICS first drain pipelined REQs, so replies print in
+    // request order.
     if ((type == FrameType::kStats || type == FrameType::kMetrics) &&
         !DrainPending(client, pending, first_error)) {
       break;

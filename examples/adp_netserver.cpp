@@ -6,14 +6,15 @@
 //
 // to stdout (port is the actually-bound one, so --port=0 callers — tests,
 // tools/net_smoke.sh — can parse it), and serves until stdin reaches EOF
-// or the process is terminated. Wire protocol: docs/PROTOCOL.md; drive it
-// with examples/adp_netclient.cpp.
+// or the process is terminated. Wire protocol: docs/PROTOCOL.md; replay a
+// request file against it with examples/adp_netclient.cpp.
 //
 // Usage:  adp_netserver [--host=A] [--port=P] [--workers=N]
 //                       [--min-shard-groups=G] [--min-shard-components=C]
 //                       [--coalesce-window-ms=W] [--timeout-ms=T]
 //                       [--stream-batch-tuples=B] [--max-queue-depth=Q]
-//                       [--max-connections=M]
+//                       [--max-connections=M] [--trace-dir=DIR]
+//                       [--slow-ms=S]
 //
 //   --host=A                 listen address (default 127.0.0.1)
 //   --port=P                 listen port; 0 (default) binds an ephemeral
@@ -24,35 +25,35 @@
 //                            more than Q tasks wait on the pool are
 //                            rejected with OVERLOADED (0 = unbounded)
 //   --max-connections=M      connections beyond M are refused (default 256)
+//   --trace-dir=DIR          slow-query log: trace every request and write
+//                            each one at least --slow-ms=S (default 0)
+//                            slow as DIR/trace-<conn>-<id>-<seq>.json
 //
-// Engine knobs (--workers, --min-shard-*, --coalesce-window-ms,
-// --stream-batch-tuples) mean the same as for adp_server.
+// --workers sets EngineConfig::num_workers, and the other flags the
+// EngineConfig fields of the same names (docs/ENGINE.md). A malformed or
+// out-of-range value exits 1.
 
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "engine/engine.h"
 #include "net/server.h"
+#include "util/parse_int.h"
 
 namespace {
 
-std::int64_t ParseFlagValue(const std::string& arg, std::size_t prefix_len,
-                            std::int64_t min_value, std::int64_t max_value) {
-  const std::string value = arg.substr(prefix_len);
-  std::size_t pos = 0;
-  std::int64_t out = min_value - 1;
-  try {
-    out = std::stoll(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != value.size() || value.empty() || out < min_value ||
-      out > max_value) {
+// Sets `*out` to the whole value after the `prefix_len`-byte "--name="
+// prefix of `arg`, in [min_value, max_value]; anything else exits 1.
+template <typename T>
+void ParseFlagValue(const std::string& arg, std::size_t prefix_len,
+                    std::int64_t min_value, std::int64_t max_value, T* out) {
+  if (!adp::ParseIntInRange(std::string_view(arg).substr(prefix_len),
+                            min_value, max_value, out)) {
     std::cerr << "bad flag value: " << arg << "\n";
     std::exit(1);
   }
-  return out;
 }
 
 }  // namespace
@@ -65,33 +66,27 @@ int main(int argc, char** argv) {
     if (arg.rfind("--host=", 0) == 0) {
       net.host = arg.substr(7);
     } else if (arg.rfind("--port=", 0) == 0) {
-      net.port =
-          static_cast<int>(ParseFlagValue(arg, 7, /*min_value=*/0,
-                                          /*max_value=*/65535));
+      ParseFlagValue(arg, 7, 0, 65535, &net.port);
     } else if (arg.rfind("--workers=", 0) == 0) {
-      config.num_workers = static_cast<int>(
-          ParseFlagValue(arg, 10, /*min_value=*/1, /*max_value=*/4096));
+      ParseFlagValue(arg, 10, 1, 4096, &config.num_workers);
     } else if (arg.rfind("--min-shard-groups=", 0) == 0) {
-      config.min_shard_groups = static_cast<std::size_t>(
-          ParseFlagValue(arg, 19, /*min_value=*/0, /*max_value=*/1 << 20));
+      ParseFlagValue(arg, 19, 0, 1 << 20, &config.min_shard_groups);
     } else if (arg.rfind("--min-shard-components=", 0) == 0) {
-      config.min_shard_components = static_cast<std::size_t>(
-          ParseFlagValue(arg, 23, /*min_value=*/0, /*max_value=*/1 << 20));
+      ParseFlagValue(arg, 23, 0, 1 << 20, &config.min_shard_components);
     } else if (arg.rfind("--coalesce-window-ms=", 0) == 0) {
-      config.coalesce_window_ms = static_cast<double>(
-          ParseFlagValue(arg, 21, /*min_value=*/0, /*max_value=*/86'400'000));
+      ParseFlagValue(arg, 21, 0, 86'400'000, &config.coalesce_window_ms);
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {
-      net.default_timeout_ms =
-          ParseFlagValue(arg, 13, /*min_value=*/0, /*max_value=*/86'400'000);
+      ParseFlagValue(arg, 13, 0, 86'400'000, &net.default_timeout_ms);
     } else if (arg.rfind("--stream-batch-tuples=", 0) == 0) {
-      config.stream_batch_tuples = static_cast<std::size_t>(
-          ParseFlagValue(arg, 22, /*min_value=*/0, /*max_value=*/1 << 24));
+      ParseFlagValue(arg, 22, 0, 1 << 24, &config.stream_batch_tuples);
     } else if (arg.rfind("--max-queue-depth=", 0) == 0) {
-      config.max_queue_depth = static_cast<std::size_t>(
-          ParseFlagValue(arg, 18, /*min_value=*/0, /*max_value=*/1 << 24));
+      ParseFlagValue(arg, 18, 0, 1 << 24, &config.max_queue_depth);
     } else if (arg.rfind("--max-connections=", 0) == 0) {
-      net.max_connections = static_cast<int>(
-          ParseFlagValue(arg, 18, /*min_value=*/1, /*max_value=*/1 << 20));
+      ParseFlagValue(arg, 18, 1, 1 << 20, &net.max_connections);
+    } else if (arg.rfind("--trace-dir=", 0) == 0) {
+      net.trace_dir = arg.substr(12);
+    } else if (arg.rfind("--slow-ms=", 0) == 0) {
+      ParseFlagValue(arg, 10, 0, 86'400'000, &net.slow_ms);
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return 1;

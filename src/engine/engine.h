@@ -335,13 +335,13 @@ class AdpEngine {
   /// the latency histograms (adp_request_latency_ms, adp_queue_wait_ms,
   /// adp_solve_ms, adp_stream_first_item_ms — src/obs/names.h). The
   /// reference is valid only for the engine's lifetime; callers that must
-  /// read the registry after the engine is gone (bench harness, a restarted
-  /// adp_server) take shared ownership via metrics_shared() instead.
+  /// read the registry after the engine is gone (bench harness, the network
+  /// server) take shared ownership via metrics_shared() instead.
   obs::MetricsRegistry& metrics() const;
   std::shared_ptr<obs::MetricsRegistry> metrics_shared() const;
 
   /// Prometheus text exposition (0.0.4) of the full registry. Backs the
-  /// adp_server METRICS command.
+  /// adp_netserver METRICS verb.
   void WriteMetricsText(std::ostream& out) const;
 
   /// Drops the plan cache, every database's bindings, and the completed

@@ -122,7 +122,7 @@ struct StreamItem {
   /// plus all item production (witness enumeration included); `queue_ms`
   /// is time spent queued on the worker pool before production started, so
   /// `queue_ms + total_ms` is the end-to-end time a consumer experienced
-  /// (the figure the adp_server slow-query log thresholds on).
+  /// (the figure the adp_netserver slow-query log thresholds on).
   double plan_ms = 0.0;
   double solve_ms = 0.0;
   double total_ms = 0.0;

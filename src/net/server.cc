@@ -13,6 +13,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <utility>
@@ -22,6 +24,7 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "obs/trace.h"
 #include "util/parse_int.h"
 
 // Platforms without the per-call flag (macOS/BSD) suppress SIGPIPE with
@@ -116,6 +119,28 @@ struct AdpNetServer::Outbox {
   std::mutex mu;
   std::string buf;
   bool dead = false;
+};
+
+/// The slow-query log (NetServerConfig::trace_dir / slow_ms), shared with
+/// engine-worker completion callbacks, which may outlive the server. `seq`
+/// keeps dump names unique although correlation ids are reused.
+struct AdpNetServer::SlowLog {
+  std::filesystem::path dir;
+  double slow_ms = 0.0;
+  std::atomic<std::uint64_t> seq{0};
+
+  /// A null trace means the log is off. A dump that cannot be opened (DIR
+  /// was removed after Start) is skipped.
+  void MaybeDump(std::int64_t conn_id, std::int64_t id,
+                 const std::shared_ptr<const obs::Trace>& trace,
+                 double end_to_end_ms) {
+    if (trace == nullptr || end_to_end_ms < slow_ms) return;
+    const std::uint64_t n = seq.fetch_add(1, std::memory_order_relaxed);
+    std::ofstream out(dir / ("trace-" + std::to_string(conn_id) + '-' +
+                             std::to_string(id) + '-' + std::to_string(n) +
+                             ".json"));
+    if (out) trace->WriteJson(out);
+  }
 };
 
 // --- Poll backends -----------------------------------------------------------
@@ -268,7 +293,10 @@ struct AdpNetServer::Conn {
 AdpNetServer::AdpNetServer(AdpEngine& engine, NetServerConfig config)
     : engine_(engine),
       config_(std::move(config)),
-      registry_(engine.metrics_shared()) {
+      registry_(engine.metrics_shared()),
+      slow_log_(std::make_shared<SlowLog>()) {
+  slow_log_->dir = config_.trace_dir;
+  slow_log_->slow_ms = static_cast<double>(config_.slow_ms);
   connections_total_ = &registry_->GetCounter(obs::kMNetConnections);
   frames_in_ = &registry_->GetCounter(obs::kMNetFramesIn);
   frames_out_ = &registry_->GetCounter(obs::kMNetFramesOut);
@@ -286,6 +314,15 @@ AdpNetServer::~AdpNetServer() {
 Status AdpNetServer::Start() {
   if (started_) {
     return Status(StatusCode::kInvalidArgument, "server already started");
+  }
+  if (!config_.trace_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(config_.trace_dir, ec);
+    if (ec) {
+      return Status(StatusCode::kInvalidArgument,
+                    "cannot create trace dir " + config_.trace_dir + ": " +
+                        ec.message());
+    }
   }
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -523,7 +560,7 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
   }
 
   try {
-    const std::vector<std::string> toks = SplitWs(rest);
+    std::vector<std::string> toks = SplitWs(rest);
     switch (static_cast<FrameType>(type)) {
       case FrameType::kDb: {
         ParsedDb parsed = ParseDbLine(toks);
@@ -540,34 +577,32 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
                       JsonEscape(parsed.name) + "\"}");
         break;
       }
-      case FrameType::kReq: {
-        if (conn.IdInFlight(id)) {
-          throw std::runtime_error("correlation id " + std::to_string(id) +
-                                   " already in flight");
-        }
-        ParsedRequest parsed =
-            ParseRequestLine(toks, "REQ <db> <k> [+opt ...] <query>",
-                             config_.default_timeout_ms);
-        auto it = conn.dbs.find(parsed.db_name);
-        if (it == conn.dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.db = it->second;
-        conn_inflight_->Observe(static_cast<double>(conn.InflightNow()));
+      case FrameType::kReq:
+      case FrameType::kExec: {
+        ParsedRequest parsed = Admit(conn, id, type, std::move(toks));
+        std::shared_ptr<const CachedPlan> plan = parsed.req.prepared.plan();
         const std::int64_t k = parsed.req.k;
+        // The one delivery path of REQ and EXEC results, run by the engine
+        // worker that finished the request; it holds no pointer to the
+        // server, which may be gone by then. A REQ (no prepared plan) probes
+        // the plan cache for the relation names once it has answered.
         AdpTicket ticket = engine_.SubmitAsync(
             std::move(parsed.req),
             [engine = &engine_, outbox = conn.outbox, waker = waker_,
-             frames_out = frames_out_, id, db_name = parsed.db_name, k,
-             query_text = parsed.query_text](AdpResponse resp) {
-              std::shared_ptr<const CachedPlan> plan;
-              if (resp.ok()) {
+             frames_out = frames_out_, slow_log = slow_log_,
+             conn_id = conn.conn_id, id, db_name = std::move(parsed.db_name),
+             k, query_text = std::move(parsed.query_text),
+             plan = std::move(plan)](AdpResponse resp) {
+              std::shared_ptr<const CachedPlan> names = plan;
+              if (names == nullptr && resp.ok()) {
                 AdpRequest probe;
                 probe.query_text = query_text;
-                plan = engine->PlanFor(probe);
+                names = engine->PlanFor(probe);
               }
+              slow_log->MaybeDump(conn_id, id, resp.trace,
+                                  resp.queue_ms + resp.total_ms);
               const std::string line = FormatResponseLine(
-                  id, db_name, k, resp, plan ? &plan->query : nullptr,
+                  id, db_name, k, resp, names ? &names->query : nullptr,
                   kResultWitnessByteBudget);
               std::string framed;
               AppendFrameOrError(framed, FrameType::kResult,
@@ -584,19 +619,7 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
         break;
       }
       case FrameType::kStream: {
-        if (conn.IdInFlight(id)) {
-          throw std::runtime_error("correlation id " + std::to_string(id) +
-                                   " already in flight");
-        }
-        ParsedRequest parsed =
-            ParseRequestLine(toks, "STREAM <db> <k> [+opt ...] <query>",
-                             config_.default_timeout_ms);
-        auto it = conn.dbs.find(parsed.db_name);
-        if (it == conn.dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.db = it->second;
-        conn_inflight_->Observe(static_cast<double>(conn.InflightNow()));
+        ParsedRequest parsed = Admit(conn, id, type, std::move(toks));
         Conn::StreamRun run;
         run.id = id;
         run.db_name = parsed.db_name;
@@ -626,62 +649,6 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
         SendFrame(conn, static_cast<std::uint8_t>(FrameType::kPrepared),
                   std::to_string(id) + " {\"prepared\":" +
                       std::to_string(handle) + "}");
-        break;
-      }
-      case FrameType::kExec: {
-        if (conn.IdInFlight(id)) {
-          throw std::runtime_error("correlation id " + std::to_string(id) +
-                                   " already in flight");
-        }
-        // EXEC <handle> <db> <k> [+opt ...]
-        if (toks.size() < 4 || toks[0] != "EXEC") {
-          throw std::runtime_error("EXEC <handle> <db> <k> [+opt ...]");
-        }
-        std::int64_t handle = 0;
-        if (ParseInt64(toks[1], &handle) != IntParse::kOk) {
-          throw std::runtime_error("bad prepared handle: " + toks[1]);
-        }
-        auto pit = conn.prepared.find(handle);
-        if (pit == conn.prepared.end()) {
-          throw std::runtime_error("unknown prepared handle " + toks[1]);
-        }
-        // Rewrite as a REQ-shaped line so option parsing stays shared;
-        // the query slot is a placeholder (the prepared handle wins).
-        std::vector<std::string> req_toks = {"EXEC", toks[2], toks[3]};
-        req_toks.insert(req_toks.end(), toks.begin() + 4, toks.end());
-        req_toks.push_back("-");
-        ParsedRequest parsed = ParseRequestLine(
-            req_toks, "EXEC <handle> <db> <k> [+opt ...]",
-            config_.default_timeout_ms);
-        auto it = conn.dbs.find(parsed.db_name);
-        if (it == conn.dbs.end()) {
-          throw std::runtime_error("unknown database " + parsed.db_name);
-        }
-        parsed.req.query_text.clear();
-        parsed.req.prepared = pit->second;
-        parsed.req.db = it->second;
-        conn_inflight_->Observe(static_cast<double>(conn.InflightNow()));
-        std::shared_ptr<const CachedPlan> plan = pit->second.plan();
-        const std::int64_t k = parsed.req.k;
-        AdpTicket ticket = engine_.SubmitAsync(
-            std::move(parsed.req),
-            [outbox = conn.outbox, waker = waker_, frames_out = frames_out_,
-             id, db_name = parsed.db_name, k, plan](AdpResponse resp) {
-              const std::string line = FormatResponseLine(
-                  id, db_name, k, resp, plan ? &plan->query : nullptr,
-                  kResultWitnessByteBudget);
-              std::string framed;
-              AppendFrameOrError(framed, FrameType::kResult,
-                                 std::to_string(id) + ' ' + line);
-              {
-                std::lock_guard<std::mutex> lock(outbox->mu);
-                if (outbox->dead) return;
-                outbox->buf += framed;
-              }
-              frames_out->Increment();
-              waker->Wake();
-            });
-        conn.tickets[id] = std::move(ticket);
         break;
       }
       case FrameType::kCancel: {
@@ -753,6 +720,47 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
   }
 }
 
+ParsedRequest AdpNetServer::Admit(Conn& conn, std::int64_t id,
+                                  std::uint8_t type,
+                                  std::vector<std::string> toks) {
+  if (conn.IdInFlight(id)) {
+    throw std::runtime_error("correlation id " + std::to_string(id) +
+                             " already in flight");
+  }
+  const char* usage = "REQ <db> <k> [+opt ...] <query>";
+  PreparedQuery prepared;
+  if (static_cast<FrameType>(type) == FrameType::kStream) {
+    usage = "STREAM <db> <k> [+opt ...] <query>";
+  } else if (static_cast<FrameType>(type) == FrameType::kExec) {
+    usage = "EXEC <handle> <db> <k> [+opt ...]";
+    if (toks.size() < 4 || toks[0] != "EXEC") throw std::runtime_error(usage);
+    std::int64_t handle = 0;
+    if (ParseInt64(toks[1], &handle) != IntParse::kOk) {
+      throw std::runtime_error("bad prepared handle: " + toks[1]);
+    }
+    auto pit = conn.prepared.find(handle);
+    if (pit == conn.prepared.end()) {
+      throw std::runtime_error("unknown prepared handle " + toks[1]);
+    }
+    prepared = pit->second;
+    // Parse as a REQ-shaped line so option parsing stays shared: drop the
+    // handle, and fill the query slot with a placeholder.
+    toks.erase(toks.begin() + 1);
+    toks.push_back("-");
+  }
+  ParsedRequest parsed =
+      ParseRequestLine(toks, usage, config_.default_timeout_ms);
+  auto it = conn.dbs.find(parsed.db_name);
+  if (it == conn.dbs.end()) {
+    throw std::runtime_error("unknown database " + parsed.db_name);
+  }
+  parsed.req.db = it->second;
+  parsed.req.prepared = std::move(prepared);  // an EXEC's wins over "-"
+  parsed.req.collect_trace = !config_.trace_dir.empty();
+  conn_inflight_->Observe(static_cast<double>(conn.InflightNow()));
+  return parsed;
+}
+
 void AdpNetServer::PumpConn(Conn& conn) {
   // 1. Completed responses framed by engine workers.
   {
@@ -777,6 +785,9 @@ void AdpNetServer::PumpConn(Conn& conn) {
       const std::string line = FormatStreamItemLine(
           run.id, run.db_name, *item,
           run.plan ? &run.plan->query : nullptr, run.items);
+      // Only the end item carries a trace.
+      slow_log_->MaybeDump(conn.conn_id, run.id, item->trace,
+                           item->queue_ms + item->total_ms);
       const bool is_end = item->kind == StreamItem::Kind::kEnd;
       SendFrame(conn,
                 static_cast<std::uint8_t>(is_end ? FrameType::kStreamEnd

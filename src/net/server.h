@@ -37,9 +37,11 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/engine.h"
 #include "engine/status.h"
+#include "net/textproto.h"
 
 namespace adp::net {
 
@@ -66,6 +68,13 @@ struct NetServerConfig {
   /// Use the portable poll() backend even where epoll is available
   /// (exercised by tests so both backends stay correct).
   bool force_poll = false;
+
+  /// Slow-query log directory, created by Start(); empty (the default) is
+  /// off. When set, every REQ, STREAM and EXEC is traced, and each one that
+  /// took at least `slow_ms` (queue_ms + total_ms) is written as Chrome
+  /// trace JSON to DIR/trace-<conn>-<id>-<seq>.json before its reply.
+  std::string trace_dir = {};
+  std::int64_t slow_ms = 0;
 };
 
 class AdpNetServer {
@@ -78,7 +87,8 @@ class AdpNetServer {
   AdpNetServer& operator=(const AdpNetServer&) = delete;
 
   /// Binds, listens, and spawns the event loop. Fails with kInternal when
-  /// the address cannot be bound. Call once.
+  /// the address cannot be bound, and with kInvalidArgument when
+  /// config.trace_dir cannot be created. Call once.
   Status Start();
 
   /// Stops the loop, closes every connection (cancelling its in-flight
@@ -94,6 +104,7 @@ class AdpNetServer {
  private:
   struct Conn;
   struct Outbox;
+  struct SlowLog;
   struct Waker;
   class Poller;
   class PollPoller;
@@ -105,6 +116,10 @@ class AdpNetServer {
   void AcceptAll();
   void ReadConn(Conn& conn);
   void HandleFrame(Conn& conn, std::uint8_t type, const std::string& payload);
+  // The one admission path of REQ, STREAM and EXEC: throws the
+  // caller-facing error of the first check that fails.
+  ParsedRequest Admit(Conn& conn, std::int64_t id, std::uint8_t type,
+                      std::vector<std::string> toks);
   void PumpConn(Conn& conn);
   void FlushConn(Conn& conn);
   void CloseConn(int fd);
@@ -128,6 +143,7 @@ class AdpNetServer {
 
   int listen_fd_ = -1;
   int port_ = 0;
+  std::shared_ptr<SlowLog> slow_log_;
   std::shared_ptr<Waker> waker_;
   std::unique_ptr<Poller> poller_;
   std::atomic<bool> stop_{false};

@@ -19,16 +19,6 @@ std::vector<std::string> SplitWs(const std::string& line) {
   return out;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 std::pair<std::string, RelationInstance> ParseRelationSpec(
     const std::string& spec) {
   const std::size_t eq = spec.find('=');

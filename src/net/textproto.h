@@ -1,8 +1,8 @@
-// Shared text-protocol parsing and JSON rendering for the two ADP front
-// ends: the stdin line driver (examples/adp_server.cpp) and the TCP server
-// (src/net/server.cc). Both parse the same command grammar and emit the
-// same JSON-ish result lines through these helpers, so the front ends
-// cannot drift — tests/textproto_test.cc regression-tests the grammar and
+// Text-protocol parsing and JSON rendering of the ADP front door, the TCP
+// server (src/net/server.cc): the command grammar of its frame payloads
+// and the JSON result lines it sends back. The request-file client
+// (examples/adp_netclient.cpp) and the benchmark's probes use the same
+// helpers. tests/textproto_test.cc regression-tests the grammar and
 // tests/net_test.cc proves the network path renders answers identical to
 // direct AdpEngine calls.
 //
@@ -36,14 +36,15 @@
 #include "engine/engine.h"
 #include "engine/request.h"
 #include "engine/result_stream.h"
+#include "obs/trace.h"
 
 namespace adp::net {
 
 /// Whitespace-splits one command line into tokens.
 std::vector<std::string> SplitWs(const std::string& line);
 
-/// Escapes '"' and '\' for embedding in a JSON string literal.
-std::string JsonEscape(const std::string& s);
+/// Escapes a string for embedding in a JSON string literal (obs/trace.h).
+using obs::JsonEscape;
 
 /// Parses one "R1=11,21/12,22" relation spec into (name, instance).
 /// "()" denotes the empty tuple (vacuum instance); "R1=" alone is an empty
@@ -62,9 +63,9 @@ struct ParsedDb {
 ParsedDb ParseDbLine(const std::vector<std::string>& toks);
 
 /// The shared "<CMD> <db> <k> [+opt ...] <query...>" tail of REQ and
-/// STREAM lines. `req.db` is left unresolved (kInvalidDbId): front ends
-/// own the name -> DbId namespace (global for the stdin driver,
-/// per-connection for the TCP server) and resolve `db_name` themselves.
+/// STREAM lines. `req.db` is left unresolved (kInvalidDbId): the server
+/// owns the name -> DbId namespace (per connection) and resolves
+/// `db_name` itself.
 struct ParsedRequest {
   std::string db_name;
   std::string query_text;

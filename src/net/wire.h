@@ -7,9 +7,9 @@
 //   bytes        UTF-8 text payload (length - 1 bytes)
 //
 // Payloads are text on purpose: every verb reuses the line grammar and
-// JSON rendering of src/net/textproto.h, so the TCP server and the stdin
-// driver (examples/adp_server.cpp) speak the same request language and
-// print the same result bodies. After the HELLO exchange, every
+// JSON rendering of src/net/textproto.h, so a request file replayed by
+// examples/adp_netclient.cpp is one line per frame, and result bodies are
+// the JSON lines it prints. After the HELLO exchange, every
 // client-to-server payload starts with a decimal correlation id; the
 // server echoes that id as the first token of every frame it sends in
 // response, so clients can pipeline requests and match interleaved

@@ -3,33 +3,32 @@
 #include <chrono>
 
 namespace adp::obs {
-namespace {
 
-/// JSON string escaping for span names and tag keys/values.
-void WriteJsonString(std::ostream& out, std::string_view s) {
-  out << '"';
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
   for (const char c : s) {
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\b': out << "\\b"; break;
-      case '\f': out << "\\f"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           constexpr char kHex[] = "0123456789abcdef";
-          out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xf];
+          out += kHex[c & 0xf];
         } else {
-          out << c;
+          out += c;
         }
     }
   }
-  out << '"';
+  return out;
 }
-
-}  // namespace
 
 void Trace::WriteJson(std::ostream& out) const {
   out << "{\"traceEvents\":[";
@@ -37,8 +36,7 @@ void Trace::WriteJson(std::ostream& out) const {
   for (const TraceSpan& span : spans) {
     if (!first) out << ',';
     first = false;
-    out << "{\"name\":";
-    WriteJsonString(out, span.name);
+    out << "{\"name\":\"" << JsonEscape(span.name) << '"';
     // Complete ("X") events; timestamps and durations in microseconds. An
     // open span (duration -1) is clamped to 0 so viewers still render it.
     out << ",\"cat\":\"adp\",\"ph\":\"X\",\"ts\":"
@@ -48,10 +46,7 @@ void Trace::WriteJson(std::ostream& out) const {
         << ",\"pid\":1,\"tid\":" << span.tid << ",\"args\":{\"id\":"
         << span.id << ",\"parent\":" << span.parent;
     for (const auto& [key, value] : span.tags) {
-      out << ',';
-      WriteJsonString(out, key);
-      out << ':';
-      WriteJsonString(out, value);
+      out << ",\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << '"';
     }
     out << "}}";
   }

@@ -47,6 +47,11 @@ struct TraceSpan {
   std::vector<std::pair<std::string, std::string>> tags;
 };
 
+/// `s` escaped for the inside of a JSON string literal, bytes below 0x20
+/// included (as \b \f \n \r \t or \u00XX), so any input gives valid JSON.
+/// The one escaper of Trace::WriteJson and the text protocol's lines.
+std::string JsonEscape(std::string_view s);
+
 /// A completed trace: the spans of one request, in open order.
 struct Trace {
   std::vector<TraceSpan> spans;

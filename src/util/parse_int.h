@@ -1,8 +1,8 @@
 // Whole-field integer parsing for the text inputs (query literals, DB
 // frames, request k and options, prepared handles, cancel targets, HELLO
-// versions, CSV fields). Unlike strtoll and std::stoll it rejects trailing
-// junk and tells an out-of-range value from a malformed one, so no input is
-// silently truncated or clamped into another value.
+// versions, CSV fields, flags). Unlike strtoll and std::stoll it rejects
+// trailing junk and tells an out-of-range value from a malformed one, so no
+// input is silently truncated or clamped into another value.
 
 #ifndef ADP_UTIL_PARSE_INT_H_
 #define ADP_UTIL_PARSE_INT_H_
@@ -33,16 +33,26 @@ inline IntParse ParseInt64(std::string_view text, std::int64_t* out) {
   return IntParse::kOk;
 }
 
+/// Parses all of `text` as ParseInt64 does, and accepts it only in
+/// [min_value, max_value], a range `T` must hold (an integer flag). Writes
+/// `*out` only when it returns true.
+template <typename T>
+bool ParseIntInRange(std::string_view text, std::int64_t min_value,
+                     std::int64_t max_value, T* out) {
+  std::int64_t value = 0;
+  if (ParseInt64(text, &value) != IntParse::kOk || value < min_value ||
+      value > max_value) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 /// Parses all of `text` as ParseInt64 does, and accepts it only in the
 /// uint32 range. Writes `*out` only when it returns true.
 inline bool ParseUint32(std::string_view text, std::uint32_t* out) {
-  std::int64_t value = 0;
-  if (ParseInt64(text, &value) != IntParse::kOk || value < 0 ||
-      value > std::numeric_limits<std::uint32_t>::max()) {
-    return false;
-  }
-  *out = static_cast<std::uint32_t>(value);
-  return true;
+  return ParseIntInRange(text, 0, std::numeric_limits<std::uint32_t>::max(),
+                         out);
 }
 
 }  // namespace adp

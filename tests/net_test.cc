@@ -2,9 +2,9 @@
 // identical to direct AdpEngine calls, multi-client concurrency with
 // interleaved pushed frames, malformed/truncated frame survival, mid-stream
 // disconnect releasing the worker, priority/EDF ordering and load-shed
-// rejection over the socket, and the PREPARE/EXEC/CANCEL/STATS/METRICS
-// verbs. Runs against both poll backends (force_poll exercises the
-// portable one).
+// rejection over the socket, the PREPARE/EXEC/CANCEL/STATS/METRICS
+// verbs, and the slow-query log (NetServerConfig::trace_dir). Runs against
+// both poll backends (force_poll exercises the portable one).
 
 #include <gtest/gtest.h>
 
@@ -15,9 +15,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -910,6 +915,164 @@ TEST(NetTest, ServerStopWithLiveConnectionsIsClean) {
   fx.reset();  // engine teardown after server teardown
   // The client observes EOF (or an error) — never a hang.
   EXPECT_FALSE(client.ReadFrame().has_value());
+}
+
+// Reply bodies are valid JSON for any input bytes: a control byte in the
+// query text (quoted back by the parse error) or in a database name is
+// escaped as \u00XX, never sent raw.
+TEST(NetTest, ControlBytesAreEscapedInReplyBodies) {
+  NetFixture fx;
+  AdpNetClient client = fx.Client();
+  std::string body;
+  ASSERT_TRUE(client.Call(FrameType::kDb, kDbLine, &body).has_value());
+  std::optional<Frame> reply =
+      client.Call(FrameType::kReq, "REQ d1 1 Q(A) :- R\x01(A)", &body);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kResult) << body;
+  EXPECT_NE(body.find("\"status\":\"PARSE_ERROR\""), std::string::npos)
+      << body;
+  EXPECT_NE(body.find("\\u0001"), std::string::npos) << body;
+  for (const char c : body) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << body;
+  }
+
+  reply = client.Call(FrameType::kDb, "DB d\x02 R1=1,2", &body);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kDbOk) << body;
+  EXPECT_EQ(body, "{\"db\":\"d\\u0002\"}");
+}
+
+// ---- Slow-query log --------------------------------------------------------
+
+/// A fresh empty directory, removed with everything in it on destruction.
+struct TempDir {
+  std::filesystem::path path;
+
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "adp_net_test_XXXXXX")
+            .string();
+    if (mkdtemp(tmpl.data()) != nullptr) path = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+
+  std::vector<std::filesystem::path> Files() const {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(path)) {
+      files.push_back(entry.path());
+    }
+    return files;
+  }
+};
+
+/// Sends one REQ, one EXEC and one STREAM of the Figure-1 chain, in that
+/// order, and returns the last line of each: the REQ and EXEC results and
+/// the stream's end line. `after_each` runs once each reply has arrived.
+std::vector<std::string> ReqExecStreamLines(
+    AdpNetClient& client, const std::function<void()>& after_each) {
+  std::vector<std::string> lines;
+  std::string body;
+  EXPECT_TRUE(client.Call(FrameType::kDb, kDbLine, &body).has_value());
+  std::optional<Frame> reply = client.Call(
+      FrameType::kReq, "REQ d1 2 " + std::string(kChainText), &body);
+  EXPECT_TRUE(reply.has_value() && reply->type == FrameType::kResult)
+      << body;
+  lines.push_back(body);
+  after_each();
+
+  reply = client.Call(FrameType::kPrepare,
+                      "PREPARE " + std::string(kChainText), &body);
+  EXPECT_TRUE(reply.has_value() && reply->type == FrameType::kPrepared)
+      << body;
+  reply = client.Call(FrameType::kExec, "EXEC 1 d1 2", &body);
+  EXPECT_TRUE(reply.has_value() && reply->type == FrameType::kResult)
+      << body;
+  lines.push_back(body);
+  after_each();
+
+  const std::int64_t id = client.NextId();
+  EXPECT_TRUE(client.Send(FrameType::kStream, id,
+                          "STREAM d1 3 " + std::string(kChainText)));
+  for (;;) {
+    std::optional<Frame> frame = client.WaitReply(id);
+    if (!frame.has_value()) {
+      ADD_FAILURE() << client.error();
+      break;
+    }
+    if (frame->type != FrameType::kStreamItem) {
+      EXPECT_EQ(frame->type, FrameType::kStreamEnd) << frame->payload;
+      lines.push_back(frame->payload);
+      break;
+    }
+  }
+  after_each();
+  return lines;
+}
+
+TEST(NetTest, SlowQueryLogDumpsOneTracePerRequest) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  NetFixture fx(EngineConfig{.num_workers = 2},
+                NetServerConfig{.trace_dir = dir.path.string(), .slow_ms = 0});
+  AdpNetClient client = fx.Client();
+  // Each dump is written before its reply is sent, so each reply finds
+  // exactly one more file.
+  std::vector<std::size_t> dumps;
+  const std::vector<std::string> lines = ReqExecStreamLines(
+      client, [&] { dumps.push_back(dir.Files().size()); });
+  EXPECT_EQ(dumps, (std::vector<std::size_t>{1, 2, 3}));
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find("\"status\":\"OK\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"trace_spans\":"), std::string::npos) << line;
+  }
+  for (const std::filesystem::path& file : dir.Files()) {
+    EXPECT_EQ(file.filename().string().rfind("trace-", 0), 0u) << file;
+    std::ifstream in(file);
+    std::stringstream json;
+    json << in.rdbuf();
+    // A non-empty traceEvents array (Trace::WriteJson's layout).
+    EXPECT_EQ(json.str().rfind("{\"traceEvents\":[{\"name\":", 0), 0u)
+        << file << ": " << json.str();
+  }
+}
+
+TEST(NetTest, SlowQueryLogSkipsRequestsUnderTheThreshold) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  NetFixture fx(EngineConfig{.num_workers = 2},
+                NetServerConfig{.trace_dir = dir.path.string(),
+                                .slow_ms = 1'000'000});
+  AdpNetClient client = fx.Client();
+  for (const std::string& line : ReqExecStreamLines(client, [] {})) {
+    EXPECT_NE(line.find("\"trace_spans\":"), std::string::npos) << line;
+  }
+  EXPECT_TRUE(dir.Files().empty());
+}
+
+TEST(NetTest, NoTraceDirMeansNoTracing) {
+  NetFixture fx;
+  AdpNetClient client = fx.Client();
+  for (const std::string& line : ReqExecStreamLines(client, [] {})) {
+    EXPECT_NE(line.find("\"status\":\"OK\""), std::string::npos) << line;
+    EXPECT_EQ(line.find("trace_spans"), std::string::npos) << line;
+  }
+}
+
+TEST(NetTest, UncreatableTraceDirFailsStart) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  const std::filesystem::path file = dir.path / "file";
+  std::ofstream(file) << "x";
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  AdpNetServer server(engine,
+                      NetServerConfig{.trace_dir = (file / "traces").string()});
+  const Status status = server.Start();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.message();
+  EXPECT_NE(status.message().find("trace dir"), std::string::npos)
+      << status.message();
 }
 
 }  // namespace

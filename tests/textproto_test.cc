@@ -29,6 +29,9 @@ TEST(TextProtoTest, SplitWsTokenizes) {
 TEST(TextProtoTest, JsonEscapeQuotesAndBackslashes) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
   EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  // Control bytes never reach a result line raw.
+  EXPECT_EQ(JsonEscape("R\x01(A)"), "R\\u0001(A)");
+  EXPECT_EQ(JsonEscape("a\nb\tc"), "a\\nb\\tc");
 }
 
 TEST(TextProtoTest, ParseRelationSpecRowsAndVacuum) {

@@ -296,7 +296,7 @@ def check_workload_harness():
 
 OBS_NAME_RE = re.compile(r"adp(?:_[a-z0-9_]+|\.[a-z._]+[a-z])")
 # Name-shaped tokens that are not catalog entries: binaries and tools.
-OBS_NAME_EXEMPT = {"adp_server", "adp_cli", "adp_netserver", "adp_netclient"}
+OBS_NAME_EXEMPT = {"adp_cli", "adp_netserver", "adp_netclient"}
 
 
 def check_observability_catalog():

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Loopback smoke test for the network front door: starts adp_netserver on
-# an ephemeral port, drives one scripted adp_netclient session covering
-# DB registration, pipelined REQ, server-push STREAM, CANCEL, and
-# METRICS, and fails on any non-zero exit. Run from a build directory
-# containing the two binaries (or pass it as $1).
+# an ephemeral port with its slow-query log on, drives one scripted
+# adp_netclient session covering DB registration, pipelined REQ,
+# server-push STREAM, CANCEL, and METRICS, checks the trace dumps, and
+# fails on any non-zero exit. Also checks that both binaries reject a
+# malformed integer flag. Run from a build directory containing the two
+# binaries (or pass it as $1).
 set -euo pipefail
 
 build_dir="${1:-.}"
@@ -12,13 +14,21 @@ client="$build_dir/adp_netclient"
 [ -x "$server" ] || { echo "missing $server" >&2; exit 1; }
 [ -x "$client" ] || { echo "missing $client" >&2; exit 1; }
 
+# Integer flags parse whole: trailing junk is a usage error (exit 1).
+for bin in "$client" "$server"; do
+  rc=0
+  "$bin" --port=1x </dev/null >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 1 ] || { echo "$bin --port=1x exited $rc, want 1" >&2; exit 1; }
+done
+
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"; [ -n "${server_pid:-}" ] && kill "$server_pid" 2>/dev/null || true' EXIT
 
 # The server serves until its stdin reaches EOF; a FIFO held open on fd 9
 # keeps it alive until the trap fires.
 mkfifo "$workdir/stdin"
-"$server" --port=0 --workers=2 <"$workdir/stdin" >"$workdir/out" &
+"$server" --port=0 --workers=2 --trace-dir="$workdir/traces" \
+  <"$workdir/stdin" >"$workdir/out" &
 server_pid=$!
 exec 9>"$workdir/stdin"
 
@@ -51,7 +61,18 @@ grep -q '"end":true' "$workdir/client_out"
 grep -q '"cancelled":' "$workdir/client_out"
 grep -q 'adp_net_connections_total' "$workdir/client_out"
 
+# The slow-query log (--slow-ms defaults to 0) traced every request and
+# dumped each one as Chrome trace-event JSON with a non-empty traceEvents.
+grep -q '"trace_spans":' "$workdir/client_out"
+dumps=("$workdir"/traces/trace-*.json)
+[ -e "${dumps[0]}" ] || { echo "no trace dump in $workdir/traces" >&2; exit 1; }
+for dump in "${dumps[@]}"; do
+  python3 -m json.tool "$dump" >"$workdir/dump.json"
+  grep -q '"traceEvents": \[$' "$workdir/dump.json" ||
+    { echo "empty traceEvents in $dump" >&2; exit 1; }
+done
+
 # Clean shutdown: close the server's stdin and wait for exit 0.
 exec 9>&-
 wait "$server_pid"
-echo "net smoke OK (port $port)"
+echo "net smoke OK (port $port, ${#dumps[@]} trace dumps)"
