@@ -47,15 +47,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "engine/engine.h"
 #include "engine/grouped_workload.h"
-#include "obs/metrics.h"
-#include "obs/names.h"
 #include "query/parser.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -97,7 +94,7 @@ Workload MakeWorkload(std::int64_t rows) {
 }
 
 // k varies with the request index so every (query, k) pair in a batch is
-// distinct: ExecuteBatch submits the whole batch concurrently, and
+// distinct: RunBatch submits the whole batch concurrently, and
 // duplicate pairs would be absorbed by the engine's single-flight dedup,
 // overstating solve throughput.
 std::int64_t RequestK(int i, std::size_t num_queries) {
@@ -168,11 +165,11 @@ void EngineThroughput(benchmark::State& state) {
 
   // Warm the plan and binding caches once: steady-state serving is the
   // regime of interest.
-  engine.ExecuteBatch(MakeBatch(w, db, static_cast<int>(w.queries.size())));
+  RunBatch(engine, MakeBatch(w, db, static_cast<int>(w.queries.size())));
 
   for (auto _ : state) {
     const std::vector<AdpResponse> out =
-        engine.ExecuteBatch(MakeBatch(w, db, requests));
+        RunBatch(engine, MakeBatch(w, db, requests));
     std::int64_t checksum = 0;
     for (const AdpResponse& r : out) checksum += r.solution.cost;
     benchmark::DoNotOptimize(checksum);
@@ -216,7 +213,7 @@ void EnginePreparedVsText(benchmark::State& state) {
     handles.push_back(*std::move(prepared));
   }
   // Warm the text path's plan and binding caches too.
-  engine.ExecuteBatch(MakeBatch(w, db, static_cast<int>(w.queries.size())));
+  RunBatch(engine, MakeBatch(w, db, static_cast<int>(w.queries.size())));
   const EngineCounters warm = engine.counters();
 
   for (auto _ : state) {
@@ -236,7 +233,7 @@ void EnginePreparedVsText(benchmark::State& state) {
       batch.push_back(std::move(req));
     }
     const std::vector<AdpResponse> out =
-        engine.ExecuteBatch(std::move(batch));
+        RunBatch(engine, std::move(batch));
     std::int64_t checksum = 0;
     for (const AdpResponse& r : out) checksum += r.solution.cost;
     benchmark::DoNotOptimize(checksum);
@@ -505,77 +502,7 @@ BENCHMARK(EngineDecomposeSharding)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Machine-readable perf trajectory (docs/OBSERVABILITY.md): after the
-// registered benchmarks run, push one fixed steady-state batch through a
-// fresh engine and write throughput plus the registry's latency quantiles
-// to BENCH_engine.json (path overridable via ADP_BENCH_JSON). Successive
-// CI runs of this file ARE the trajectory — one flat JSON object per run,
-// stable keys, diffable.
-void EmitEngineTrajectory() {
-  const char* env = std::getenv("ADP_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_engine.json";
-
-  constexpr std::int64_t kRows = 2000;
-  constexpr int kRequests = 120;
-  Workload w = MakeWorkload(kRows);
-  EngineConfig config;
-  config.num_workers = 4;
-  AdpEngine engine(config);
-  const DbId db = engine.RegisterDatabase(std::move(w.named));
-
-  // Warm the plan and binding caches: the trajectory tracks steady-state
-  // serving, not cold-start parsing.
-  engine.ExecuteBatch(MakeBatch(w, db, static_cast<int>(w.queries.size())));
-
-  const MonotonicClock::time_point start = Now();
-  const std::vector<AdpResponse> out =
-      engine.ExecuteBatch(MakeBatch(w, db, kRequests));
-  const double wall_ms = MsBetween(start, Now());
-
-  std::int64_t failures = 0;
-  for (const AdpResponse& r : out) {
-    if (!r.ok()) ++failures;
-  }
-
-  obs::MetricsRegistry& metrics = engine.metrics();
-  const obs::HistogramSnapshot latency =
-      metrics.GetHistogram(obs::kMRequestLatencyMs).Snapshot();
-  const obs::HistogramSnapshot solve =
-      metrics.GetHistogram(obs::kMSolveMs).Snapshot();
-  const obs::HistogramSnapshot queue_wait =
-      metrics.GetHistogram(obs::kMQueueWaitMs).Snapshot();
-
-  BenchJsonWriter json;
-  json.Add("rows", static_cast<double>(kRows));
-  json.Add("requests", static_cast<double>(kRequests));
-  json.Add("workers", static_cast<double>(config.num_workers));
-  json.Add("failures", static_cast<double>(failures));
-  json.Add("wall_ms", wall_ms);
-  json.Add("requests_per_sec",
-           wall_ms > 0.0 ? kRequests / (wall_ms / 1000.0) : 0.0);
-  json.Add("latency_ms_count", static_cast<double>(latency.count));
-  json.Add("latency_ms_p50", latency.Quantile(0.50));
-  json.Add("latency_ms_p95", latency.Quantile(0.95));
-  json.Add("latency_ms_p99", latency.Quantile(0.99));
-  json.Add("solve_ms_p50", solve.Quantile(0.50));
-  json.Add("solve_ms_p99", solve.Quantile(0.99));
-  json.Add("queue_wait_ms_p50", queue_wait.Quantile(0.50));
-  json.Add("queue_wait_ms_p99", queue_wait.Quantile(0.99));
-  if (json.WriteTo(path)) {
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-  }
-}
-
 }  // namespace
 }  // namespace adp::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  adp::bench::EmitEngineTrajectory();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -12,16 +12,10 @@
 // REQs before draining the replies, so the event loop, worker pool, and
 // per-connection outboxes all stay busy. items_per_second counts
 // completed request round-trips across all clients.
-//
-// EmitNetTrajectory writes BENCH_net.json (ADP_BENCH_JSON overrides the
-// path): a fixed 4-client × 64-request pipelined run plus the server-side
-// frame counters, one flat diffable JSON object per run, the same perf
-// trajectory contract as BENCH_engine.json (docs/OBSERVABILITY.md).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -33,7 +27,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
-#include "util/stopwatch.h"
 
 namespace adp::bench {
 namespace {
@@ -144,58 +137,7 @@ BENCHMARK(NetPipelinedThroughput)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Machine-readable perf trajectory: one fixed pipelined run against a
-// fresh server, written to BENCH_net.json. Successive CI runs are the
-// trajectory — flat object, stable keys, diffable.
-void EmitNetTrajectory() {
-  const char* env = std::getenv("ADP_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_net.json";
-
-  constexpr int kClients = 4;
-  constexpr int kBatch = 64;
-  ServerHarness harness(/*workers=*/4);
-  std::vector<AdpNetClient> conns;
-  for (int c = 0; c < kClients; ++c) conns.push_back(harness.Connect());
-  std::string body;
-  conns[0].Call(FrameType::kReq, kReqLine, &body);  // warm the plan cache
-
-  const MonotonicClock::time_point start = Now();
-  std::vector<std::thread> threads;
-  for (AdpNetClient& conn : conns) {
-    threads.emplace_back([&conn] { RunBatch(conn, kBatch); });
-  }
-  for (std::thread& t : threads) t.join();
-  const double wall_ms = MsBetween(start, Now());
-  const std::int64_t requests =
-      static_cast<std::int64_t>(kClients) * kBatch;
-
-  const EngineCounters counters = harness.engine.counters();
-  BenchJsonWriter json;
-  json.Add("clients", kClients);
-  json.Add("batch", kBatch);
-  json.Add("requests", static_cast<double>(requests));
-  json.Add("wall_ms", wall_ms);
-  json.Add("requests_per_sec",
-           wall_ms > 0.0 ? requests / (wall_ms / 1000.0) : 0.0);
-  json.Add("engine_requests", static_cast<double>(counters.requests));
-  json.Add("engine_failures", static_cast<double>(counters.failures));
-  json.Add("engine_shed", static_cast<double>(counters.shed));
-  json.Add("plan_cache_hits", static_cast<double>(counters.plan_hits));
-  if (json.WriteTo(path)) {
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-  }
-}
-
 }  // namespace
 }  // namespace adp::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  adp::bench::EmitNetTrajectory();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,6 +1,7 @@
 // Ablation for the columnar relational core: row-at-a-time baselines (the
 // pre-columnar implementations, reconstructed here) vs the shipped
-// code-native paths, on the two DP-heavy substrates the refactor targeted:
+// code-native paths, on the two DP-heavy substrates the refactor targeted,
+// over the paper's Zipf Q6 instance (§8.4):
 //
 //   1. Universe grouping (Algorithm 4's partition step / the join build
 //      side): Tuple-keyed hashing over materialized rows vs HashGroupIndex
@@ -8,22 +9,11 @@
 //   2. Witness normalization (NormalizeTupleRefs on large solutions):
 //      struct sort+unique with a two-field comparator vs the packed-uint64
 //      sort the solver ships.
-//
-// Each comparison asserts bit-identical outputs before reporting. After the
-// registered micro-benchmarks run (CI skips them with --benchmark_filter of
-// '^$'), EmitRelationalAblation() times both sides on the paper's DP-heavy
-// workloads (Zipf Q6 and the correlated Q7 instance, §8.4/§8.5) and writes
-// BENCH_relational.json (path overridable via ADP_BENCH_JSON) next to the
-// engine trajectory artifact.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,8 +22,6 @@
 #include "solver/solution.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
-#include "workload/synthetic.h"
 #include "workload/zipf_data.h"
 
 namespace adp::bench {
@@ -66,21 +54,6 @@ RowGroups GroupRowAtATime(const RelationInstance& inst,
   return groups;
 }
 
-// Canonical (sorted, decoded) form of either grouping for the equality
-// assertion.
-std::map<Tuple, std::vector<TupleId>> Canonical(const RowGroups& groups) {
-  return {groups.begin(), groups.end()};
-}
-
-std::map<Tuple, std::vector<TupleId>> Canonical(const HashGroupIndex& index) {
-  std::map<Tuple, std::vector<TupleId>> out;
-  for (std::size_t g = 0; g < index.num_groups(); ++g) {
-    const auto rows = index.rows(g);
-    out[index.KeyValues(g)].assign(rows.begin(), rows.end());
-  }
-  return out;
-}
-
 // The pre-columnar NormalizeTupleRefs: sort with a two-field comparator,
 // then unique on struct equality.
 void NormalizeRowAtATime(std::vector<TupleRef>& tuples) {
@@ -111,7 +84,7 @@ std::vector<TupleRef> MakeWitnessList(const Database& db, int copies,
   return refs;
 }
 
-// --- Registered micro-benchmarks (skipped by CI's filter) ---
+// --- Registered micro-benchmarks ---
 
 Database ZipfDb(std::int64_t n) {
   return MakeZipfDatabase(MakeQ6(), n, /*alpha=*/1.0, /*seed=*/42);
@@ -162,106 +135,7 @@ void BM_WitnessNormalizeColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_WitnessNormalizeColumnar)->Arg(10000)->Arg(100000);
 
-// --- JSON ablation artifact ---
-
-constexpr int kReps = 7;  // best-of to shed scheduler noise
-
-template <typename Fn>
-double BestMs(Fn&& fn) {
-  double best = 0.0;
-  for (int i = 0; i < kReps; ++i) {
-    const MonotonicClock::time_point start = Now();
-    fn();
-    const double ms = MsBetween(start, Now());
-    if (i == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-void AblateGrouping(BenchJsonWriter& json, const std::string& name,
-                    const RelationInstance& inst,
-                    const std::vector<int>& key_cols) {
-  const RowGroups row_groups = GroupRowAtATime(inst, key_cols);
-  const HashGroupIndex col_index(inst, key_cols);
-  const bool identical = Canonical(row_groups) == Canonical(col_index);
-
-  const double row_ms =
-      BestMs([&] { benchmark::DoNotOptimize(GroupRowAtATime(inst, key_cols)); });
-  const double col_ms = BestMs([&] {
-    const HashGroupIndex index(inst, key_cols);
-    benchmark::DoNotOptimize(index.num_groups());
-  });
-
-  json.Add(name + "_rows", static_cast<double>(inst.size()));
-  json.Add(name + "_row_ms", row_ms);
-  json.Add(name + "_columnar_ms", col_ms);
-  json.Add(name + "_speedup", col_ms > 0.0 ? row_ms / col_ms : 0.0);
-  json.Add(name + "_identical", identical ? 1.0 : 0.0);
-}
-
-void AblateNormalize(BenchJsonWriter& json, const std::string& name,
-                     const std::vector<TupleRef>& refs) {
-  std::vector<TupleRef> a = refs, b = refs;
-  NormalizeRowAtATime(a);
-  NormalizeTupleRefs(b);
-  const bool identical = a == b;
-
-  const double row_ms = BestMs([&] {
-    std::vector<TupleRef> work = refs;
-    NormalizeRowAtATime(work);
-    benchmark::DoNotOptimize(work.size());
-  });
-  const double col_ms = BestMs([&] {
-    std::vector<TupleRef> work = refs;
-    NormalizeTupleRefs(work);
-    benchmark::DoNotOptimize(work.size());
-  });
-
-  json.Add(name + "_refs", static_cast<double>(refs.size()));
-  json.Add(name + "_row_ms", row_ms);
-  json.Add(name + "_columnar_ms", col_ms);
-  json.Add(name + "_speedup", col_ms > 0.0 ? row_ms / col_ms : 0.0);
-  json.Add(name + "_identical", identical ? 1.0 : 0.0);
-}
-
-void EmitRelationalAblation() {
-  const char* env = std::getenv("ADP_BENCH_JSON");
-  const std::string path = env != nullptr ? env : "BENCH_relational.json";
-
-  BenchJsonWriter json;
-
-  // Universe grouping on the Zipf Q6 instance: R2(A,B) grouped by the
-  // universal attribute A (skewed group sizes, §8.4).
-  const Database zipf = ZipfDb(200000);
-  AblateGrouping(json, "group_zipf_q6", zipf.rel(1), {0});
-
-  // Universe grouping on the correlated Q7 instance: R2(A,B,C,D,E) grouped
-  // by the universal (A,B,C) prefix (dense keys, §8.5).
-  const ConjunctiveQuery q7 = MakeQ7();
-  const Database q7db =
-      MakeQ7Database(q7, /*num_keys=*/2000, /*rows_per_key=*/50, /*seed=*/7);
-  AblateGrouping(json, "group_q7", q7db.rel(1), {0, 1, 2});
-
-  // Witness normalization over duplicate-heavy scrambled solutions from
-  // both workloads.
-  AblateNormalize(json, "normalize_zipf_q6", MakeWitnessList(zipf, 3, 11));
-  AblateNormalize(json, "normalize_q7", MakeWitnessList(q7db, 3, 13));
-
-  if (!json.WriteTo(path)) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 }  // namespace adp::bench
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  adp::bench::EmitRelationalAblation();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -15,11 +15,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "engine/engine.h"
 #include "query/transform.h"
 #include "relational/join.h"
 #include "solver/compute_adp.h"
@@ -84,8 +86,21 @@ inline void Report(benchmark::State& state, std::int64_t outputs,
   state.counters["exact"] = sol.exact ? 1.0 : 0.0;
 }
 
+/// Submits every request of `reqs` to `engine`, then collects the responses
+/// in request order (the batch runs concurrently across the pool).
+inline std::vector<AdpResponse> RunBatch(AdpEngine& engine,
+                                         std::vector<AdpRequest> reqs) {
+  std::vector<std::future<AdpResponse>> futures;
+  futures.reserve(reqs.size());
+  for (AdpRequest& req : reqs) futures.push_back(engine.Submit(std::move(req)));
+  std::vector<AdpResponse> out;
+  out.reserve(futures.size());
+  for (auto& fut : futures) out.push_back(fut.get());
+  return out;
+}
+
 /// Minimal flat-JSON writer for machine-readable bench artifacts (the
-/// BENCH_*.json perf trajectories CI uploads, docs/OBSERVABILITY.md).
+/// BENCH_workload.json perf trajectory CI gates, docs/WORKLOAD.md).
 /// Keys are emitted sorted so diffs of successive trajectories are stable.
 class BenchJsonWriter {
  public:

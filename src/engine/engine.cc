@@ -1,9 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <ostream>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -38,6 +36,20 @@ class EngineError : public std::runtime_error {
  private:
   StatusCode code_;
 };
+
+/// Throws kInvalidArgument when `inst`, bound to body atom `i` of `q`, has
+/// another arity than the atom has attributes. An empty instance has arity
+/// 0 until its first row, so it binds to any atom.
+void CheckArity(const ConjunctiveQuery& q, int i,
+                const RelationInstance& inst) {
+  const RelationSchema& atom = q.relation(i);
+  if (inst.empty() || inst.arity() == atom.attrs.size()) return;
+  throw EngineError(StatusCode::kInvalidArgument,
+                    "relation '" + atom.name + "' has arity " +
+                        std::to_string(inst.arity()) + " but query body atom " +
+                        std::to_string(i) + " has arity " +
+                        std::to_string(atom.attrs.size()));
+}
 
 AdpResponse FailureResponse(Status status) {
   AdpResponse resp;
@@ -95,18 +107,6 @@ std::string OptionBits(const AdpOptions& options) {
 }
 
 std::string PlanKey(const AdpRequest& req) {
-  if (req.query.has_value()) {
-    // The canonical key ignores relation names, but requests are solved
-    // against plan->query and bound to named databases by relation name —
-    // so names must be part of the key, or a structurally identical query
-    // over different relations would silently bind the wrong instances.
-    std::string key = "q|" + OptionBits(req.options);
-    for (int i = 0; i < req.query->num_relations(); ++i) {
-      key += '|';
-      key += req.query->relation(i).name;
-    }
-    return key + "|" + CanonicalQueryKey(*req.query);
-  }
   return "t|" + OptionBits(req.options) + "|" + req.query_text;
 }
 
@@ -128,7 +128,7 @@ std::string SolveBits(const AdpOptions& options) {
 
 std::shared_ptr<const CachedPlan> BuildPlan(const AdpRequest& req) {
   auto plan = std::make_shared<CachedPlan>();
-  plan->query = req.query.has_value() ? *req.query : ParseQuery(req.query_text);
+  plan->query = ParseQuery(req.query_text);
   plan->dispatch = BuildDispatchPlan(
       plan->query.HasSelections()
           ? RemoveAttributes(plan->query, plan->query.SelectedAttrs())
@@ -386,24 +386,12 @@ std::optional<AdpResponse> AdpEngine::Reject(const AdpRequest& req) {
 
 StatusOr<PreparedQuery> AdpEngine::Prepare(const std::string& query_text,
                                            const AdpOptions& options) {
-  AdpRequest req;
-  req.query_text = query_text;
-  req.options = options;
-  return PrepareRequest(req);
-}
-
-StatusOr<PreparedQuery> AdpEngine::Prepare(const ConjunctiveQuery& query,
-                                           const AdpOptions& options) {
-  AdpRequest req;
-  req.query = query;
-  req.options = options;
-  return PrepareRequest(req);
-}
-
-StatusOr<PreparedQuery> AdpEngine::PrepareRequest(const AdpRequest& req) {
   if (IsShutdown()) {
     return Status(StatusCode::kShutdown, "engine is shut down");
   }
+  AdpRequest req;
+  req.query_text = query_text;
+  req.options = options;
   PreparedQuery prepared;
   prepared.plan_key_ = PlanKey(req);
   try {
@@ -412,36 +400,8 @@ StatusOr<PreparedQuery> AdpEngine::PrepareRequest(const AdpRequest& req) {
     return MapException();
   }
   prepared.engine_ = this;
-  prepared.fingerprint_ = prepared.plan_->fingerprint;
   prepared.option_bits_ = OptionBits(req.options);
   return prepared;
-}
-
-StatusOr<std::vector<PreparedQuery>> AdpEngine::PrepareBatch(
-    std::span<const std::string> query_texts, const AdpOptions& options) {
-  std::vector<PreparedQuery> out;
-  out.reserve(query_texts.size());
-  // One plan-cache pass per *unique* text: duplicates within the batch
-  // copy the already-built handle (and so share its plan object).
-  std::unordered_map<std::string_view, std::size_t> first;
-  for (const std::string& text : query_texts) {
-    auto [it, fresh] = first.emplace(text, out.size());
-    if (!fresh) {
-      out.push_back(out[it->second]);
-      continue;
-    }
-    AdpRequest req;
-    req.query_text = text;
-    req.options = options;
-    StatusOr<PreparedQuery> prepared = PrepareRequest(req);
-    if (!prepared.ok()) {
-      return Status(prepared.status().code(),
-                    prepared.status().message() + " (batch query " +
-                        std::to_string(out.size()) + ")");
-    }
-    out.push_back(std::move(*prepared));
-  }
-  return out;
 }
 
 Status AdpEngine::BindPrepared(PreparedQuery& prepared, DbId db) {
@@ -465,10 +425,14 @@ std::shared_ptr<const CachedPlan> AdpEngine::GetPlan(
 std::shared_ptr<const Database> AdpEngine::BindDatabase(
     DbId db, const CachedPlan& plan) {
   const ConjunctiveQuery& q = plan.query;
-  std::string key;  // the body's relation-name sequence
+  // The body's relation names and atom widths: a hit is a binding whose
+  // arities were already checked against atoms of the same widths.
+  std::string key;
   for (int i = 0; i < q.num_relations(); ++i) {
     key += '|';
     key += q.relation(i).name;
+    key += '/';
+    key += std::to_string(q.relation(i).attrs.size());
   }
   std::shared_ptr<const NamedDatabase> named;
   {
@@ -512,6 +476,9 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
               std::to_string(named->db.num_relations()) +
               " relations, query has " + std::to_string(q.num_relations()));
     }
+    for (int i = 0; i < q.num_relations(); ++i) {
+      CheckArity(q, i, named->db.rel(static_cast<std::size_t>(i)));
+    }
     return std::shared_ptr<const Database>(named, &named->db);
   }
 
@@ -524,6 +491,7 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
     bool found = false;
     for (std::size_t j = 0; j < named->relation_names.size(); ++j) {
       if (named->relation_names[j] == name) {
+        CheckArity(q, i, named->db.rel(j));
         RelationInstance inst = named->db.rel(j);
         inst.set_root_relation(i);
         bound->rel(static_cast<std::size_t>(i)) = std::move(inst);
@@ -553,7 +521,6 @@ std::shared_ptr<const Database> AdpEngine::BindDatabase(
 
 void AdpEngine::ResolveStatic(const AdpRequest& req,
                               const std::string& plan_key,
-                              std::shared_ptr<const CachedPlan>* plan,
                               std::shared_ptr<const Database>* bound,
                               AdpResponse* resp, obs::TraceSink* sink,
                               std::uint32_t trace_parent) {
@@ -564,27 +531,27 @@ void AdpEngine::ResolveStatic(const AdpRequest& req,
     obs::Span span(sink, obs::kSpanPlan, trace_parent);
     if (req.prepared.valid()) {
       // Prepared hot path: static work pinned, zero plan-cache traffic.
-      *plan = req.prepared.plan_;
+      resp->plan = req.prepared.plan_;
       *bound = req.prepared.bound_;  // null when the handle is unbound
       resp->plan_cache_hit = true;
     } else {
-      *plan = GetPlan(req, plan_key, &resp->plan_cache_hit);
+      resp->plan = GetPlan(req, plan_key, &resp->plan_cache_hit);
     }
     span.Tag("cache_hit", std::int64_t{resp->plan_cache_hit ? 1 : 0});
   }
   resp->plan_ms = plan_sw.ElapsedMs();
-  resp->fingerprint = (*plan)->fingerprint;
 
   if (*bound == nullptr) {
     obs::Span span(sink, obs::kSpanBind, trace_parent);
-    *bound = BindDatabase(req.db, **plan);
+    *bound = BindDatabase(req.db, *resp->plan);
   }
 }
 
 AdpResponse AdpEngine::Solve(const AdpRequest& req,
                              const std::string& plan_key,
                              const CancelToken* cancel, double queue_wait_ms,
-                             const AdpEmitter* emit) {
+                             const AdpEmitter* emit,
+                             std::shared_ptr<const CachedPlan>* plan) {
   AdpResponse resp;
   resp.queue_ms = queue_wait_ms;
   Stopwatch total;
@@ -608,13 +575,12 @@ AdpResponse AdpEngine::Solve(const AdpRequest& req,
     // the caches at all ("never runs the solve").
     if (cancel != nullptr) cancel->ThrowIfCancelled();
 
-    std::shared_ptr<const CachedPlan> plan;
     std::shared_ptr<const Database> bound;
-    ResolveStatic(req, plan_key, &plan, &bound, &resp, sink.get(),
-                  root.id());
+    ResolveStatic(req, plan_key, &bound, &resp, sink.get(), root.id());
+    if (plan != nullptr) *plan = resp.plan;
 
     AdpOptions options = req.options;
-    options.plan = &plan->dispatch;
+    options.plan = &resp.plan->dispatch;
     options.stats = &resp.stats;
     options.parallelism = sharding_.run_all ? &sharding_ : nullptr;
     options.cancel = cancel;
@@ -623,7 +589,8 @@ AdpResponse AdpEngine::Solve(const AdpRequest& req,
     {
       obs::Span solve_span(sink.get(), obs::kSpanSolve, root.id());
       options.trace_parent = solve_span.id();
-      resp.solution = ComputeAdp(plan->query, *bound, req.k, options, emit);
+      resp.solution =
+          ComputeAdp(resp.plan->query, *bound, req.k, options, emit);
     }
     resp.solve_ms = solve_sw.ElapsedMs();
     solve_ms_->Observe(resp.solve_ms);
@@ -877,25 +844,6 @@ AdpTicket AdpEngine::SubmitAsync(AdpRequest req,
   return ticket;
 }
 
-AdpTicket AdpEngine::SubmitToQueue(AdpRequest req, CompletionQueue& cq,
-                                   std::uint64_t tag) {
-  cq.AddPending();
-  return SubmitAsync(std::move(req), [&cq, tag](AdpResponse resp) {
-    cq.Push(Completion{tag, std::move(resp)});
-  });
-}
-
-std::vector<AdpResponse> AdpEngine::ExecuteBatch(
-    std::vector<AdpRequest> reqs) {
-  std::vector<std::future<AdpResponse>> futures;
-  futures.reserve(reqs.size());
-  for (AdpRequest& req : reqs) futures.push_back(Submit(std::move(req)));
-  std::vector<AdpResponse> out;
-  out.reserve(futures.size());
-  for (auto& fut : futures) out.push_back(fut.get());
-  return out;
-}
-
 // --- Streaming ---------------------------------------------------------------
 
 ResultStream AdpEngine::StreamAdp(AdpRequest req) {
@@ -979,12 +927,15 @@ void AdpEngine::ProduceStream(
   const double queue_wait_ms = MsBetween(state->opened, Now());
   queue_wait_ms_->Observe(queue_wait_ms);
   // Time-to-first-item, measured from admission at the first Emit (profile
-  // or witness batch — whichever the consumer could see first).
+  // or witness batch — whichever the consumer could see first). The plan
+  // goes out just ahead of it, so a consumer rendering names has it.
+  std::shared_ptr<const CachedPlan> plan;  // resolved by Solve
   bool first_item = true;
   const auto emit = [&](StreamItem item) {
     if (first_item) {
       first_item = false;
       stream_first_item_ms_->Observe(MsBetween(state->opened, Now()));
+      state->SetPlan(plan);
     }
     state->Emit(std::move(item));
   };
@@ -1016,7 +967,10 @@ void AdpEngine::ProduceStream(
   };
   AdpResponse resp =
       Solve(req, req.prepared.valid() ? std::string() : PlanKey(req),
-            &state->cancel_token(), queue_wait_ms, &emitter);
+            &state->cancel_token(), queue_wait_ms, &emitter, &plan);
+  // A stream that failed at binding emitted nothing; it still carries its
+  // plan, as a response does.
+  state->SetPlan(std::move(resp.plan));
 
   StreamItem end;
   end.kind = StreamItem::Kind::kEnd;
@@ -1078,30 +1032,6 @@ obs::MetricsRegistry& AdpEngine::metrics() const { return *registry_; }
 
 std::shared_ptr<obs::MetricsRegistry> AdpEngine::metrics_shared() const {
   return registry_;
-}
-
-void AdpEngine::WriteMetricsText(std::ostream& out) const {
-  registry_->WritePrometheus(out);
-}
-
-void AdpEngine::ClearCaches() {
-  plan_cache_.Clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, entry] : databases_) entry.bindings.clear();
-  for (const auto& [key, slot] : completed_) EraseSlot(key, slot.get());
-  completed_.clear();
-}
-
-std::shared_ptr<const CachedPlan> AdpEngine::PlanFor(const AdpRequest& req,
-                                                     Status* status) {
-  if (status != nullptr) *status = Status();
-  if (req.prepared.valid()) return req.prepared.plan();
-  try {
-    return GetPlan(req, PlanKey(req), nullptr);
-  } catch (...) {
-    if (status != nullptr) *status = MapException();
-    return nullptr;
-  }
 }
 
 }  // namespace adp

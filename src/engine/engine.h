@@ -5,9 +5,12 @@
 //   static   — parse, selection pushdown (query side), dichotomy verdict,
 //              linearization, Algorithm-2 dispatch tree. Query-complexity
 //              work, independent of the data; memoized in a PlanCache keyed
-//              by query text / canonical fingerprint (plus the option knobs
-//              that influence classification), and pinnable ahead of time
-//              via Prepare() -> PreparedQuery.
+//              by query text (plus the option knobs that influence
+//              classification), and pinnable ahead of time via Prepare() ->
+//              PreparedQuery. Every response carries the plan it was
+//              solved against (AdpResponse::plan), and so does a stream
+//              (ResultStream::plan), so a front end renders relation names
+//              without a second lookup.
 //   dynamic  — the data-dependent solve (ComputeAdp with AdpOptions::plan
 //              set), run on a fixed-size worker pool.
 //
@@ -29,9 +32,10 @@
 //     groups (Algorithm 4) and Decompose connected components (Algorithm 5)
 //     are fanned out across the pool via ThreadPool::RunAll
 //     (EngineConfig::min_shard_groups / min_shard_components);
-//   * async submission — Submit (future), SubmitAsync (callback), and
-//     SubmitToQueue (tagged CompletionQueue) all return an AdpTicket
-//     supporting Cancel(); AdpRequest::deadline bounds queue wait + solve;
+//   * async submission — SubmitAsync's callback is the one completion
+//     path (Submit is its future-flavored wrapper); both hand back an
+//     AdpTicket supporting Cancel(); AdpRequest::deadline bounds queue
+//     wait + solve;
 //   * one result table — requests are keyed by stable values (plan-cache
 //     key, DbId, k, solve knobs, trace flag), so a text request and a
 //     prepared one for the same work share one slot. A slot in flight is
@@ -67,16 +71,13 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "engine/completion_queue.h"
 #include "engine/plan_cache.h"
 #include "engine/request.h"
 #include "engine/result_stream.h"
@@ -147,9 +148,9 @@ struct EngineConfig {
   std::size_t stream_batch_tuples = 256;
 
   /// Load-shedding admission bound: an async request (Submit / SubmitAsync /
-  /// SubmitToQueue / StreamAdp) arriving while more than this many tasks
-  /// wait on the pool queue is rejected with kOverloaded instead of being
-  /// enqueued (EngineCounters::shed). Synchronous Execute is never shed —
+  /// StreamAdp) arriving while more than this many tasks wait on the pool
+  /// queue is rejected with kOverloaded instead of being enqueued
+  /// (EngineCounters::shed). Synchronous Execute is never shed —
   /// it occupies the caller's thread, not a queue slot. 0 = unbounded
   /// (never shed).
   std::size_t max_queue_depth = 0;
@@ -243,16 +244,6 @@ class AdpEngine {
   /// Call PreparedQuery::Bind(db) afterwards to also pin the binding.
   StatusOr<PreparedQuery> Prepare(const std::string& query_text,
                                   const AdpOptions& options = {});
-  StatusOr<PreparedQuery> Prepare(const ConjunctiveQuery& query,
-                                  const AdpOptions& options = {});
-
-  /// Batched Prepare: the static work for every query text under one cache
-  /// pass — duplicate texts (same plan key) resolve the plan cache once and
-  /// share the plan object. All-or-nothing: the first failing query's
-  /// Status is returned and no handles are. Handles are positionally
-  /// aligned with `query_texts`.
-  StatusOr<std::vector<PreparedQuery>> PrepareBatch(
-      std::span<const std::string> query_texts, const AdpOptions& options = {});
 
   // --- Requests ------------------------------------------------------------
 
@@ -287,16 +278,6 @@ class AdpEngine {
   /// before SubmitAsync returns. `done` should not throw; an exception
   /// escaping it is caught and dropped. Returns the request's ticket.
   AdpTicket SubmitAsync(AdpRequest req, std::function<void(AdpResponse)> done);
-
-  /// Enqueues `req`; on completion (including cancellation/expiry) pushes
-  /// {tag, response} onto `cq`. `cq` must outlive the submission (consume
-  /// with Poll/Next/Drain). Returns the request's ticket.
-  AdpTicket SubmitToQueue(AdpRequest req, CompletionQueue& cq,
-                          std::uint64_t tag);
-
-  /// Runs a batch on the worker pool and returns responses in request
-  /// order (blocking). Safe to call from inside a pool worker.
-  std::vector<AdpResponse> ExecuteBatch(std::vector<AdpRequest> reqs);
 
   // --- Streaming ----------------------------------------------------------
 
@@ -333,26 +314,13 @@ class AdpEngine {
 
   /// The engine's metrics registry: the counters behind counters(), plus
   /// the latency histograms (adp_request_latency_ms, adp_queue_wait_ms,
-  /// adp_solve_ms, adp_stream_first_item_ms — src/obs/names.h). The
-  /// reference is valid only for the engine's lifetime; callers that must
-  /// read the registry after the engine is gone (bench harness, the network
-  /// server) take shared ownership via metrics_shared() instead.
+  /// adp_solve_ms, adp_stream_first_item_ms — src/obs/names.h); its
+  /// WritePrometheus backs the adp_netserver METRICS verb. The reference
+  /// is valid only for the engine's lifetime; callers that must read the
+  /// registry after the engine is gone (bench harness, the network server)
+  /// take shared ownership via metrics_shared() instead.
   obs::MetricsRegistry& metrics() const;
   std::shared_ptr<obs::MetricsRegistry> metrics_shared() const;
-
-  /// Prometheus text exposition (0.0.4) of the full registry. Backs the
-  /// adp_netserver METRICS verb.
-  void WriteMetricsText(std::ostream& out) const;
-
-  /// Drops the plan cache, every database's bindings, and the completed
-  /// result-table slots. In-flight requests and PreparedQuery handles keep
-  /// the shared plans/bindings they already hold; later requests rebuild.
-  void ClearCaches();
-
-  /// The cached plan a request would use, building it on demand; nullptr
-  /// with `status` filled on failure. Useful for EXPLAIN-style tools.
-  std::shared_ptr<const CachedPlan> PlanFor(const AdpRequest& req,
-                                            Status* status = nullptr);
 
  private:
   friend class PreparedQuery;
@@ -398,8 +366,6 @@ class AdpEngine {
   /// classification knobs disagree with req.options; OK otherwise.
   Status ValidatePrepared(const AdpRequest& req) const;
 
-  StatusOr<PreparedQuery> PrepareRequest(const AdpRequest& req);
-
   /// Pins the binding for `db` into `prepared` (PreparedQuery::Bind body).
   Status BindPrepared(PreparedQuery& prepared, DbId db);
 
@@ -440,14 +406,13 @@ class AdpEngine {
   std::optional<AdpResponse> Reject(const AdpRequest& req);
 
   /// Resolves the static work and database binding of `req` — prepared
-  /// pin, or plan-cache + binding-cache probes. `plan_key` is the
-  /// precomputed plan-cache key (unused for prepared handles).
-  /// `resp->plan_cache_hit`, `plan_ms` and `fingerprint` are assigned
-  /// before the binding step, so a binding failure leaves them filled.
-  /// Throws EngineError/ParseError on failure. `sink`/`trace_parent`
+  /// pin, or the request's one plan-cache lookup plus a binding-cache
+  /// probe. `plan_key` is the precomputed plan-cache key (unused for
+  /// prepared handles). `resp->plan`, `plan_cache_hit` and `plan_ms` are
+  /// assigned before the binding step, so a binding failure leaves them
+  /// filled. Throws EngineError/ParseError on failure. `sink`/`trace_parent`
   /// (nullable) wrap the two steps in adp.plan / adp.bind spans.
   void ResolveStatic(const AdpRequest& req, const std::string& plan_key,
-                     std::shared_ptr<const CachedPlan>* plan,
                      std::shared_ptr<const Database>* bound,
                      AdpResponse* resp, obs::TraceSink* sink,
                      std::uint32_t trace_parent);
@@ -459,10 +424,13 @@ class AdpEngine {
   /// the solver recursion; `queue_wait_ms` — how long the request sat on
   /// the pool — backdates the trace origin. With `emit` set (a stream) the
   /// output goes to it as it is produced (see ComputeAdp), and the run
-  /// counts into neither the request latency nor failures.
+  /// counts into neither the request latency nor failures; `*plan`, when
+  /// `plan` is non-null, receives the resolved plan before the first
+  /// emission (the response's `plan` arrives only with the return).
   AdpResponse Solve(const AdpRequest& req, const std::string& plan_key,
                     const CancelToken* cancel, double queue_wait_ms,
-                    const AdpEmitter* emit = nullptr);
+                    const AdpEmitter* emit = nullptr,
+                    std::shared_ptr<const CachedPlan>* plan = nullptr);
 
   /// Solve for the leader of `slot`, then Publish. Never throws.
   AdpResponse SolveAndPublish(const AdpRequest& req, const RequestKeys& keys,
@@ -470,7 +438,8 @@ class AdpEngine {
                               double queue_wait_ms);
 
   /// Stream producer: runs Solve with an emitter that slices the output
-  /// into profile/witness items on `state`, then the terminal kEnd item.
+  /// into profile/witness items on `state` — publishing the resolved plan
+  /// on `state` before the first of them — then the terminal kEnd item.
   /// Runs on a pool worker (or inline for nested calls).
   void ProduceStream(const AdpRequest& req,
                      const std::shared_ptr<internal::StreamState>& state);

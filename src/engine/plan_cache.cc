@@ -82,11 +82,4 @@ std::size_t PlanCache::size() const {
   return entries_.size();
 }
 
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-  Resized();
-}
-
 }  // namespace adp

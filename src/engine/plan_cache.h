@@ -13,9 +13,10 @@
 // of identical queries does the static work exactly once.
 //
 // Entries are handed out as shared_ptr<const CachedPlan>, so holders —
-// in-flight solves, and PreparedQuery handles, which pin their plan for
-// the handle's whole lifetime — keep a plan alive across LRU eviction and
-// Clear(); the cache only controls what future lookups can *find*.
+// in-flight solves, responses and streams (AdpResponse::plan,
+// ResultStream::plan), and PreparedQuery handles, which pin their plan for
+// the handle's whole lifetime — keep a plan alive across LRU eviction; the
+// cache only controls what future lookups can *find*.
 
 #ifndef ADP_ENGINE_PLAN_CACHE_H_
 #define ADP_ENGINE_PLAN_CACHE_H_
@@ -79,9 +80,6 @@ class PlanCache {
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-
-  /// Drops every cached plan (in-flight builds are unaffected).
-  void Clear();
 
  private:
   struct Entry {

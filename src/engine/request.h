@@ -10,7 +10,6 @@
 #include <string>
 
 #include "engine/status.h"
-#include "query/query.h"
 #include "solver/compute_adp.h"
 #include "solver/solution.h"
 
@@ -29,8 +28,9 @@ using DbId = int;
 inline constexpr DbId kInvalidDbId = -1;
 
 /// A handle pinning the cached static work of one query — parsed form,
-/// dichotomy verdict, dispatch plan, fingerprint — and, once Bind() has
-/// been called, one database binding. Obtained from AdpEngine::Prepare.
+/// dichotomy verdict, dispatch plan, fingerprint (CachedPlan) — and, once
+/// Bind() has been called, one database binding. Obtained from
+/// AdpEngine::Prepare.
 ///
 /// Executing through a bound handle is the prepare-once / execute-many hot
 /// path: the engine skips plan-cache and binding-cache probes entirely and
@@ -53,9 +53,6 @@ class PreparedQuery {
   /// once here instead of per request). Rebinding replaces the pin.
   Status Bind(DbId db);
 
-  /// Canonical fingerprint of the prepared query (0 when !valid()).
-  std::uint64_t fingerprint() const { return fingerprint_; }
-
   /// Database pinned by Bind, or kInvalidDbId.
   DbId bound_db() const { return db_; }
 
@@ -69,25 +66,22 @@ class PreparedQuery {
   std::shared_ptr<const CachedPlan> plan_;
   std::shared_ptr<const Database> bound_;  // set by Bind
   DbId db_ = kInvalidDbId;
-  std::uint64_t fingerprint_ = 0;
   std::string plan_key_;     // the plan-cache key of plan_
   std::string option_bits_;  // classification knobs the plan was built with
 };
 
 /// One ADP(Q, D, k) request. The query is given as Datalog-style text
-/// (parsed once, then served from the plan cache), pre-parsed, or as a
-/// PreparedQuery handle whose static work — and, when bound, database
-/// binding — was resolved ahead of time.
+/// (parsed once, then served from the plan cache) or as a PreparedQuery
+/// handle whose static work — and, when bound, database binding — was
+/// resolved ahead of time. A parsed ConjunctiveQuery is sent as its
+/// ToString(), which round-trips through the parser.
 struct AdpRequest {
-  /// Query text, e.g. "Q(A) :- R1(A,B), R2(B)". Used when neither `query`
-  /// nor `prepared` is set.
+  /// Query text, e.g. "Q(A) :- R1(A,B), R2(B)". Used when `prepared` is
+  /// not set.
   std::string query_text;
 
-  /// Pre-parsed query; takes precedence over `query_text` when set.
-  std::optional<ConjunctiveQuery> query;
-
-  /// Prepared handle; wins over `query` and `query_text` when valid. When
-  /// bound it also supplies the database and `db` is ignored.
+  /// Prepared handle; wins over `query_text` when valid. When bound it
+  /// also supplies the database and `db` is ignored.
   PreparedQuery prepared;
 
   /// Database handle from AdpEngine::RegisterDatabase. Ignored when
@@ -149,8 +143,14 @@ struct AdpResponse {
   /// of the leader solve's stats.
   AdpStats stats;
 
-  /// 64-bit canonical fingerprint of the (parsed) query.
-  std::uint64_t fingerprint = 0;
+  /// The cached static work the request was solved against: the prepared
+  /// handle's pin, or the plan its one plan-cache lookup returned. Set as
+  /// soon as the plan resolves, so a binding failure still carries it;
+  /// null when the query did not parse or the request never reached the
+  /// plan step. Deduped and coalesced copies carry the leader's plan (the
+  /// result key extends the plan key, so it is the same query). Callers
+  /// render relation names from plan->query.
+  std::shared_ptr<const CachedPlan> plan;
 
   /// True iff the static work was served without building (a plan-cache
   /// hit, or a PreparedQuery pin).

@@ -102,6 +102,16 @@ bool StreamState::done() const {
   return closed_ || (end_consumed_ && items_.empty());
 }
 
+void StreamState::SetPlan(std::shared_ptr<const CachedPlan> plan) {
+  std::lock_guard<std::mutex> lock(mu_);
+  plan_ = std::move(plan);
+}
+
+std::shared_ptr<const CachedPlan> StreamState::plan() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return plan_;
+}
+
 }  // namespace internal
 
 ResultStream::ResultStream(std::shared_ptr<internal::StreamState> state)
@@ -128,6 +138,10 @@ void ResultStream::Close() {
 
 bool ResultStream::done() const {
   return state_ == nullptr || state_->done();
+}
+
+std::shared_ptr<const CachedPlan> ResultStream::plan() const {
+  return state_ == nullptr ? nullptr : state_->plan();
 }
 
 }  // namespace adp

@@ -59,6 +59,8 @@
 
 namespace adp {
 
+struct CachedPlan;  // engine/plan_cache.h
+
 namespace obs {
 class Counter;
 class MetricsRegistry;
@@ -177,6 +179,12 @@ class StreamState {
   /// no consumer can drain concurrently.
   void MakeUnbounded();
 
+  /// Producer: publishes the plan the stream is solved against. Called
+  /// before the first Emit, so under the buffer mutex every item a
+  /// consumer takes was published after it.
+  void SetPlan(std::shared_ptr<const CachedPlan> plan);
+  std::shared_ptr<const CachedPlan> plan() const;
+
   const CancelToken& cancel_token() const { return cancel_; }
   void NoteShutdown() { shutdown_.store(true, std::memory_order_release); }
   bool shutdown_requested() const {
@@ -202,6 +210,7 @@ class StreamState {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<StreamItem> items_;
+  std::shared_ptr<const CachedPlan> plan_;
   std::size_t capacity_;
   bool finished_ = false;      // terminal item pushed
   bool closed_ = false;        // consumer detached
@@ -245,6 +254,13 @@ class ResultStream {
   /// True once no further item will ever arrive (terminal consumed, or
   /// stream closed). Inert handles are done.
   bool done() const;
+
+  /// The cached static work the stream is solved against (the same pointer
+  /// an equivalent request's AdpResponse::plan carries); render witness
+  /// relation names from plan()->query. Set before the first item is
+  /// produced, so it is non-null once any item has arrived; null before
+  /// that, for a stream whose query did not parse, and for inert handles.
+  std::shared_ptr<const CachedPlan> plan() const;
 
  private:
   friend class AdpEngine;

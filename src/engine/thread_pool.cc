@@ -61,7 +61,7 @@ void ThreadPool::Enqueue(std::function<void()> task, TaskAttrs attrs) {
 void ThreadPool::Submit(std::function<void()> task, TaskAttrs attrs) {
   if (IsWorkerThread()) {
     // A worker enqueueing and then waiting on the result would deadlock
-    // once every worker does it (nested ExecuteBatch); run inline instead.
+    // once every worker does it (nested Submit); run inline instead.
     task();
     return;
   }

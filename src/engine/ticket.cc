@@ -46,7 +46,7 @@ bool Deliver(TicketImpl& t, AdpResponse resp) {
     AdpResponse expired;
     expired.status = Status(StatusCode::kDeadlineExceeded,
                             "deadline exceeded before the result arrived");
-    expired.fingerprint = resp.fingerprint;
+    expired.plan = std::move(resp.plan);
     expired.plan_cache_hit = resp.plan_cache_hit;
     expired.deduped = resp.deduped;
     resp = std::move(expired);

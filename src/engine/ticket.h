@@ -1,7 +1,7 @@
 // AdpTicket: a cancellable, deadline-aware handle to one asynchronous
 // engine submission.
 //
-// Every async path (Submit / SubmitAsync / SubmitToQueue) returns a ticket.
+// Every async path (Submit / SubmitAsync) returns a ticket.
 // Cancel() delivers a kCancelled response to this request's caller
 // immediately — whether the request is still queued, mid-solve, or joined
 // onto another request's solve — and the underlying solve is torn down as

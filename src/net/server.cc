@@ -263,7 +263,6 @@ struct AdpNetServer::Conn {
     std::int64_t id = 0;
     ResultStream stream;
     std::string db_name;
-    std::shared_ptr<const CachedPlan> plan;  // renders relation names
     std::size_t items = 0;
   };
   std::vector<StreamRun> streams;
@@ -580,29 +579,21 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
       case FrameType::kReq:
       case FrameType::kExec: {
         ParsedRequest parsed = Admit(conn, id, type, std::move(toks));
-        std::shared_ptr<const CachedPlan> plan = parsed.req.prepared.plan();
         const std::int64_t k = parsed.req.k;
         // The one delivery path of REQ and EXEC results, run by the engine
         // worker that finished the request; it holds no pointer to the
-        // server, which may be gone by then. A REQ (no prepared plan) probes
-        // the plan cache for the relation names once it has answered.
+        // server, which may be gone by then. Relation names come from the
+        // plan the request was solved against.
         AdpTicket ticket = engine_.SubmitAsync(
             std::move(parsed.req),
-            [engine = &engine_, outbox = conn.outbox, waker = waker_,
-             frames_out = frames_out_, slow_log = slow_log_,
-             conn_id = conn.conn_id, id, db_name = std::move(parsed.db_name),
-             k, query_text = std::move(parsed.query_text),
-             plan = std::move(plan)](AdpResponse resp) {
-              std::shared_ptr<const CachedPlan> names = plan;
-              if (names == nullptr && resp.ok()) {
-                AdpRequest probe;
-                probe.query_text = query_text;
-                names = engine->PlanFor(probe);
-              }
+            [outbox = conn.outbox, waker = waker_, frames_out = frames_out_,
+             slow_log = slow_log_, conn_id = conn.conn_id, id,
+             db_name = std::move(parsed.db_name), k](AdpResponse resp) {
               slow_log->MaybeDump(conn_id, id, resp.trace,
                                   resp.queue_ms + resp.total_ms);
               const std::string line = FormatResponseLine(
-                  id, db_name, k, resp, names ? &names->query : nullptr,
+                  id, db_name, k, resp,
+                  resp.plan ? &resp.plan->query : nullptr,
                   kResultWitnessByteBudget);
               std::string framed;
               AppendFrameOrError(framed, FrameType::kResult,
@@ -623,7 +614,6 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
         Conn::StreamRun run;
         run.id = id;
         run.db_name = parsed.db_name;
-        run.plan = engine_.PlanFor(parsed.req);  // names; null on bad query
         run.stream = engine_.StreamAdp(std::move(parsed.req));
         conn.streams.push_back(std::move(run));
         break;
@@ -692,7 +682,7 @@ void AdpNetServer::HandleFrame(Conn& conn, std::uint8_t type,
       }
       case FrameType::kMetrics: {
         std::ostringstream out;
-        engine_.WriteMetricsText(out);
+        engine_.metrics().WritePrometheus(out);
         SendFrame(conn, static_cast<std::uint8_t>(FrameType::kMetricsText),
                   std::to_string(id) + ' ' + out.str());
         break;
@@ -782,9 +772,11 @@ void AdpNetServer::PumpConn(Conn& conn) {
       std::optional<StreamItem> item = run.stream.TryNext();
       if (!item.has_value()) break;
       ++run.items;
+      // Set before the first item was produced (null for a bad query).
+      const std::shared_ptr<const CachedPlan> plan = run.stream.plan();
       const std::string line = FormatStreamItemLine(
-          run.id, run.db_name, *item,
-          run.plan ? &run.plan->query : nullptr, run.items);
+          run.id, run.db_name, *item, plan ? &plan->query : nullptr,
+          run.items);
       // Only the end item carries a trace.
       slow_log_->MaybeDump(conn.conn_id, run.id, item->trace,
                            item->queue_ms + item->total_ms);

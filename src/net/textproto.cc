@@ -112,10 +112,9 @@ ParsedRequest ParseRequestLine(const std::vector<std::string>& toks,
   }
   if (i >= toks.size()) throw std::runtime_error(usage);
   for (std::size_t j = i; j < toks.size(); ++j) {
-    if (j > i) out.query_text += ' ';
-    out.query_text += toks[j];
+    if (j > i) out.req.query_text += ' ';
+    out.req.query_text += toks[j];
   }
-  out.req.query_text = out.query_text;
   return out;
 }
 

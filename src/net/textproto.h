@@ -68,7 +68,6 @@ ParsedDb ParseDbLine(const std::vector<std::string>& toks);
 /// `db_name` itself.
 struct ParsedRequest {
   std::string db_name;
-  std::string query_text;
   AdpRequest req;
 };
 

@@ -3,8 +3,8 @@
 //
 // The registry is the engine's one sink for numeric observability:
 // EngineCounters is assembled as a *view* over it (engine.cc), the
-// `adp_netserver` METRICS verb serializes it, and the bench harness reads
-// its quantiles into BENCH_engine.json. Metric names come from
+// `adp_netserver` METRICS verb serializes it, and the load driver reads
+// its request-latency quantiles. Metric names come from
 // src/obs/names.h — the catalog CI drift-checks against
 // docs/OBSERVABILITY.md.
 //

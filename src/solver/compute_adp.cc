@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <exception>
 #include <memory>
 
 #include "obs/names.h"
@@ -130,6 +131,52 @@ AdpNode SolveNode(const DispatchPlan& node, const Database& db,
   AdpOptions traced = options;
   traced.trace_parent = span.id();
   return DispatchCase(node, db, cap, traced, counts);
+}
+
+std::vector<AdpNode> SolveChildren(std::size_t count, std::size_t min_shard,
+                                   const char* shard_span,
+                                   const AdpOptions& options,
+                                   const ChildSolve& solve, bool* sharded) {
+  const Parallelism* par = options.parallelism;
+  *sharded = par != nullptr && par->run_all != nullptr && min_shard > 0 &&
+             count >= std::max<std::size_t>(min_shard, 2);
+  std::vector<AdpNode> children(count);
+  if (!*sharded) {
+    obs::Span inert;
+    for (std::size_t i = 0; i < count; ++i) {
+      children[i] = solve(i, options, inert);
+    }
+    return children;
+  }
+  // Children land at fixed indices, so the caller combines them in the
+  // order the sequential loop would. The per-shard stats merge below is a
+  // commutative fold: its total does not depend on completion order.
+  std::vector<AdpStats> shard_stats(options.stats ? count : 0);
+  std::vector<std::exception_ptr> errors(count);
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    tasks.push_back([&, i] {
+      try {
+        AdpOptions shard = options;
+        if (options.stats) shard.stats = &shard_stats[i];
+        // Shards run on arbitrary pool threads: the explicit parent link
+        // (not any thread-local ambient span) keeps the trace a tree.
+        obs::Span span(options.trace, shard_span, options.trace_parent);
+        span.Tag("shard", static_cast<std::int64_t>(i));
+        shard.trace_parent = span.id();
+        children[i] = solve(i, shard, span);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
+  }
+  par->run_all(std::move(tasks));
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  for (const AdpStats& s : shard_stats) MergeAdpStats(*options.stats, s);
+  return children;
 }
 
 CountReads ReadsTupleCounts(const DispatchPlan& node,

@@ -35,7 +35,8 @@ struct DispatchPlan;  // solver/plan.h
 struct JoinCounts;    // relational/join.h
 
 namespace obs {
-class TraceSink;  // obs/trace.h; forward-declared to keep the solver light
+class Span;       // obs/trace.h; forward-declared to keep the solver light
+class TraceSink;
 }  // namespace obs
 
 /// The per-node decision of Algorithm 2. Data-independent: it is a function
@@ -267,6 +268,27 @@ struct AdpNode {
 AdpNode SolveNode(const DispatchPlan& node, const Database& db,
                   std::int64_t cap, const AdpOptions& options,
                   const JoinCounts* counts = nullptr);
+
+/// Solves child `i` of a SolveChildren fan-out under `options`: the node's
+/// own, or the shard's copy when the fan-out sharded. `shard` is then the
+/// child's shard span, which the node may tag; otherwise it is inert. A
+/// child solve starts with SolveNode, whose boundary polls the cancel token.
+using ChildSolve = std::function<AdpNode(
+    std::size_t i, const AdpOptions& options, obs::Span& shard)>;
+
+/// The one fan-out of a node's independent sub-solves (Universe's partition
+/// groups, Decompose's components): children 0..count-1 by `solve`,
+/// returned in index order. With options.parallelism set and at least
+/// max(min_shard, 2) children (min_shard 0 never shards), they run through
+/// Parallelism::run_all, each in a `shard_span` span under the node's own
+/// span, tagged `shard` = i, with a private AdpStats (the shared one would
+/// race) merged into options.stats afterwards; the first failure is
+/// rethrown once all have finished. Otherwise they run in index order. The
+/// children are the same either way. Sets *sharded to whether it sharded.
+std::vector<AdpNode> SolveChildren(std::size_t count, std::size_t min_shard,
+                                   const char* shard_span,
+                                   const AdpOptions& options,
+                                   const ChildSolve& solve, bool* sharded);
 
 /// What solving `node` reads of a counting pass over its (query, db),
 /// which decides what a pass for that node keeps:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <exception>
 #include <memory>
 #include <functional>
 #include <numeric>
@@ -177,68 +176,24 @@ std::shared_ptr<DecomposeState> BuildChildren(const DispatchPlan& plan,
                                               const Components& parts,
                                               std::int64_t cap,
                                               const AdpOptions& options) {
+  // The components are independent subproblems (Lemma 3); the children
+  // come back in fold order, which the cross-product DP consumes.
   auto state = std::make_shared<DecomposeState>();
-  const std::size_t n = parts.order.size();
-  const Parallelism* par = options.parallelism;
-  if (par != nullptr && par->run_all != nullptr && par->min_components > 0 &&
-      n >= std::max<std::size_t>(par->min_components, 2)) {
-    // Sharded path: the components are independent subproblems (Lemma 3),
-    // so their per-k profiles can be solved concurrently. Children land at
-    // fixed fold-order indices and are combined by the caller's
-    // cross-product DP in that same order, keeping the result
-    // bitwise-identical to the sequential path. Each shard writes a private
-    // AdpStats (the shared pointer would race) merged afterwards.
-    if (options.stats) ++options.stats->sharded_decompose_nodes;
-    state->children.resize(n);
-    state->m.resize(n);
-    std::vector<AdpStats> shard_stats(options.stats ? n : 0);
-    std::vector<std::exception_ptr> errors(n);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tasks.push_back([&, i] {
+  bool sharded = false;
+  state->children = SolveChildren(
+      parts.order.size(),
+      options.parallelism != nullptr ? options.parallelism->min_components
+                                     : 0,
+      obs::kSpanShardDecompose, options,
+      [&](std::size_t i, const AdpOptions& o, obs::Span& shard) {
         const std::size_t idx = parts.order[i];
-        try {
-          AdpOptions shard = options;
-          if (options.stats) shard.stats = &shard_stats[i];
-          // One span per shard, parented under this Decompose node's span;
-          // the explicit parent link keeps the trace a tree even though
-          // shards run on arbitrary pool threads.
-          obs::Span span(options.trace, obs::kSpanShardDecompose,
-                         options.trace_parent);
-          span.Tag("shard", static_cast<std::int64_t>(i));
-          span.Tag("component", static_cast<std::int64_t>(idx));
-          shard.trace_parent = span.id();
-          // Sharded sub-solves poll the token too: a cancel that lands
-          // mid-fan-out stops the remaining components at their boundary.
-          ThrowIfCancelled(shard);
-          const std::int64_t child_cap = std::min(parts.m[idx], cap);
-          state->children[i] =
-              SolveNode(plan.children[idx], parts.dbs[idx], child_cap, shard,
-                        &parts.counts[idx]);
-          state->m[i] = parts.m[idx];
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    par->run_all(std::move(tasks));
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-    if (options.stats) {
-      for (const AdpStats& s : shard_stats) MergeAdpStats(*options.stats, s);
-    }
-    return state;
-  }
-  for (std::size_t idx : parts.order) {
-    ThrowIfCancelled(options);
-    const std::int64_t child_cap = std::min(parts.m[idx], cap);
-    state->children.push_back(SolveNode(plan.children[idx], parts.dbs[idx],
-                                        child_cap, options,
-                                        &parts.counts[idx]));
-    state->m.push_back(parts.m[idx]);
-  }
+        shard.Tag("component", static_cast<std::int64_t>(idx));
+        return SolveNode(plan.children[idx], parts.dbs[idx],
+                         std::min(parts.m[idx], cap), o, &parts.counts[idx]);
+      },
+      &sharded);
+  if (sharded && options.stats) ++options.stats->sharded_decompose_nodes;
+  for (std::size_t idx : parts.order) state->m.push_back(parts.m[idx]);
   return state;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <exception>
 #include <memory>
 #include <utility>
 
@@ -126,59 +125,19 @@ AdpNode UniverseNode(const DispatchPlan& plan, const Database& db,
                             std::to_string(groups.size()));
   }
 
+  // The groups are disjoint sub-instances of independent subproblems; the
+  // children come back in partition order, which CombineChildren folds.
   auto state = std::make_shared<UniverseState>();
-  const Parallelism* par = options.parallelism;
-  if (par != nullptr && par->run_all != nullptr && par->min_groups > 0 &&
-      groups.size() >= std::max<std::size_t>(par->min_groups, 2)) {
-    // Sharded path: the groups are disjoint sub-instances of independent
-    // subproblems, so their solves can run concurrently. Children land at
-    // fixed indices and are combined in partition order below, keeping the
-    // result bitwise-identical to the sequential fold. Each shard writes a
-    // private AdpStats (the shared pointer would race) merged afterwards —
-    // a commutative fold, so the index-order merge below equals whatever
-    // completion order the pool produced.
-    if (options.stats) ++options.stats->sharded_universe_nodes;
-    state->children.resize(groups.size());
-    std::vector<AdpStats> shard_stats(options.stats ? groups.size() : 0);
-    std::vector<std::exception_ptr> errors(groups.size());
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(groups.size());
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      tasks.push_back([&, i] {
-        try {
-          AdpOptions shard = options;
-          if (options.stats) shard.stats = &shard_stats[i];
-          // One span per shard, parented under this Universe node's span;
-          // shards run on arbitrary pool threads, so the explicit parent
-          // link (not any thread-local ambient span) is what keeps the
-          // trace a tree.
-          obs::Span span(options.trace, obs::kSpanShardUniverse,
-                         options.trace_parent);
-          span.Tag("shard", static_cast<std::int64_t>(i));
-          shard.trace_parent = span.id();
-          // Sharded sub-solves poll the token too: a cancel that lands
-          // mid-fan-out stops the remaining shards at their boundary.
-          ThrowIfCancelled(shard);
-          state->children[i] = SolveNode(residual, groups[i].db, cap, shard);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    par->run_all(std::move(tasks));
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-    if (options.stats) {
-      for (const AdpStats& s : shard_stats) MergeAdpStats(*options.stats, s);
-    }
-  } else {
-    state->children.reserve(groups.size());
-    for (UniverseGroup& g : groups) {
-      ThrowIfCancelled(options);
-      state->children.push_back(SolveNode(residual, g.db, cap, options));
-    }
-  }
+  bool sharded = false;
+  state->children = SolveChildren(
+      groups.size(),
+      options.parallelism != nullptr ? options.parallelism->min_groups : 0,
+      obs::kSpanShardUniverse, options,
+      [&](std::size_t i, const AdpOptions& o, obs::Span&) {
+        return SolveNode(residual, groups[i].db, cap, o);
+      },
+      &sharded);
+  if (sharded && options.stats) ++options.stats->sharded_universe_nodes;
   if (state->children.empty()) {
     // No complete class: Q(D) is empty.
     return AdpNode{CostProfile(), true,

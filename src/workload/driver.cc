@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "engine/completion_queue.h"
 #include "engine/result_stream.h"
 #include "engine/status.h"
 #include "engine/ticket.h"
@@ -352,7 +351,6 @@ DriverReport LoadDriver::RunOpen() {
   const obs::HistogramSnapshot before =
       engine_.metrics().GetHistogram(obs::kMRequestLatencyMs).Snapshot();
   RunContext ctx;
-  CompletionQueue cq;
   const double period_ms =
       1e3 / std::max(1e-6, config_.offered_rps);  // arrival spacing
   std::vector<double> intended(plan_.size(), 0.0);
@@ -365,25 +363,21 @@ DriverReport LoadDriver::RunOpen() {
   Stopwatch wall;
   const MonotonicClock::time_point start = Now();
 
-  // Collector: every non-stream submission produces exactly one completion
-  // whatever its outcome, so counting to request_ops is exact.
-  std::thread collector([&] {
-    Tally tally;
-    std::size_t got = 0;
-    while (got < request_ops) {
-      std::optional<Completion> c = cq.Next();
-      if (!c.has_value()) {
-        // Nothing outstanding yet (dispatcher is between arrivals).
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      ctx.client_latency.Observe(MsBetween(start, Now()) - intended[c->tag]);
-      tally.Request(c->response);
-      ++got;
-    }
-    std::lock_guard<std::mutex> lock(ctx.merge_mu);
-    ctx.total.Merge(tally);
-  });
+  // Every request submission's callback fires exactly once whatever the
+  // outcome (from a worker, from inside Cancel(), or inline on rejection),
+  // so counting to request_ops is exact. A callback counts its op last,
+  // under merge_mu, so once the count is reached no callback touches the
+  // locals below again.
+  std::size_t completed = 0;
+  std::condition_variable all_completed;
+  const auto submit = [&](AdpRequest req, std::size_t i) {
+    return engine_.SubmitAsync(std::move(req), [&, i](AdpResponse resp) {
+      ctx.client_latency.Observe(MsBetween(start, Now()) - intended[i]);
+      std::lock_guard<std::mutex> lock(ctx.merge_mu);
+      ctx.total.Request(resp);
+      if (++completed == request_ops) all_completed.notify_all();
+    });
+  };
 
   Slots stream_slots(config_.concurrency);
   std::vector<std::thread> drainers;
@@ -402,16 +396,14 @@ DriverReport LoadDriver::RunOpen() {
         // Both ride the async text path here: the open loop never blocks
         // the dispatcher, and prepared handles are exercised by the
         // closed loop and the net path.
-        engine_.SubmitToQueue(std::move(req), cq, i);
+        submit(std::move(req), i);
         break;
-      case OpKind::kCancel: {
-        AdpTicket ticket = engine_.SubmitToQueue(std::move(req), cq, i);
-        ticket.Cancel();
+      case OpKind::kCancel:
+        submit(std::move(req), i).Cancel();
         break;
-      }
       case OpKind::kExpired:
         req.deadline = Now() - milliseconds(1);
-        engine_.SubmitToQueue(std::move(req), cq, i);
+        submit(std::move(req), i);
         break;
       case OpKind::kStream: {
         stream_slots.Acquire();
@@ -438,7 +430,10 @@ DriverReport LoadDriver::RunOpen() {
     }
   }
   for (std::thread& t : drainers) t.join();
-  collector.join();
+  {
+    std::unique_lock<std::mutex> lock(ctx.merge_mu);
+    all_completed.wait(lock, [&] { return completed == request_ops; });
+  }
   return FinishReport(engine_, before, ctx, wall.ElapsedMs());
 }
 

@@ -13,7 +13,7 @@
 //     over-committed beyond `concurrency`).
 //   open loop — ops are dispatched on a fixed arrival schedule
 //     (`offered_rps`), regardless of completions, through the engine's
-//     async paths (SubmitToQueue / StreamAdp). Measures behavior under an
+//     async paths (SubmitAsync / StreamAdp). Measures behavior under an
 //     offered load, including queueing and shedding; latency is measured
 //     from the op's *intended* arrival time, so dispatcher lag counts
 //     against the engine, not the clock.

@@ -7,14 +7,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "engine/completion_queue.h"
 #include "engine/engine.h"
 #include "engine/grouped_workload.h"
 #include "obs/metrics.h"
@@ -81,7 +82,8 @@ TEST(AdpEngineTest, PlanCacheHitAndMissCounting) {
   AdpResponse second = engine.Execute(req);
   ASSERT_TRUE(second.ok()) << second.status.ToString();
   EXPECT_TRUE(second.plan_cache_hit);
-  EXPECT_EQ(second.fingerprint, first.fingerprint);
+  ASSERT_NE(first.plan, nullptr);
+  EXPECT_EQ(second.plan, first.plan);  // the cached object itself
 
   const EngineCounters c = engine.counters();
   EXPECT_EQ(c.requests, 2u);
@@ -128,29 +130,9 @@ TEST(AdpEngineTest, MatchesDirectComputeAdp) {
   }
 }
 
-TEST(AdpEngineTest, PreParsedQueriesShareCanonicalPlans) {
-  AdpEngine engine(EngineConfig{.num_workers = 1});
-  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
-
-  AdpRequest req;
-  req.query = ParseQuery(kChainText);
-  req.db = db;
-  req.k = 2;
-  ASSERT_TRUE(engine.Execute(req).ok());
-
-  // A renamed copy canonicalizes to the same plan key.
-  AdpRequest renamed;
-  renamed.query = ParseQuery("Q(U,V,W,X) :- R1(U,V), R2(V,W), R3(W,X)");
-  renamed.db = db;
-  renamed.k = 2;
-  const AdpResponse resp = engine.Execute(renamed);
-  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
-  EXPECT_TRUE(resp.plan_cache_hit);
-}
-
 TEST(AdpEngineTest, StructurallyIdenticalQueriesOverDifferentRelationsDoNotShareBindings) {
-  // Regression: the canonical key ignores relation names, but named-database
-  // binding does not — a plan cached for R1/R2 must not serve S1/S2.
+  // Regression: named-database binding goes by relation name, so a plan
+  // cached for R1/R2 must not serve the same shape over S1/S2.
   AdpEngine engine(EngineConfig{.num_workers = 1});
 
   NamedDatabase r_db;
@@ -170,7 +152,7 @@ TEST(AdpEngineTest, StructurallyIdenticalQueriesOverDifferentRelationsDoNotShare
   const DbId s_id = engine.RegisterDatabase(std::move(s_db));
 
   AdpRequest r_req;
-  r_req.query = ParseQuery("Q(A,B) :- R1(A,B), R2(B,C)");
+  r_req.query_text = "Q(A,B) :- R1(A,B), R2(B,C)";
   r_req.db = r_id;
   r_req.k = 1;
   const AdpResponse r_resp = engine.Execute(r_req);
@@ -178,7 +160,7 @@ TEST(AdpEngineTest, StructurallyIdenticalQueriesOverDifferentRelationsDoNotShare
   EXPECT_EQ(r_resp.solution.output_count, 1);
 
   AdpRequest s_req;
-  s_req.query = ParseQuery("Q(A,B) :- S1(A,B), S2(B,C)");
+  s_req.query_text = "Q(A,B) :- S1(A,B), S2(B,C)";
   s_req.db = s_id;
   s_req.k = 1;
   const AdpResponse s_resp = engine.Execute(s_req);
@@ -281,30 +263,6 @@ TEST(AdpEngineTest, ErrorsCarryTypedStatusCodes) {
             StatusExitCode(StatusCode::kCancelled));
 }
 
-TEST(AdpEngineTest, BatchPreservesRequestOrder) {
-  AdpEngine engine(EngineConfig{.num_workers = 4});
-  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
-
-  std::vector<AdpRequest> batch;
-  for (std::int64_t k = 0; k <= 4; ++k) {
-    AdpRequest req;
-    req.query_text = kChainText;
-    req.db = db;
-    req.k = k;
-    batch.push_back(req);
-  }
-  const std::vector<AdpResponse> out = engine.ExecuteBatch(batch);
-  ASSERT_EQ(out.size(), 5u);
-  const ConjunctiveQuery q = ParseQuery(kChainText);
-  const Database direct_db = Fig1NamedDb().db;
-  // Batch order must match request order: check each k against direct.
-  for (std::int64_t k = 0; k <= 4; ++k) {
-    ASSERT_TRUE(out[static_cast<std::size_t>(k)].ok());
-    const AdpSolution direct = ComputeAdp(q, direct_db, k, AdpOptions{});
-    EXPECT_EQ(out[static_cast<std::size_t>(k)].solution.cost, direct.cost);
-  }
-}
-
 // >= 100 mixed requests across >= 4 workers: every response must be
 // bit-identical to the direct single-threaded path.
 TEST(AdpEngineTest, ConcurrentMixedWorkloadSmoke) {
@@ -326,21 +284,19 @@ TEST(AdpEngineTest, ConcurrentMixedWorkloadSmoke) {
     cases.push_back(std::move(c));
   }
 
-  std::vector<AdpRequest> batch;
+  std::vector<std::future<AdpResponse>> futures;
   for (int i = 0; i < 120; ++i) {
     const Case& c = cases[static_cast<std::size_t>(i) % cases.size()];
     AdpRequest req;
-    req.query = c.query;
+    req.query_text = c.query.ToString();
     req.db = c.db;
     req.k = c.k;
-    batch.push_back(std::move(req));
+    futures.push_back(engine.Submit(std::move(req)));
   }
-  const std::vector<AdpResponse> out = engine.ExecuteBatch(batch);
-  ASSERT_EQ(out.size(), 120u);
 
   for (int i = 0; i < 120; ++i) {
     const Case& c = cases[static_cast<std::size_t>(i) % cases.size()];
-    const AdpResponse& resp = out[static_cast<std::size_t>(i)];
+    const AdpResponse resp = futures[static_cast<std::size_t>(i)].get();
     ASSERT_TRUE(resp.ok()) << resp.status.ToString();
     const AdpSolution direct =
         ComputeAdp(c.query, engine.database(c.db)->db, c.k, AdpOptions{});
@@ -419,112 +375,120 @@ TEST(AdpEngineTest, SubmitAsyncInvokesCallback) {
   EXPECT_EQ(resp.solution.cost, 1);
 }
 
-TEST(AdpEngineTest, CompletionQueueDeliversTaggedCompletions) {
+/// Records every SubmitAsync callback by submission tag, so a test can
+/// check that each submission got exactly one, and which.
+struct Callbacks {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<int, std::vector<AdpResponse>> got;
+
+  AdpTicket Submit(AdpEngine& engine, AdpRequest req, int tag) {
+    return engine.SubmitAsync(std::move(req), [this, tag](AdpResponse r) {
+      std::lock_guard<std::mutex> lock(mu);
+      got[tag].push_back(std::move(r));
+      cv.notify_all();
+    });
+  }
+
+  /// Waits until `n` distinct submissions have called back.
+  bool WaitFor(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30),
+                       [&] { return got.size() >= n; });
+  }
+};
+
+// Each submission's callback carries that submission's own answer.
+TEST(AdpEngineTest, SubmitAsyncDeliversEachSubmissionsAnswer) {
   AdpEngine engine(EngineConfig{.num_workers = 2});
   const DbId db = engine.RegisterDatabase(Fig1NamedDb());
   const ConjunctiveQuery q = ParseQuery(kChainText);
   const Database direct_db = Fig1NamedDb().db;
 
-  CompletionQueue cq;
-  for (std::int64_t k = 0; k <= 5; ++k) {
+  Callbacks callbacks;
+  for (int k = 0; k <= 5; ++k) {
     AdpRequest req;
     req.query_text = kChainText;
     req.db = db;
     req.k = k;
-    engine.SubmitToQueue(std::move(req), cq, static_cast<std::uint64_t>(k));
+    callbacks.Submit(engine, std::move(req), k);
   }
-
-  const std::vector<Completion> done = cq.Drain();
-  ASSERT_EQ(done.size(), 6u);
-  std::vector<bool> seen(6, false);
-  for (const Completion& c : done) {
-    ASSERT_LT(c.tag, 6u);
-    EXPECT_FALSE(seen[c.tag]);
-    seen[c.tag] = true;
-    ASSERT_TRUE(c.response.ok()) << c.response.status.ToString();
-    const AdpSolution direct =
-        ComputeAdp(q, direct_db, static_cast<std::int64_t>(c.tag), {});
-    EXPECT_EQ(c.response.solution.cost, direct.cost) << "tag " << c.tag;
+  ASSERT_TRUE(callbacks.WaitFor(6));
+  std::lock_guard<std::mutex> lock(callbacks.mu);
+  ASSERT_EQ(callbacks.got.size(), 6u);
+  for (const auto& [k, responses] : callbacks.got) {
+    ASSERT_EQ(responses.size(), 1u) << "k=" << k;
+    ASSERT_TRUE(responses[0].ok()) << responses[0].status.ToString();
+    EXPECT_EQ(responses[0].solution.cost, ComputeAdp(q, direct_db, k, {}).cost)
+        << "k=" << k;
   }
-  EXPECT_EQ(cq.outstanding(), 0u);
-  EXPECT_FALSE(cq.Poll().has_value());
-  EXPECT_FALSE(cq.Next().has_value());  // nothing pending: returns, no block
-
-  // Poll/Next also see completions one at a time.
-  AdpRequest req;
-  req.query_text = kChainText;
-  req.db = db;
-  req.k = 2;
-  engine.SubmitToQueue(std::move(req), cq, 42);
-  const auto next = cq.Next();
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->tag, 42u);
-  EXPECT_TRUE(next->response.ok());
 }
 
-// The typed Status must round-trip through the CompletionQueue unchanged:
-// one completion per submission whatever the outcome, each carrying the
-// code the synchronous path would have reported.
-TEST(AdpEngineTest, StatusRoundTripsThroughCompletionQueue) {
+// One callback per submission whatever the outcome, each carrying the code
+// the synchronous path would have reported.
+TEST(AdpEngineTest, StatusRoundTripsThroughSubmitAsync) {
   AdpEngine engine(EngineConfig{.num_workers = 1});
   const DbId db = engine.RegisterDatabase(Fig1NamedDb());
 
-  CompletionQueue cq;
+  Callbacks callbacks;
   AdpRequest good;
   good.query_text = kChainText;
   good.db = db;
   good.k = 2;
-  engine.SubmitToQueue(good, cq, 1);
+  callbacks.Submit(engine, good, 1);
 
   AdpRequest bad_parse;
   bad_parse.query_text = "not datalog";
   bad_parse.db = db;
-  engine.SubmitToQueue(bad_parse, cq, 2);
+  callbacks.Submit(engine, bad_parse, 2);
 
   AdpRequest bad_db;
   bad_db.query_text = kChainText;
   bad_db.db = 999;
-  engine.SubmitToQueue(bad_db, cq, 3);
+  callbacks.Submit(engine, bad_db, 3);
 
-  std::vector<Completion> done = cq.Drain();
-  ASSERT_EQ(done.size(), 3u);
-  for (const Completion& c : done) {
-    switch (c.tag) {
-      case 1:
-        EXPECT_EQ(c.response.status.code(), StatusCode::kOk);
-        break;
-      case 2:
-        EXPECT_EQ(c.response.status.code(), StatusCode::kParseError);
-        break;
-      case 3:
-        EXPECT_EQ(c.response.status.code(), StatusCode::kUnknownDatabase);
-        break;
-      default:
-        FAIL() << "unexpected tag " << c.tag;
+  ASSERT_TRUE(callbacks.WaitFor(3));
+  {
+    std::lock_guard<std::mutex> lock(callbacks.mu);
+    const std::map<int, StatusCode> expected = {
+        {1, StatusCode::kOk},
+        {2, StatusCode::kParseError},
+        {3, StatusCode::kUnknownDatabase}};
+    for (const auto& [tag, code] : expected) {
+      ASSERT_EQ(callbacks.got[tag].size(), 1u) << "tag " << tag;
+      EXPECT_EQ(callbacks.got[tag][0].status.code(), code) << "tag " << tag;
     }
   }
 
-  // A cancellation round-trips too — pushed at Cancel() time, while the
-  // request is still queued behind the plugged worker.
+  // A cancellation round-trips too: delivered from inside Cancel(), while
+  // the request is still queued behind the plugged worker.
   WorkerPlug plug;
   plug.Install(engine, db);
   AdpRequest queued;
   queued.query_text = kChainText;
   queued.db = db;
   queued.k = 3;
-  AdpTicket ticket = engine.SubmitToQueue(queued, cq, 4);
+  AdpTicket ticket = callbacks.Submit(engine, queued, 4);
   EXPECT_TRUE(ticket.Cancel());
-  const auto completion = cq.Next();
-  ASSERT_TRUE(completion.has_value());
-  EXPECT_EQ(completion->tag, 4u);
-  EXPECT_EQ(completion->response.status.code(), StatusCode::kCancelled);
+  {
+    std::lock_guard<std::mutex> lock(callbacks.mu);
+    ASSERT_EQ(callbacks.got[4].size(), 1u);
+    EXPECT_EQ(callbacks.got[4][0].status.code(), StatusCode::kCancelled);
+  }
   plug.release.set_value();
+  // The dropped request never calls back a second time.
+  AdpRequest after = good;
+  after.k = 1;
+  callbacks.Submit(engine, after, 5);
+  ASSERT_TRUE(callbacks.WaitFor(5));
+  std::lock_guard<std::mutex> lock(callbacks.mu);
+  EXPECT_EQ(callbacks.got[4].size(), 1u);
 }
 
-// Regression: ExecuteBatch/Submit from inside a pool worker used to park
-// every worker on futures whose tasks nobody was left to run. With one
-// worker this deadlocked deterministically; nested submissions now run
-// inline.
+// Regression: a batch of Submit futures awaited from inside a pool worker
+// used to park every worker on futures whose tasks nobody was left to run.
+// With one worker this deadlocked deterministically; nested submissions now
+// run inline.
 TEST(AdpEngineTest, NestedBatchFromWorkerRunsInline) {
   AdpEngine engine(EngineConfig{.num_workers = 1});
   const DbId db = engine.RegisterDatabase(Fig1NamedDb());
@@ -536,20 +500,22 @@ TEST(AdpEngineTest, NestedBatchFromWorkerRunsInline) {
   std::promise<std::vector<AdpResponse>> done;
   engine.SubmitAsync(outer, [&](AdpResponse) {
     // Runs on the engine's only worker thread.
-    std::vector<AdpRequest> batch;
+    std::vector<std::future<AdpResponse>> futures;
     for (std::int64_t k = 0; k <= 2; ++k) {
       AdpRequest req;
       req.query_text = kChainText;
       req.db = db;
       req.k = k;
-      batch.push_back(std::move(req));
+      futures.push_back(engine.Submit(std::move(req)));
     }
-    done.set_value(engine.ExecuteBatch(std::move(batch)));
+    std::vector<AdpResponse> out;
+    for (auto& f : futures) out.push_back(f.get());
+    done.set_value(std::move(out));
   });
   auto fut = done.get_future();
   ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
             std::future_status::ready)
-      << "nested ExecuteBatch deadlocked";
+      << "nested Submit batch deadlocked";
   const std::vector<AdpResponse> out = fut.get();
   ASSERT_EQ(out.size(), 3u);
   for (const AdpResponse& r : out) EXPECT_TRUE(r.ok()) << r.status.ToString();
@@ -574,7 +540,7 @@ TEST(AdpEngineTest, IntraRequestShardingMatchesSequential) {
   for (int iter = 0; iter < 10; ++iter) {
     Database db = RandomDb(q, rng, 12, 5);
     AdpRequest req;
-    req.query = q;
+    req.query_text = q.ToString();
     req.db = sharded.RegisterDatabase(db);
     req.k = 1 + static_cast<std::int64_t>(rng.Uniform(6));
     req.options.verify = true;
@@ -630,7 +596,7 @@ TEST(AdpEngineTest, DecomposeShardingMatchesSequential) {
   for (int iter = 0; iter < 10; ++iter) {
     Database db = RandomDb(q, rng, 12, 5);
     AdpRequest req;
-    req.query = q;
+    req.query_text = q.ToString();
     req.db = sharded.RegisterDatabase(db);
     req.k = 1 + static_cast<std::int64_t>(rng.Uniform(6));
     req.options.verify = true;
@@ -722,46 +688,51 @@ TEST(AdpEngineTest, CancelledShardedDecomposeHasNoPartialResults) {
   EXPECT_GT(clean.stats.sharded_decompose_nodes, 0);
 }
 
-TEST(AdpEngineTest, ClearCachesUnderLoadStaysCorrect) {
+// Plans and bindings dropped under load — one-entry caches and two queries
+// evicting each other — never change an answer: in-flight solves keep the
+// plans and bindings they hold, and later requests rebuild.
+TEST(AdpEngineTest, EvictionUnderLoadStaysCorrect) {
   EngineConfig config;
   config.num_workers = 4;
-  config.plan_cache_capacity = 4;
-  config.binding_cache_capacity = 2;
+  config.plan_cache_capacity = 1;
+  config.binding_cache_capacity = 1;
   AdpEngine engine(config);
   const DbId db = engine.RegisterDatabase(Fig1NamedDb());
 
-  // Precompute the expected answers for k = 0..4.
-  const ConjunctiveQuery q = ParseQuery(kChainText);
+  // Precompute the expected answers for k = 0..4 of both queries.
+  const std::string texts[] = {kChainText, "Q(A,B) :- R1(A,B), R2(B,C)"};
   const Database direct_db = Fig1NamedDb().db;
-  std::vector<std::int64_t> expected;
-  for (std::int64_t k = 0; k <= 4; ++k) {
-    expected.push_back(ComputeAdp(q, direct_db, k, {}).cost);
+  std::vector<std::int64_t> expected[2];
+  for (int t = 0; t < 2; ++t) {
+    const ConjunctiveQuery q = ParseQuery(texts[t]);
+    for (std::int64_t k = 0; k <= 4; ++k) {
+      expected[t].push_back(ComputeAdp(q, direct_db, k, {}).cost);
+    }
   }
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < 50; ++i) {
-        const std::int64_t k = (t + i) % 5;
+      for (int i = 0; i < 100; ++i) {
+        const int which = (t + i) % 2;
+        const std::int64_t k = (t + i / 2) % 5;
         AdpRequest req;
-        req.query_text = kChainText;
+        req.query_text = texts[which];
         req.db = db;
         req.k = k;
         const AdpResponse resp = engine.Execute(req);
-        if (!resp.ok() ||
-            resp.solution.cost != expected[static_cast<std::size_t>(k)]) {
+        if (!resp.ok() || resp.solution.cost !=
+                              expected[which][static_cast<std::size_t>(k)]) {
           ++mismatches;
         }
       }
     });
   }
-  for (int i = 0; i < 200; ++i) {
-    engine.ClearCaches();
-    std::this_thread::yield();
-  }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(engine.counters().plan_cache_size, 1u);
+  EXPECT_GE(engine.counters().plan_misses, 2u);
 }
 
 TEST(AdpEngineTest, LruEvictionBoundsCacheSize) {
@@ -798,7 +769,7 @@ TEST(AdpEngineTest, PreparedHotPathSkipsCacheProbes) {
   StatusOr<PreparedQuery> prepared = engine.Prepare(kChainText);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   ASSERT_TRUE(prepared->valid());
-  ASSERT_NE(prepared->fingerprint(), 0u);
+  ASSERT_NE(prepared->plan()->fingerprint, 0u);
   ASSERT_TRUE(prepared->Bind(db).ok());
   ASSERT_TRUE(prepared->bound());
   EXPECT_EQ(prepared->bound_db(), db);
@@ -813,7 +784,7 @@ TEST(AdpEngineTest, PreparedHotPathSkipsCacheProbes) {
     ASSERT_TRUE(resp.ok()) << resp.status.ToString();
     EXPECT_TRUE(resp.plan_cache_hit);  // static work pinned
     EXPECT_EQ(resp.solution.cost, ComputeAdp(q, direct_db, 2, {}).cost);
-    EXPECT_EQ(resp.fingerprint, prepared->fingerprint());
+    EXPECT_EQ(resp.plan, prepared->plan());
   }
   const EngineCounters after = engine.counters();
   EXPECT_EQ(after.requests, before.requests + kRequests);
@@ -1387,51 +1358,6 @@ TEST(AdpEngineTest, CoalescingDisabledByDefault) {
   EXPECT_EQ(engine.counters().coalesce_hits, 0u);
 }
 
-// --- PrepareBatch ------------------------------------------------------------
-
-TEST(AdpEngineTest, PrepareBatchAmortizesPlanWorkAcrossDuplicates) {
-  AdpEngine engine(EngineConfig{.num_workers = 1});
-  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
-
-  const std::vector<std::string> texts = {
-      kChainText,
-      "Q(A) :- R1(A,B)",
-      kChainText,  // duplicate: must reuse the first resolution
-  };
-  StatusOr<std::vector<PreparedQuery>> batch = engine.PrepareBatch(texts);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), 3u);
-  for (const PreparedQuery& p : *batch) EXPECT_TRUE(p.valid());
-
-  // One plan-cache miss per UNIQUE query, not per entry.
-  EXPECT_EQ(engine.counters().plan_misses, 2u);
-  // Duplicates share the plan object itself.
-  EXPECT_EQ((*batch)[0].plan().get(), (*batch)[2].plan().get());
-  EXPECT_EQ((*batch)[0].fingerprint(), (*batch)[2].fingerprint());
-  EXPECT_NE((*batch)[0].fingerprint(), (*batch)[1].fingerprint());
-
-  // Handles are ordinary prepared handles: bindable and executable.
-  PreparedQuery first = (*batch)[0];
-  ASSERT_TRUE(first.Bind(db).ok());
-  const AdpResponse resp = engine.Execute(first, /*k=*/2);
-  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
-  EXPECT_EQ(resp.solution.cost,
-            ComputeAdp(ParseQuery(kChainText), Fig1NamedDb().db, 2, {}).cost);
-}
-
-TEST(AdpEngineTest, PrepareBatchIsAllOrNothingAndTyped) {
-  AdpEngine engine(EngineConfig{.num_workers = 1});
-
-  const std::vector<std::string> texts = {kChainText, "not a query"};
-  StatusOr<std::vector<PreparedQuery>> batch = engine.PrepareBatch(texts);
-  EXPECT_EQ(batch.status().code(), StatusCode::kParseError);
-
-  engine.Shutdown();
-  const std::vector<std::string> ok_texts = {kChainText};
-  EXPECT_EQ(engine.PrepareBatch(ok_texts).status().code(),
-            StatusCode::kShutdown);
-}
-
 // --- TupleId capacity guard --------------------------------------------------
 
 // RAII guard so a lowered MaxRows ceiling never leaks into other tests.
@@ -1466,6 +1392,69 @@ TEST(AdpEngineTest, BindRejectsInstancesPastTupleIdCapacity) {
 
   // With the ceiling restored the same bind succeeds.
   EXPECT_TRUE(prepared->Bind(db).ok());
+}
+
+// --- Arity check -------------------------------------------------------------
+
+// A non-empty instance binds only to an atom with as many attributes as it
+// has columns — for named and positional databases, on the request path and
+// through PreparedQuery::Bind. An empty instance binds to any atom.
+TEST(AdpEngineTest, BindingChecksEachAtomsArity) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  NamedDatabase named;
+  named.relation_names = {"R", "E"};
+  named.db.Append({});
+  named.db.rel(0).Add({1, 2});
+  named.db.rel(0).Add({3, 4});
+  named.db.Append({});  // E stays empty: arity 0 until a first row
+  Database single;
+  single.Append(named.db.rel(0));
+  const DbId by_name = engine.RegisterDatabase(named);
+  const DbId positional = engine.RegisterDatabase(std::move(single));
+
+  for (const DbId db : {by_name, positional}) {
+    for (const char* text : {"Q(A,B,C) :- R(A,B,C)", "Q(A) :- R(A)"}) {
+      AdpRequest req;
+      req.query_text = text;
+      req.db = db;
+      req.k = 1;
+      const AdpResponse resp = engine.Execute(req);
+      EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument) << text;
+      EXPECT_NE(resp.status.message().find("'R' has arity 2"),
+                std::string::npos)
+          << resp.status.message();
+      StatusOr<PreparedQuery> prepared = engine.Prepare(text);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      EXPECT_EQ(prepared->Bind(db).code(), StatusCode::kInvalidArgument)
+          << text;
+    }
+    AdpRequest good;
+    good.query_text = "Q(A,B) :- R(A,B)";
+    good.db = db;
+    good.k = 1;
+    const AdpResponse resp = engine.Execute(good);
+    ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+    EXPECT_EQ(resp.solution.output_count, 2);
+  }
+
+  // A failed named bind caches nothing: the repeat binds afresh.
+  AdpRequest bad;
+  bad.query_text = "Q(A) :- R(A)";
+  bad.db = by_name;
+  bad.k = 1;
+  const EngineCounters before = engine.counters();
+  EXPECT_EQ(engine.Execute(bad).status.code(), StatusCode::kInvalidArgument);
+  const EngineCounters after = engine.counters();
+  EXPECT_EQ(after.binding_hits, before.binding_hits);
+  EXPECT_EQ(after.binding_misses, before.binding_misses + 1);
+
+  AdpRequest with_empty;
+  with_empty.query_text = "Q(A,B) :- R(A,B), E(B,C,D)";
+  with_empty.db = by_name;
+  with_empty.k = 0;
+  const AdpResponse resp = engine.Execute(with_empty);
+  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.solution.output_count, 0);
 }
 
 // --- Shutdown ----------------------------------------------------------------
@@ -1560,7 +1549,7 @@ TEST(AdpEngineTest, SyncExecuteIsNeverShed) {
   plug.Install(engine, db);
 
   AdpRequest filler;
-  filler.query_text = "Q(A,B) :- R1(A,B), R2(B)";
+  filler.query_text = "Q(A,B) :- R1(A,B), R2(B,C)";
   filler.db = db;
   filler.k = 1;
   std::future<AdpResponse> filler_fut = engine.Submit(filler);
@@ -1586,7 +1575,7 @@ TEST(AdpEngineTest, StreamAdpShedsWithTerminalOverloaded) {
   plug.Install(engine, db);
 
   AdpRequest filler;
-  filler.query_text = "Q(A,B) :- R1(A,B), R2(B)";
+  filler.query_text = "Q(A,B) :- R1(A,B), R2(B,C)";
   filler.db = db;
   filler.k = 1;
   std::future<AdpResponse> filler_fut = engine.Submit(filler);
@@ -1615,7 +1604,7 @@ TEST(AdpEngineTest, RequestPriorityOrdersSaturatedQueue) {
   plug.Install(engine, db);
 
   const char* texts[] = {
-      "Q(A,B) :- R1(A,B), R2(B)",
+      "Q(A,B) :- R1(A,B), R2(B,C)",
       "Q(B,C) :- R2(B,C), R3(C,E)",
       "Q(A) :- R1(A,B), R2(B,C)",
   };
@@ -1736,6 +1725,7 @@ TEST(AdpEngineTest, DroppedPlanNeverAliasesANewQuery) {
   EngineConfig config;
   config.num_workers = 1;
   config.coalesce_window_ms = 60'000;
+  config.plan_cache_capacity = 1;  // the next Prepare evicts the first plan
   AdpEngine engine(config);
   const DbId db = engine.RegisterDatabase(Fig1NamedDb());
   {
@@ -1744,7 +1734,6 @@ TEST(AdpEngineTest, DroppedPlanNeverAliasesANewQuery) {
     ASSERT_TRUE(a->Bind(db).ok());
     ASSERT_TRUE(engine.Execute(*a, /*k=*/2).ok());
   }
-  engine.ClearCaches();
 
   constexpr char kOther[] = "Q(A,B) :- R1(A,B), R2(B,C)";
   StatusOr<PreparedQuery> b = engine.Prepare(kOther);
@@ -1782,10 +1771,72 @@ TEST(AdpEngineTest, CompletedSlotsAreBounded) {
   EXPECT_TRUE(engine.Execute(req).coalesced);
 }
 
+// --- The plan travels with the result ----------------------------------------
+
+// A response carries the plan its request was solved against: set on kOk,
+// on a binding failure and, as the handle's own, on a prepared request;
+// null when the query did not parse. Deduped and coalesced copies carry the
+// leader's plan.
+TEST(AdpEngineTest, ResponseCarriesItsPlan) {
+  EngineConfig config;
+  config.num_workers = 1;
+  config.coalesce_window_ms = 60'000;
+  AdpEngine engine(config);
+  const DbId db = engine.RegisterDatabase(Fig1NamedDb());
+
+  AdpRequest req;
+  req.query_text = kChainText;
+  req.db = db;
+  req.k = 2;
+  const AdpResponse solved = engine.Execute(req);
+  ASSERT_TRUE(solved.ok()) << solved.status.ToString();
+  ASSERT_NE(solved.plan, nullptr);
+  EXPECT_EQ(solved.plan->query.relation(2).name, "R3");
+  const AdpResponse coalesced = engine.Execute(req);
+  ASSERT_TRUE(coalesced.coalesced);
+  EXPECT_EQ(coalesced.plan, solved.plan);
+
+  AdpRequest unbound = req;
+  unbound.query_text = "Q(A,B,C) :- R1(A,B), R9(B,C)";
+  const AdpResponse bind_failure = engine.Execute(unbound);
+  EXPECT_EQ(bind_failure.status.code(), StatusCode::kUnknownRelation);
+  ASSERT_NE(bind_failure.plan, nullptr);
+  EXPECT_EQ(bind_failure.plan->query.relation(1).name, "R9");
+
+  AdpRequest unparsable = req;
+  unparsable.query_text = "not datalog";
+  const AdpResponse parse_failure = engine.Execute(unparsable);
+  EXPECT_EQ(parse_failure.status.code(), StatusCode::kParseError);
+  EXPECT_EQ(parse_failure.plan, nullptr);
+
+  StatusOr<PreparedQuery> prepared = engine.Prepare(kChainText);
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->Bind(db).ok());
+  const AdpResponse pinned = engine.Execute(*prepared, /*k=*/3);
+  ASSERT_TRUE(pinned.ok()) << pinned.status.ToString();
+  EXPECT_EQ(pinned.plan, prepared->plan());
+
+  // A follower of an in-flight solve gets the leader's plan.
+  WorkerPlug plug;
+  plug.Install(engine, db);
+  AdpRequest fresh = req;
+  fresh.k = 1;
+  std::future<AdpResponse> leader = engine.Submit(fresh);
+  std::future<AdpResponse> follower = engine.Submit(fresh);
+  plug.release.set_value();
+  const AdpResponse led = leader.get();
+  const AdpResponse followed = follower.get();
+  ASSERT_TRUE(led.ok()) << led.status.ToString();
+  ASSERT_TRUE(followed.deduped);
+  ASSERT_NE(led.plan, nullptr);
+  EXPECT_EQ(followed.plan, led.plan);
+}
+
 // --- One counter source ------------------------------------------------------
 
 // Every counter lives in the registry: a registry snapshot taken before any
-// counters() / WriteMetricsText() call already matches EngineCounters.
+// counters() / metrics().WritePrometheus() call already matches
+// EngineCounters.
 TEST(AdpEngineTest, RegistryIsCurrentWithoutAMirror) {
   AdpEngine engine(EngineConfig{.num_workers = 1});
   const DbId db = engine.RegisterDatabase(Fig1NamedDb());

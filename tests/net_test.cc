@@ -3,8 +3,9 @@
 // interleaved pushed frames, malformed/truncated frame survival, mid-stream
 // disconnect releasing the worker, priority/EDF ordering and load-shed
 // rejection over the socket, the PREPARE/EXEC/CANCEL/STATS/METRICS
-// verbs, and the slow-query log (NetServerConfig::trace_dir). Runs against
-// both poll backends (force_poll exercises the portable one).
+// verbs, the slow-query log (NetServerConfig::trace_dir), one plan lookup
+// per request with no plan build on the event loop, and arity errors.
+// Runs against both poll backends (force_poll exercises the portable one).
 
 #include <gtest/gtest.h>
 
@@ -79,6 +80,14 @@ std::string ExtractAnswer(const std::string& body) {
                                                    : to - from);
 }
 
+/// The integer after `"key":` in a STATS body; -1 when the key is absent.
+std::int64_t StatsField(const std::string& body, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = body.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stoll(body.substr(at + needle.size()));
+}
+
 /// What a direct AdpEngine call answers for (query, k) against Fig1,
 /// rendered through the same formatter the server uses.
 std::string DirectAnswer(AdpEngine& engine, const std::string& query_text,
@@ -90,9 +99,8 @@ std::string DirectAnswer(AdpEngine& engine, const std::string& query_text,
   req.k = k;
   const AdpResponse resp = engine.Execute(req);
   EXPECT_TRUE(resp.ok()) << resp.status.ToString();
-  const std::shared_ptr<const CachedPlan> plan = engine.PlanFor(req);
   return ExtractAnswer(FormatResponseLine(
-      0, "d1", k, resp, plan ? &plan->query : nullptr));
+      0, "d1", k, resp, resp.plan ? &resp.plan->query : nullptr));
 }
 
 /// Occupies one engine worker until released (the net-side analogue of
@@ -770,6 +778,137 @@ TEST(NetTest, StatsAndMetricsVerbs) {
   EXPECT_NE(body.find("adp_net_frames_in_total"), std::string::npos);
 }
 
+// Each REQ and each STREAM makes exactly one plan-cache lookup, on the
+// worker that solves it, and renders relation names from the plan that
+// came with its result; an EXEC of a prepared handle makes none.
+TEST(NetTest, OnePlanLookupPerRequest) {
+  NetFixture fx;
+  AdpNetClient client = fx.Client();
+  std::string body;
+  ASSERT_TRUE(client.Call(FrameType::kDb, kDbLine, &body).has_value());
+  const auto plan_lookups = [&client] {
+    std::string stats;
+    EXPECT_TRUE(client.Call(FrameType::kStats, "STATS", &stats).has_value());
+    return std::make_pair(StatsField(stats, "plan_hits"),
+                          StatsField(stats, "plan_misses"));
+  };
+  using Lookups = std::pair<std::int64_t, std::int64_t>;  // hits, misses
+
+  for (std::int64_t hits : {0, 1}) {
+    std::optional<Frame> reply = client.Call(
+        FrameType::kReq, "REQ d1 2 " + std::string(kChainText), &body);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::kResult) << body;
+    EXPECT_NE(body.find("\"tuples\":[[\"R"), std::string::npos) << body;
+    EXPECT_EQ(plan_lookups(), (Lookups{hits, 1}));
+  }
+
+  const std::int64_t id = client.NextId();
+  ASSERT_TRUE(client.Send(FrameType::kStream, id,
+                          "STREAM d1 2 " + std::string(kChainText)));
+  bool named_witnesses = false;
+  for (;;) {
+    std::optional<Frame> frame = client.WaitReply(id);
+    ASSERT_TRUE(frame.has_value()) << client.error();
+    named_witnesses = named_witnesses ||
+                      frame->payload.find("\"witnesses\":[[\"R") !=
+                          std::string::npos;
+    if (frame->type != FrameType::kStreamItem) break;
+  }
+  EXPECT_TRUE(named_witnesses);  // names from the stream's own plan
+  EXPECT_EQ(plan_lookups(), (Lookups{2, 1}));
+
+  std::optional<Frame> prep = client.Call(
+      FrameType::kPrepare, "PREPARE " + std::string(kChainText), &body);
+  ASSERT_TRUE(prep.has_value());
+  ASSERT_EQ(prep->type, FrameType::kPrepared) << body;
+  const Lookups prepared = plan_lookups();
+  std::optional<Frame> reply =
+      client.Call(FrameType::kExec, "EXEC 1 d1 2", &body);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kResult) << body;
+  EXPECT_NE(body.find("[\"R"), std::string::npos) << body;
+  EXPECT_EQ(plan_lookups(), prepared);
+}
+
+// A STREAM whose plan is slow to build — a Boolean query of 10 atoms with
+// no linear arrangement, whose §7.1 permutation search is factorial — is
+// planned on a worker, not on the event loop: another connection's HELLO
+// and STATS, sent once the server has taken the STREAM, are answered
+// before the stream has produced an item, let alone ended. Asserts an
+// ordering, not a time bound.
+TEST(NetTest, StreamPlanIsNotBuiltOnTheEventLoop) {
+  NetFixture fx;
+  std::string db_line = "DB d1 R1=1,2 R2=2,3 R3=3,1";
+  std::string query = "Q() :- R1(A,B), R2(B,C), R3(C,A)";
+  for (int i = 4; i <= 10; ++i) {
+    db_line += " P" + std::to_string(i) + "=1";
+    query += ", P" + std::to_string(i) + "(D" + std::to_string(i) + ")";
+  }
+  AdpNetClient streamer = fx.Client();
+  std::string body;
+  ASSERT_TRUE(streamer.Call(FrameType::kDb, db_line, &body).has_value());
+  const std::int64_t id = streamer.NextId();
+  ASSERT_TRUE(streamer.Send(FrameType::kStream, id, "STREAM d1 1 " + query));
+  std::atomic<bool> ended{false};
+  std::string end_payload;
+  std::thread reader([&] {
+    while (std::optional<Frame> frame = streamer.WaitReply(id)) {
+      if (frame->type != FrameType::kStreamItem) {
+        end_payload = frame->payload;
+        break;
+      }
+    }
+    ended.store(true);
+  });
+
+  AdpNetClient other = fx.Client();  // HELLO
+  std::int64_t opened = 0;
+  while (opened < 1) {  // until the server has taken the STREAM frame
+    std::optional<Frame> stats =
+        other.Call(FrameType::kStats, "STATS", &body);
+    ASSERT_TRUE(stats.has_value()) << other.error();
+    opened = StatsField(body, "streams_opened");
+  }
+  // A loop that built the plan itself is free only once the plan exists,
+  // and a few milliseconds later the stream has ended. Planned on a worker,
+  // the stream is still far from its first item: the plan takes ~0.3 s in
+  // a Release build, and longer under the sanitizers.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(other.Call(FrameType::kStats, "STATS", &body).has_value());
+  EXPECT_EQ(StatsField(body, "stream_items"), 0) << body;
+  EXPECT_FALSE(ended.load())
+      << "the stream ended before another connection's STATS was answered";
+  reader.join();
+  EXPECT_NE(end_payload.find("\"status\":\"OK\""), std::string::npos)
+      << end_payload;
+}
+
+// A DB relation binds only to atoms of its arity: R has two columns, so
+// R(A,B,C) and R(A) are INVALID_ARGUMENT results, while R(A,B) answers.
+TEST(NetTest, ArityMismatchIsInvalidArgument) {
+  NetFixture fx;
+  AdpNetClient client = fx.Client();
+  std::string body;
+  ASSERT_TRUE(
+      client.Call(FrameType::kDb, "DB d R=1,2/3,4", &body).has_value());
+  for (const std::string query : {"Q(A,B,C) :- R(A,B,C)", "Q(A) :- R(A)"}) {
+    std::optional<Frame> reply =
+        client.Call(FrameType::kReq, "REQ d 1 " + query, &body);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, FrameType::kResult) << body;
+    EXPECT_NE(body.find("\"status\":\"INVALID_ARGUMENT\""),
+              std::string::npos)
+        << body;
+    EXPECT_NE(body.find("'R' has arity 2"), std::string::npos) << body;
+  }
+  std::optional<Frame> reply =
+      client.Call(FrameType::kReq, "REQ d 1 Q(A,B) :- R(A,B)", &body);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(body.find("\"status\":\"OK\""), std::string::npos) << body;
+  EXPECT_NE(body.find("\"output_count\":2"), std::string::npos) << body;
+}
+
 TEST(NetTest, ByeFlushesAndCloses) {
   NetFixture fx;
   AdpNetClient client = fx.Client();
@@ -827,9 +966,8 @@ std::string ExpectedStormAnswer(const std::string& db_line, std::int64_t k) {
   req.k = k;
   const AdpResponse resp = local.Execute(req);
   EXPECT_TRUE(resp.ok()) << resp.status.ToString();
-  const std::shared_ptr<const CachedPlan> plan = local.PlanFor(req);
-  return ExtractAnswer(
-      FormatResponseLine(0, "d1", k, resp, plan ? &plan->query : nullptr));
+  return ExtractAnswer(FormatResponseLine(
+      0, "d1", k, resp, resp.plan ? &resp.plan->query : nullptr));
 }
 
 // A duplicate-query storm: four clients each pipeline 25 *identical*

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -306,7 +307,7 @@ TEST(ObsEngineTest, CollectTraceSpansMatchSolverStats) {
                                  {"R3", {{7}, {8}}},
                                  {"R4", {{7, 9}, {8, 9}}}});
   AdpRequest req;
-  req.query = q;
+  req.query_text = q.ToString();
   req.db = engine.RegisterDatabase(db);
   req.k = 2;
   req.collect_trace = true;
@@ -363,7 +364,7 @@ TEST(ObsEngineTest, ShardedDecomposeTraceCoversWallTime) {
   const ConjunctiveQuery q =
       ParseQuery("Q(A,B,C,E) :- R1(A), R2(A,B), R3(C), R4(C,E)");
   AdpRequest req;
-  req.query = q;
+  req.query_text = q.ToString();
   req.db = engine.RegisterDatabase(RandomDb(q, rng, 60, 30));
   req.k = 4;
   req.collect_trace = true;
@@ -399,20 +400,18 @@ TEST(ObsEngineTest, MetricsReportQuantilesAfterBurst) {
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}},
                                  {"R2", {{1, 5}, {2, 6}}}});
   const DbId id = engine.RegisterDatabase(db);
-  std::vector<AdpRequest> batch;
+  std::vector<std::future<AdpResponse>> burst;
   for (int i = 0; i < 100; ++i) {
     AdpRequest req;
-    req.query = q;
+    req.query_text = q.ToString();
     req.db = id;
     // Distinct k per request: identical (query, k) pairs would be absorbed
     // by single-flight dedup and never observe a latency sample. k beyond
     // |Q(D)| is fine — infeasible solves are still OK responses.
     req.k = 1 + i;
-    batch.push_back(std::move(req));
+    burst.push_back(engine.Submit(std::move(req)));
   }
-  const std::vector<AdpResponse> out = engine.ExecuteBatch(std::move(batch));
-  ASSERT_EQ(out.size(), 100u);
-  for (const AdpResponse& r : out) ASSERT_TRUE(r.ok());
+  for (auto& fut : burst) ASSERT_TRUE(fut.get().ok());
 
   obs::MetricsRegistry& metrics = engine.metrics();
   const HistogramSnapshot lat =
@@ -421,7 +420,7 @@ TEST(ObsEngineTest, MetricsReportQuantilesAfterBurst) {
   EXPECT_GT(lat.Quantile(0.99), 0.0);
 
   std::ostringstream text;
-  engine.WriteMetricsText(text);
+  metrics.WritePrometheus(text);
   const std::string exposition = text.str();
   EXPECT_NE(exposition.find("# TYPE adp_requests_total counter"),
             std::string::npos);
@@ -440,7 +439,7 @@ TEST(ObsEngineTest, StreamEndItemCarriesTrace) {
   const Database db = MakeDb(q, {{"R1", {{1}, {2}}},
                                  {"R2", {{1, 5}, {2, 6}}}});
   AdpRequest req;
-  req.query = q;
+  req.query_text = q.ToString();
   req.db = engine.RegisterDatabase(db);
   req.k = 2;
   req.collect_trace = true;

@@ -133,7 +133,7 @@ TEST(ResultStreamTest, StreamEquivalentToExecuteAcrossShapes) {
       AdpEngine engine(EngineConfig{.num_workers = 2});
       const DbId db = engine.RegisterDatabase(RandomDb(q, rng, 8, 4));
       AdpRequest probe;
-      probe.query = q;
+      probe.query_text = q.ToString();
       probe.db = db;
       probe.k = 0;
       const AdpResponse base = engine.Execute(probe);
@@ -162,7 +162,7 @@ TEST(ResultStreamTest, ProfileIncrementsMatchPerTargetSolves) {
     AdpEngine engine(EngineConfig{.num_workers = 2});
     const DbId db = engine.RegisterDatabase(RandomDb(q, rng, 8, 4));
     AdpRequest req;
-    req.query = q;
+    req.query_text = q.ToString();
     req.db = db;
     req.k = 0;
     const std::int64_t total = engine.Execute(req).solution.output_count;
@@ -192,7 +192,7 @@ TEST(ResultStreamTest, CountingOnlyStreamsNoWitnesses) {
   AdpEngine engine(EngineConfig{.num_workers = 1});
   const DbId db = engine.RegisterDatabase(RandomDb(q, rng, 10, 4));
   AdpRequest req;
-  req.query = q;
+  req.query_text = q.ToString();
   req.db = db;
   req.k = 2;
   req.options.counting_only = true;
@@ -213,7 +213,7 @@ TEST(ResultStreamTest, WitnessBatchesRespectConfiguredBound) {
   AdpEngine engine(EngineConfig{.num_workers = 1, .stream_batch_tuples = 7});
   const DbId id = engine.RegisterDatabase(std::move(db));
   AdpRequest req;
-  req.query = q;
+  req.query_text = q.ToString();
   req.db = id;
   req.k = 20;
   ExpectStreamMatchesExecute(engine, req, "batched");
@@ -288,7 +288,7 @@ AdpRequest BigStreamRequest(AdpEngine& engine, DbId* out_db) {
   }
   *out_db = engine.RegisterDatabase(std::move(db));
   AdpRequest req;
-  req.query = q;
+  req.query_text = q.ToString();
   req.db = *out_db;
   req.k = 24;
   return req;
@@ -473,6 +473,38 @@ TEST(ResultStreamTest, BindingFailureKeepsPlanCacheHitOnErrorResults) {
   EXPECT_TRUE(d.end->plan_cache_hit);
 }
 
+// A stream exposes the plan it is solved against — the pointer the
+// equivalent Execute's response carries — once any item has arrived, and
+// none when its query did not parse.
+TEST(ResultStreamTest, PlanIsSetOnceAnItemHasArrived) {
+  AdpEngine engine(EngineConfig{.num_workers = 1});
+  const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A,B), R2(B,C)");
+  Rng rng(5);
+  AdpRequest req;
+  req.query_text = q.ToString();
+  req.db = engine.RegisterDatabase(RandomDb(q, rng, 8, 4));
+  req.k = 1;
+  const AdpResponse executed = engine.Execute(req);
+  ASSERT_TRUE(executed.ok()) << executed.status.ToString();
+
+  ResultStream stream = engine.StreamAdp(req);
+  std::optional<StreamItem> first = stream.Next();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_NE(stream.plan(), nullptr);
+  EXPECT_EQ(stream.plan(), executed.plan);
+  EXPECT_EQ(stream.plan()->query.relation(1).name, "R2");
+  DrainStream(stream);
+
+  AdpRequest unparsable = req;
+  unparsable.query_text = "not datalog";
+  ResultStream broken = engine.StreamAdp(unparsable);
+  const Drained d = DrainStream(broken);
+  ASSERT_TRUE(d.end.has_value());
+  EXPECT_EQ(d.end->status.code(), StatusCode::kParseError);
+  EXPECT_EQ(broken.plan(), nullptr);
+  EXPECT_EQ(ResultStream().plan(), nullptr);  // inert handle
+}
+
 TEST(ResultStreamTest, IntermediateWitnessStreamingCoversEveryTarget) {
   // With AdpRequest::stream_intermediate_witnesses, the stream also emits a
   // witness batch after each intermediate profile increment, tagged with
@@ -485,7 +517,7 @@ TEST(ResultStreamTest, IntermediateWitnessStreamingCoversEveryTarget) {
     const Database data = RandomDb(q, rng, 8, 4);
     const DbId db = engine.RegisterDatabase(data);
     AdpRequest req;
-    req.query = q;
+    req.query_text = q.ToString();
     req.db = db;
     req.k = 0;
     const std::int64_t total = engine.Execute(req).solution.output_count;
@@ -548,7 +580,7 @@ TEST(ResultStreamTest, IntermediateWitnessesOffByDefault) {
   AdpEngine engine(EngineConfig{.num_workers = 1});
   const DbId db = engine.RegisterDatabase(RandomDb(q, rng, 8, 4));
   AdpRequest req;
-  req.query = q;
+  req.query_text = q.ToString();
   req.db = db;
   req.k = 0;
   const std::int64_t total = engine.Execute(req).solution.output_count;

@@ -110,8 +110,7 @@ TEST(TextProtoTest, ParseRequestLineBasics) {
       SplitWs("REQ d1 2 Q(A) :- R1(A,B), R2(B)"), "usage", 0);
   EXPECT_EQ(parsed.db_name, "d1");
   EXPECT_EQ(parsed.req.k, 2);
-  EXPECT_EQ(parsed.query_text, "Q(A) :- R1(A,B), R2(B)");
-  EXPECT_EQ(parsed.req.query_text, parsed.query_text);
+  EXPECT_EQ(parsed.req.query_text, "Q(A) :- R1(A,B), R2(B)");
   EXPECT_EQ(parsed.req.db, kInvalidDbId);  // caller resolves the name
   EXPECT_EQ(parsed.req.priority, 0);
   EXPECT_FALSE(parsed.req.deadline.has_value());
@@ -128,7 +127,7 @@ TEST(TextProtoTest, ParseRequestLineOptionTokens) {
   EXPECT_GE(*parsed.req.deadline, before + std::chrono::milliseconds(400));
   EXPECT_LE(*parsed.req.deadline, Now() + std::chrono::milliseconds(500));
   // Options never leak into the query text.
-  EXPECT_EQ(parsed.query_text, "Q(A) :- R1(A,B)");
+  EXPECT_EQ(parsed.req.query_text, "Q(A) :- R1(A,B)");
 }
 
 TEST(TextProtoTest, ParseRequestLineNegativePriority) {

@@ -5,11 +5,12 @@
    must resolve to an existing file (external http(s)/mailto links and
    same-file #anchors are skipped).
 
-2. Engine handbook drift: every `EngineConfig::field` and
-   `EngineCounters::member` named in docs/ENGINE.md must still be declared
-   in src/engine/engine.h — and, the other way, every field those structs
-   declare must be named in the handbook. Either direction failing means
-   docs/ENGINE.md silently rotted relative to the engine surface.
+2. Engine handbook drift: every `EngineConfig::field`,
+   `EngineCounters::member` and `AdpEngine::Method` named in docs/ENGINE.md
+   must still be declared in src/engine/engine.h — and, the other way,
+   every field those structs declare and every public method of
+   `AdpEngine` must be named in the handbook. Either direction failing
+   means docs/ENGINE.md silently rotted relative to the engine surface.
 
 3. Streaming protocol drift: the same two-way check between
    docs/STREAMING.md and the streaming surface in
@@ -163,12 +164,16 @@ def class_public_methods(header_text, class_name):
     block = block.split("private:", 1)[0]
     block = block.split("public:", 1)[-1]
     block = re.sub(r"//[^\n]*", "", block)
+    # Inline bodies call other functions (`{ return pool_.num_threads(); }`).
+    block = re.sub(r"\{[^{}]*\}", ";", block)
     methods = set()
     for m in re.finditer(r"(~?\w+)\s*\(", block):
         name = m.group(1)
         if name == class_name or name.startswith("~"):
             continue
-        if name in {"if", "while", "for", "switch", "return", "sizeof"}:
+        # `void` opens a function type (`std::function<void(AdpResponse)>`).
+        if name in {"if", "while", "for", "switch", "return", "sizeof",
+                    "void"}:
             continue
         methods.add(name)
     return methods
@@ -203,6 +208,7 @@ def check_engine_handbook():
         {
             "EngineConfig": struct_members(header, "EngineConfig"),
             "EngineCounters": struct_members(header, "EngineCounters"),
+            "AdpEngine": class_public_methods(header, "AdpEngine"),
         },
     )
 
