@@ -41,14 +41,23 @@ void Fig0809EasyHeuristics(benchmark::State& state) {
         sol = ComputeAdp(w.query, w.db, k, options);
         break;
       case kGreedy: {
-        const AdpNode node = GreedyNode(pushed.query, pushed.db, k, options);
+        // A leaf's own counting pass, joins kept (as SolveNode makes it).
+        CountReads reads;
+        reads.joins = true;
+        const AdpNode node =
+            GreedyNode(pushed.query, pushed.db, k, options,
+                       CountComponents(pushed.query.body(),
+                                       pushed.query.head(), pushed.db, reads));
         sol.cost = node.profile.At(k);
         sol.tuples = node.report(k);
         sol.exact = false;
         break;
       }
       case kDrastic: {
-        const AdpNode node = DrasticNode(pushed.query, pushed.db, k, options);
+        const AdpNode node = DrasticNode(
+            pushed.query, pushed.db, k, options,
+            CountComponents(pushed.query.body(), pushed.query.head(),
+                            pushed.db, DrasticReads(pushed.query, options)));
         sol.cost = node.profile.At(k);
         sol.tuples = node.report(k);
         sol.exact = false;

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/trace.h"
-#include "query/fingerprint.h"
 #include "query/parser.h"
 #include "query/transform.h"
 #include "solver/restrictions.h"
@@ -138,7 +137,6 @@ std::shared_ptr<const CachedPlan> BuildPlan(const AdpRequest& req) {
   // residual; reuse its result instead of searching again.
   plan->verdict = ClassifyResidual(plan->dispatch.query,
                                    plan->dispatch.linear_order);
-  plan->fingerprint = QueryFingerprint(plan->query);
   return plan;
 }
 

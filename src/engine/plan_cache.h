@@ -55,9 +55,6 @@ struct CachedPlan {
   /// query is the residual after Lemma-12 selection pushdown (== `query`
   /// when selection-free), matching what ComputeAdp recurses on.
   DispatchPlan dispatch;
-
-  /// 64-bit canonical fingerprint of `query`.
-  std::uint64_t fingerprint = 0;
 };
 
 class PlanCache {

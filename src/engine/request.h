@@ -28,7 +28,7 @@ using DbId = int;
 inline constexpr DbId kInvalidDbId = -1;
 
 /// A handle pinning the cached static work of one query — parsed form,
-/// dichotomy verdict, dispatch plan, fingerprint (CachedPlan) — and, once
+/// dichotomy verdict, dispatch plan (CachedPlan) — and, once
 /// Bind() has been called, one database binding. Obtained from
 /// AdpEngine::Prepare.
 ///

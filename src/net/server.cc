@@ -7,9 +7,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <cerrno>
 #include <cstring>
@@ -143,98 +140,6 @@ struct AdpNetServer::SlowLog {
   }
 };
 
-// --- Poll backends -----------------------------------------------------------
-
-class AdpNetServer::Poller {
- public:
-  static constexpr unsigned kRead = 1, kWrite = 2, kErr = 4;
-
-  virtual ~Poller() = default;
-
-  /// Registers or updates the interest set of `fd`.
-  virtual void Update(int fd, unsigned events) = 0;
-  virtual void Remove(int fd) = 0;
-
-  /// Blocks up to `timeout_ms`; appends (fd, ready-events) pairs.
-  virtual void Wait(int timeout_ms,
-                    std::vector<std::pair<int, unsigned>>* ready) = 0;
-};
-
-class AdpNetServer::PollPoller : public Poller {
- public:
-  void Update(int fd, unsigned events) override { want_[fd] = events; }
-  void Remove(int fd) override { want_.erase(fd); }
-
-  void Wait(int timeout_ms,
-            std::vector<std::pair<int, unsigned>>* ready) override {
-    fds_.clear();
-    for (const auto& [fd, events] : want_) {
-      short mask = 0;
-      if (events & kRead) mask |= POLLIN;
-      if (events & kWrite) mask |= POLLOUT;
-      fds_.push_back(pollfd{fd, mask, 0});
-    }
-    const int n = poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      unsigned events = 0;
-      if (p.revents & POLLIN) events |= kRead;
-      if (p.revents & POLLOUT) events |= kWrite;
-      if (p.revents & (POLLERR | POLLHUP | POLLNVAL)) events |= kErr;
-      if (events != 0) ready->emplace_back(p.fd, events);
-    }
-  }
-
- private:
-  std::unordered_map<int, unsigned> want_;
-  std::vector<pollfd> fds_;
-};
-
-#ifdef __linux__
-class AdpNetServer::EpollPoller : public Poller {
- public:
-  EpollPoller() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) close(epfd_);
-  }
-
-  bool valid() const { return epfd_ >= 0; }
-
-  void Update(int fd, unsigned events) override {
-    auto it = want_.find(fd);
-    if (it != want_.end() && it->second == events) return;  // no-op churn
-    epoll_event ev{};
-    ev.data.fd = fd;
-    if (events & kRead) ev.events |= EPOLLIN;
-    if (events & kWrite) ev.events |= EPOLLOUT;
-    const int op = it == want_.end() ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
-    if (epoll_ctl(epfd_, op, fd, &ev) == 0) want_[fd] = events;
-  }
-
-  void Remove(int fd) override {
-    if (want_.erase(fd) > 0) epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  void Wait(int timeout_ms,
-            std::vector<std::pair<int, unsigned>>* ready) override {
-    epoll_event evs[64];
-    const int n = epoll_wait(epfd_, evs, 64, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      unsigned events = 0;
-      if (evs[i].events & EPOLLIN) events |= kRead;
-      if (evs[i].events & EPOLLOUT) events |= kWrite;
-      if (evs[i].events & (EPOLLERR | EPOLLHUP)) events |= kErr;
-      const int fd = evs[i].data.fd;  // copy out of the packed union
-      if (events != 0) ready->emplace_back(fd, events);
-    }
-  }
-
- private:
-  int epfd_;
-  std::unordered_map<int, unsigned> want_;
-};
-#endif  // __linux__
-
 // --- Per-connection state ----------------------------------------------------
 
 struct AdpNetServer::Conn {
@@ -355,16 +260,6 @@ Status AdpNetServer::Start() {
   if (!waker_->Open()) {
     return Status(StatusCode::kInternal, "waker pipe failed");
   }
-#ifdef __linux__
-  if (!config_.force_poll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->valid()) poller_ = std::move(epoll);
-  }
-#endif
-  if (poller_ == nullptr) poller_ = std::make_unique<PollPoller>();
-  poller_->Update(listen_fd_, Poller::kRead);
-  poller_->Update(waker_->fds[0], Poller::kRead);
-
   started_ = true;
   stop_.store(false);
   loop_ = std::thread([this] { Loop(); });
@@ -386,7 +281,7 @@ void AdpNetServer::Stop() {
 }
 
 void AdpNetServer::Loop() {
-  std::vector<std::pair<int, unsigned>> ready;
+  std::vector<pollfd> fds;
   while (!stop_.load(std::memory_order_relaxed)) {
     bool streams_active = false;
     for (auto& [fd, conn] : conns_) {
@@ -395,9 +290,14 @@ void AdpNetServer::Loop() {
     }
     // Closing connections that finished flushing — and connections whose
     // socket died mid-flush — go away now; collect first (CloseConn
-    // mutates conns_, so it must never run inside an iteration).
+    // mutates conns_, so it must never run inside an iteration). Every
+    // other connection joins this round's poll set, after the listen
+    // socket and the waker, with write interest while it has a backlog.
     std::vector<int> finished;
     std::int64_t queued_bytes = 0;
+    fds.clear();
+    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    fds.push_back(pollfd{waker_->fds[0], POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
       const std::size_t backlog = conn->outbuf.size() - conn->outpos;
       queued_bytes += static_cast<std::int64_t>(backlog);
@@ -405,8 +305,8 @@ void AdpNetServer::Loop() {
         finished.push_back(fd);
         continue;
       }
-      poller_->Update(fd,
-                      Poller::kRead | (backlog > 0 ? Poller::kWrite : 0u));
+      fds.push_back(pollfd{
+          fd, static_cast<short>(POLLIN | (backlog > 0 ? POLLOUT : 0)), 0});
     }
     outbound_queue_bytes_->Set(queued_bytes);
     for (int fd : finished) CloseConn(fd);
@@ -414,26 +314,26 @@ void AdpNetServer::Loop() {
     // Streams have no completion callback into the loop — their items are
     // pulled — so poll briskly while any are open; otherwise sleep until a
     // socket or the waker fires.
-    ready.clear();
-    poller_->Wait(streams_active ? 2 : 200, &ready);
+    if (poll(fds.data(), fds.size(), streams_active ? 2 : 200) <= 0) continue;
 
-    for (const auto& [fd, events] : ready) {
-      if (fd == waker_->fds[0]) {
+    for (const pollfd& p : fds) {
+      if (p.revents == 0) continue;
+      if (p.fd == waker_->fds[0]) {
         waker_->Drain();
         continue;
       }
-      if (fd == listen_fd_) {
+      if (p.fd == listen_fd_) {
         AcceptAll();
         continue;
       }
-      auto it = conns_.find(fd);
+      auto it = conns_.find(p.fd);
       if (it == conns_.end()) continue;
-      if (events & Poller::kErr) {
-        CloseConn(fd);
+      if (p.revents & (POLLERR | POLLHUP | POLLNVAL)) {
+        CloseConn(p.fd);
         continue;
       }
-      if (events & Poller::kRead) ReadConn(*it->second);
-      // kWrite: the pump at the top of the next iteration flushes; no
+      if (p.revents & POLLIN) ReadConn(*it->second);
+      // POLLOUT: the pump at the top of the next iteration flushes; no
       // separate handling avoids double bookkeeping.
     }
   }
@@ -456,7 +356,6 @@ void AdpNetServer::AcceptAll() {
     conn->conn_id = next_conn_id_++;
     conn->outbox = std::make_shared<Outbox>();
     conns_[fd] = std::move(conn);
-    poller_->Update(fd, Poller::kRead);
     connections_total_->Increment();
     open_connections_->Set(static_cast<std::int64_t>(conns_.size()));
   }
@@ -834,7 +733,6 @@ void AdpNetServer::CloseConn(int fd) {
     conn.outbox->dead = true;
     conn.outbox->buf.clear();
   }
-  poller_->Remove(fd);
   close(fd);
   conns_.erase(it);
   open_connections_->Set(static_cast<std::int64_t>(conns_.size()));

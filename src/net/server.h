@@ -1,9 +1,9 @@
 // AdpNetServer: the concurrent TCP front door of AdpEngine.
 //
 // One event-loop thread multiplexes every connection with non-blocking
-// sockets — epoll on Linux, poll elsewhere (or with
-// NetServerConfig::force_poll) — and hands parsed requests to the engine's
-// own worker pool via SubmitAsync/StreamAdp. No thread-per-connection:
+// sockets — one poll(2) call per loop iteration, over the listen socket,
+// the waker and every live connection — and hands parsed requests to the
+// engine's own worker pool via SubmitAsync/StreamAdp. No thread-per-connection:
 // solve completions are appended to a per-connection outbox by the worker
 // that finished them and flushed by the loop when the socket is writable.
 //
@@ -65,10 +65,6 @@ struct NetServerConfig {
   /// (0 = none). A +d option on the request line overrides it.
   std::int64_t default_timeout_ms = 0;
 
-  /// Use the portable poll() backend even where epoll is available
-  /// (exercised by tests so both backends stay correct).
-  bool force_poll = false;
-
   /// Slow-query log directory, created by Start(); empty (the default) is
   /// off. When set, every REQ, STREAM and EXEC is traced, and each one that
   /// took at least `slow_ms` (queue_ms + total_ms) is written as Chrome
@@ -106,11 +102,6 @@ class AdpNetServer {
   struct Outbox;
   struct SlowLog;
   struct Waker;
-  class Poller;
-  class PollPoller;
-#ifdef __linux__
-  class EpollPoller;
-#endif
 
   void Loop();
   void AcceptAll();
@@ -145,7 +136,6 @@ class AdpNetServer {
   int port_ = 0;
   std::shared_ptr<SlowLog> slow_log_;
   std::shared_ptr<Waker> waker_;
-  std::unique_ptr<Poller> poller_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
   std::thread loop_;

@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/hash.h"
-
 namespace adp {
 
 std::string CanonicalQueryKey(const ConjunctiveQuery& q) {
@@ -51,11 +49,6 @@ std::string CanonicalQueryKey(const ConjunctiveQuery& q) {
     key += std::to_string(head[i]);
   }
   return key;
-}
-
-std::uint64_t QueryFingerprint(const ConjunctiveQuery& q) {
-  const std::string key = CanonicalQueryKey(q);
-  return HashBytes(key.data(), key.size());
 }
 
 }  // namespace adp

@@ -192,7 +192,6 @@ std::vector<UniverseGroup> PartitionByAttrs(const ConjunctiveQuery& q,
     if (!complete) continue;
 
     UniverseGroup group;
-    group.key = key;
     for (int i = 0; i < p; ++i) {
       const RelationInstance& inst = db.rel(i);
       RelationInstance derived;

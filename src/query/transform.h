@@ -31,7 +31,6 @@ struct Subquery {
 /// One class of the Universe partition: all tuples sharing `key` on the
 /// universal attributes, with those attributes projected away.
 struct UniverseGroup {
-  Tuple key;    // values of the universal attributes, increasing AttrId order
   Database db;  // instance of the residual query (attributes removed)
 };
 
@@ -65,8 +64,9 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db);
 /// Universe partitioning (Algorithm 4): splits `db` into groups by the value
 /// combination on `attrs` (which must occur in every relation), projecting
 /// those attributes away. Only keys present in *every* relation are
-/// returned — other groups produce no outputs and removing their tuples is
-/// never useful. The residual query is RemoveAttributes(q, attrs).
+/// returned, in ascending key order — other groups produce no outputs and
+/// removing their tuples is never useful. The residual query is
+/// RemoveAttributes(q, attrs).
 std::vector<UniverseGroup> PartitionByAttrs(const ConjunctiveQuery& q,
                                             const Database& db, AttrSet attrs);
 

@@ -564,7 +564,6 @@ JoinCounts CountComponents(const std::vector<RelationSchema>& body,
   for (std::vector<int>& rels : Components(body)) {
     counts.components.push_back(JoinCounts::Component{std::move(rels)});
   }
-  counts.reads = reads;
   if (reads.rels != 0) counts.per_tuple.resize(body.size());
   bool empty = AnyEmpty(body, db);
   counts.rows = 1;

@@ -48,12 +48,11 @@
 // distinct outputs of a projected component, ProvenanceIndex's output
 // groups and the Singleton case-1 profits under a projected head.
 //
-// One solve makes one counting pass at its root: ComputeAdp's preamble
-// calls CountComponents once and hands the result to the root node
-// (solver/compute_adp.h), which is why the counts stay per component: a
-// Decompose node gives each component's counts, and its kept join, to that
-// component's child, and a saturated cross product could not be divided
-// back into them.
+// Each leaf of a solve's plan counts its own body with one call
+// (SolveNode, solver/compute_adp.h), and its solver reads only that pass;
+// Universe and Decompose nodes count nothing. The counts stay per
+// component so that a disconnected leaf body's rows through a tuple
+// (RowsThrough) multiply in the other components' rows.
 //
 // Vacuum relations participate trivially: an empty vacuum instance
 // annihilates the result; a {∅} instance joins as a 1-row cross product.
@@ -170,10 +169,6 @@ struct CountReads {
   void Add(std::size_t i) {
     rels |= std::uint64_t{1} << std::min<std::size_t>(i, 63);
   }
-  /// True when these reads hold every per-tuple count `want` reads.
-  bool Covers(const CountReads& want) const {
-    return (want.rels & ~rels) == 0;
-  }
 };
 
 /// A component's join as the counting pass materialized it, kept for the
@@ -213,10 +208,6 @@ struct JoinCounts {
 
   /// |Q(D)|: the product of the components' outputs, saturated.
   std::int64_t outputs = 0;
-
-  /// What the pass kept: `per_tuple` holds the counts of the positions
-  /// `reads` reads.
-  CountReads reads;
 
   /// `per_tuple[i][t]`, for a read position i: the number of rows of the
   /// join of relation `i`'s own component whose relation-`i` tuple is `t`,

@@ -56,30 +56,16 @@ void RelationInstance::MaterializeOrigins() {
   std::iota(origin_.begin(), origin_.end(), TupleId{0});
 }
 
-void RelationInstance::AppendRowImpl(const Value* vals, std::size_t n,
-                                     TupleId origin, bool explicit_origin) {
+void RelationInstance::Add(Tuple t) { AppendRow(t.data(), t.size()); }
+
+void RelationInstance::AppendRow(const Value* vals, std::size_t n) {
   CheckCapacity(1);
   EnsureArity(n);
   for (std::size_t c = 0; c < n; ++c) {
     cols_[c].codes.push_back(MutableDict(c).Intern(vals[c]));
   }
-  if (explicit_origin) {
-    MaterializeOrigins();
-    origin_.push_back(origin);
-  } else if (!origin_.empty()) {
-    origin_.push_back(static_cast<TupleId>(num_rows_));
-  }
+  if (!origin_.empty()) origin_.push_back(static_cast<TupleId>(num_rows_));
   ++num_rows_;
-}
-
-void RelationInstance::Add(Tuple t) { AppendRowImpl(t.data(), t.size(), 0, false); }
-
-void RelationInstance::AddWithOrigin(Tuple t, TupleId origin) {
-  AppendRowImpl(t.data(), t.size(), origin, true);
-}
-
-void RelationInstance::AppendRow(const Value* vals, std::size_t n) {
-  AppendRowImpl(vals, n, 0, false);
 }
 
 void RelationInstance::AppendGathered(const RelationInstance& src,

@@ -8,7 +8,8 @@
 // instead of materialized rows, and the dictionary size of a column is its
 // exact distinct count — per-column stats the planner can read for free.
 // (Plan choice by those stats stays on ROADMAP: plans are cached per query
-// fingerprint, not per binding, so a cached plan cannot depend on them.)
+// text and option bits, not per binding, so a cached plan cannot depend on
+// them.)
 //
 // Dictionaries are append-only and shared: deriving an instance by gather
 // (selection, partition, tuple removal) copies code columns and bumps the
@@ -99,8 +100,6 @@ class TupleLimitError : public std::length_error {
   using std::length_error::length_error;
 };
 
-class TupleView;
-
 /// An instance of one relation, stored column-major with per-column
 /// dictionary encoding. Transforms that derive sub-instances (selection
 /// pushdown, universal-attribute removal, Universe partitioning) carry
@@ -116,11 +115,8 @@ class RelationInstance {
   std::size_t arity() const { return cols_.size(); }
 
   /// Materializes row `i` as a row-major Tuple. Compatibility shim for cold
-  /// paths and tests; hot loops should use ValueAt/CodeAt or view.
+  /// paths and tests; hot loops should use ValueAt/CodeAt.
   Tuple tuple(std::size_t i) const;
-
-  /// Zero-copy accessor for row `i`.
-  TupleView view(std::size_t i) const;
 
   /// Value at (row, col), decoded through the column dictionary.
   Value ValueAt(std::size_t row, std::size_t col) const;
@@ -134,8 +130,8 @@ class RelationInstance {
 
   /// Exact number of distinct values in column `col` — the dictionary size,
   /// maintained for free by interning. NOTE: cached plans are keyed per
-  /// query fingerprint, not per binding, so plan choice cannot consume this
-  /// yet (see ROADMAP: cost-based linearization).
+  /// query text and option bits, not per binding, so plan choice cannot
+  /// consume this yet (see ROADMAP: cost-based linearization).
   std::size_t DistinctInColumn(std::size_t col) const;
 
   /// Root-database row id of local tuple `i` (identity in a root instance).
@@ -149,9 +145,6 @@ class RelationInstance {
 
   /// Appends a tuple whose origin is itself (root instances).
   void Add(Tuple t);
-
-  /// Appends a tuple derived from root row `origin` (transformed instances).
-  void AddWithOrigin(Tuple t, TupleId origin);
 
   /// Appends one row from a caller-owned buffer of `n` values with identity
   /// origin — the bulk-load path (CSV, workload builders): no per-row Tuple
@@ -200,10 +193,8 @@ class RelationInstance {
   // only mutating appends call this.
   ColumnDict& MutableDict(std::size_t c);
   // Writes the identity origins of the rows so far into origin_, before
-  // the first row with an explicit origin is appended.
+  // the first gathered row (whose origin is its source row's) is appended.
   void MaterializeOrigins();
-  void AppendRowImpl(const Value* vals, std::size_t n, TupleId origin,
-                     bool explicit_origin);
 
   std::vector<Column> cols_;
   std::vector<TupleId> origin_;  // empty => identity mapping
@@ -214,30 +205,6 @@ class RelationInstance {
 // Instances live in growing vectors (Database, Universe groups): those must
 // move them when they reallocate, not copy them.
 static_assert(std::is_nothrow_move_constructible_v<RelationInstance>);
-
-/// A non-owning (instance, row) handle: tuple semantics without
-/// materialization. Valid while the instance is alive and un-appended.
-class TupleView {
- public:
-  TupleView() = default;
-  TupleView(const RelationInstance* inst, TupleId row);
-
-  std::size_t size() const;
-  Value operator[](std::size_t col) const;
-
-  /// Materializes the row.
-  Tuple ToTuple() const;
-
-  /// The row id within the owning instance.
-  TupleId row() const { return row_; }
-
- private:
-  const RelationInstance* inst_ = nullptr;
-  TupleId row_ = 0;
-};
-
-inline TupleView::TupleView(const RelationInstance* inst, TupleId row)
-    : inst_(inst), row_(row) {}
 
 inline Value RelationInstance::ValueAt(std::size_t row,
                                        std::size_t col) const {
@@ -256,18 +223,6 @@ inline const ColumnDict& RelationInstance::dict(std::size_t col) const {
 inline std::size_t RelationInstance::DistinctInColumn(std::size_t col) const {
   return cols_[col].dict->values.size();
 }
-
-inline TupleView RelationInstance::view(std::size_t i) const {
-  return TupleView(this, static_cast<TupleId>(i));
-}
-
-inline std::size_t TupleView::size() const { return inst_->arity(); }
-
-inline Value TupleView::operator[](std::size_t col) const {
-  return inst_->ValueAt(row_, col);
-}
-
-inline Tuple TupleView::ToTuple() const { return inst_->tuple(row_); }
 
 }  // namespace adp
 

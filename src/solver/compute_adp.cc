@@ -39,21 +39,46 @@ bool UsesDrastic(const ConjunctiveQuery& q, const AdpOptions& options) {
   return options.heuristic == AdpOptions::Heuristic::kDrastic && q.IsFull();
 }
 
+// What a leaf reads of its counting pass, which decides what the pass keeps:
+// the per-tuple join rows (JoinCounts::per_tuple) of a Singleton's Ri
+// (SingletonReads) or of a Drastic leaf's candidates (DrasticReads), and
+// the joins a Greedy leaf, the Boolean greedy fallback (no linear order) and
+// a projected case-1 Singleton read. Decided at solve time, not in the plan:
+// a heuristic leaf is Drastic by options.heuristic, which plans do not fix.
+CountReads LeafReads(const DispatchPlan& node, const AdpOptions& options) {
+  const ConjunctiveQuery& q = node.query;
+  if (node.op == AdpCase::kSingleton) return SingletonReads(q);
+  if (node.op == AdpCase::kHeuristic && UsesDrastic(q, options)) {
+    return DrasticReads(q, options);
+  }
+  CountReads reads;
+  // GreedyForCQ's ProvenanceIndex.
+  reads.joins =
+      node.op == AdpCase::kHeuristic || !node.linear_order.has_value();
+  return reads;
+}
+
+// A counting pass over (q, db), a leaf's own or ComputeAdp's for k <= 0:
+// CountComponents under q's head with `reads`, tallied in
+// AdpStats::count_passes.
+JoinCounts CountNode(const ConjunctiveQuery& q, const Database& db,
+                     const CountReads& reads, const AdpOptions& options) {
+  if (options.stats) ++options.stats->count_passes;
+  return CountComponents(q.body(), q.head(), db, reads);
+}
+
 AdpNode HeuristicNode(const ConjunctiveQuery& q, const Database& db,
                       std::int64_t cap, const AdpOptions& options,
-                      const JoinCounts* counts) {
+                      const JoinCounts& counts) {
   if (UsesDrastic(q, options)) return DrasticNode(q, db, cap, options, counts);
   return GreedyNode(q, db, cap, options, counts);
 }
 
 AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
-                    const JoinCounts* counts) {
+                    const JoinCounts& counts) {
   const ConjunctiveQuery& q = plan.query;
-  JoinCounts own;
-  const std::int64_t count =
-      NodeCounts(q, db, CountReads{}, options, counts, own).outputs;
-  if (count == 0 || cap <= 0) return TrivialNode(options);
+  if (counts.outputs == 0) return TrivialNode(options);
   if (options.stats) ++options.stats->boolean_nodes;
   // The §7.1 permutation search ran once, when the plan was compiled: no
   // arrangement means it proved none exists.
@@ -63,6 +88,7 @@ AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
                        : std::nullopt) {
     AdpNode node;
     node.exact = true;
+    node.outputs = 1;
     // A cut at or above kInfCapacity means the query cannot be falsified
     // with the deletable tuples (possible only under §9 restrictions).
     if (exact->resilience < kInfCapacity) {
@@ -78,7 +104,8 @@ AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
     return node;
   }
   // No linear arrangement (possible only for NP-hard boolean queries, or
-  // exotic triad-free shapes outside the paper's scope): greedy fallback.
+  // exotic triad-free shapes outside the paper's scope): greedy fallback
+  // over the node's own counts, joins kept.
   if (options.stats) ++options.stats->boolean_fallbacks;
   return GreedyNode(q, db, cap, options, counts);
 }
@@ -94,43 +121,61 @@ const char* SpanNameFor(AdpCase c) {
   return obs::kSpanNodeHeuristic;  // unreachable
 }
 
-// The Algorithm-2 dispatch switch, shared by the traced and untraced paths
-// of SolveNode.
+// The Algorithm-2 dispatch, shared by the traced and untraced paths of
+// SolveNode: inner nodes compose their children, and a leaf counts its own
+// body once, here, for its solver to read.
 AdpNode DispatchCase(const DispatchPlan& node, const Database& db,
                      std::int64_t cap, const AdpOptions& options,
-                     const JoinCounts* counts) {
-  switch (node.op) {
-    case AdpCase::kBoolean:
-      return BooleanNode(node, db, cap, options, counts);
-    case AdpCase::kSingleton:
-      return SingletonNode(node.query, db, cap, options, counts);
-    case AdpCase::kUniverse:
-      return UniverseNode(node, db, cap, options);
-    case AdpCase::kDecompose:
-      return DecomposeNode(node, db, cap, options, counts);
-    case AdpCase::kHeuristic:
-      return HeuristicNode(node.query, db, cap, options, counts);
+                     bool require_cap) {
+  if (node.op == AdpCase::kUniverse) {
+    return UniverseNode(node, db, cap, options);
   }
-  return TrivialNode(options);  // unreachable
+  if (node.op == AdpCase::kDecompose) {
+    return DecomposeNode(node, db, cap, options);
+  }
+  const JoinCounts counts =
+      CountNode(node.query, db, LeafReads(node, options), options);
+  if (require_cap && counts.outputs < cap) {
+    // The target exceeds |Q'(D')|: the caller rejects it unsolved.
+    AdpNode rejected;
+    rejected.outputs = counts.outputs;
+    return rejected;
+  }
+  if (node.op == AdpCase::kBoolean) {
+    return BooleanNode(node, db, cap, options, counts);
+  }
+  if (node.op == AdpCase::kSingleton) {
+    return SingletonNode(node.query, db, cap, options, counts);
+  }
+  return HeuristicNode(node.query, db, cap, options, counts);
+}
+
+// The answer to a target k above |Q(D)|: no solution exists.
+AdpSolution Infeasible(std::int64_t output_count) {
+  AdpSolution solution;
+  solution.output_count = output_count;
+  solution.feasible = false;
+  solution.cost = kInfCost;
+  return solution;
 }
 
 }  // namespace
 
 AdpNode SolveNode(const DispatchPlan& node, const Database& db,
                   std::int64_t cap, const AdpOptions& options,
-                  const JoinCounts* counts) {
+                  bool require_cap) {
   ThrowIfCancelled(options);
   if (cap <= 0) return TrivialNode(options);
   if (options.trace == nullptr) {
     // Tracing disabled: this null check — at the same boundary that polled
     // the cancel token — is the layer's entire per-node overhead.
-    return DispatchCase(node, db, cap, options, counts);
+    return DispatchCase(node, db, cap, options, require_cap);
   }
   obs::Span span(options.trace, SpanNameFor(node.op), options.trace_parent);
   span.Tag("cap", cap);
   AdpOptions traced = options;
   traced.trace_parent = span.id();
-  return DispatchCase(node, db, cap, traced, counts);
+  return DispatchCase(node, db, cap, traced, require_cap);
 }
 
 std::vector<AdpNode> SolveChildren(std::size_t count, std::size_t min_shard,
@@ -177,59 +222,6 @@ std::vector<AdpNode> SolveChildren(std::size_t count, std::size_t min_shard,
   }
   for (const AdpStats& s : shard_stats) MergeAdpStats(*options.stats, s);
   return children;
-}
-
-CountReads ReadsTupleCounts(const DispatchPlan& node,
-                            const AdpOptions& options) {
-  const ConjunctiveQuery& q = node.query;
-  CountReads reads;
-  switch (node.op) {
-    case AdpCase::kSingleton:
-      reads = SingletonReads(q);
-      break;
-    case AdpCase::kHeuristic:
-      if (UsesDrastic(q, options)) {
-        reads = DrasticReads(q, options);
-      } else {
-        reads.joins = true;  // GreedyForCQ's ProvenanceIndex
-      }
-      break;
-    case AdpCase::kBoolean:
-      // No linear arrangement: the greedy fallback's ProvenanceIndex.
-      reads.joins = !node.linear_order.has_value();
-      break;
-    case AdpCase::kDecompose:
-      for (std::size_t c = 0; c < node.children.size(); ++c) {
-        const CountReads child = ReadsTupleCounts(node.children[c], options);
-        const std::vector<int>& rels = node.components[c];
-        for (std::size_t j = 0; j < rels.size(); ++j) {
-          if (child.Reads(j)) reads.Add(static_cast<std::size_t>(rels[j]));
-        }
-        reads.joins = reads.joins || child.joins;
-      }
-      break;
-    case AdpCase::kUniverse:
-      break;  // each group counts for itself
-  }
-  return reads;
-}
-
-JoinCounts CountNode(const ConjunctiveQuery& q, const Database& db,
-                     const CountReads& reads, const AdpOptions& options) {
-  if (options.stats) ++options.stats->count_passes;
-  return CountComponents(q.body(), q.head(), db, reads);
-}
-
-const JoinCounts& NodeCounts(const ConjunctiveQuery& q, const Database& db,
-                             const CountReads& reads,
-                             const AdpOptions& options,
-                             const JoinCounts* handed, JoinCounts& own) {
-  if (handed != nullptr && handed->reads.Covers(reads)) return *handed;
-  // Handed counts without the per-tuple counts this node reads: the
-  // caller's ReadsTupleCounts disagrees with the node.
-  assert(handed == nullptr);
-  own = CountNode(q, db, reads, options);
-  return own;
 }
 
 void MergeAdpStats(AdpStats& into, const AdpStats& from) {
@@ -314,18 +306,11 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
       options.plan != nullptr ? *options.plan : compiled;
   assert(CanonicalQueryKey(root.query) == CanonicalQueryKey(*query));
 
-  // The solve's one counting pass at the root: |Q(D)| here, and whatever
-  // the root node reads, handed to it below.
-  const JoinCounts counts = CountNode(
-      root.query, *data, ReadsTupleCounts(root, options), options);
   AdpSolution solution;
-  solution.output_count = counts.outputs;
-  if (k > solution.output_count) {
-    solution.feasible = false;
-    solution.cost = kInfCost;
-    return solution;
-  }
   if (k <= 0) {
+    // No target: the one pass reports |Q(D)|, and nothing is solved.
+    solution.output_count =
+        CountNode(root.query, *data, CountReads{}, options).outputs;
     solution.removed_outputs = 0;
     return solution;
   }
@@ -343,12 +328,14 @@ AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
     span.Tag("root_single_k", std::int64_t{1});
     AdpOptions inner = options;
     inner.trace_parent = span.id() != 0 ? span.id() : options.trace_parent;
-    AdpSolution res = SolveDecomposeAblationRoot(root, *data, k, inner, counts);
-    solution.cost = res.cost;
-    solution.exact = res.exact;
-    solution.tuples = std::move(res.tuples);
+    solution = SolveDecomposeAblationRoot(root, *data, k, inner);
+    if (k > solution.output_count) return Infeasible(solution.output_count);
   } else {
-    AdpNode node = SolveNode(root, *data, k, options, &counts);
+    // |Q(D)| is the root's outputs; a leaf root stops after its count when
+    // it is below k.
+    AdpNode node = SolveNode(root, *data, k, options, /*require_cap=*/true);
+    if (k > node.outputs) return Infeasible(node.outputs);
+    solution.output_count = node.outputs;
     solution.cost = node.profile.At(k);
     solution.exact = node.exact;
     const bool reports = !options.counting_only && node.report != nullptr;

@@ -30,9 +30,7 @@
 
 namespace adp {
 
-struct CountReads;    // relational/join.h
 struct DispatchPlan;  // solver/plan.h
-struct JoinCounts;    // relational/join.h
 
 namespace obs {
 class Span;       // obs/trace.h; forward-declared to keep the solver light
@@ -64,13 +62,11 @@ struct AdpStats {
   /// parallel via AdpOptions::parallelism.
   int sharded_decompose_nodes = 0;
   /// Passes over the data: calls into the relational counting API
-  /// (relational/join.h) by ComputeAdp's preamble and by recursion nodes,
-  /// and the joins a leaf materializes for itself (a projected Singleton's
-  /// or a Greedy leaf's FullJoin, when it was handed none); not `verify`.
-  /// The preamble's pass also serves the root node, and a Decompose node's
-  /// pass its component children, joins included when the pass had to
-  /// materialize them; the nodes of each Universe group count for
-  /// themselves.
+  /// (relational/join.h), one per leaf SolveNode dispatches (a rejected
+  /// root leaf's included) plus ComputeAdp's one for k <= 0, and the join a
+  /// Greedy leaf materializes for itself when its pass kept none (a full
+  /// acyclic body, counted by propagation); not `verify`. Universe and
+  /// Decompose nodes count nothing.
   std::int64_t count_passes = 0;
 };
 
@@ -231,7 +227,10 @@ struct AdpEmitter {
 /// returned (the result's `tuples` stay empty). Every solve reads the root
 /// node's profile, except that without `emit` the Fig 29 ablation
 /// strategies solve a Decompose root for k alone (SolveDecomposeAblationRoot
-/// in solver/decompose.h).
+/// in solver/decompose.h). |Q(D)| (`output_count`) is the root's `outputs`.
+/// A k above it answers infeasible; at a leaf root that costs one counting
+/// pass and no solve, and with `emit` nothing is emitted. A k <= 0 makes one
+/// counting pass, for |Q(D)|, and solves nothing.
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,
                        std::int64_t k, const AdpOptions& options = {},
                        const AdpEmitter* emit = nullptr);
@@ -248,26 +247,30 @@ using Reporter = std::function<std::vector<TupleRef>(std::int64_t)>;
 
 /// One node of the ComputeADP recursion.
 struct AdpNode {
-  /// Profile with kmax <= min(cap, |Q'(D')|): the most the node's deletions
+  /// Profile with kmax <= min(cap, outputs): the most the node's deletions
   /// reach, cut at cap.
   CostProfile profile;
   /// True iff every sub-solver on this subtree was exact.
   bool exact = true;
   /// Null iff counting_only.
   Reporter report;
+  /// |Q'(D')| of the node's subproblem, saturated at kMaxOutputs: a leaf's
+  /// own count, the sum over a Universe node's groups (Eq. 1), the product
+  /// over a Decompose node's components (Lemma 3). 0 on the trivial node
+  /// SolveNode returns for cap <= 0.
+  std::int64_t outputs = 0;
 };
 
 /// Solves the plan node `node` over `db` (instances indexed as in
-/// node.query) up to `cap`, inside its own span when tracing. `counts`, when
-/// given, are CountComponents' counts of exactly this (node.query, db),
-/// under reads that cover the node's (ReadsTupleCounts); the node then
-/// makes no counting pass of its own, and a leaf that reads a join uses the
-/// one the counts kept, if any. ComputeAdp hands its preamble's counts to
-/// the root node this way, and a Decompose node hands each child its
-/// component's share. Every other node gets none and counts for itself.
+/// node.query) up to `cap`, inside its own span when tracing. A leaf
+/// (Boolean, Singleton, heuristic) counts its own body here, once, and hands
+/// the counts to its solver; a Universe or Decompose node counts nothing and
+/// composes its children's outputs. With `require_cap` (ComputeAdp's root
+/// only), a leaf counting fewer than `cap` outputs returns right after its
+/// pass: only `outputs` is set, and nothing is solved.
 AdpNode SolveNode(const DispatchPlan& node, const Database& db,
                   std::int64_t cap, const AdpOptions& options,
-                  const JoinCounts* counts = nullptr);
+                  bool require_cap = false);
 
 /// Solves child `i` of a SolveChildren fan-out under `options`: the node's
 /// own, or the shard's copy when the fan-out sharded. `shard` is then the
@@ -289,39 +292,6 @@ std::vector<AdpNode> SolveChildren(std::size_t count, std::size_t min_shard,
                                    const char* shard_span,
                                    const AdpOptions& options,
                                    const ChildSolve& solve, bool* sharded);
-
-/// What solving `node` reads of a counting pass over its (query, db),
-/// which decides what a pass for that node keeps:
-/// - per-tuple join rows (JoinCounts::per_tuple) of the body positions a
-///   Singleton node reads (its Ri, SingletonReads) or a Drastic leaf reads
-///   (its candidates, DrasticReads: the endogenous relations, or all of
-///   them under restrictions);
-/// - joins, for a leaf that reads a component's materialized join: a
-///   Greedy leaf, the Boolean greedy fallback (a Boolean node without a
-///   linear order), and a projected case-1 Singleton (SingletonReads);
-/// - for a Decompose node, its children's reads, mapped through
-///   node.components; nothing for a Universe node, whose groups count for
-///   themselves.
-/// A walk at solve time that allocates nothing, not a plan field: a
-/// heuristic leaf is Drastic by options.heuristic, which plans do not fix.
-CountReads ReadsTupleCounts(const DispatchPlan& node,
-                            const AdpOptions& options);
-
-/// A counting pass over a node's own (q, db): CountComponents under q's
-/// head with `reads`, tallied in AdpStats::count_passes.
-JoinCounts CountNode(const ConjunctiveQuery& q, const Database& db,
-                     const CountReads& reads, const AdpOptions& options);
-
-/// The counts a node reads: `handed` when given and holding the per-tuple
-/// counts of every position `reads` reads; else a CountNode pass of the
-/// node's own with `reads`, kept in `own`. Handed counts lacking some (a
-/// ReadsTupleCounts that disagrees with the node) cost a pass, never a
-/// wrong answer; debug builds assert against it. A kept join is not
-/// checked: a leaf handed none builds its own.
-const JoinCounts& NodeCounts(const ConjunctiveQuery& q, const Database& db,
-                             const CountReads& reads,
-                             const AdpOptions& options,
-                             const JoinCounts* handed, JoinCounts& own);
 
 /// Appends children[i].report(targets[i]) to `out` for every nonzero
 /// target, last child first, polling `cancel` before each so a cancelled

@@ -10,7 +10,6 @@
 #include "obs/names.h"
 #include "obs/trace.h"
 #include "query/transform.h"
-#include "relational/join.h"
 #include "solver/plan.h"
 
 namespace adp {
@@ -20,69 +19,6 @@ namespace {
 // ones mean a target k proportional to a cross-product-sized output, which
 // those loops cannot finish. The default strategy has no such limit.
 constexpr std::int64_t kProfileLimit = std::int64_t{1} << 25;
-
-struct Components {
-  std::vector<Database> dbs;
-  std::vector<JoinCounts> counts;    // handed to each component's child
-  std::vector<std::int64_t> m;       // |Q_i(D)| per component
-  std::vector<std::size_t> order;    // fold order: ascending m, largest last
-  std::int64_t total = 1;            // saturated product of m
-};
-
-// Component `c`'s share of a body's counts, as its child reads them: the
-// component's relations renumbered in `rels` order, which is the order of
-// the child's body, with the per-tuple counts of the read ones and the
-// component's kept join. SubDatabase copies whole relations and shares
-// their dictionaries, so tuple ids and codes match; the join's column
-// sources stay on this node's instances, which outlive the child's solve.
-JoinCounts ShareOf(const JoinCounts& counts, std::size_t c) {
-  const JoinCounts::Component& comp = counts.components[c];
-  JoinCounts share;
-  share.rows = comp.rows;
-  share.outputs = comp.outputs;
-  share.reads.joins = counts.reads.joins;
-  share.components.push_back(
-      JoinCounts::Component{{}, comp.rows, comp.outputs, comp.join});
-  std::vector<int>& rels = share.components[0].rels;
-  for (std::size_t j = 0; j < comp.rels.size(); ++j) {
-    rels.push_back(static_cast<int>(j));
-    if (!counts.reads.Reads(static_cast<std::size_t>(comp.rels[j]))) continue;
-    share.reads.Add(j);
-    share.per_tuple.resize(comp.rels.size());
-    share.per_tuple[j] = counts.per_tuple[comp.rels[j]];
-  }
-  return share;
-}
-
-// Splits the node's database by its plan's components (in the order of
-// JoinCounts' components). A node handed no counts makes the one counting
-// pass for itself and its children here, with per-tuple counts if a child
-// reads them.
-Components SplitComponents(const DispatchPlan& plan, const Database& db,
-                           const JoinCounts* counts,
-                           const AdpOptions& options) {
-  assert(plan.op == AdpCase::kDecompose);
-  Components parts;
-  JoinCounts own;
-  if (counts == nullptr) {
-    own = CountNode(plan.query, db, ReadsTupleCounts(plan, options), options);
-    counts = &own;
-  }
-  assert(counts->components.size() == plan.components.size());
-  for (std::size_t c = 0; c < plan.components.size(); ++c) {
-    parts.dbs.push_back(SubDatabase(plan.components[c], db));
-    parts.counts.push_back(ShareOf(*counts, c));
-    parts.m.push_back(parts.counts.back().outputs);
-    parts.total = SatMul(parts.total, parts.m.back());
-  }
-  parts.order.resize(plan.components.size());
-  std::iota(parts.order.begin(), parts.order.end(), 0);
-  std::sort(parts.order.begin(), parts.order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return parts.m[a] < parts.m[b];
-            });
-  return parts;
-}
 
 void CheckProfileLimit(std::int64_t len) {
   if (len > kProfileLimit) {
@@ -96,7 +32,8 @@ void CheckProfileLimit(std::int64_t len) {
 // State shared with reporters.
 struct DecomposeState {
   std::vector<AdpNode> children;  // in fold order
-  std::vector<std::int64_t> m;    // in fold order
+  std::vector<std::int64_t> m;    // |Q_i(D)| per child, in fold order
+  std::int64_t outputs = 1;       // saturated product of m
   // kImprovedDP / kPairwiseNaive: the cross-product fold of the children.
   ProfileFold fold;
   // kFullEnumeration: each child's profile as At(0..kmax).
@@ -139,8 +76,7 @@ std::int64_t EnumerateVectors(const DecomposeState& s, std::int64_t j,
   const std::size_t n = s.children.size();
   std::vector<std::int64_t> vec(n, 0);
   std::int64_t best = kInfCost;
-  std::int64_t total = 1;
-  for (std::int64_t mi : s.m) total = SatMul(total, mi);
+  const std::int64_t total = s.outputs;
   auto at = [&s](std::size_t i, std::int64_t ki) {
     return ki < static_cast<std::int64_t>(s.dense[i].size())
                ? s.dense[i][static_cast<std::size_t>(ki)]
@@ -172,52 +108,62 @@ void DensifyChildren(DecomposeState& s) {
   for (const AdpNode& c : s.children) s.dense.push_back(c.profile.Dense());
 }
 
+// Solves each component's child at `cap` over the component's relations,
+// then orders the children for the fold by their outputs: ascending
+// |Q_i(D)|, the largest last.
 std::shared_ptr<DecomposeState> BuildChildren(const DispatchPlan& plan,
-                                              const Components& parts,
+                                              const Database& db,
                                               std::int64_t cap,
                                               const AdpOptions& options) {
-  // The components are independent subproblems (Lemma 3); the children
-  // come back in fold order, which the cross-product DP consumes.
-  auto state = std::make_shared<DecomposeState>();
+  assert(plan.op == AdpCase::kDecompose);
+  if (options.stats) ++options.stats->decompose_nodes;
+  if (options.trace != nullptr) {
+    // options.trace_parent is this node's own span (opened by SolveNode, or
+    // by ComputeAdp for an ablation root).
+    options.trace->Annotate(options.trace_parent, "components",
+                            std::to_string(plan.children.size()));
+  }
+  // The components are independent subproblems (Lemma 3).
   bool sharded = false;
-  state->children = SolveChildren(
-      parts.order.size(),
+  std::vector<AdpNode> children = SolveChildren(
+      plan.children.size(),
       options.parallelism != nullptr ? options.parallelism->min_components
                                      : 0,
       obs::kSpanShardDecompose, options,
-      [&](std::size_t i, const AdpOptions& o, obs::Span& shard) {
-        const std::size_t idx = parts.order[i];
-        shard.Tag("component", static_cast<std::int64_t>(idx));
-        return SolveNode(plan.children[idx], parts.dbs[idx],
-                         std::min(parts.m[idx], cap), o, &parts.counts[idx]);
+      [&](std::size_t c, const AdpOptions& o, obs::Span& shard) {
+        shard.Tag("component", static_cast<std::int64_t>(c));
+        return SolveNode(plan.children[c],
+                         SubDatabase(plan.components[c], db), cap, o);
       },
       &sharded);
   if (sharded && options.stats) ++options.stats->sharded_decompose_nodes;
-  for (std::size_t idx : parts.order) state->m.push_back(parts.m[idx]);
+  std::vector<std::size_t> order(children.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return children[a].outputs < children[b].outputs;
+  });
+  auto state = std::make_shared<DecomposeState>();
+  for (std::size_t c : order) {
+    state->m.push_back(children[c].outputs);
+    state->outputs = SatMul(state->outputs, children[c].outputs);
+    state->children.push_back(std::move(children[c]));
+  }
   return state;
 }
 
 }  // namespace
 
 AdpNode DecomposeNode(const DispatchPlan& plan, const Database& db,
-                      std::int64_t cap, const AdpOptions& options,
-                      const JoinCounts* counts) {
-  if (options.stats) ++options.stats->decompose_nodes;
-  const Components parts = SplitComponents(plan, db, counts, options);
-  if (options.trace != nullptr) {
-    // options.trace_parent is this node's own span (opened by
-    // SolveNode before dispatching here).
-    options.trace->Annotate(options.trace_parent, "components",
-                            std::to_string(plan.children.size()));
-  }
-  const std::int64_t out_kmax = std::min(cap, parts.total);
+                      std::int64_t cap, const AdpOptions& options) {
+  auto state = BuildChildren(plan, db, cap, options);
+  const std::int64_t out_kmax = std::min(cap, state->outputs);
   const bool full_enumeration =
       options.decompose_strategy ==
       AdpOptions::DecomposeStrategy::kFullEnumeration;
   if (full_enumeration) CheckProfileLimit(out_kmax);
-  auto state = BuildChildren(plan, parts, out_kmax, options);
 
   AdpNode node;
+  node.outputs = state->outputs;
   for (const AdpNode& c : state->children) node.exact &= c.exact;
 
   if (full_enumeration) {
@@ -258,17 +204,12 @@ AdpNode DecomposeNode(const DispatchPlan& plan, const Database& db,
 
 AdpSolution SolveDecomposeAblationRoot(const DispatchPlan& plan,
                                        const Database& db, std::int64_t k,
-                                       const AdpOptions& options,
-                                       const JoinCounts& counts) {
-  if (options.stats) ++options.stats->decompose_nodes;
-  const Components parts = SplitComponents(plan, db, &counts, options);
-  if (options.trace != nullptr) {
-    options.trace->Annotate(options.trace_parent, "components",
-                            std::to_string(plan.children.size()));
-  }
+                                       const AdpOptions& options) {
+  auto state = BuildChildren(plan, db, k, options);
   AdpSolution result;
   result.cost = kInfCost;
-  auto state = BuildChildren(plan, parts, k, options);
+  result.output_count = state->outputs;
+  if (k > result.output_count) return result;
   for (const AdpNode& c : state->children) result.exact &= c.exact;
   const std::size_t n = state->children.size();
   const CancelToken cancel = ReporterToken(options);

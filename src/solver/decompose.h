@@ -33,24 +33,22 @@
 namespace adp {
 
 /// Builds the recursion node with a full profile up to `cap`.
-/// Precondition: plan.op is kDecompose (>= 2 components). Each |Q_i(D)| is
-/// read from `counts` (as for SolveNode), and each child plan is solved
-/// over its component's relations, handed that component's share of them;
-/// a node handed none makes that one counting pass itself, with per-tuple
-/// counts if a child reads them.
+/// Precondition: plan.op is kDecompose (>= 2 components). Counts nothing:
+/// each child plan is solved at `cap` over its component's relations, and
+/// each |Q_i(D)| is read off that child's `outputs`; the node's `outputs` is
+/// their product.
 AdpNode DecomposeNode(const DispatchPlan& plan, const Database& db,
-                      std::int64_t cap, const AdpOptions& options,
-                      const JoinCounts* counts = nullptr);
+                      std::int64_t cap, const AdpOptions& options);
 
 /// The Fig 29 baselines' root: solves target k alone under
 /// options.decompose_strategy (kPairwiseNaive or kFullEnumeration) and fills
-/// the result's cost, exact flag and tuples (empty when counting_only).
-/// `counts`: ComputeAdp's counts of (plan.query, db), as for DecomposeNode.
-/// Preconditions: plan.op is kDecompose and 1 <= k <= |Q(D)|.
+/// the result's output_count (|Q(D)|, from the children as in
+/// DecomposeNode), cost, exact flag and tuples (empty when counting_only).
+/// A k above |Q(D)| returns right after the children, at kInfCost.
+/// Preconditions: plan.op is kDecompose and k >= 1.
 AdpSolution SolveDecomposeAblationRoot(const DispatchPlan& plan,
                                        const Database& db, std::int64_t k,
-                                       const AdpOptions& options,
-                                       const JoinCounts& counts);
+                                       const AdpOptions& options);
 
 }  // namespace adp
 

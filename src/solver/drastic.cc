@@ -40,20 +40,17 @@ CountReads DrasticReads(const ConjunctiveQuery& q, const AdpOptions& options) {
 
 AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
-                    const JoinCounts* counts) {
+                    const JoinCounts& counts) {
   if (options.stats) ++options.stats->drastic_leaves;
-  // Per-tuple profits are full-join row counts (full CQ: every row is a
-  // distinct output).
-  JoinCounts own;
-  const JoinCounts& join =
-      NodeCounts(q, db, DrasticReads(q, options), options, counts, own);
 
   auto plans = std::make_shared<std::vector<RelationPlan>>();
   for (int rel = 0; rel < q.num_relations(); ++rel) {
     if (!IsCandidate(q, rel, options)) continue;
     RelationPlan plan;
     plan.rel = rel;
-    const std::vector<std::int64_t> profit = join.RowsThrough(rel);
+    // Per-tuple profits are full-join row counts (full CQ: every row is a
+    // distinct output).
+    const std::vector<std::int64_t> profit = counts.RowsThrough(rel);
     for (TupleId t = 0; t < profit.size(); ++t) {
       if (profit[t] <= 0) continue;
       if (options.restrictions &&
@@ -77,6 +74,7 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
   // whose first c picks remove the most.
   AdpNode node;
   node.exact = false;
+  node.outputs = counts.outputs;
   std::size_t longest = 0;
   for (const RelationPlan& plan : *plans) {
     longest = std::max(longest, plan.picks.size());

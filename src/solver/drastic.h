@@ -13,16 +13,21 @@
 
 namespace adp {
 
+struct CountReads;  // relational/join.h
+struct JoinCounts;  // relational/join.h
+
 /// The per-tuple join rows DrasticNode reads: those of the relations it
 /// proposes picks from, the endogenous ones (Lemma 13), or all of them under
 /// deletion restrictions.
 CountReads DrasticReads(const ConjunctiveQuery& q, const AdpOptions& options);
 
-/// Builds the (non-exact) recursion node. Precondition: q.IsFull().
-/// `counts`: as for SolveNode; null makes the node count for itself.
+/// Builds the (non-exact) recursion node from the node's own counts: those
+/// of CountComponents over exactly (q, db) under q's head, reading
+/// DrasticReads(q, options) (SolveNode makes that pass). Precondition:
+/// q.IsFull().
 AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
                     std::int64_t cap, const AdpOptions& options,
-                    const JoinCounts* counts = nullptr);
+                    const JoinCounts& counts);
 
 }  // namespace adp
 

@@ -51,18 +51,14 @@ class LeftmostMaxTree {
   std::vector<std::uint32_t> node_;  // node -> position of its leftmost max
 };
 
-// The join `counts` kept for the whole body, or null.
-const ComponentJoin* KeptJoin(const JoinCounts* counts) {
-  return counts != nullptr ? counts->WholeJoin() : nullptr;
-}
-
 }  // namespace
 
 GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
                            std::int64_t target,
                            const DeletionRestrictions* restrictions,
                            const JoinCounts* counts) {
-  const ComponentJoin* kept = KeptJoin(counts);
+  const ComponentJoin* kept =
+      counts != nullptr ? counts->WholeJoin() : nullptr;
   ProvenanceIndex index =
       kept != nullptr
           ? ProvenanceIndex(kept->join, q.head(), db,
@@ -129,18 +125,21 @@ GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
 
 AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
                    std::int64_t cap, const AdpOptions& options,
-                   const JoinCounts* counts) {
+                   const JoinCounts& counts) {
   if (options.stats) {
     ++options.stats->greedy_leaves;
-    if (KeptJoin(counts) == nullptr) ++options.stats->count_passes;
+    // A pass that kept no join (a full acyclic body, counted by
+    // propagation) leaves the ProvenanceIndex to join for itself.
+    if (counts.WholeJoin() == nullptr) ++options.stats->count_passes;
   }
   GreedyTrace trace = RunGreedyForCQ(q, db, std::min(cap, std::int64_t{1} << 62),
-                                     options.restrictions, counts);
+                                     options.restrictions, &counts);
 
   // Profile from the trajectory: a breakpoint at every pick that raised
   // the removed count, so At(j) is the first pick count reaching j.
   AdpNode node;
   node.exact = false;
+  node.outputs = counts.outputs;
   for (std::size_t p = 0; p < trace.removed_after.size(); ++p) {
     if (!node.profile.Append(static_cast<std::int64_t>(p) + 1,
                              trace.removed_after[p], cap)) {

@@ -23,6 +23,8 @@
 
 namespace adp {
 
+struct JoinCounts;  // relational/join.h
+
 /// The full deletion trajectory of one greedy run.
 struct GreedyTrace {
   std::vector<TupleRef> picks;              // deletion order, root coords
@@ -32,20 +34,21 @@ struct GreedyTrace {
 
 /// Runs GreedyForCQ until at least `target` outputs are removed (or no
 /// deletable tuple can make further progress). `counts`, when given, are
-/// CountComponents' counts of exactly (q, db); the ProvenanceIndex is built
-/// from the join they kept (JoinCounts::WholeJoin), else from a FullJoin of
-/// its own.
+/// CountComponents' counts of exactly (q, db) under q's head; the
+/// ProvenanceIndex is built from the join they kept (JoinCounts::WholeJoin),
+/// else from a FullJoin of its own.
 GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
                            std::int64_t target,
                            const DeletionRestrictions* restrictions = nullptr,
                            const JoinCounts* counts = nullptr);
 
 /// Wraps a greedy run as a (non-exact) recursion node with kmax
-/// min(cap, |Q(D)|). `counts`: as for SolveNode; a run that joins for
-/// itself counts one pass (AdpStats::count_passes).
+/// min(cap, |Q(D)|). `counts` are the node's own, read as by RunGreedyForCQ
+/// (SolveNode makes that pass, joins kept); a run that joins for itself
+/// counts one more pass (AdpStats::count_passes).
 AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
                    std::int64_t cap, const AdpOptions& options,
-                   const JoinCounts* counts = nullptr);
+                   const JoinCounts& counts);
 
 }  // namespace adp
 

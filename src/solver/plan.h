@@ -46,7 +46,7 @@ struct DispatchPlan {
   AttrSet removed;
 
   /// Decompose nodes only: each component's body positions in `query`, in
-  /// ConnectedComponents order (which is also JoinCounts::components').
+  /// ConnectedComponents order.
   std::vector<std::vector<int>> components;
 
   /// A Universe node's one residual child (every group solves it), or a

@@ -1,6 +1,7 @@
 #include "solver/singleton.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 
 #include "obs/trace.h"
@@ -29,30 +30,23 @@ CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
 // Case-1 profits under a projected head: a tuple's profit is the number of
 // outputs it supports. attr(Ri) ⊆ head, so every join row of one output
 // carries the same Ri tuple (instances are duplicate-free), and its first
-// row names it. `counts` as for SingletonNode; the join and output groups
-// they kept are read, and only counts without them cost a join here.
+// row names it. `counts` are the node's (SingletonNode), whose pass kept
+// the join and its output groups (SingletonReads).
 std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
                                            const Database& db, int ri,
-                                           const AdpOptions& options,
-                                           const JoinCounts* counts) {
+                                           const JoinCounts& counts) {
   if (q.relation(ri).attrs.empty()) {
     // A vacuum Ri holds at most the empty tuple, which every output
     // inherits: its profit is |Q(D)|. Ri shares no attribute, so the body is
     // disconnected, and its join is the cross product of the components.
-    JoinCounts own;
-    return std::vector<std::int64_t>(
-        db.rel(ri).size(),
-        NodeCounts(q, db, CountReads{}, options, counts, own).outputs);
-  }
-  const ComponentJoin* kept = counts != nullptr ? counts->WholeJoin() : nullptr;
-  ComponentJoin own;
-  if (kept == nullptr || !kept->outputs) {
-    if (options.stats) ++options.stats->count_passes;
-    own.join = FullJoin(q.body(), db);
-    own.outputs = GroupJoinRows(own.join, q.head());
-    kept = &own;
+    return std::vector<std::int64_t>(db.rel(ri).size(), counts.outputs);
   }
   std::vector<std::int64_t> profit(db.rel(ri).size(), 0);
+  // An empty join keeps no join (CountComponents): no tuple supports an
+  // output.
+  const ComponentJoin* kept = counts.WholeJoin();
+  assert(kept != nullptr || counts.outputs == 0);
+  if (kept == nullptr) return profit;
   for (std::uint32_t r : kept->outputs->first_row) {
     ++profit[kept->join.SupportOf(r, ri)];
   }
@@ -93,20 +87,16 @@ CountReads SingletonReads(const ConjunctiveQuery& q) {
 
 AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
                       std::int64_t cap, const AdpOptions& options,
-                      const JoinCounts* counts) {
+                      const JoinCounts& counts) {
   int ri = -1;
   IsSingletonQuery(q, &ri);
   const RelationSchema& schema = q.relation(ri);
   const RelationInstance& inst = db.rel(ri);
   const AttrSet ai = schema.attr_set();
-  const CountReads reads = SingletonReads(q);
-  JoinCounts own;
-  const JoinCounts* join =
-      reads.rels != 0 ? &NodeCounts(q, db, reads, options, counts, own)
-                      : nullptr;
 
   AdpNode node;
   node.exact = true;
+  node.outputs = counts.outputs;
   if (options.stats) ++options.stats->singleton_nodes;
   if (options.trace != nullptr) {
     // Algorithm 3 has two regimes: case 1 (attr(Ri) ⊆ head, profit per
@@ -122,8 +112,8 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
     // rows through the tuple.
     const std::vector<std::int64_t> profit =
         q.all_attrs().SubsetOf(q.head())
-            ? join->RowsThrough(ri)
-            : ProjectedProfits(q, db, ri, options, counts);
+            ? counts.RowsThrough(ri)
+            : ProjectedProfits(q, db, ri, counts);
     struct Pick {
       std::int64_t profit;
       TupleId t;
@@ -168,7 +158,7 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
 
   // Case 2: head(Q) ⊆ attr(Ri). Discard dangling Ri tuples, group the rest
   // by head projection (one group per output), delete cheapest groups first.
-  const std::vector<std::int64_t> through = join->RowsThrough(ri);
+  const std::vector<std::int64_t> through = counts.RowsThrough(ri);
   std::vector<int> hcols;
   for (AttrId a : q.head()) hcols.push_back(schema.ColumnOf(a));
   // Group by head-projection codes (no key materialization), then drop the

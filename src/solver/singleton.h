@@ -21,6 +21,9 @@
 
 namespace adp {
 
+struct CountReads;  // relational/join.h
+struct JoinCounts;  // relational/join.h
+
 /// True if `q` satisfies Definition 10. If so and `which` is non-null,
 /// stores the body index of the singleton relation Ri (the one with the
 /// minimum attribute count, per Algorithm 3 line 1).
@@ -33,11 +36,13 @@ bool IsSingletonQuery(const ConjunctiveQuery& q, int* which);
 /// profit |Q(D)|. Precondition: IsSingletonQuery(q).
 CountReads SingletonReads(const ConjunctiveQuery& q);
 
-/// Builds the exact recursion node. Precondition: IsSingletonQuery(q).
-/// `counts`: as for SolveNode; null makes the node count for itself.
+/// Builds the exact recursion node from the node's own counts: those of
+/// CountComponents over exactly (q, db) under q's head, reading
+/// SingletonReads(q) (SolveNode makes that pass). Precondition:
+/// IsSingletonQuery(q).
 AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
                       std::int64_t cap, const AdpOptions& options,
-                      const JoinCounts* counts = nullptr);
+                      const JoinCounts& counts);
 
 }  // namespace adp
 

@@ -30,7 +30,12 @@ struct UniverseState {
 AdpNode CombineChildren(std::shared_ptr<UniverseState> state, std::int64_t cap,
                         const AdpOptions& options) {
   AdpNode node;
-  for (const AdpNode& c : state->children) node.exact &= c.exact;
+  for (const AdpNode& c : state->children) {
+    node.exact &= c.exact;
+    // Universal attributes are in the head, so the groups' outputs are
+    // disjoint and |Q(D)| is their sum.
+    node.outputs = SatAdd(node.outputs, c.outputs);
+  }
 
   bool all_convex = options.universe_convex_merge;
   for (const AdpNode& c : state->children) {

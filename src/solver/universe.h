@@ -24,7 +24,8 @@
 namespace adp {
 
 /// Builds the recursion node: partitions `db` on plan.removed and solves
-/// the plan's one residual child over every group. Precondition: plan.op is
+/// the plan's one residual child over every group. Counts nothing: the
+/// node's `outputs` is the sum of its groups'. Precondition: plan.op is
 /// kUniverse.
 AdpNode UniverseNode(const DispatchPlan& plan, const Database& db,
                      std::int64_t cap, const AdpOptions& options);

@@ -26,18 +26,6 @@ inline std::uint64_t HashRange(const std::int64_t* data, std::size_t n) {
   return h;
 }
 
-/// Hashes an arbitrary byte range (FNV-1a 64). Used for canonical query
-/// fingerprints and other string-keyed caches.
-inline std::uint64_t HashBytes(const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 /// std::hash-compatible functor for vectors of int64 values.
 struct VecHash {
   std::size_t operator()(const std::vector<std::int64_t>& v) const {

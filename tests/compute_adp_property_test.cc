@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "dichotomy/is_ptime.h"
 #include "query/parser.h"
+#include "query/transform.h"
+#include "relational/join.h"
 #include "solver/compute_adp.h"
+#include "solver/plan.h"
 #include "test_util.h"
 
 namespace adp {
@@ -94,6 +99,90 @@ TEST(AdpExactFlagTest, ExactImpliedByPtimeOnRandomQueries) {
       EXPECT_TRUE(sol.exact) << q.ToString();
     }
   }
+}
+
+// Tallies the cases of `node`'s subtree, and whether a Decompose node sits
+// under a Universe node and a Universe node under a Decompose node.
+struct PlanShapes {
+  std::array<int, 5> cases{};
+  bool decompose_under_universe = false;
+  bool universe_under_decompose = false;
+
+  void Add(const DispatchPlan& node, bool in_universe, bool in_decompose) {
+    ++cases[static_cast<std::size_t>(node.op)];
+    const bool universe = node.op == AdpCase::kUniverse;
+    const bool decompose = node.op == AdpCase::kDecompose;
+    decompose_under_universe |= decompose && in_universe;
+    universe_under_decompose |= universe && in_decompose;
+    for (const DispatchPlan& child : node.children) {
+      Add(child, in_universe || universe, in_decompose || decompose);
+    }
+  }
+};
+
+// |Q(D)| flows up the plan: each leaf counts its own body, a Universe node
+// sums its groups' outputs and a Decompose node multiplies its components'.
+// Over random queries of every Algorithm-2 case (with selections, vacuum
+// relations and empty joins among them), the solve's output_count equals
+// the count of the pushed-down body and the oracle's at k = 0, 1, |Q(D)| and
+// |Q(D)| + 1, also at an ablation-strategy Decompose root, and a k above
+// |Q(D)| answers infeasible at kInfCost.
+TEST(AdpOutputCountTest, OutputsComposeUpThePlan) {
+  Rng rng(20261019);
+  PlanShapes shapes;
+  int empty = 0;
+  int ablation_roots = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    ConjunctiveQuery q =
+        RandomQuery(rng, 5, 4, /*allow_vacuum=*/trial % 5 == 0);
+    const Database db = RandomDb(q, rng, 5, 3);
+    if (trial % 4 == 3 && !q.relation(0).attrs.empty()) {
+      q.AddSelection(0, q.relation(0).attrs[0],
+                     static_cast<Value>(rng.Uniform(3)));
+    }
+    const std::int64_t total = OracleCount(q, db);
+    AdpOptions options;
+    options.use_singleton = trial % 3 != 1;
+    if (trial % 5 == 4 && total <= 40) {
+      // A Decompose root then takes the Fig 29 single-k ablation path.
+      options.decompose_strategy =
+          AdpOptions::DecomposeStrategy::kPairwiseNaive;
+    }
+    const QueryDb pushed = ApplySelections(q, db);
+    const DispatchPlan plan = BuildDispatchPlan(pushed.query, options);
+    shapes.Add(plan, false, false);
+    if (plan.op == AdpCase::kDecompose &&
+        options.decompose_strategy !=
+            AdpOptions::DecomposeStrategy::kImprovedDP) {
+      ++ablation_roots;
+    }
+    ASSERT_EQ(static_cast<std::int64_t>(CountOutputs(
+                  pushed.query.body(), pushed.query.head(), pushed.db)),
+              total)
+        << q.ToString();
+    if (total == 0) ++empty;
+    for (const std::int64_t k : {std::int64_t{0}, std::int64_t{1}, total,
+                                 total + 1}) {
+      SCOPED_TRACE(q.ToString() + " k=" + std::to_string(k));
+      const AdpSolution sol = ComputeAdp(q, db, k, options);
+      EXPECT_EQ(sol.output_count, total);
+      if (k > total) {
+        EXPECT_FALSE(sol.feasible);
+        EXPECT_EQ(sol.cost, kInfCost);
+        EXPECT_TRUE(sol.tuples.empty());
+      } else {
+        EXPECT_TRUE(sol.feasible);
+        EXPECT_LT(sol.cost, kInfCost);
+      }
+    }
+  }
+  for (std::size_t c = 0; c < shapes.cases.size(); ++c) {
+    EXPECT_GT(shapes.cases[c], 0) << static_cast<int>(c);
+  }
+  EXPECT_TRUE(shapes.decompose_under_universe);
+  EXPECT_TRUE(shapes.universe_under_decompose);
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(ablation_roots, 0);
 }
 
 TEST(AdpDeterminismTest, SameSeedSameSolution) {

@@ -1,4 +1,4 @@
-// Canonical query fingerprints: structural identity up to renaming.
+// Canonical query keys: structural identity up to renaming.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@ TEST(FingerprintTest, RenamingInvariant) {
   const auto a = ParseQuery("Q(A,B) :- R1(A,B), R2(B,C)");
   const auto b = ParseQuery("Q(X,Y) :- S(X,Y), T(Y,Z)");
   EXPECT_EQ(CanonicalQueryKey(a), CanonicalQueryKey(b));
-  EXPECT_EQ(QueryFingerprint(a), QueryFingerprint(b));
 }
 
 TEST(FingerprintTest, AttributeOrderWithinRelationMatters) {

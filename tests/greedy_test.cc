@@ -2,8 +2,7 @@
 // paper's qualitative claims (greedy finds optimal on friendly
 // distributions; drastic restricted to full CQs), and pick-for-pick
 // agreement of the incremental greedy with the rescanning reference, also
-// when it is handed the join a counting pass kept, at a root or in a
-// Decompose child over SubDatabase copies.
+// when it reads the join its own counting pass kept.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "dichotomy/relations.h"
 #include "query/parser.h"
-#include "query/transform.h"
 #include "relational/join.h"
 #include "solver/drastic.h"
 #include "solver/greedy.h"
@@ -28,6 +26,23 @@ using testing::OracleAdp;
 using testing::OracleCount;
 using testing::RandomDb;
 using testing::RandomQuery;
+
+// The leaves over the counts SolveNode hands them: the node's own pass over
+// (q, db), joins kept for GreedyForCQ, DrasticReads for DrasticGreedy.
+AdpNode SolveGreedy(const ConjunctiveQuery& q, const Database& db,
+                    std::int64_t cap, const AdpOptions& options) {
+  CountReads reads;
+  reads.joins = true;
+  return GreedyNode(q, db, cap, options,
+                    CountComponents(q.body(), q.head(), db, reads));
+}
+
+AdpNode SolveDrastic(const ConjunctiveQuery& q, const Database& db,
+                     std::int64_t cap, const AdpOptions& options) {
+  return DrasticNode(
+      q, db, cap, options,
+      CountComponents(q.body(), q.head(), db, DrasticReads(q, options)));
+}
 
 // The rescanning GreedyForCQ, kept as the reference the incremental one
 // must match pick for pick: profits are recounted from the join rows on
@@ -152,11 +167,12 @@ void ExpectTraceEq(const GreedyTrace& got, const GreedyTrace& want,
 }
 
 // Runs both greedies to |Q(D)| and asserts identical traces, also for the
-// greedy handed the counting pass's counts, joins kept; returns the number
-// of picks. `handed` counts the runs whose counts held the join.
+// greedy reading a counting pass's counts of (q, db), joins kept, as a
+// Greedy leaf does; returns the number of picks. `kept` counts the runs
+// whose counts held the join.
 std::size_t ExpectSameTrace(const ConjunctiveQuery& q, const Database& db,
                             const DeletionRestrictions* restrictions,
-                            int& handed) {
+                            int& kept) {
   const GreedyTrace want =
       ReferenceGreedy(q, db, OracleCount(q, db), restrictions);
   ExpectTraceEq(RunGreedyForCQ(q, db, OracleCount(q, db), restrictions),
@@ -164,7 +180,7 @@ std::size_t ExpectSameTrace(const ConjunctiveQuery& q, const Database& db,
   CountReads reads;
   reads.joins = true;
   const JoinCounts counts = CountComponents(q.body(), q.head(), db, reads);
-  if (counts.WholeJoin() != nullptr) ++handed;
+  if (counts.WholeJoin() != nullptr) ++kept;
   ExpectTraceEq(
       RunGreedyForCQ(q, db, OracleCount(q, db), restrictions, &counts), want,
       q);
@@ -205,7 +221,7 @@ TEST_P(GreedyMatchesReference, OnFixedAndRandomQueries) {
   Rng rng(61 + static_cast<int>(GetParam()));
   std::size_t picks = 0;
   std::size_t restricted_picks = 0;
-  int handed = 0;
+  int kept = 0;
   for (int iter = 0; iter < 24; ++iter) {
     ConjunctiveQuery q = iter < 2 * static_cast<int>(texts.size())
                              ? ParseQuery(texts[iter % texts.size()])
@@ -230,61 +246,21 @@ TEST_P(GreedyMatchesReference, OnFixedAndRandomQueries) {
     }
     const Database db =
         RandomDb(q, rng, rng.UniformInt(6, 30), rng.UniformInt(3, 6));
-    picks += ExpectSameTrace(q, db, nullptr, handed);
+    picks += ExpectSameTrace(q, db, nullptr, kept);
     const DeletionRestrictions restrictions = RandomRestrictions(db, rng);
-    restricted_picks += ExpectSameTrace(q, db, &restrictions, handed);
+    restricted_picks += ExpectSameTrace(q, db, &restrictions, kept);
   }
   EXPECT_GT(picks, 50u);
   EXPECT_GT(restricted_picks, 50u);
   // Every param has a cyclic or projected fixed query, whose pass keeps its
   // join.
-  EXPECT_GE(handed, 4);
+  EXPECT_GE(kept, 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Heads, GreedyMatchesReference,
                          ::testing::Values(HeadKind::kFull,
                                            HeadKind::kProjected,
                                            HeadKind::kBoolean));
-
-// The Q4 shape: two projected components. The root's pass keeps each one's
-// join and output groups; a Decompose node hands them to the component's
-// child, whose instances are SubDatabase copies (same tuple ids, shared
-// dictionaries), as its one component. The child's greedy then picks what a
-// greedy joining the copies itself picks.
-TEST(GreedyTest, HandedComponentJoinMatchesOwnJoin) {
-  const ConjunctiveQuery q =
-      ParseQuery("Q(A,C,E,G) :- R1(A,B), R2(B,C), R3(E,F), R4(F,G)");
-  const std::vector<Subquery> subs = DecomposeQuery(q);
-  ASSERT_EQ(subs.size(), 2u);
-  Rng rng(4);
-  for (int iter = 0; iter < 12; ++iter) {
-    const Database db = RandomDb(q, rng, rng.UniformInt(6, 30), 5);
-    CountReads reads;
-    reads.joins = true;
-    const JoinCounts counts = CountComponents(q.body(), q.head(), db, reads);
-    ASSERT_EQ(counts.components.size(), subs.size());
-    for (std::size_t c = 0; c < subs.size(); ++c) {
-      const JoinCounts::Component& comp = counts.components[c];
-      ASSERT_NE(comp.join, nullptr);
-      ASSERT_TRUE(comp.join->outputs.has_value());
-      JoinCounts share;
-      share.rows = comp.rows;
-      share.outputs = comp.outputs;
-      share.reads = reads;
-      share.components.push_back(
-          JoinCounts::Component{{0, 1}, comp.rows, comp.outputs, comp.join});
-      const Database sub_db = SubDatabase(subs[c].parent_relation, db);
-      const ConjunctiveQuery& child = subs[c].query;
-      const GreedyTrace own = RunGreedyForCQ(child, sub_db, comp.outputs);
-      EXPECT_EQ(own.total_outputs, comp.outputs);
-      ExpectTraceEq(
-          RunGreedyForCQ(child, sub_db, comp.outputs, nullptr, &share), own,
-          child);
-      ExpectTraceEq(ReferenceGreedy(child, sub_db, comp.outputs, nullptr),
-                    own, child);
-    }
-  }
-}
 
 TEST(GreedyTest, PicksHighestProfitFirst) {
   // Qpath with a hub: deleting R3(5) removes three outputs at once.
@@ -348,7 +324,7 @@ TEST(GreedyNodeTest, ProfileMatchesTrajectory) {
   const std::int64_t total = OracleCount(q, db);
   if (total == 0) GTEST_SKIP();
   AdpOptions options;
-  const AdpNode node = GreedyNode(q, db, total, options);
+  const AdpNode node = SolveGreedy(q, db, total, options);
   EXPECT_FALSE(node.exact);
   EXPECT_EQ(node.profile.kmax(), total);
   for (std::int64_t k = 1; k <= total; ++k) {
@@ -366,7 +342,7 @@ TEST(DrasticTest, SingleRelationPrefixIsChosen) {
   // Full join rows: (1,5),(1,6),(2,5). Profits: R1(1)=2, R3(5)=2.
   AdpOptions options;
   options.heuristic = AdpOptions::Heuristic::kDrastic;
-  const AdpNode node = DrasticNode(q, db, 3, options);
+  const AdpNode node = SolveDrastic(q, db, 3, options);
   EXPECT_EQ(node.profile.At(2), 1);
   EXPECT_EQ(node.profile.At(3), 2);
   const auto tuples = node.report(2);
@@ -381,7 +357,7 @@ TEST(DrasticTest, AllPicksFromOneRelation) {
   const std::int64_t total = OracleCount(q, db);
   if (total < 3) GTEST_SKIP();
   AdpOptions options;
-  const AdpNode node = DrasticNode(q, db, total, options);
+  const AdpNode node = SolveDrastic(q, db, total, options);
   const auto tuples = node.report(total / 2 + 1);
   ASSERT_FALSE(tuples.empty());
   for (const TupleRef& t : tuples) {
@@ -402,8 +378,8 @@ TEST(DrasticVsGreedyTest, GreedyNeverWorseOnSmallFullCqs) {
     const std::int64_t k = (total + 1) / 2;
     const std::int64_t opt = OracleAdp(q, db, k);
     AdpOptions options;
-    const AdpNode greedy = GreedyNode(q, db, total, options);
-    const AdpNode drastic = DrasticNode(q, db, total, options);
+    const AdpNode greedy = SolveGreedy(q, db, total, options);
+    const AdpNode drastic = SolveDrastic(q, db, total, options);
     EXPECT_GE(greedy.profile.At(k), opt);
     EXPECT_GE(drastic.profile.At(k), opt);
     // ln(k)+1 bound for greedy on full CQs (Theorem 5).

@@ -5,7 +5,6 @@
 // rejection over the socket, the PREPARE/EXEC/CANCEL/STATS/METRICS
 // verbs, the slow-query log (NetServerConfig::trace_dir), one plan lookup
 // per request with no plan build on the event loop, and arity errors.
-// Runs against both poll backends (force_poll exercises the portable one).
 
 #include <gtest/gtest.h>
 
@@ -917,20 +916,6 @@ TEST(NetTest, ByeFlushesAndCloses) {
   ASSERT_TRUE(bye.has_value());
   EXPECT_EQ(bye->type, FrameType::kByeOk);
   EXPECT_FALSE(client.ReadFrame().has_value());  // server closed
-}
-
-TEST(NetTest, PollBackendServesRequests) {
-  // force_poll exercises the portable poll() backend on every platform.
-  NetFixture fx(EngineConfig{.num_workers = 2},
-                NetServerConfig{.force_poll = true});
-  AdpNetClient client = fx.Client();
-  std::string body;
-  ASSERT_TRUE(client.Call(FrameType::kDb, kDbLine, &body).has_value());
-  std::optional<Frame> reply = client.Call(
-      FrameType::kReq, "REQ d1 2 " + std::string(kChainText), &body);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, FrameType::kResult);
-  EXPECT_EQ(ExtractAnswer(body), DirectAnswer(fx.engine, kChainText, 2));
 }
 
 // ---- Hostile client mix: duplicate-query storm ----------------------------

@@ -1,6 +1,6 @@
 // Unit tests for relational/: schemas, instances, origin tracking, the
-// columnar storage surface (dictionaries, views, gathers, capacity), and
-// database helpers.
+// columnar storage surface (dictionaries, gathers, capacity), and database
+// helpers.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,14 @@
 
 namespace adp {
 namespace {
+
+// A root instance of `n` one-column rows {0}, ..., {n-1}: gathering its row
+// r gives the derived row root origin r.
+RelationInstance Numbered(Value n) {
+  RelationInstance r;
+  for (Value v = 0; v < n; ++v) r.Add({v});
+  return r;
+}
 
 TEST(RelationSchemaTest, AttrSetAndColumns) {
   RelationSchema s{"R", {2, 0, 5}};
@@ -39,8 +47,7 @@ TEST(RelationInstanceTest, IdentityOrigins) {
 
 TEST(RelationInstanceTest, ExplicitOrigins) {
   RelationInstance r;
-  r.AddWithOrigin({1}, 7);
-  r.AddWithOrigin({2}, 9);
+  r.AppendGathered(Numbered(10), std::vector<TupleId>{7, 9});
   EXPECT_EQ(r.OriginOf(0), 7u);
   EXPECT_EQ(r.OriginOf(1), 9u);
 }
@@ -49,17 +56,22 @@ TEST(RelationInstanceTest, MixedAddPromotesIdentity) {
   RelationInstance r;
   r.Add({1});
   r.Add({2});
-  r.AddWithOrigin({3}, 42);
+  r.AppendGathered(Numbered(43), std::vector<TupleId>{42});
   EXPECT_EQ(r.OriginOf(0), 0u);
   EXPECT_EQ(r.OriginOf(1), 1u);
   EXPECT_EQ(r.OriginOf(2), 42u);
+  r.Add({3});  // an identity row after explicit ones: its own position
+  EXPECT_EQ(r.OriginOf(3), 3u);
 }
 
 TEST(RelationInstanceTest, DedupKeepsFirstOrigin) {
+  RelationInstance src;
+  for (Value v = 0; v < 10; ++v) src.Add({v, -v});
+  src.Add({1, 1});
+  src.Add({2, 2});
+  src.Add({1, 1});  // duplicate content
   RelationInstance r;
-  r.AddWithOrigin({1, 1}, 10);
-  r.AddWithOrigin({2, 2}, 11);
-  r.AddWithOrigin({1, 1}, 12);  // duplicate content
+  r.AppendGathered(src, std::vector<TupleId>{10, 11, 12});
   r.Dedup();
   EXPECT_EQ(r.size(), 2u);
   EXPECT_EQ(r.tuple(0), Tuple({1, 1}));
@@ -84,14 +96,7 @@ TEST(RelationInstanceTest, ColumnarAccessorsAgree) {
   EXPECT_EQ(r.arity(), 2u);
   EXPECT_EQ(r.ValueAt(1, 0), 2);
   EXPECT_EQ(r.ValueAt(2, 1), 20);
-  // tuple() materialization and the zero-copy view agree.
   EXPECT_EQ(r.tuple(2), Tuple({1, 20}));
-  const TupleView v = r.view(2);
-  EXPECT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[0], 1);
-  EXPECT_EQ(v[1], 20);
-  EXPECT_EQ(v.ToTuple(), Tuple({1, 20}));
-  EXPECT_EQ(v.row(), 2u);
   // Equal values share a code within a column; distinct values differ.
   EXPECT_EQ(r.CodeAt(0, 0), r.CodeAt(2, 0));
   EXPECT_NE(r.CodeAt(0, 0), r.CodeAt(1, 0));
@@ -152,7 +157,9 @@ TEST(RelationInstanceTest, AddPastMaxRowsThrows) {
   r.Add({1});
   r.Add({2});
   EXPECT_THROW(r.Add({3}), TupleLimitError);
-  EXPECT_THROW(r.AddWithOrigin({3}, 0), TupleLimitError);
+  const RelationInstance copy = r;
+  EXPECT_THROW(r.AppendGathered(copy, std::vector<TupleId>{0}),
+               TupleLimitError);
   const Value row[] = {3};
   EXPECT_THROW(r.AppendRow(row, 1), TupleLimitError);
   RelationInstance gathered;

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "query/parser.h"
+#include "relational/join.h"
 #include "solver/singleton.h"
 #include "solver/solution.h"
 #include "test_util.h"
@@ -17,6 +18,15 @@ using testing::MakeDb;
 using testing::OracleAdp;
 using testing::OracleCount;
 using testing::RandomDb;
+
+// A Singleton node over the counts SolveNode hands it: the node's own pass
+// over (q, db), reading SingletonReads(q).
+AdpNode SolveSingleton(const ConjunctiveQuery& q, const Database& db,
+                       std::int64_t cap, const AdpOptions& options) {
+  return SingletonNode(
+      q, db, cap, options,
+      CountComponents(q.body(), q.head(), db, SingletonReads(q)));
+}
 
 TEST(SingletonDetectTest, RecognizesShapes) {
   int which = -1;
@@ -47,7 +57,7 @@ TEST(SingletonCase1Test, ProfitsSortedGreedily) {
       q, {{"R1", {{1}, {2}, {3}}},
           {"R2", {{1, 9}, {1, 8}, {1, 7}, {2, 9}, {3, 9}, {3, 8}}}});
   AdpOptions options;
-  const AdpNode node = SingletonNode(q, db, 6, options);
+  const AdpNode node = SolveSingleton(q, db, 6, options);
   EXPECT_TRUE(node.exact);
   // Profits: R1(1)=3, R1(3)=2, R1(2)=1.
   EXPECT_EQ(node.profile.At(1), 1);
@@ -65,6 +75,28 @@ TEST(SingletonCase1Test, ProfitsSortedGreedily) {
   EXPECT_EQ(CountRemovedOutputs(q, db, tuples), 5);
 }
 
+// A projected case-1 Singleton whose join is empty: its pass keeps no join
+// (CountComponents drops the joins of an empty body), so no tuple has a
+// profit and nothing is removable. As a Decompose component, it makes the
+// root's |Q(D)| zero, and a k = 1 request infeasible.
+TEST(SingletonCase1Test, ProjectedEmptyJoinRemovesNothing) {
+  const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A), R2(A,B,C)");
+  const Database db = MakeDb(q, {{"R1", {{1}, {2}}}, {"R2", {{3, 5, 0}}}});
+  const AdpNode node = SolveSingleton(q, db, 1, AdpOptions{});
+  EXPECT_EQ(node.outputs, 0);
+  EXPECT_EQ(node.profile.kmax(), 0);
+
+  const ConjunctiveQuery split =
+      ParseQuery("Q(A,B,D) :- R1(A), R2(A,B,C), R3(D)");
+  const Database split_db = MakeDb(
+      split, {{"R1", {{1}, {2}}}, {"R2", {{3, 5, 0}}}, {"R3", {{7}, {8}}}});
+  ASSERT_EQ(ClassifyAdpCase(split, AdpOptions{}), AdpCase::kDecompose);
+  const AdpSolution sol = ComputeAdp(split, split_db, 1);
+  EXPECT_FALSE(sol.feasible);
+  EXPECT_EQ(sol.output_count, 0);
+  EXPECT_EQ(sol.cost, kInfCost);
+}
+
 TEST(SingletonCase2Test, CheapestOutputsFirst) {
   // head ⊆ attr(R1): Q(A) :- R1(A,B), R2(A,B,C). Outputs = distinct A among
   // joining tuples; cost of killing output a = #R1 tuples with that a.
@@ -75,7 +107,7 @@ TEST(SingletonCase2Test, CheapestOutputsFirst) {
            {{1, 5, 0}, {1, 6, 0}, {2, 5, 0}, {3, 5, 0}, {3, 6, 0},
             {3, 7, 0}}}});
   AdpOptions options;
-  const AdpNode node = SingletonNode(q, db, 3, options);
+  const AdpNode node = SolveSingleton(q, db, 3, options);
   EXPECT_TRUE(node.exact);
   // Costs per output: a=2 -> 1, a=1 -> 2, a=3 -> 3.
   EXPECT_EQ(node.profile.At(1), 1);
@@ -96,7 +128,7 @@ TEST(SingletonCase2Test, DanglingTuplesIgnored) {
   const Database db = MakeDb(q, {{"R1", {{1, 5}, {1, 6}, {2, 5}}},
                                  {"R2", {{1, 5, 0}, {2, 5, 0}}}});
   AdpOptions options;
-  const AdpNode node = SingletonNode(q, db, 2, options);
+  const AdpNode node = SolveSingleton(q, db, 2, options);
   EXPECT_EQ(node.profile.At(1), 1);
   EXPECT_EQ(node.profile.At(2), 2);
 }
@@ -107,7 +139,7 @@ TEST(SingletonVacuumTest, SingleTupleKillsEverything) {
   db.Load(0, {{1}, {2}, {3}});
   db.rel(1).Add({});
   AdpOptions options;
-  const AdpNode node = SingletonNode(q, db, 3, options);
+  const AdpNode node = SolveSingleton(q, db, 3, options);
   EXPECT_EQ(node.profile.At(1), 1);
   EXPECT_EQ(node.profile.At(3), 1);
   const auto tuples = node.report(3);
@@ -132,9 +164,10 @@ TEST(SingletonVacuumTest, ProjectedDisconnectedBodyMatchesOracle) {
     const std::int64_t total = OracleCount(q, db);
     ASSERT_EQ(total == 0, r0_empty);
     AdpOptions options;
-    const AdpNode node = SingletonNode(q, db, std::max<std::int64_t>(total, 1),
-                                       options);
+    const AdpNode node =
+        SolveSingleton(q, db, std::max<std::int64_t>(total, 1), options);
     EXPECT_EQ(node.profile.kmax(), total);
+    EXPECT_EQ(node.outputs, total);
     AdpOptions verified;
     verified.verify = true;
     if (r0_empty) {
@@ -157,8 +190,7 @@ TEST(SingletonVacuumTest, ProjectedDisconnectedBodyMatchesOracle) {
 // head (profits from the distinct outputs), and in case 2; also over a
 // disconnected body, where the vacuum R0 = {∅} is the singleton relation and
 // its one tuple's profit is a cross product (instances 24-31). Each k is
-// solved both by the node counting for itself and through ComputeAdp, whose
-// root node reads the preamble's counts.
+// solved both by the node over its own counts and through ComputeAdp.
 class SingletonOracleSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SingletonOracleSweep, OptimalForAllK) {
@@ -173,7 +205,8 @@ TEST_P(SingletonOracleSweep, OptimalForAllK) {
   const std::int64_t total = OracleCount(q, db);
   if (total == 0) GTEST_SKIP();
   AdpOptions options;
-  const AdpNode node = SingletonNode(q, db, total, options);
+  const AdpNode node = SolveSingleton(q, db, total, options);
+  EXPECT_EQ(node.outputs, total);
   AdpOptions verified;
   verified.verify = true;
   for (std::int64_t k = 1; k <= total; ++k) {

@@ -28,13 +28,14 @@ TEST(StatsTest, SingletonQueryHitsSingletonOnly) {
   EXPECT_EQ(stats.greedy_leaves, 0);
   EXPECT_EQ(stats.universe_nodes, 0);
   EXPECT_EQ(stats.decompose_nodes, 0);
-  // The preamble's counting pass carries the profits to the root.
+  // The root leaf's one counting pass carries its profits.
   EXPECT_EQ(stats.count_passes, 1);
 }
 
 // A vacuum Singleton relation under a projected head: its one tuple's
-// profit is |Q(D)|, read from the preamble's counts, so the solve joins
-// nothing more (the body is disconnected, and its join a cross product).
+// profit is |Q(D)|, read from the leaf's own counting pass, so the solve
+// joins nothing more (the body is disconnected, and its join a cross
+// product).
 TEST(StatsTest, VacuumSingletonReadsPreambleCount) {
   const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R0(), R1(A,C), R2(B,D)");
   Database db(3);
@@ -97,9 +98,9 @@ TEST(StatsTest, UniverseCountsGroups) {
   ComputeAdp(q, db, 2, options);
   EXPECT_EQ(stats.universe_nodes, 1);
   EXPECT_EQ(stats.universe_groups, 2);  // keys a=1 and a=2
-  // The preamble, then per group one pass by its Decompose node, which
-  // hands each of its two Singleton children that child's share.
-  EXPECT_EQ(stats.count_passes, 3);
+  // No root pass and no Decompose pass: in each of the two groups, each of
+  // the Decompose node's two Singleton leaves counts its one relation.
+  EXPECT_EQ(stats.count_passes, 4);
 }
 
 TEST(StatsTest, SelectedTpchExercisesDecomposeAndSingleton) {
@@ -114,15 +115,16 @@ TEST(StatsTest, SelectedTpchExercisesDecomposeAndSingleton) {
   EXPECT_EQ(stats.decompose_nodes, 1);
   EXPECT_EQ(stats.singleton_nodes, 2);
   EXPECT_EQ(stats.greedy_leaves, 0);
-  // The root's one counting pass gives each |Q_i(D)| and each Singleton
-  // child's profits.
-  EXPECT_EQ(stats.count_passes, 1);
+  // Each Singleton component counts its own body, which gives its
+  // |Q_i(D)| and its profits; the Decompose root counts nothing.
+  EXPECT_EQ(stats.count_passes, 2);
 }
 
-// Passes over the data, joins included, at roots that read a join. Ego Q5's
-// shape (a projected heuristic root), Q4's (a Decompose root over two
-// projected Greedy components) and a projected case-1 Singleton root read
-// the join the preamble materialized to count them: one pass. Q2's shape (a
+// Passes over the data, joins included, at leaves that read a join. Ego
+// Q5's shape (a projected heuristic root) and a projected case-1 Singleton
+// root read the join their one pass materialized to count them: one pass.
+// Q4's shape (a Decompose root over two projected Greedy components) makes
+// one such pass per component, each keeping its own join: two. Q2's shape (a
 // full acyclic heuristic root) is counted by propagation, so its greedy
 // joins for itself: two.
 TEST(StatsTest, CountPassesIncludeTheLeafJoins) {
@@ -132,7 +134,7 @@ TEST(StatsTest, CountPassesIncludeTheLeafJoins) {
   };
   const Case cases[] = {
       {"Q(A,B,C) :- R1(A,E), R2(B,E), R3(C,E)", 1},
-      {"Q(A,C,E,G) :- R1(A,B), R2(B,C), R3(E,F), R4(F,G)", 1},
+      {"Q(A,C,E,G) :- R1(A,B), R2(B,C), R3(E,F), R4(F,G)", 2},
       {"Q(A,B) :- R1(A), R2(A,B,C)", 1},
       {"Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)", 2},
   };
@@ -150,6 +152,63 @@ TEST(StatsTest, CountPassesIncludeTheLeafJoins) {
               stats.decompose_nodes == 1 ? 2 : 1)
         << c.text;
   }
+}
+
+// A target above |Q(D)| at a leaf root (Boolean, Singleton, heuristic under
+// either heuristic) costs the root's one counting pass, and no node is
+// solved.
+TEST(StatsTest, InfeasibleLeafRootMakesOnePassAndSolvesNothing) {
+  struct Case {
+    const char* text;
+    AdpCase root;
+  };
+  const Case cases[] = {
+      {"Q() :- R1(A), R2(A,B), R3(B)", AdpCase::kBoolean},
+      {"Q(A,B) :- R1(A), R2(A,B)", AdpCase::kSingleton},
+      {"Q(A,B) :- R1(A), R2(A,B), R3(B)", AdpCase::kHeuristic},
+  };
+  Rng rng(13);
+  for (const Case& c : cases) {
+    const ConjunctiveQuery q = ParseQuery(c.text);
+    ASSERT_EQ(ClassifyAdpCase(q, AdpOptions{}), c.root) << c.text;
+    const Database db = testing::RandomDb(q, rng, 12, 4);
+    const std::int64_t total = testing::OracleCount(q, db);
+    for (const AdpOptions::Heuristic heuristic :
+         {AdpOptions::Heuristic::kGreedy, AdpOptions::Heuristic::kDrastic}) {
+      AdpStats stats;
+      AdpOptions options;
+      options.stats = &stats;
+      options.heuristic = heuristic;
+      const AdpSolution sol = ComputeAdp(q, db, total + 1, options);
+      EXPECT_FALSE(sol.feasible) << c.text;
+      EXPECT_EQ(sol.cost, kInfCost) << c.text;
+      EXPECT_EQ(sol.output_count, total) << c.text;
+      AdpStats one_pass;
+      one_pass.count_passes = 1;
+      EXPECT_TRUE(stats == one_pass) << c.text;
+    }
+  }
+}
+
+// A Universe root counts nothing of its own: with a Boolean leaf as the
+// residual, the passes are exactly one per group.
+TEST(StatsTest, UniverseRootMakesNoPassOfItsOwn) {
+  const ConjunctiveQuery q = ParseQuery("Q(A,B) :- R1(A,B), R2(A,B,C)");
+  const Database db =
+      MakeDb(q, {{"R1", {{1, 1}, {2, 2}, {3, 3}}},
+                 {"R2", {{1, 1, 5}, {2, 2, 6}, {3, 3, 7}, {3, 3, 8}}}});
+  AdpStats stats;
+  AdpOptions options;
+  options.use_singleton = false;  // else the root is a Singleton leaf
+  options.stats = &stats;
+  ASSERT_EQ(ClassifyAdpCase(q, options), AdpCase::kUniverse);
+  const AdpSolution sol = ComputeAdp(q, db, 2, options);
+  EXPECT_EQ(sol.output_count, 3);
+  EXPECT_EQ(sol.cost, 2);
+  EXPECT_EQ(stats.universe_nodes, 1);
+  EXPECT_EQ(stats.universe_groups, 3);
+  EXPECT_EQ(stats.boolean_nodes, 3);
+  EXPECT_EQ(stats.count_passes, 3);
 }
 
 TEST(StatsTest, BooleanQueryCountsBooleanNode) {

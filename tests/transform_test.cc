@@ -99,15 +99,20 @@ TEST(TransformTest, PartitionByAttrsSplitsAndProjects) {
   const Database db = MakeDb(q, {{"R1", {{1, 5}, {1, 6}, {2, 7}}},
                                  {"R2", {{1}, {2}, {3}}}});
   const auto groups = PartitionByAttrs(q, db, AttrSet::Of(a));
-  // Key 3 has no R1 rows -> dropped. Keys 1 and 2 survive.
+  // Key 3 has no R1 rows -> dropped. Keys 1 and 2 survive, in ascending
+  // key order, which their rows' root origins show.
   ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].key, Tuple({1}));
   EXPECT_EQ(groups[0].db.rel(0).size(), 2u);  // (5), (6)
   EXPECT_EQ(groups[0].db.rel(1).size(), 1u);  // ()
   EXPECT_TRUE(groups[0].db.rel(1).tuple(0).empty());
-  EXPECT_EQ(groups[1].key, Tuple({2}));
-  // Origin of group 2's R1 tuple is root row 2.
+  // Key 1: R1 rows 0 and 1, R2 row 0.
+  EXPECT_EQ(groups[0].db.rel(0).OriginOf(0), 0u);
+  EXPECT_EQ(groups[0].db.rel(0).OriginOf(1), 1u);
+  EXPECT_EQ(groups[0].db.rel(1).OriginOf(0), 0u);
+  // Key 2: R1 row 2, R2 row 1.
+  ASSERT_EQ(groups[1].db.rel(0).size(), 1u);
   EXPECT_EQ(groups[1].db.rel(0).OriginOf(0), 2u);
+  EXPECT_EQ(groups[1].db.rel(1).OriginOf(0), 1u);
 }
 
 TEST(TransformTest, PartitionCoversAllOutputs) {

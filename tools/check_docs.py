@@ -31,8 +31,7 @@
 
 6. Relational core drift: the same two-way check between
    docs/RELATIONAL.md and the columnar storage surface in
-   src/relational/relation.h — the public methods of `RelationInstance`
-   and `TupleView`.
+   src/relational/relation.h — the public methods of `RelationInstance`.
 
 7. Wire protocol drift: every `FrameType::kName` mentioned in
    docs/PROTOCOL.md must be an enumerator of `enum class FrameType` in
@@ -242,7 +241,6 @@ def check_relational_core():
             "RelationInstance": class_public_methods(
                 header, "RelationInstance"
             ),
-            "TupleView": class_public_methods(header, "TupleView"),
         },
     )
 
