@@ -126,7 +126,8 @@ struct EngineConfig {
   std::size_t min_shard_groups = 4;
 
   /// Intra-request sharding, Decompose axis: a Decompose node with at
-  /// least this many connected components fans its per-component
+  /// least this many connected components besides its first (the one with
+  /// the fewest tuples, solved first on the solving thread) fans their
   /// sub-solves out across the worker pool (Parallelism::min_components);
   /// the cross-product DP combining their profiles stays on the solving
   /// thread. 0 disables Decompose sharding. With both axes 0 every request

@@ -419,14 +419,15 @@ std::int64_t PropagateCounts(const std::vector<RelationSchema>& body,
 
 // Counts one connected component: its join rows and its distinct
 // projections onto `head`, plus what `reads` asks for: the rows through each
-// tuple of its read relations, into `per_tuple`, and the join if it
-// materializes one. This is the one place that chooses the counting path:
-// propagation over the component's join tree when it has one, for the rows
-// of a full or Boolean head and for per-tuple counts; the materializing
-// join for a component without a join tree (which sets `materialized`) and
-// for the distinct outputs of a head keeping some but not all of its
-// attributes. The join tree is rooted at the component's read relation when
-// it has exactly one.
+// tuple of its read relations, into `per_tuple`, and the join. This is the
+// one place that chooses the counting path: propagation over the
+// component's join tree when it has one, for the rows of a full or Boolean
+// head and for per-tuple counts; the materializing join for a component
+// without a join tree (which sets `materialized`), for the distinct outputs
+// of a head keeping some but not all of its attributes, and whenever the
+// reads ask for joins, which the reader would otherwise build again. The
+// join tree is rooted at the component's read relation when it has exactly
+// one.
 void CountComponent(const std::vector<RelationSchema>& body,
                     const Database& db, AttrSet head, const CountReads& reads,
                     JoinCounts::Component& comp, Counts& per_tuple,
@@ -445,14 +446,15 @@ void CountComponent(const std::vector<RelationSchema>& body,
   const bool projected = !full && attrs.Intersects(head);
   const std::optional<JoinTree> tree =
       BuildJoinTree(body, comp.rels, read == 1 ? last_read : -1);
-  if (tree && (!projected || read > 0)) {
+  const bool propagate = tree && !reads.joins && (!projected || read > 0);
+  if (propagate) {
     comp.rows = PropagateCounts(body, db, *tree, reads, per_tuple);
   }
-  if (!tree || projected) {
+  if (!tree || projected || reads.joins) {
     JoinResult join = JoinPositions(body, db, comp.rels);
     comp.rows = static_cast<std::int64_t>(join.NumRows());
-    if (!tree) {
-      materialized = true;
+    if (!tree) materialized = true;
+    if (!propagate) {
       for (std::size_t j = 0; j < comp.rels.size(); ++j) {
         const int i = comp.rels[j];
         if (!reads.Reads(i)) continue;

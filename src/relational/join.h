@@ -20,10 +20,11 @@
 //   dense child dictionary (DenseKey, relational/group_index.h) sums the
 //   child's counts into an array indexed by the child's code; any other key
 //   groups the child's rows through a HashGroupIndex.
-// - The materializing join, for cyclic components (e.g. the triangle) and
-//   for the distinct outputs of heads that keep some but not all of a
-//   component's attributes. A sequence of hash joins in a greedily chosen
-//   connected order builds every row.
+// - The materializing join, for cyclic components (e.g. the triangle), for
+//   the distinct outputs of heads that keep some but not all of a
+//   component's attributes, and for every component when the reads ask for
+//   joins. A sequence of hash joins in a greedily chosen connected order
+//   builds every row.
 //
 // A pass computes only what its reads (CountReads) ask for beyond the rows
 // and outputs. Per-tuple counts are filled for the read body positions
@@ -32,10 +33,11 @@
 // top-down pass runs; with two or more, the tree keeps GYO's root and the
 // top-down pass runs, multiplied in for the read relations only. Saturating
 // addition and multiplication are monotone, so every count is
-// min(kMaxOutputs, true count) whatever the root. A materialized join, and
-// its output groups, are kept when the reads ask for joins, for the leaf
-// that would otherwise build them again (ProvenanceIndex, projected
-// Singleton profits).
+// min(kMaxOutputs, true count) whatever the root. When the reads ask for
+// joins, every component is materialized and keeps its join and output
+// groups, for the leaf that would otherwise build them again
+// (ProvenanceIndex, projected Singleton profits); its read relations' counts
+// are then counted off the join's rows.
 //
 // The materializing join works on dictionary codes. A row, intermediate or
 // final, is just its support, one TupleId per relation, and each result
@@ -157,7 +159,7 @@ struct CountReads {
   /// Bit i: the per-tuple counts of body position i. Bit 63 stands for
   /// position 63 and every later one.
   std::uint64_t rels = 0;
-  /// Keep each materialized component's join and output groups.
+  /// Materialize every component and keep its join and output groups.
   bool joins = false;
 
   /// The per-tuple counts of every body position.
@@ -194,8 +196,9 @@ struct JoinCounts {
     /// head keeps every attribute of the component, 0 or 1 when it keeps
     /// none of them.
     std::int64_t outputs = 0;
-    /// The join the pass materialized to count the component, kept only
-    /// when the reads ask for joins; null otherwise.
+    /// The join the pass materialized to count the component, kept when
+    /// the reads ask for joins (and the whole join is nonempty); null
+    /// otherwise.
     std::shared_ptr<const ComponentJoin> join = nullptr;
   };
 
@@ -228,8 +231,8 @@ struct JoinCounts {
 
   /// The kept join of the whole body: that of its one component, or null
   /// when the body has several or the pass kept none.
-  const ComponentJoin* WholeJoin() const {
-    return components.size() == 1 ? components[0].join.get() : nullptr;
+  std::shared_ptr<const ComponentJoin> WholeJoin() const {
+    return components.size() == 1 ? components[0].join : nullptr;
   }
 };
 
@@ -237,7 +240,7 @@ struct JoinCounts {
 /// each one's join rows and its distinct projections onto `head` (see the
 /// file comment for the path each takes), plus what `reads` asks for: the
 /// rows through each tuple of a read relation within its component, and
-/// each materialized component's join. When the join is empty (an empty
+/// every component's join. When the join is empty (an empty
 /// instance, or a component without rows) every count is zero, and the
 /// components after the first empty one are not counted.
 JoinCounts CountComponents(const std::vector<RelationSchema>& body,

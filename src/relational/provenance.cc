@@ -14,12 +14,15 @@ constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 ProvenanceIndex::ProvenanceIndex(const std::vector<RelationSchema>& body,
                                  AttrSet head, const Database& db)
-    : ProvenanceIndex(FullJoin(body, db), head, db) {}
+    : ProvenanceIndex(std::make_shared<const ComponentJoin>(
+                          ComponentJoin{FullJoin(body, db), std::nullopt}),
+                      head, db) {}
 
-ProvenanceIndex::ProvenanceIndex(JoinResult join, AttrSet head,
-                                 const Database& db, const JoinGroups* outputs)
-    : p_(join.num_relations) {
-  const std::size_t rows = join.NumRows();
+ProvenanceIndex::ProvenanceIndex(std::shared_ptr<const ComponentJoin> join,
+                                 AttrSet head, const Database& db)
+    : p_(join->join.num_relations), join_(std::move(join)) {
+  const JoinResult& full_join = join_->join;
+  const std::size_t rows = full_join.NumRows();
   if (rows * p_ >= kNone) {
     throw std::length_error("provenance index: join too large");
   }
@@ -27,18 +30,20 @@ ProvenanceIndex::ProvenanceIndex(JoinResult join, AttrSet head,
   // Rows of a full join are distinct (instances are duplicate-free), so a
   // head covering every joined attribute makes each row its own group.
   AttrSet all;
-  for (AttrId a : join.attrs) all.Add(a);
+  for (AttrId a : full_join.attrs) all.Add(a);
   std::size_t groups = rows;
   if (!all.SubsetOf(head)) {
     JoinGroups own;
+    const JoinGroups* outputs =
+        join_->outputs ? &*join_->outputs : nullptr;
     if (outputs == nullptr) {
-      own = GroupJoinRows(join, head);
+      own = GroupJoinRows(full_join, head);
       outputs = &own;
     }
     groups = outputs->num_groups();
     if (groups != rows) row_group_ = outputs->group_of;
   }
-  support_ = std::move(join.support);
+  support_ = full_join.support.data();
   total_outputs_ = alive_outputs_ = static_cast<std::int64_t>(groups);
   row_alive_.assign(rows, 1);
 

@@ -19,11 +19,12 @@
 //
 // Cost model (rows = |join|, p = body size, tuples = Σ |instances|):
 //   build:      O(rows·p + tuples) time and words: the join's rows are
-//               already support and become the index's own, grouped by head
-//               codes (GroupJoinRows, relational/join.h). Built from a body,
-//               the index runs FullJoin and that grouping itself; built from
-//               the join a counting pass kept (ComponentJoin), it copies the
-//               support and the output groups and joins nothing;
+//               already support, which the index holds and reads in place,
+//               grouped by head codes (GroupJoinRows, relational/join.h).
+//               Built from a body, the index runs FullJoin and that grouping
+//               itself; built from the join a counting pass kept
+//               (ComponentJoin), it shares the join, copies its output
+//               groups and joins nothing;
 //   Delete:     O(p) per join row it kills — each row dies once, so a whole
 //               deletion sequence costs O(rows·p);
 //   Profit, IsRelevant: O(1) reads.
@@ -34,6 +35,7 @@
 #define ADP_RELATIONAL_PROVENANCE_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -46,12 +48,13 @@ namespace adp {
 class ProvenanceIndex {
  public:
   /// Builds the index over `join`, the full join of a body over `db`
-  /// (support column i is relation i of `db`), its rows grouped by their
-  /// head codes: `outputs` when given (GroupJoinRows(join, head)), else
-  /// grouped here. Throws std::length_error when the join has 2^32 or more
-  /// (row, relation) support entries.
-  ProvenanceIndex(JoinResult join, AttrSet head, const Database& db,
-                  const JoinGroups* outputs = nullptr);
+  /// (support column i is relation i of `db`), which it holds and reads in
+  /// place, its rows grouped by their head codes: `join->outputs` when set
+  /// (GroupJoinRows(join->join, head)), else grouped here. Throws
+  /// std::length_error when the join has 2^32 or more (row, relation)
+  /// support entries.
+  ProvenanceIndex(std::shared_ptr<const ComponentJoin> join, AttrSet head,
+                  const Database& db);
 
   /// Builds the index by materializing the full join of `body` over `db`,
   /// as above.
@@ -113,8 +116,10 @@ class ProvenanceIndex {
   // Per slot: alive rows it supports.
   std::vector<std::uint32_t> live_rows_;
 
-  // Per row: support (stride p_, the join's matrix) and alive flag.
-  std::vector<TupleId> support_;
+  // The join the index reads; per row: support (stride p_, the join's
+  // matrix) and alive flag.
+  std::shared_ptr<const ComponentJoin> join_;
+  const TupleId* support_ = nullptr;
   std::vector<char> row_alive_;
 
   // Grouped mode only (some group has several rows); all empty otherwise.

@@ -63,10 +63,12 @@ struct AdpStats {
   int sharded_decompose_nodes = 0;
   /// Passes over the data: calls into the relational counting API
   /// (relational/join.h), one per leaf SolveNode dispatches (a rejected
-  /// root leaf's included) plus ComputeAdp's one for k <= 0, and the join a
-  /// Greedy leaf materializes for itself when its pass kept none (a full
-  /// acyclic body, counted by propagation); not `verify`. Universe and
-  /// Decompose nodes count nothing.
+  /// root leaf's included) plus ComputeAdp's one for k <= 0; not `verify`.
+  /// Universe and Decompose nodes count nothing. A leaf that reads a join
+  /// (a Greedy leaf, the Boolean greedy fallback) has its pass materialize
+  /// and keep it, so its greedy joins nothing more; only a Boolean fallback
+  /// over a disconnected body, which no one join covers, joins for itself,
+  /// untallied.
   std::int64_t count_passes = 0;
 };
 
@@ -110,7 +112,8 @@ struct Parallelism {
   std::size_t min_groups = 4;
 
   /// Shard only Decompose nodes with at least this many connected
-  /// components. 0 disables Decompose sharding entirely.
+  /// components besides the first, which is solved before the fan-out
+  /// (solver/decompose.h). 0 disables Decompose sharding entirely.
   std::size_t min_components = 4;
 };
 

@@ -108,45 +108,74 @@ void DensifyChildren(DecomposeState& s) {
   for (const AdpNode& c : s.children) s.dense.push_back(c.profile.Dense());
 }
 
-// Solves each component's child at `cap` over the component's relations,
-// then orders the children for the fold by their outputs: ascending
-// |Q_i(D)|, the largest last.
+// Solves each component's child over the component's relations, then
+// orders the children for the fold by their outputs: ascending |Q_i(D)|,
+// the largest last. The component with the fewest tuples (the lowest index
+// on ties) is solved first, at `cap`; with m outputs of its own, every other
+// one is solved at ceil(cap / m), or at 0 when m = 0 and the product is
+// empty. That is exact for every target j <= cap (Lemma 3): when no output
+// count is 0, removing r outputs of component i alone removes r times the
+// others' product, at least r * m, so a way to reach j that removes more
+// than ceil(cap / m) of component i costs no less than removing
+// ceil(cap / m) of it alone, which already reaches j. Only those n - 1
+// sub-solves fan out when the node shards.
 std::shared_ptr<DecomposeState> BuildChildren(const DispatchPlan& plan,
                                               const Database& db,
                                               std::int64_t cap,
                                               const AdpOptions& options) {
   assert(plan.op == AdpCase::kDecompose);
   if (options.stats) ++options.stats->decompose_nodes;
+  const std::size_t n = plan.children.size();
   if (options.trace != nullptr) {
     // options.trace_parent is this node's own span (opened by SolveNode, or
     // by ComputeAdp for an ablation root).
     options.trace->Annotate(options.trace_parent, "components",
-                            std::to_string(plan.children.size()));
+                            std::to_string(n));
   }
-  // The components are independent subproblems (Lemma 3).
+  std::size_t first = 0;
+  std::size_t fewest = 0;
+  for (std::size_t c = 0; c < n; ++c) {
+    std::size_t tuples = 0;
+    for (int r : plan.components[c]) tuples += db.rel(r).size();
+    if (c == 0 || tuples < fewest) {
+      first = c;
+      fewest = tuples;
+    }
+  }
+  AdpNode first_child = SolveNode(plan.children[first],
+                                  SubDatabase(plan.components[first], db),
+                                  cap, options);
+  const std::int64_t m = first_child.outputs;
+  const std::int64_t rest_cap = m == 0 ? 0 : cap / m + (cap % m != 0 ? 1 : 0);
+  // The other components are independent subproblems (Lemma 3).
   bool sharded = false;
-  std::vector<AdpNode> children = SolveChildren(
-      plan.children.size(),
+  std::vector<AdpNode> rest = SolveChildren(
+      n - 1,
       options.parallelism != nullptr ? options.parallelism->min_components
                                      : 0,
       obs::kSpanShardDecompose, options,
-      [&](std::size_t c, const AdpOptions& o, obs::Span& shard) {
+      [&](std::size_t i, const AdpOptions& o, obs::Span& shard) {
+        const std::size_t c = i < first ? i : i + 1;
         shard.Tag("component", static_cast<std::int64_t>(c));
         return SolveNode(plan.children[c],
-                         SubDatabase(plan.components[c], db), cap, o);
+                         SubDatabase(plan.components[c], db), rest_cap, o);
       },
       &sharded);
   if (sharded && options.stats) ++options.stats->sharded_decompose_nodes;
-  std::vector<std::size_t> order(children.size());
+  // Component c's child.
+  auto child = [&](std::size_t c) -> AdpNode& {
+    return c == first ? first_child : rest[c < first ? c : c - 1];
+  };
+  std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return children[a].outputs < children[b].outputs;
+    return child(a).outputs < child(b).outputs;
   });
   auto state = std::make_shared<DecomposeState>();
   for (std::size_t c : order) {
-    state->m.push_back(children[c].outputs);
-    state->outputs = SatMul(state->outputs, children[c].outputs);
-    state->children.push_back(std::move(children[c]));
+    state->m.push_back(child(c).outputs);
+    state->outputs = SatMul(state->outputs, child(c).outputs);
+    state->children.push_back(std::move(child(c)));
   }
   return state;
 }

@@ -16,11 +16,19 @@
 // default strategy has no root special case: ComputeAdp reads the root
 // node's profile as in every other case.
 //
+// Every strategy solves a node's components the same way. The one with the
+// fewest tuples (the lowest index on ties) goes first, at the node's cap;
+// each other one is solved at ceil(cap / m) for the first one's m outputs,
+// or at 0 when m = 0 and the product is empty. Removing r outputs of any
+// other component alone already removes r times the others' product, at
+// least r * m, so the node's profile is exact for every target up to cap.
+//
 // When AdpOptions::parallelism is set (Parallelism::min_components > 0),
-// the per-component sub-solves of a node with enough components fan out
-// across the executor; the cross-product DP that combines their profiles
-// stays on the calling thread, so results are bitwise-identical to the
-// sequential path (AdpStats::sharded_decompose_nodes reports engagement).
+// the n - 1 sub-solves after the first fan out across the executor when
+// there are enough of them; the cross-product DP that combines their
+// profiles stays on the calling thread, so results are bitwise-identical
+// to the sequential path (AdpStats::sharded_decompose_nodes reports
+// engagement).
 
 #ifndef ADP_SOLVER_DECOMPOSE_H_
 #define ADP_SOLVER_DECOMPOSE_H_
@@ -34,9 +42,9 @@ namespace adp {
 
 /// Builds the recursion node with a full profile up to `cap`.
 /// Precondition: plan.op is kDecompose (>= 2 components). Counts nothing:
-/// each child plan is solved at `cap` over its component's relations, and
-/// each |Q_i(D)| is read off that child's `outputs`; the node's `outputs` is
-/// their product.
+/// each child plan is solved over its component's relations, the first at
+/// `cap` and the rest at ceil(cap / m) (see above), and each |Q_i(D)| is
+/// read off that child's `outputs`; the node's `outputs` is their product.
 AdpNode DecomposeNode(const DispatchPlan& plan, const Database& db,
                       std::int64_t cap, const AdpOptions& options);
 

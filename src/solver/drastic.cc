@@ -6,14 +6,17 @@
 #include "dichotomy/relations.h"
 #include "relational/join.h"
 #include "util/saturating.h"
+#include "util/stable_order.h"
 
 namespace adp {
 namespace {
 
 struct RelationPlan {
-  int rel = -1;
-  // (profit, tuple) sorted by profit descending; profits are disjoint
-  // full-join row counts, so prefix sums are exact removal counts.
+  int root_rel = -1;
+  // (profit, tuple) by profit descending, ties to the lower tuple id, up to
+  // the first pick reaching cap; the tuple is the root's when a reporter
+  // reads it. Profits are disjoint full-join row counts, so prefix sums are
+  // exact removal counts.
   std::vector<std::pair<std::int64_t, TupleId>> picks;
   std::vector<std::int64_t> prefix_removed;  // cumulative outputs removed
 };
@@ -46,26 +49,37 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
   auto plans = std::make_shared<std::vector<RelationPlan>>();
   for (int rel = 0; rel < q.num_relations(); ++rel) {
     if (!IsCandidate(q, rel, options)) continue;
+    const RelationInstance& inst = db.rel(rel);
     RelationPlan plan;
-    plan.rel = rel;
+    plan.root_rel = inst.root_relation();
     // Per-tuple profits are full-join row counts (full CQ: every row is a
     // distinct output).
     const std::vector<std::int64_t> profit = counts.RowsThrough(rel);
     for (TupleId t = 0; t < profit.size(); ++t) {
       if (profit[t] <= 0) continue;
       if (options.restrictions &&
-          options.restrictions->IsProtectedLocal(db.rel(rel), t)) {
+          options.restrictions->IsProtectedLocal(inst, t)) {
         continue;
       }
       plan.picks.emplace_back(profit[t], t);
     }
-    std::sort(plan.picks.begin(), plan.picks.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    plan.prefix_removed.reserve(plan.picks.size());
+    StableSortByKey(
+        plan.picks,
+        [](const std::pair<std::int64_t, TupleId>& p) {
+          return static_cast<std::uint64_t>(p.first);
+        },
+        SortOrder::kDescending);
+    // No target beyond cap is read, so neither is any pick past the first
+    // prefix reaching it.
     std::int64_t run = 0;
     for (const auto& [profit_t, t] : plan.picks) {
       run = SatAdd(run, profit_t);
       plan.prefix_removed.push_back(run);
+      if (run >= cap) break;
+    }
+    plan.picks.resize(plan.prefix_removed.size());
+    if (!options.counting_only) {
+      for (auto& pick : plan.picks) pick.second = inst.OriginOf(pick.second);
     }
     plans->push_back(std::move(plan));
   }
@@ -89,18 +103,7 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
   }
 
   if (!options.counting_only) {
-    // Capture origin translation tables.
-    auto roots = std::make_shared<std::vector<std::pair<int,
-        std::vector<TupleId>>>>();
-    for (const RelationPlan& plan : *plans) {
-      const RelationInstance& inst = db.rel(plan.rel);
-      std::vector<TupleId> origins(inst.size());
-      for (std::size_t t = 0; t < inst.size(); ++t) {
-        origins[t] = inst.OriginOf(t);
-      }
-      roots->emplace_back(inst.root_relation(), std::move(origins));
-    }
-    node.report = [plans, roots](std::int64_t j) {
+    node.report = [plans](std::int64_t j) {
       std::vector<TupleRef> out;
       if (j <= 0) return out;
       // The profile's winner for j: the shortest pick prefix reaching j,
@@ -119,9 +122,8 @@ AdpNode DrasticNode(const ConjunctiveQuery& q, const Database& db,
       }
       if (w < 0) return out;
       const RelationPlan& plan = (*plans)[w];
-      const auto& [root_rel, origins] = (*roots)[w];
       for (std::size_t i = 0; i < len; ++i) {
-        out.push_back(TupleRef{root_rel, origins[plan.picks[i].second]});
+        out.push_back(TupleRef{plan.root_rel, plan.picks[i].second});
       }
       return out;
     };

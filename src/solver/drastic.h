@@ -2,7 +2,10 @@
 // Profits are computed once per tuple (distinct tuples of one relation
 // remove disjoint full-join rows), each endogenous relation proposes the
 // smallest profit-sorted prefix reaching the target, and the cheapest
-// relation wins. Not applicable under projections (§7.4).
+// relation wins. Not applicable under projections (§7.4). The profit order
+// is stable and linear (StableSortByKey, util/stable_order.h), equal
+// profits keeping the lower tuple id, and each relation keeps only its
+// picks up to the first whose prefix reaches the node's cap.
 
 #ifndef ADP_SOLVER_DRASTIC_H_
 #define ADP_SOLVER_DRASTIC_H_

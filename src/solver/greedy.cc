@@ -57,14 +57,13 @@ GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
                            std::int64_t target,
                            const DeletionRestrictions* restrictions,
                            const JoinCounts* counts) {
-  const ComponentJoin* kept =
-      counts != nullptr ? counts->WholeJoin() : nullptr;
-  ProvenanceIndex index =
-      kept != nullptr
-          ? ProvenanceIndex(kept->join, q.head(), db,
-                            kept->outputs ? &*kept->outputs : nullptr)
-          : ProvenanceIndex(q.body(), q.head(), db);
   GreedyTrace trace;
+  if (counts != nullptr && counts->outputs == 0) return trace;
+  std::shared_ptr<const ComponentJoin> kept =
+      counts != nullptr ? counts->WholeJoin() : nullptr;
+  ProvenanceIndex index = kept != nullptr
+                              ? ProvenanceIndex(std::move(kept), q.head(), db)
+                              : ProvenanceIndex(q.body(), q.head(), db);
   trace.total_outputs = index.total_outputs();
   // Lemma 13 lets the unrestricted greedy consider endogenous relations
   // only; with protected tuples the exogenous substitute of a protected
@@ -126,12 +125,7 @@ GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
 AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
                    std::int64_t cap, const AdpOptions& options,
                    const JoinCounts& counts) {
-  if (options.stats) {
-    ++options.stats->greedy_leaves;
-    // A pass that kept no join (a full acyclic body, counted by
-    // propagation) leaves the ProvenanceIndex to join for itself.
-    if (counts.WholeJoin() == nullptr) ++options.stats->count_passes;
-  }
+  if (options.stats) ++options.stats->greedy_leaves;
   GreedyTrace trace = RunGreedyForCQ(q, db, std::min(cap, std::int64_t{1} << 62),
                                      options.restrictions, &counts);
 

@@ -34,9 +34,10 @@ struct GreedyTrace {
 
 /// Runs GreedyForCQ until at least `target` outputs are removed (or no
 /// deletable tuple can make further progress). `counts`, when given, are
-/// CountComponents' counts of exactly (q, db) under q's head; the
-/// ProvenanceIndex is built from the join they kept (JoinCounts::WholeJoin),
-/// else from a FullJoin of its own.
+/// CountComponents' counts of exactly (q, db) under q's head, joins kept:
+/// an empty join returns at once, and the ProvenanceIndex is built from the
+/// join they kept (JoinCounts::WholeJoin). Without counts, or over a
+/// disconnected body (the Boolean greedy fallback's), it joins for itself.
 GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
                            std::int64_t target,
                            const DeletionRestrictions* restrictions = nullptr,
@@ -44,8 +45,7 @@ GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
 
 /// Wraps a greedy run as a (non-exact) recursion node with kmax
 /// min(cap, |Q(D)|). `counts` are the node's own, read as by RunGreedyForCQ
-/// (SolveNode makes that pass, joins kept); a run that joins for itself
-/// counts one more pass (AdpStats::count_passes).
+/// (SolveNode makes that pass, joins kept).
 AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
                    std::int64_t cap, const AdpOptions& options,
                    const JoinCounts& counts);

@@ -1,31 +1,17 @@
 #include "solver/singleton.h"
 
-#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <memory>
 
 #include "obs/trace.h"
 #include "relational/group_index.h"
 #include "relational/join.h"
 #include "util/saturating.h"
+#include "util/stable_order.h"
 
 namespace adp {
 namespace {
-
-// Builds a profile from per-pick gains sorted descending: the c-th deletion
-// removes gains[c-1] further outputs.
-CostProfile ProfileFromGains(const std::vector<std::int64_t>& gains,
-                             std::int64_t cap) {
-  CostProfile profile;
-  std::int64_t removed = 0;
-  for (std::size_t c = 0; c < gains.size(); ++c) {
-    removed = SatAdd(removed, gains[c]);
-    if (!profile.Append(static_cast<std::int64_t>(c) + 1, removed, cap)) {
-      break;
-    }
-  }
-  return profile;
-}
 
 // Case-1 profits under a projected head: a tuple's profit is the number of
 // outputs it supports. attr(Ri) ⊆ head, so every join row of one output
@@ -44,7 +30,7 @@ std::vector<std::int64_t> ProjectedProfits(const ConjunctiveQuery& q,
   std::vector<std::int64_t> profit(db.rel(ri).size(), 0);
   // An empty join keeps no join (CountComponents): no tuple supports an
   // output.
-  const ComponentJoin* kept = counts.WholeJoin();
+  const std::shared_ptr<const ComponentJoin> kept = counts.WholeJoin();
   assert(kept != nullptr || counts.outputs == 0);
   if (kept == nullptr) return profit;
   for (std::uint32_t r : kept->outputs->first_row) {
@@ -116,7 +102,7 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
             : ProjectedProfits(q, db, ri, counts);
     struct Pick {
       std::int64_t profit;
-      TupleId t;
+      TupleId t;  // in `inst`; the root tuple once the reporter keeps it
     };
     std::vector<Pick> picks;
     picks.reserve(inst.size());
@@ -125,29 +111,36 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
         picks.push_back(Pick{profit[t], static_cast<TupleId>(t)});
       }
     }
-    std::sort(picks.begin(), picks.end(),
-              [](const Pick& a, const Pick& b) { return a.profit > b.profit; });
+    // Highest profit first; ties go to the lower tuple id.
+    StableSortByKey(
+        picks,
+        [](const Pick& p) { return static_cast<std::uint64_t>(p.profit); },
+        SortOrder::kDescending);
 
-    std::vector<std::int64_t> gains;
-    gains.reserve(picks.size());
-    for (const Pick& p : picks) gains.push_back(p.profit);
-    node.profile = ProfileFromGains(gains, cap);
+    // The c-th deletion removes the c-th pick's profit; the profile reads
+    // the picks up to the first that reaches cap.
+    std::int64_t removed = 0;
+    std::size_t used = 0;
+    while (used < picks.size()) {
+      removed = SatAdd(removed, picks[used].profit);
+      ++used;
+      if (!node.profile.Append(static_cast<std::int64_t>(used), removed,
+                               cap)) {
+        break;
+      }
+    }
 
     if (!options.counting_only) {
+      picks.resize(used);
+      for (Pick& p : picks) p.t = inst.OriginOf(p.t);
       auto shared = std::make_shared<std::vector<Pick>>(std::move(picks));
       const int root_rel = inst.root_relation();
-      std::vector<TupleId> origins(inst.size());
-      for (std::size_t t = 0; t < inst.size(); ++t) {
-        origins[t] = inst.OriginOf(t);
-      }
-      auto shared_origins =
-          std::make_shared<std::vector<TupleId>>(std::move(origins));
-      node.report = [shared, shared_origins, root_rel](std::int64_t j) {
+      node.report = [shared, root_rel](std::int64_t j) {
         std::vector<TupleRef> out;
         std::int64_t removed = 0;
         for (const Pick& p : *shared) {
           if (removed >= j) break;
-          out.push_back(TupleRef{root_rel, (*shared_origins)[p.t]});
+          out.push_back(TupleRef{root_rel, p.t});
           removed = SatAdd(removed, p.profit);
         }
         return out;
@@ -174,39 +167,40 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
     }
     if (!members.empty()) sorted_groups.push_back(std::move(members));
   }
-  // stable_sort keeps first-seen group order among equal sizes, so witness
-  // choice is deterministic.
-  std::stable_sort(
-      sorted_groups.begin(), sorted_groups.end(),
-      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  // Smallest group first; ties keep first-seen group order.
+  StableSortByKey(
+      sorted_groups,
+      [](const std::vector<TupleId>& g) {
+        return static_cast<std::uint64_t>(g.size());
+      },
+      SortOrder::kAscending);
 
   // Removing the j cheapest groups costs the sum of their sizes and removes
-  // exactly j outputs.
+  // exactly j outputs; the profile reads the first cap groups.
   std::int64_t spent = 0;
-  for (std::size_t g = 0; g < sorted_groups.size(); ++g) {
-    spent += static_cast<std::int64_t>(sorted_groups[g].size());
-    if (!node.profile.Append(spent, static_cast<std::int64_t>(g) + 1, cap)) {
+  std::size_t used = 0;
+  while (used < sorted_groups.size()) {
+    spent += static_cast<std::int64_t>(sorted_groups[used].size());
+    ++used;
+    if (!node.profile.Append(spent, static_cast<std::int64_t>(used), cap)) {
       break;
     }
   }
 
   if (!options.counting_only) {
-    auto shared =
-        std::make_shared<std::vector<std::vector<TupleId>>>(
-            std::move(sorted_groups));
+    sorted_groups.resize(used);
+    for (std::vector<TupleId>& group : sorted_groups) {
+      for (TupleId& t : group) t = inst.OriginOf(t);
+    }
+    auto shared = std::make_shared<std::vector<std::vector<TupleId>>>(
+        std::move(sorted_groups));
     const int root_rel = inst.root_relation();
-    std::vector<TupleId> origins(inst.size());
-    for (std::size_t t = 0; t < inst.size(); ++t) origins[t] = inst.OriginOf(t);
-    auto shared_origins =
-        std::make_shared<std::vector<TupleId>>(std::move(origins));
-    node.report = [shared, shared_origins, root_rel](std::int64_t j) {
+    node.report = [shared, root_rel](std::int64_t j) {
       std::vector<TupleRef> out;
       for (std::int64_t g = 0; g < j && g < static_cast<std::int64_t>(
                                                shared->size());
            ++g) {
-        for (TupleId t : (*shared)[g]) {
-          out.push_back(TupleRef{root_rel, (*shared_origins)[t]});
-        }
+        for (TupleId t : (*shared)[g]) out.push_back(TupleRef{root_rel, t});
       }
       return out;
     };

@@ -10,7 +10,11 @@
 //     cheapest output groups first is optimal.
 //
 // Both cases yield *convex* cost profiles, which is what makes stacked
-// Universe/Decompose combinations cheap (§7.3, Figures 28–29).
+// Universe/Decompose combinations cheap (§7.3, Figures 28–29). Both orders
+// are stable and linear (StableSortByKey, util/stable_order.h): equal
+// profits keep the lower tuple id, equal group sizes the first-seen group.
+// The node keeps only the picks (or groups) up to the first that reaches
+// its cap, and translates only those to root tuples.
 
 #ifndef ADP_SOLVER_SINGLETON_H_
 #define ADP_SOLVER_SINGLETON_H_

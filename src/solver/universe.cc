@@ -1,7 +1,7 @@
 #include "solver/universe.h"
 
-#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "query/transform.h"
 #include "solver/plan.h"
+#include "util/stable_order.h"
 
 namespace adp {
 namespace {
@@ -18,7 +19,8 @@ struct UniverseState {
   std::vector<AdpNode> children;
   // Generic DP path: the disjoint-union fold of the children's profiles.
   ProfileFold fold;
-  // Convex path: all marginal steps sorted by gain descending.
+  // Convex path: the marginal steps by gain descending, up to the first
+  // reaching cap.
   struct Step {
     std::int64_t gain;
     int child;
@@ -56,16 +58,24 @@ AdpNode CombineChildren(std::shared_ptr<UniverseState> state, std::int64_t cap,
             st[c].removed - st[c - 1].removed, static_cast<int>(i)});
       }
     }
-    std::sort(state->steps.begin(), state->steps.end(),
-              [](const auto& a, const auto& b) { return a.gain > b.gain; });
+    // Ties keep child order, and a child's own steps their order.
+    StableSortByKey(
+        state->steps,
+        [](const UniverseState::Step& step) {
+          return static_cast<std::uint64_t>(step.gain);
+        },
+        SortOrder::kDescending);
     std::int64_t removed = 0;
-    for (std::size_t s = 0; s < state->steps.size(); ++s) {
-      removed = SatAdd(removed, state->steps[s].gain);
-      if (!node.profile.Append(static_cast<std::int64_t>(s) + 1, removed,
+    std::size_t used = 0;
+    while (used < state->steps.size()) {
+      removed = SatAdd(removed, state->steps[used].gain);
+      ++used;
+      if (!node.profile.Append(static_cast<std::int64_t>(used), removed,
                                cap)) {
         break;
       }
     }
+    state->steps.resize(used);  // the reporter reads no step past cap
   } else {
     // Sequential fold with the disjoint-union budget sweep (Eq. 1),
     // recording splits for reporting.

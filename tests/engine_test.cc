@@ -588,10 +588,11 @@ TEST(AdpEngineTest, DecomposeShardingMatchesSequential) {
   AdpEngine sequential(sequential_cfg);
 
   Rng rng(4343);
-  // Two connected components ({R1,R2} and {R3,R4}), combined by the
-  // cross-product DP.
-  const ConjunctiveQuery q =
-      ParseQuery("Q(A,B,C,E) :- R1(A), R2(A,B), R3(C), R4(C,E)");
+  // Three connected components ({R1,R2}, {R3,R4} and {R5,R6}), combined by
+  // the cross-product DP. The smallest is solved before the fan-out, so the
+  // other two make it shard.
+  const ConjunctiveQuery q = ParseQuery(
+      "Q(A,B,C,E,F,G) :- R1(A), R2(A,B), R3(C), R4(C,E), R5(F), R6(F,G)");
   std::uint64_t sharded_nodes = 0;
   for (int iter = 0; iter < 10; ++iter) {
     Database db = RandomDb(q, rng, 12, 5);
@@ -643,12 +644,13 @@ TEST(AdpEngineTest, CancelledShardedDecomposeHasNoPartialResults) {
   config.min_shard_groups = 0;
   AdpEngine engine(config);
 
-  // Two heavyweight components, each the bench's universe workload.
+  // Three heavyweight components, each the bench's universe workload: the
+  // smallest is solved before the fan-out, the other two shard.
   constexpr std::int64_t kGroups = 16;
   constexpr std::int64_t kRows = 3000;
   NamedDatabase named;
   Rng rng(17);
-  for (int comp = 0; comp < 2; ++comp) {
+  for (int comp = 0; comp < 3; ++comp) {
     const std::string n = std::to_string(comp + 1);
     AppendGroupedComponent(named, rng, kRows, kGroups, "S" + n, "T" + n,
                            "U" + n);
@@ -657,8 +659,9 @@ TEST(AdpEngineTest, CancelledShardedDecomposeHasNoPartialResults) {
 
   AdpRequest req;
   req.query_text =
-      "Q(A1,A2) :- S1(A1,B1), T1(A1,B1,C1), U1(A1,C1), "
-      "S2(A2,B2), T2(A2,B2,C2), U2(A2,C2)";
+      "Q(A1,A2,A3) :- S1(A1,B1), T1(A1,B1,C1), U1(A1,C1), "
+      "S2(A2,B2), T2(A2,B2,C2), U2(A2,C2), "
+      "S3(A3,B3), T3(A3,B3,C3), U3(A3,C3)";
   req.db = db;
   req.k = 4;
   req.options.counting_only = true;

@@ -361,8 +361,10 @@ TEST(ObsEngineTest, ShardedDecomposeTraceCoversWallTime) {
   config.min_shard_groups = 0;
   AdpEngine engine(config);
   Rng rng(7);
-  const ConjunctiveQuery q =
-      ParseQuery("Q(A,B,C,E) :- R1(A), R2(A,B), R3(C), R4(C,E)");
+  // Three components: the smallest is solved before the fan-out, so the
+  // other two make it shard.
+  const ConjunctiveQuery q = ParseQuery(
+      "Q(A,B,C,E,F,G) :- R1(A), R2(A,B), R3(C), R4(C,E), R5(F), R6(F,G)");
   AdpRequest req;
   req.query_text = q.ToString();
   req.db = engine.RegisterDatabase(RandomDb(q, rng, 60, 30));

@@ -125,8 +125,8 @@ TEST(StatsTest, SelectedTpchExercisesDecomposeAndSingleton) {
 // root read the join their one pass materialized to count them: one pass.
 // Q4's shape (a Decompose root over two projected Greedy components) makes
 // one such pass per component, each keeping its own join: two. Q2's shape (a
-// full acyclic heuristic root) is counted by propagation, so its greedy
-// joins for itself: two.
+// full acyclic heuristic root) materializes its join in its one pass too,
+// since its greedy reads it, instead of propagating: one.
 TEST(StatsTest, CountPassesIncludeTheLeafJoins) {
   struct Case {
     const char* text;
@@ -136,7 +136,7 @@ TEST(StatsTest, CountPassesIncludeTheLeafJoins) {
       {"Q(A,B,C) :- R1(A,E), R2(B,E), R3(C,E)", 1},
       {"Q(A,C,E,G) :- R1(A,B), R2(B,C), R3(E,F), R4(F,G)", 2},
       {"Q(A,B) :- R1(A), R2(A,B,C)", 1},
-      {"Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)", 2},
+      {"Q(A,B,C,D) :- R1(A,B), R2(B,C), R3(C,D)", 1},
   };
   Rng rng(12);
   for (const Case& c : cases) {

@@ -1,10 +1,13 @@
-// Unit tests for util/: AttrSet algebra, RNG determinism, Zipf sampling.
+// Unit tests for util/: AttrSet algebra, RNG determinism, Zipf sampling,
+// stable ordering by key.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "util/hash.h"
 #include "util/parse_int.h"
 #include "util/rng.h"
+#include "util/stable_order.h"
 
 namespace adp {
 namespace {
@@ -207,6 +211,115 @@ TEST(ParseUint32Test, AcceptsTheUint32RangeOnly) {
     out = 7;
     EXPECT_FALSE(ParseUint32(text, &out)) << text;
     EXPECT_EQ(out, 7u) << text;
+  }
+}
+
+// StableSortByKey against a std::stable_sort oracle: same keys in the same
+// order, and equal keys in input order (each item carries its input index).
+struct Keyed {
+  std::uint64_t key = 0;
+  std::uint32_t id = 0;
+};
+
+void ExpectStableSortMatches(std::vector<Keyed> items, SortOrder order,
+                             const std::string& what) {
+  std::vector<Keyed> want = items;
+  std::stable_sort(want.begin(), want.end(),
+                   [order](const Keyed& a, const Keyed& b) {
+                     return order == SortOrder::kAscending ? a.key < b.key
+                                                           : a.key > b.key;
+                   });
+  StableSortByKey(items, [](const Keyed& x) { return x.key; }, order);
+  ASSERT_EQ(items.size(), want.size()) << what;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ASSERT_EQ(items[i].key, want[i].key) << what << " at " << i;
+    ASSERT_EQ(items[i].id, want[i].id) << what << " at " << i;
+  }
+}
+
+std::vector<Keyed> KeyedItems(std::size_t n, Rng& rng,
+                              std::uint64_t (*draw)(Rng&)) {
+  std::vector<Keyed> items(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    items[i] = Keyed{draw(rng), static_cast<std::uint32_t>(i)};
+  }
+  return items;
+}
+
+TEST(StableSortByKeyTest, MatchesStableSortAcrossSizesAndKeyRanges) {
+  struct Draw {
+    const char* name;
+    std::uint64_t (*draw)(Rng&);
+  };
+  const Draw draws[] = {
+      // Few distinct values: long runs of ties.
+      {"ties", [](Rng& r) { return r.Uniform(4); }},
+      // Profit-like counts over two bytes.
+      {"small", [](Rng& r) { return 1 + r.Uniform(50000); }},
+      // Every byte significant, the top one included.
+      {"wide", [](Rng& r) { return r.Next(); }},
+      // At or above 2^56, with ties in the low bytes.
+      {"high", [](Rng& r) {
+         return (std::uint64_t{1} << 56) + (r.Uniform(8) << 56) +
+                r.Uniform(3);
+       }},
+  };
+  Rng rng(2718);
+  for (const std::size_t n : {0u, 1u, 2u, 31u, 32u, 33u, 1000u, 100000u}) {
+    for (const Draw& d : draws) {
+      const std::vector<Keyed> items = KeyedItems(n, rng, d.draw);
+      for (const SortOrder order :
+           {SortOrder::kAscending, SortOrder::kDescending}) {
+        ExpectStableSortMatches(
+            items, order,
+            std::string(d.name) + " n=" + std::to_string(n) +
+                (order == SortOrder::kAscending ? " asc" : " desc"));
+      }
+    }
+  }
+}
+
+TEST(StableSortByKeyTest, AllEqualKeysKeepInputOrder) {
+  Rng rng(3);
+  for (const std::size_t n : {2u, 31u, 32u, 33u, 1000u}) {
+    for (const std::uint64_t key :
+         {std::uint64_t{0}, std::uint64_t{7}, ~std::uint64_t{0}}) {
+      std::vector<Keyed> items =
+          KeyedItems(n, rng, [](Rng&) { return std::uint64_t{0}; });
+      for (Keyed& x : items) x.key = key;
+      for (const SortOrder order :
+           {SortOrder::kAscending, SortOrder::kDescending}) {
+        std::vector<Keyed> sorted = items;
+        StableSortByKey(sorted, [](const Keyed& x) { return x.key; }, order);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(sorted[i].id, i) << "n=" << n << " key=" << key;
+        }
+      }
+    }
+  }
+}
+
+// Items are moved, not copied: vectors keyed by their size (Singleton's
+// case-2 groups) come out whole, in the oracle's order.
+TEST(StableSortByKeyTest, MovesNonTrivialItems) {
+  Rng rng(5);
+  for (const std::size_t n : {20u, 500u}) {
+    std::vector<std::vector<std::uint32_t>> groups(n);
+    for (std::size_t g = 0; g < n; ++g) {
+      groups[g].assign(1 + rng.Uniform(6), static_cast<std::uint32_t>(g));
+    }
+    std::vector<std::vector<std::uint32_t>> want = groups;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.size() < b.size();
+                     });
+    StableSortByKey(
+        groups,
+        [](const std::vector<std::uint32_t>& g) {
+          return static_cast<std::uint64_t>(g.size());
+        },
+        SortOrder::kAscending);
+    EXPECT_EQ(groups, want) << "n=" << n;
   }
 }
 
