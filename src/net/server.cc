@@ -57,6 +57,12 @@ void SuppressSigpipe(int fd) {
 /// batches).
 constexpr std::size_t kResultWitnessByteBudget = kMaxFramePayload / 2;
 
+/// Per-connection outbound buffer bound: stream pumping pauses while the
+/// buffer holds at least this many bytes (backpressure on slow readers).
+/// Request/error responses are exempt — they are small and must not be
+/// lost to a full buffer.
+constexpr std::size_t kOutboundBufferLimit = 4u * 1024 * 1024;
+
 /// Frames `payload`, or — when it exceeds the wire cap — a small typed
 /// kError carrying the same correlation id, so an oversized response can
 /// never corrupt the stream or tear the connection down. Returns false on
@@ -667,7 +673,7 @@ void AdpNetServer::PumpConn(Conn& conn) {
   //    reader stalls here; the stream's bounded buffer then blocks the
   //    producing worker — that is the backpressure path.
   for (auto& run : conn.streams) {
-    while (conn.outbuf.size() - conn.outpos < config_.outbound_buffer_limit) {
+    while (conn.outbuf.size() - conn.outpos < kOutboundBufferLimit) {
       std::optional<StreamItem> item = run.stream.TryNext();
       if (!item.has_value()) break;
       ++run.items;

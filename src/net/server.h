@@ -9,8 +9,8 @@
 //
 // Stream push and backpressure: a STREAM verb opens a ResultStream and the
 // loop pumps ResultStream::TryNext into kStreamItem frames while the
-// connection's outbound buffer is below
-// NetServerConfig::outbound_buffer_limit. A slow client therefore stops
+// connection's outbound buffer holds less than 4 MiB (kOutboundBufferLimit
+// in server.cc). A slow client therefore stops
 // the pump; the stream's own bounded buffer then blocks the producing
 // worker — end-to-end backpressure with zero extra threads. A client that
 // disconnects mid-stream gets its streams Close()d, which releases that
@@ -54,12 +54,6 @@ struct NetServerConfig {
 
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 256;
-
-  /// Per-connection outbound buffer bound: stream pumping pauses while the
-  /// buffer holds at least this many bytes (backpressure on slow readers).
-  /// Request/error responses are exempt — they are small and must not be
-  /// lost to a full buffer.
-  std::size_t outbound_buffer_limit = 4u * 1024 * 1024;
 
   /// Default deadline for REQ/STREAM/EXEC in milliseconds from arrival
   /// (0 = none). A +d option on the request line overrides it.

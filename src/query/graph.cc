@@ -1,43 +1,9 @@
 #include "query/graph.h"
 
-#include <algorithm>
-
 namespace adp {
-namespace {
-
-// Union of breadth-first searches over the restricted edge set.
-std::vector<std::vector<int>> Components(const ConjunctiveQuery& q,
-                                         AttrSet allowed) {
-  const int p = q.num_relations();
-  std::vector<int> comp(p, -1);
-  int next_comp = 0;
-  for (int start = 0; start < p; ++start) {
-    if (comp[start] >= 0) continue;
-    comp[start] = next_comp;
-    std::vector<int> stack = {start};
-    while (!stack.empty()) {
-      int u = stack.back();
-      stack.pop_back();
-      const AttrSet au = q.relation(u).attr_set().Intersect(allowed);
-      for (int v = 0; v < p; ++v) {
-        if (comp[v] >= 0) continue;
-        if (au.Intersects(q.relation(v).attr_set())) {
-          comp[v] = next_comp;
-          stack.push_back(v);
-        }
-      }
-    }
-    ++next_comp;
-  }
-  std::vector<std::vector<int>> out(next_comp);
-  for (int i = 0; i < p; ++i) out[comp[i]].push_back(i);
-  return out;
-}
-
-}  // namespace
 
 std::vector<std::vector<int>> ConnectedComponents(const ConjunctiveQuery& q) {
-  return Components(q, AttrSet::FirstN(kMaxAttrs));
+  return BodyComponents(q.body(), AttrSet::FirstN(kMaxAttrs));
 }
 
 bool IsConnected(const ConjunctiveQuery& q) {
@@ -69,7 +35,7 @@ bool ConnectedVia(const ConjunctiveQuery& q, int from, int to,
 
 std::vector<std::vector<int>> ComponentsVia(const ConjunctiveQuery& q,
                                             AttrSet allowed) {
-  return Components(q, allowed);
+  return BodyComponents(q.body(), allowed);
 }
 
 }  // namespace adp

@@ -14,7 +14,8 @@
 namespace adp {
 
 /// Connected components of GQ, each a sorted list of body indices.
-/// Components are ordered by their smallest relation index.
+/// Components are ordered by their smallest relation index
+/// (BodyComponents, relational/relation.h).
 std::vector<std::vector<int>> ConnectedComponents(const ConjunctiveQuery& q);
 
 /// True if GQ is connected (or the body has at most one relation).
@@ -28,7 +29,7 @@ bool ConnectedVia(const ConjunctiveQuery& q, int from, int to,
                   AttrSet allowed);
 
 /// Connected components of GQ when only edges with a shared attribute in
-/// `allowed` are kept.
+/// `allowed` are kept, in ConnectedComponents' order.
 std::vector<std::vector<int>> ComponentsVia(const ConjunctiveQuery& q,
                                             AttrSet allowed);
 

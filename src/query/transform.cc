@@ -6,7 +6,6 @@
 
 #include "query/graph.h"
 #include "relational/group_index.h"
-#include "util/hash.h"
 
 namespace adp {
 namespace {
@@ -94,9 +93,6 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db) {
   for (int i = 0; i < q.num_relations(); ++i) {
     const RelationSchema& schema = q.relation(i);
     const RelationInstance& inst = db.rel(i);
-    RelationInstance derived;
-    derived.set_root_relation(inst.root_relation());
-
     std::vector<int> kept_cols;
     for (std::size_t c = 0; c < schema.attrs.size(); ++c) {
       if (!selected.Contains(schema.attrs[c])) {
@@ -119,12 +115,12 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db) {
       preds.emplace_back(col, static_cast<Code>(code));
     }
 
+    // Columnar scan: integer code compares only, then one gather of the
+    // passing rows over the kept columns (dictionaries are shared, codes
+    // copied, origins carried). Every dropped column holds one value across
+    // the passing rows, so distinct rows stay distinct.
+    std::vector<TupleId> pass;
     if (satisfiable) {
-      // Columnar scan: integer code compares only, then one gather of the
-      // passing rows over the kept columns (dictionaries are shared, codes
-      // copied, origins carried). Every dropped column holds one value
-      // across the passing rows, so distinct rows stay distinct.
-      std::vector<TupleId> pass;
       pass.reserve(inst.size());
       for (std::size_t t = 0; t < inst.size(); ++t) {
         bool ok = true;
@@ -136,9 +132,8 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db) {
         }
         if (ok) pass.push_back(static_cast<TupleId>(t));
       }
-      derived.AppendGathered(inst, pass, kept_cols);
     }
-    out.db.Append(std::move(derived));
+    out.db.Append(RelationInstance::Gather(inst, pass, kept_cols));
   }
   return out;
 }
@@ -147,6 +142,11 @@ std::vector<UniverseGroup> PartitionByAttrs(const ConjunctiveQuery& q,
                                             const Database& db,
                                             AttrSet attrs) {
   const int p = q.num_relations();
+  // An empty relation holds no key, so no group has rows in every relation
+  // (and an empty root instance has no columns to probe).
+  for (int i = 0; i < p; ++i) {
+    if (db.rel(i).empty()) return {};
+  }
   // Column positions of the partition attributes (increasing AttrId order)
   // and of the surviving attributes, per relation.
   std::vector<std::vector<int>> key_cols(p), kept_cols(p);
@@ -160,46 +160,69 @@ std::vector<UniverseGroup> PartitionByAttrs(const ConjunctiveQuery& q,
     }
   }
 
-  // Group each relation's rows by key codes — one hash-group pass per
-  // relation, no key tuples materialized — then merge the per-relation
-  // groups across relations by decoded key value. The merge map costs one
-  // entry per DISTINCT key (not per row), and std::map keeps the group
-  // order deterministic (ascending key, as before).
+  // Group each relation's rows by their key codes, then probe each group of
+  // the relation with the fewest (`base`) into every other relation's index,
+  // translating its key through their dictionaries (KeyProbe). Only the
+  // keys found in every relation are kept: the others produce no outputs,
+  // and removing their tuples is never useful.
   std::vector<HashGroupIndex> index;
   index.reserve(p);
+  int base = 0;
   for (int i = 0; i < p; ++i) {
     index.emplace_back(db.rel(i), key_cols[i]);
+    if (index[i].num_groups() < index[base].num_groups()) base = i;
   }
-  std::map<Tuple, std::vector<std::int64_t>> merged;  // key -> group per rel
+  const RelationInstance& base_inst = db.rel(base);
+  const HashGroupIndex& base_index = index[base];
+  const std::size_t n = base_index.num_groups();
+  auto key_code = [&](std::size_t g, std::size_t j) {
+    return base_inst.CodeAt(base_index.representative(g), key_cols[base][j]);
+  };
+  // gids[g * p + i]: relation i's group of base group g's key.
+  std::vector<std::uint32_t> gids(n * p);
+  for (std::size_t g = 0; g < n; ++g) {
+    gids[g * p + base] = static_cast<std::uint32_t>(g);
+  }
   for (int i = 0; i < p; ++i) {
-    for (std::size_t g = 0; g < index[i].num_groups(); ++g) {
-      auto [it, inserted] = merged.try_emplace(index[i].KeyValues(g));
-      if (inserted) it->second.assign(p, -1);
-      it->second[i] = static_cast<std::int64_t>(g);
+    if (i == base) continue;
+    std::vector<const ColumnDict*> from, to;
+    for (std::size_t j = 0; j < key_cols[i].size(); ++j) {
+      from.push_back(&base_inst.dict(key_cols[base][j]));
+      to.push_back(&db.rel(i).dict(key_cols[i][j]));
+    }
+    KeyProbe(&index[i], std::move(from), std::move(to), n)
+        .ForEachRow(n, key_code, [&](std::size_t g, std::uint32_t gi) {
+          gids[g * p + i] = gi;
+        });
+  }
+  std::vector<std::uint32_t> kept;
+  for (std::size_t g = 0; g < n; ++g) {
+    const std::uint32_t* row = &gids[g * p];
+    if (std::find(row, row + p, kNoGroup) == row + p) {
+      kept.push_back(static_cast<std::uint32_t>(g));
     }
   }
+  // Ascending key order: keys are distinct, so the order is total.
+  std::sort(kept.begin(), kept.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const TupleId ra = base_index.representative(a);
+    const TupleId rb = base_index.representative(b);
+    for (int col : key_cols[base]) {
+      const Value va = base_inst.ValueAt(ra, col);
+      const Value vb = base_inst.ValueAt(rb, col);
+      if (va != vb) return va < vb;
+    }
+    return false;
+  });
 
   std::vector<UniverseGroup> out;
-  for (const auto& [key, gids] : merged) {
-    // Keys missing from some relation yield zero outputs; skip them.
-    bool complete = true;
-    for (int i = 0; i < p; ++i) {
-      if (gids[i] < 0) {
-        complete = false;
-        break;
-      }
-    }
-    if (!complete) continue;
-
+  out.reserve(kept.size());
+  for (std::uint32_t g : kept) {
     UniverseGroup group;
     for (int i = 0; i < p; ++i) {
-      const RelationInstance& inst = db.rel(i);
-      RelationInstance derived;
-      derived.set_root_relation(inst.root_relation());
       // Gather the group's rows over the surviving columns: shared
       // dictionaries, code copies, origins carried.
-      derived.AppendGathered(inst, index[i].rows(gids[i]), kept_cols[i]);
-      group.db.Append(std::move(derived));
+      group.db.Append(RelationInstance::Gather(
+          db.rel(i), index[i].rows(gids[g * p + i]), kept_cols[i]));
     }
     out.push_back(std::move(group));
   }

@@ -28,7 +28,7 @@ struct Subquery {
   std::vector<int> parent_relation;  // parent body index per subquery index
 };
 
-/// One class of the Universe partition: all tuples sharing `key` on the
+/// One class of the Universe partition: all tuples sharing one key on the
 /// universal attributes, with those attributes projected away.
 struct UniverseGroup {
   Database db;  // instance of the residual query (attributes removed)
@@ -65,8 +65,11 @@ QueryDb ApplySelections(const ConjunctiveQuery& q, const Database& db);
 /// combination on `attrs` (which must occur in every relation), projecting
 /// those attributes away. Only keys present in *every* relation are
 /// returned, in ascending key order — other groups produce no outputs and
-/// removing their tuples is never useful. The residual query is
-/// RemoveAttributes(q, attrs).
+/// removing their tuples is never useful. Keys are matched on dictionary
+/// codes: each relation is grouped by a HashGroupIndex, and the groups of
+/// the relation with the fewest are probed into the others through KeyProbe
+/// (relational/group_index.h). An empty relation yields no groups. The
+/// residual query is RemoveAttributes(q, attrs).
 std::vector<UniverseGroup> PartitionByAttrs(const ConjunctiveQuery& q,
                                             const Database& db, AttrSet attrs);
 

@@ -1,5 +1,7 @@
 #include "relational/database.h"
 
+#include <numeric>
+
 namespace adp {
 
 Database WithTuplesRemoved(const Database& db,
@@ -8,8 +10,6 @@ Database WithTuplesRemoved(const Database& db,
   std::vector<TupleId> keep;
   for (std::size_t r = 0; r < db.num_relations(); ++r) {
     const RelationInstance& in = db.rel(r);
-    RelationInstance copy;
-    copy.set_root_relation(in.root_relation());
     keep.clear();
     keep.reserve(in.size());
     for (std::size_t i = 0; i < in.size(); ++i) {
@@ -20,8 +20,9 @@ Database WithTuplesRemoved(const Database& db,
     }
     // Gather: shares `in`'s dictionaries and copies only the surviving
     // code rows; origins are preserved.
-    copy.AppendGathered(in, keep);
-    out.Append(std::move(copy));
+    std::vector<int> all(in.arity());
+    std::iota(all.begin(), all.end(), 0);
+    out.Append(RelationInstance::Gather(in, keep, all));
   }
   return out;
 }

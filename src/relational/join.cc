@@ -1,12 +1,10 @@
 #include "relational/join.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 
 #include "relational/group_index.h"
-#include "util/hash.h"
 #include "util/saturating.h"
 
 namespace adp {
@@ -50,75 +48,6 @@ std::vector<int> JoinOrder(const std::vector<RelationSchema>& body,
   }
   return order;
 }
-
-constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
-constexpr Code kNoCode = std::numeric_limits<Code>::max();
-
-// Finds the build-side group of each probing row's key (kNoGroup: none).
-// Key column j holds codes of dictionary `from[j]`, translated into the
-// build side's `to[j]` (a value absent there matches no build row): once per
-// code, into a table, when TranslatesByTable holds, and a one-column key's
-// table maps each code straight to its group; else once per row (Lookup).
-// Without a `build` index the key has one column, and its group is its
-// build-side code (a code-keyed tree edge).
-class KeyProbe {
- public:
-  KeyProbe(const HashGroupIndex* build, std::vector<const ColumnDict*> from,
-           std::vector<const ColumnDict*> to, std::size_t probing_rows)
-      : build_(build), from_(std::move(from)), to_(std::move(to)),
-        table_(from_.size()), probe_(from_.size()) {
-    for (std::size_t j = 0; j < from_.size(); ++j) {
-      const ColumnDict& dict = *from_[j];
-      if (!TranslatesByTable(dict.size(), probing_rows)) continue;
-      table_[j].assign(dict.size(), kNoCode);  // kNoCode == kNoGroup
-      for (std::size_t c = 0; c < dict.size(); ++c) {
-        const std::int64_t code = to_[j]->Lookup(dict.values[c]);
-        if (code < 0) continue;
-        const Code to_code = static_cast<Code>(code);
-        const std::int64_t g = from_.size() == 1 && build_ != nullptr
-                                   ? build_->FindByCodes(&to_code)
-                                   : to_code;
-        if (g >= 0) table_[j][c] = static_cast<Code>(g);
-      }
-    }
-  }
-
-  // Calls `emit(r, g)` for every probing row r < `rows`, with g the group
-  // holding its key; row r's column-j code is `code_of(r, j)`.
-  template <typename CodeOf, typename Emit>
-  void ForEachRow(std::size_t rows, CodeOf code_of, Emit emit) {
-    if (table_.size() == 1 && !table_[0].empty()) {
-      for (std::size_t r = 0; r < rows; ++r) emit(r, table_[0][code_of(r, 0)]);
-      return;
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = 0; j < probe_.size(); ++j) {
-        const Code c = code_of(r, j);
-        const std::int64_t code =
-            table_[j].empty() ? to_[j]->Lookup(from_[j]->values[c])
-                              : static_cast<std::int64_t>(table_[j][c]);
-        probe_[j] = code < 0 ? kNoCode : static_cast<Code>(code);
-      }
-      emit(r, Group(probe_.data()));
-    }
-  }
-
- private:
-  std::uint32_t Group(const Code* codes) const {
-    for (std::size_t j = 0; j < probe_.size(); ++j) {
-      if (codes[j] == kNoCode) return kNoGroup;
-    }
-    if (build_ == nullptr) return codes[0];
-    const std::int64_t g = build_->FindByCodes(codes);
-    return g < 0 ? kNoGroup : static_cast<std::uint32_t>(g);
-  }
-
-  const HashGroupIndex* build_;  // null: the key's code is its group
-  std::vector<const ColumnDict*> from_;
-  std::vector<const ColumnDict*> to_;
-  std::vector<std::vector<Code>> table_;  // per key column; empty: Lookup
-  std::vector<Code> probe_;
-};
 
 // The natural join of the relations at body positions `pos`. Support column
 // `i` of the result refers to relation `pos[i]`. Rows, intermediate or
@@ -186,32 +115,6 @@ JoinResult JoinPositions(const std::vector<RelationSchema>& body,
     }
   }
   return result;
-}
-
-// Connected components of the body, as ascending lists of body positions.
-// Relations connect when they share an attribute, so every vacuum relation
-// is a component of its own.
-std::vector<std::vector<int>> Components(
-    const std::vector<RelationSchema>& body) {
-  const int p = static_cast<int>(body.size());
-  std::vector<std::vector<int>> comps;
-  std::vector<char> seen(p, 0);
-  for (int start = 0; start < p; ++start) {
-    if (seen[start]) continue;
-    seen[start] = 1;
-    std::vector<int>& comp = comps.emplace_back(1, start);
-    for (std::size_t k = 0; k < comp.size(); ++k) {
-      const AttrSet attrs = body[comp[k]].attr_set();
-      for (int v = 0; v < p; ++v) {
-        if (!seen[v] && attrs.Intersects(body[v].attr_set())) {
-          seen[v] = 1;
-          comp.push_back(v);
-        }
-      }
-    }
-    std::sort(comp.begin(), comp.end());
-  }
-  return comps;
 }
 
 // A join tree of one connected component, found by GYO ear removal: a
@@ -515,33 +418,19 @@ JoinGroups GroupJoinRows(const JoinResult& join, AttrSet key) {
   }
   const std::size_t rows = join.NumRows();
   if (rows >= kNoGroup) throw std::length_error("join too large to group");
-  std::size_t cap = 16;
-  while (cap < rows * 2) cap <<= 1;
-  const std::size_t mask = cap - 1;
-  std::vector<std::uint32_t> table(cap, kNoGroup);  // slot -> first row
   JoinGroups groups;
   groups.group_of.resize(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (int c : cols) h = HashMix(h, join.CodeAt(r, c));
-    for (std::size_t slot = h & mask;; slot = (slot + 1) & mask) {
-      const std::uint32_t rep = table[slot];
-      if (rep == kNoGroup) {
-        table[slot] = static_cast<std::uint32_t>(r);
-        groups.group_of[r] = static_cast<std::uint32_t>(groups.num_groups());
-        groups.first_row.push_back(static_cast<std::uint32_t>(r));
-        break;
-      }
-      bool eq = true;
-      for (std::size_t j = 0; j < cols.size() && eq; ++j) {
-        eq = join.CodeAt(rep, cols[j]) == join.CodeAt(r, cols[j]);
-      }
-      if (eq) {
-        groups.group_of[r] = groups.group_of[rep];
-        break;
-      }
-    }
-  }
+  GroupByCodes(
+      rows, cols.size(),
+      [&](std::size_t r, std::size_t j) { return join.CodeAt(r, cols[j]); },
+      [&](std::size_t r, TupleId first) {
+        if (first == r) {
+          groups.group_of[r] = static_cast<std::uint32_t>(groups.num_groups());
+          groups.first_row.push_back(first);
+        } else {
+          groups.group_of[r] = groups.group_of[first];
+        }
+      });
   return groups;
 }
 
@@ -563,16 +452,21 @@ JoinCounts CountComponents(const std::vector<RelationSchema>& body,
                            AttrSet head, const Database& db,
                            const CountReads& reads) {
   JoinCounts counts;
-  for (std::vector<int>& rels : Components(body)) {
+  for (std::vector<int>& rels :
+       BodyComponents(body, AttrSet::FirstN(kMaxAttrs))) {
     counts.components.push_back(JoinCounts::Component{std::move(rels)});
   }
   if (reads.rels != 0) counts.per_tuple.resize(body.size());
+  // Joins are kept only when one join covers the body: no reader can use
+  // the components' joins of a body with several.
+  CountReads own = reads;
+  own.joins = reads.joins && counts.components.size() == 1;
   bool empty = AnyEmpty(body, db);
   counts.rows = 1;
   counts.outputs = 1;
   for (JoinCounts::Component& comp : counts.components) {
     if (empty) break;
-    CountComponent(body, db, head, reads, comp, counts.per_tuple,
+    CountComponent(body, db, head, own, comp, counts.per_tuple,
                    counts.materialized);
     empty = comp.rows == 0;
     counts.rows = SatMul(counts.rows, comp.rows);

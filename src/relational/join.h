@@ -22,7 +22,7 @@
 //   groups the child's rows through a HashGroupIndex.
 // - The materializing join, for cyclic components (e.g. the triangle), for
 //   the distinct outputs of heads that keep some but not all of a
-//   component's attributes, and for every component when the reads ask for
+//   component's attributes, and for a connected body when the reads ask for
 //   joins. A sequence of hash joins in a greedily chosen connected order
 //   builds every row.
 //
@@ -34,21 +34,22 @@
 // top-down pass runs, multiplied in for the read relations only. Saturating
 // addition and multiplication are monotone, so every count is
 // min(kMaxOutputs, true count) whatever the root. When the reads ask for
-// joins, every component is materialized and keeps its join and output
-// groups, for the leaf that would otherwise build them again
-// (ProvenanceIndex, projected Singleton profits); its read relations' counts
-// are then counted off the join's rows.
+// joins and the body is connected, its one component is materialized and
+// keeps its join and output groups, for the leaf that would otherwise build
+// them again (ProvenanceIndex, projected Singleton profits); its read
+// relations' counts are then counted off the join's rows. A body with
+// several components is counted as if no joins were asked for: no one of
+// their joins covers it.
 //
 // The materializing join works on dictionary codes. A row, intermediate or
 // final, is just its support, one TupleId per relation, and each result
 // column names the instance column it is read from: O(|join|·p) words, no
-// allocation per row, no value copied. Its probe, like the propagation's
-// parent match, translates a key column into the build side's dictionary
-// once per code when the column's dictionary has no more entries than the
-// rows probing it (TranslatesByTable), else per row. GroupJoinRows, the one
-// grouping routine over join rows, groups them by their head codes: the
-// distinct outputs of a projected component, ProvenanceIndex's output
-// groups and the Singleton case-1 profits under a projected head.
+// allocation per row, no value copied. Its build side is a HashGroupIndex
+// and its probe, like the propagation's parent match, is a KeyProbe
+// (relational/group_index.h). GroupJoinRows groups join rows by their head
+// codes through the same build loop (GroupByCodes): the distinct outputs of
+// a projected component, ProvenanceIndex's output groups and the Singleton
+// case-1 profits under a projected head.
 //
 // Each leaf of a solve's plan counts its own body with one call
 // (SolveNode, solver/compute_adp.h), and its solver reads only that pass;
@@ -127,14 +128,6 @@ struct JoinResult {
 JoinResult FullJoin(const std::vector<RelationSchema>& body,
                     const Database& db);
 
-/// True when a probing key column over a dictionary of `dict_size` entries,
-/// probed by `probing_rows` rows, is translated into the build side's
-/// dictionary once per code, through a table (never more translations than
-/// rows), rather than once per row through ColumnDict::Lookup.
-inline bool TranslatesByTable(std::size_t dict_size, std::size_t probing_rows) {
-  return dict_size <= probing_rows;
-}
-
 /// Join rows grouped by their codes on some attributes (GroupJoinRows).
 struct JoinGroups {
   /// Per join row: its group, numbered in first-seen row order.
@@ -146,10 +139,9 @@ struct JoinGroups {
 };
 
 /// Groups the rows of `join` by their codes on the attributes of `key` that
-/// the join has: open addressing over representative row ids, collisions
-/// resolved by comparing codes. Under a head, the groups are the distinct
-/// outputs. Throws std::length_error when the join has 2^32 - 1 rows or
-/// more.
+/// the join has, through GroupByCodes (relational/group_index.h). Under a
+/// head, the groups are the distinct outputs. Throws std::length_error when
+/// the join has 2^32 - 1 rows or more.
 JoinGroups GroupJoinRows(const JoinResult& join, AttrSet key);
 
 /// What a counting pass keeps besides the rows and outputs
@@ -159,7 +151,8 @@ struct CountReads {
   /// Bit i: the per-tuple counts of body position i. Bit 63 stands for
   /// position 63 and every later one.
   std::uint64_t rels = 0;
-  /// Materialize every component and keep its join and output groups.
+  /// Materialize the body's join and keep it with its output groups, when
+  /// the body is connected (CountComponents ignores it otherwise).
   bool joins = false;
 
   /// The per-tuple counts of every body position.
@@ -197,13 +190,13 @@ struct JoinCounts {
     /// none of them.
     std::int64_t outputs = 0;
     /// The join the pass materialized to count the component, kept when
-    /// the reads ask for joins (and the whole join is nonempty); null
-    /// otherwise.
+    /// the reads ask for joins, the body is this one component and its join
+    /// is nonempty; null otherwise.
     std::shared_ptr<const ComponentJoin> join = nullptr;
   };
 
-  /// The components, in order of their smallest body position (the order
-  /// of ConnectedComponents in query/graph.h).
+  /// The components, in order of their smallest body position
+  /// (BodyComponents, relational/relation.h).
   std::vector<Component> components;
 
   /// |join|: the product of the components' rows, saturated.
@@ -240,7 +233,7 @@ struct JoinCounts {
 /// each one's join rows and its distinct projections onto `head` (see the
 /// file comment for the path each takes), plus what `reads` asks for: the
 /// rows through each tuple of a read relation within its component, and
-/// every component's join. When the join is empty (an empty
+/// the join of a connected body. When the join is empty (an empty
 /// instance, or a component without rows) every count is zero, and the
 /// components after the first empty one are not counted.
 JoinCounts CountComponents(const std::vector<RelationSchema>& body,

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <utility>
 
-#include "util/hash.h"
+#include "relational/group_index.h"
 
 namespace adp {
 namespace {
@@ -50,12 +50,6 @@ ColumnDict& RelationInstance::MutableDict(std::size_t c) {
   return *d;
 }
 
-void RelationInstance::MaterializeOrigins() {
-  if (!origin_.empty() || num_rows_ == 0) return;
-  origin_.resize(num_rows_);
-  std::iota(origin_.begin(), origin_.end(), TupleId{0});
-}
-
 void RelationInstance::Add(Tuple t) { AppendRow(t.data(), t.size()); }
 
 void RelationInstance::AppendRow(const Value* vals, std::size_t n) {
@@ -68,110 +62,76 @@ void RelationInstance::AppendRow(const Value* vals, std::size_t n) {
   ++num_rows_;
 }
 
-void RelationInstance::AppendGathered(const RelationInstance& src,
-                                      std::span<const TupleId> rows,
-                                      const std::vector<int>& kept_cols) {
-  CheckCapacity(rows.size());
-  if (num_rows_ == 0 && cols_.empty()) {
-    // Adopt the source layout: share its dictionaries outright.
-    cols_.resize(kept_cols.size());
+RelationInstance RelationInstance::Gather(const RelationInstance& src,
+                                          std::span<const TupleId> rows,
+                                          const std::vector<int>& kept_cols) {
+  RelationInstance out;
+  out.root_relation_ = src.root_relation_;
+  out.CheckCapacity(rows.size());
+  // Each column is sized for the gathered rows at once and shares its
+  // source's dictionary, so codes transfer verbatim.
+  if (!src.cols_.empty()) {
+    out.cols_.resize(kept_cols.size());
     for (std::size_t j = 0; j < kept_cols.size(); ++j) {
-      cols_[j].dict = src.cols_[kept_cols[j]].dict;
-    }
-  } else if (cols_.size() != kept_cols.size()) {
-    throw std::invalid_argument("gather arity mismatch: instance has " +
-                                std::to_string(cols_.size()) +
-                                " columns, gather has " +
-                                std::to_string(kept_cols.size()));
-  }
-  // resize() sizes an empty column exactly (a fresh derived instance) and
-  // grows a filled one geometrically.
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
-    const Column& sc = src.cols_[kept_cols[j]];
-    Column& dc = cols_[j];
-    const std::size_t base = dc.codes.size();
-    dc.codes.resize(base + rows.size());
-    Code* out = dc.codes.data() + base;
-    if (dc.dict == sc.dict) {
-      // Same dictionary: codes transfer verbatim.
-      for (TupleId r : rows) *out++ = sc.codes[r];
-    } else {
-      // Different dictionary (destination was populated another way):
-      // decode and re-intern.
-      ColumnDict& dict = MutableDict(j);
-      for (TupleId r : rows) *out++ = dict.Intern(sc.dict->values[sc.codes[r]]);
+      const Column& sc = src.cols_[kept_cols[j]];
+      Column& dc = out.cols_[j];
+      dc.dict = sc.dict;
+      dc.codes.resize(rows.size());
+      Code* codes = dc.codes.data();
+      for (TupleId r : rows) *codes++ = sc.codes[r];
     }
   }
-  MaterializeOrigins();
-  const std::size_t base = origin_.size();
-  origin_.resize(base + rows.size());
-  TupleId* out = origin_.data() + base;
-  for (TupleId r : rows) *out++ = src.OriginOf(r);
-  num_rows_ += rows.size();
-}
-
-void RelationInstance::AppendGathered(const RelationInstance& src,
-                                      std::span<const TupleId> rows) {
-  std::vector<int> all(src.cols_.size());
-  for (std::size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
-  AppendGathered(src, rows, all);
+  out.origin_.resize(rows.size());
+  TupleId* origin = out.origin_.data();
+  for (TupleId r : rows) *origin++ = src.OriginOf(r);
+  out.num_rows_ = rows.size();
+  return out;
 }
 
 void RelationInstance::Dedup() {
   if (num_rows_ <= 1) return;
-  const std::size_t w = cols_.size();
-
-  // Open-addressing set of surviving row ids, compared by code rows (codes
-  // biject values within a column, so this is value equality).
-  std::size_t cap = 16;
-  while (cap < num_rows_ * 2) cap <<= 1;
-  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> slots(cap, kEmpty);
+  // The first row of each group of equal code rows, through HashGroupIndex's
+  // build loop; the index's row lists would go unread.
   std::vector<TupleId> kept;
   kept.reserve(num_rows_);
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    std::uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (std::size_t c = 0; c < w; ++c) h = HashMix(h, cols_[c].codes[r]);
-    std::size_t slot = h & (cap - 1);
-    bool dup = false;
-    while (slots[slot] != kEmpty) {
-      const std::size_t other = slots[slot];
-      bool eq = true;
-      for (std::size_t c = 0; c < w; ++c) {
-        if (cols_[c].codes[other] != cols_[c].codes[r]) {
-          eq = false;
-          break;
+  GroupByCodes(
+      num_rows_, cols_.size(),
+      [&](std::size_t r, std::size_t c) { return cols_[c].codes[r]; },
+      [&](std::size_t r, TupleId first) {
+        if (first == r) kept.push_back(first);
+      });
+  if (kept.size() == num_rows_) return;
+  std::vector<int> all(cols_.size());
+  std::iota(all.begin(), all.end(), 0);
+  // A fresh instance of the kept size, so dropped rows hold no storage.
+  *this = Gather(*this, kept, all);
+}
+
+std::vector<std::vector<int>> BodyComponents(
+    const std::vector<RelationSchema>& body, AttrSet allowed) {
+  const int p = static_cast<int>(body.size());
+  std::vector<int> comp(p, -1);
+  int comps = 0;
+  std::vector<int> stack;
+  for (int start = 0; start < p; ++start) {
+    if (comp[start] >= 0) continue;
+    comp[start] = comps;
+    stack.assign(1, start);
+    while (!stack.empty()) {
+      const AttrSet au = body[stack.back()].attr_set().Intersect(allowed);
+      stack.pop_back();
+      for (int v = 0; v < p; ++v) {
+        if (comp[v] < 0 && au.Intersects(body[v].attr_set())) {
+          comp[v] = comps;
+          stack.push_back(v);
         }
       }
-      if (eq) {
-        dup = true;
-        break;
-      }
-      slot = (slot + 1) & (cap - 1);
     }
-    if (!dup) {
-      slots[slot] = static_cast<std::uint32_t>(r);
-      kept.push_back(static_cast<TupleId>(r));
-    }
+    ++comps;
   }
-  if (kept.size() == num_rows_) return;
-
-  // Fresh vectors of the kept size, so dropped rows hold no storage.
-  for (Column& c : cols_) {
-    std::vector<Code> codes(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i) codes[i] = c.codes[kept[i]];
-    c.codes = std::move(codes);
-  }
-  bool identity_after = true;
-  std::vector<TupleId> origins(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    origins[i] = OriginOf(kept[i]);
-    if (origins[i] != i) identity_after = false;
-  }
-  // Keep the cheap identity representation when the kept origins are still
-  // the identity.
-  origin_ = identity_after ? std::vector<TupleId>() : std::move(origins);
-  num_rows_ = kept.size();
+  std::vector<std::vector<int>> out(comps);
+  for (int i = 0; i < p; ++i) out[comp[i]].push_back(i);
+  return out;
 }
 
 std::uint64_t RelationInstance::MaxRows() {

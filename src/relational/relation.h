@@ -63,6 +63,14 @@ struct RelationSchema {
   }
 };
 
+/// Connected components of a query body: two relations are adjacent when
+/// they share an attribute in `allowed`. Each component lists its body
+/// positions in ascending order, and the components come in order of their
+/// smallest position; a relation sharing nothing in `allowed` (a vacuum one,
+/// say) is a component of its own.
+std::vector<std::vector<int>> BodyComponents(
+    const std::vector<RelationSchema>& body, AttrSet allowed);
+
 /// Dictionary code of a value within one column. 32 bits: a column cannot
 /// hold more distinct values than rows, and rows are capped by TupleId.
 using Code = std::uint32_t;
@@ -151,21 +159,23 @@ class RelationInstance {
   /// allocation, one dictionary probe per value.
   void AppendRow(const Value* vals, std::size_t n);
 
-  /// Appends `rows` of `src`, keeping only `kept_cols` (source column
-  /// positions, in output order). Shares the source dictionaries and gathers
-  /// the raw codes — no re-interning, no value materialization; origins
-  /// follow the source rows. The overload without `kept_cols` keeps every
-  /// column. `src` must not be appended to concurrently.
-  void AppendGathered(const RelationInstance& src,
-                      std::span<const TupleId> rows,
-                      const std::vector<int>& kept_cols);
-  void AppendGathered(const RelationInstance& src,
-                      std::span<const TupleId> rows);
+  /// A new instance of `rows` of `src`, keeping only `kept_cols` (source
+  /// column positions, in output order): the one derivation (selection
+  /// pushdown, Universe partitioning, tuple removal, Dedup). Shares the
+  /// source dictionaries and gathers the raw codes — no re-interning, no
+  /// value materialization; origins follow the source rows and the root
+  /// relation is the source's. A source without columns (an empty root
+  /// instance) gives one without columns. `src` must not be appended to
+  /// concurrently.
+  static RelationInstance Gather(const RelationInstance& src,
+                                 std::span<const TupleId> rows,
+                                 const std::vector<int>& kept_cols);
 
   /// Removes duplicate tuples, keeping the first occurrence (and its
-  /// origin). Instances handed to the solvers must be duplicate-free.
-  /// Compares code rows — codes biject values within a column, so code-row
-  /// equality is value-row equality.
+  /// origin): the first row of each group of rows equal on every column's
+  /// code, grouped by HashGroupIndex's build loop (codes biject values
+  /// within a column, so code-row equality is value-row equality).
+  /// Instances handed to the solvers must be duplicate-free.
   void Dedup();
 
   /// Current append capacity: appends that would exceed it throw
@@ -192,9 +202,6 @@ class RelationInstance {
   // Dictionary of column `c`, cloned first if still shared (copy-on-write);
   // only mutating appends call this.
   ColumnDict& MutableDict(std::size_t c);
-  // Writes the identity origins of the rows so far into origin_, before
-  // the first gathered row (whose origin is its source row's) is appended.
-  void MaterializeOrigins();
 
   std::vector<Column> cols_;
   std::vector<TupleId> origin_;  // empty => identity mapping

@@ -1,11 +1,9 @@
 #include "solver/boolean.h"
 
-#include <unordered_map>
-
 #include "dichotomy/linearize.h"
 #include "dichotomy/relations.h"
 #include "flow/max_flow.h"
-#include "util/hash.h"
+#include "relational/group_index.h"
 
 namespace adp {
 
@@ -60,40 +58,45 @@ std::optional<BooleanResult> SolveBooleanExact(
     flow.AddEdge(out_node[p - 1][t], sink, kInfCapacity);
   }
 
-  // Consecutive atoms: hub node per shared-attribute key (avoids quadratic
-  // edge blowup).
+  // Consecutive atoms: one hub node per key of their shared attributes
+  // (avoids quadratic edge blowup). The hubs are the groups of the left
+  // atom's key (HashGroupIndex); a right row links to the hub of its key,
+  // translated into the left atom's dictionaries (KeyProbe), or to none,
+  // since a key only the right atom holds lies on no s-t path. An empty
+  // atom lies on none either, and has no columns to key.
   for (int pos = 0; pos + 1 < p; ++pos) {
-    const int left = order[pos];
-    const int right = order[pos + 1];
-    const RelationSchema& ls = q.relation(left);
-    const RelationSchema& rs = q.relation(right);
-    const AttrSet shared = ls.attr_set().Intersect(rs.attr_set());
+    const RelationSchema& ls = q.relation(order[pos]);
+    const RelationSchema& rs = q.relation(order[pos + 1]);
+    const RelationInstance& linst = db.rel(order[pos]);
+    const RelationInstance& rinst = db.rel(order[pos + 1]);
+    if (linst.empty() || rinst.empty()) continue;
     std::vector<int> lcols, rcols;
-    for (AttrId a : shared) {
+    std::vector<const ColumnDict*> from, to;
+    for (AttrId a : ls.attr_set().Intersect(rs.attr_set())) {
       lcols.push_back(ls.ColumnOf(a));
       rcols.push_back(rs.ColumnOf(a));
+      from.push_back(&rinst.dict(rcols.back()));
+      to.push_back(&linst.dict(lcols.back()));
     }
-    std::unordered_map<Tuple, int, VecHash> hub;
-    auto hub_for = [&](const Tuple& key) {
-      auto [it, inserted] = hub.try_emplace(key, -1);
-      if (inserted) it->second = flow.AddNode();
-      return it->second;
-    };
-    Tuple key(lcols.size());
-    const RelationInstance& linst = db.rel(left);
+    const HashGroupIndex hubs(linst, lcols);
+    const int first_hub = flow.num_nodes();
+    for (std::size_t g = 0; g < hubs.num_groups(); ++g) flow.AddNode();
     for (std::size_t t = 0; t < linst.size(); ++t) {
-      for (std::size_t j = 0; j < lcols.size(); ++j) {
-        key[j] = linst.ValueAt(t, lcols[j]);
-      }
-      flow.AddEdge(out_node[pos][t], hub_for(key), kInfCapacity);
+      flow.AddEdge(out_node[pos][t],
+                   first_hub + static_cast<int>(hubs.group_of(t)),
+                   kInfCapacity);
     }
-    const RelationInstance& rinst = db.rel(right);
-    for (std::size_t t = 0; t < rinst.size(); ++t) {
-      for (std::size_t j = 0; j < rcols.size(); ++j) {
-        key[j] = rinst.ValueAt(t, rcols[j]);
-      }
-      flow.AddEdge(hub_for(key), in_node[pos + 1][t], kInfCapacity);
-    }
+    KeyProbe(&hubs, std::move(from), std::move(to), rinst.size())
+        .ForEachRow(
+            rinst.size(),
+            [&](std::size_t t, std::size_t j) {
+              return rinst.CodeAt(t, rcols[j]);
+            },
+            [&](std::size_t t, std::uint32_t g) {
+              if (g == kNoGroup) return;
+              flow.AddEdge(first_hub + static_cast<int>(g),
+                           in_node[pos + 1][t], kInfCapacity);
+            });
   }
 
   BooleanResult result;

@@ -43,8 +43,11 @@ bool UsesDrastic(const ConjunctiveQuery& q, const AdpOptions& options) {
 // the per-tuple join rows (JoinCounts::per_tuple) of a Singleton's Ri
 // (SingletonReads) or of a Drastic leaf's candidates (DrasticReads), and
 // the joins a Greedy leaf, the Boolean greedy fallback (no linear order) and
-// a projected case-1 Singleton read. Decided at solve time, not in the plan:
-// a heuristic leaf is Drastic by options.heuristic, which plans do not fix.
+// a projected case-1 Singleton read. The pass keeps a join only over a
+// connected body, so the Boolean fallback over a disconnected one gets none
+// (the other two bodies are connected). Decided at solve time, not in the
+// plan: a heuristic leaf is Drastic by options.heuristic, which plans do not
+// fix.
 CountReads LeafReads(const DispatchPlan& node, const AdpOptions& options) {
   const ConjunctiveQuery& q = node.query;
   if (node.op == AdpCase::kSingleton) return SingletonReads(q);

@@ -67,7 +67,8 @@ struct AdpStats {
   /// Universe and Decompose nodes count nothing. A leaf that reads a join
   /// (a Greedy leaf, the Boolean greedy fallback) has its pass materialize
   /// and keep it, so its greedy joins nothing more; only a Boolean fallback
-  /// over a disconnected body, which no one join covers, joins for itself,
+  /// over a disconnected body, which no one join covers, keeps none (its
+  /// pass counts as if no join was asked for) and joins for itself,
   /// untallied.
   std::int64_t count_passes = 0;
 };

@@ -74,8 +74,8 @@ TEST(FootprintTest, GatherRequestsBytesForItsRows) {
   const RelationInstance src = TwoColumns(1000);
   const std::vector<TupleId> rows = {3, 500, 999};
   RelationInstance gathered;
-  const std::size_t bytes =
-      BytesRequestedBy([&] { gathered.AppendGathered(src, rows); });
+  const std::size_t bytes = BytesRequestedBy(
+      [&] { gathered = RelationInstance::Gather(src, rows, {0, 1}); });
   ASSERT_EQ(gathered.size(), 3u);
   EXPECT_EQ(gathered.ValueAt(1, 1), 1500);
   EXPECT_LT(bytes, 1024u);
@@ -84,8 +84,7 @@ TEST(FootprintTest, GatherRequestsBytesForItsRows) {
 TEST(FootprintTest, CopyRequestsBytesForItsRows) {
   const RelationInstance src = TwoColumns(1000);
   const std::vector<TupleId> rows = {3, 500, 999};
-  RelationInstance gathered;
-  gathered.AppendGathered(src, rows);
+  const RelationInstance gathered = RelationInstance::Gather(src, rows, {0, 1});
   std::optional<RelationInstance> copy;
   const std::size_t bytes = BytesRequestedBy([&] { copy.emplace(gathered); });
   EXPECT_EQ(copy->OriginOf(2), 999u);

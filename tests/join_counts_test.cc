@@ -91,6 +91,7 @@ bool ExpectReadCountsMatchOracle(const ConjunctiveQuery& q, AttrSet head,
     if (comp.join == nullptr) continue;
     kept = true;
     EXPECT_TRUE(reads.joins);
+    EXPECT_EQ(counts.components.size(), 1u) << q.ToString();
     EXPECT_EQ(static_cast<std::int64_t>(comp.join->join.NumRows()),
               comp.rows);
     if (comp.join->outputs) {
@@ -217,7 +218,8 @@ TEST(JoinCountsTest, EdgesAreCodeKeyedOrHashed) {
   Database db(2);
   // R1 is standalone, so dense on B; R2 is gathered over a 10k-value B.
   db.Load(0, {{0, 10}, {1, 20}, {1, 30}, {2, 20}, {3, 40}});
-  db.rel(1).AppendGathered(root, std::vector<TupleId>{20, 30, 40, 50});
+  db.rel(1) = RelationInstance::Gather(
+      root, std::vector<TupleId>{20, 30, 40, 50}, {0, 1});
   ASSERT_TRUE(DenseKey(db.rel(0).dict(1).size(), db.rel(0).size()));
   ASSERT_FALSE(DenseKey(db.rel(1).dict(0).size(), db.rel(1).size()));
   const Counts tally = TalliedCounts(q, db);
@@ -294,8 +296,10 @@ TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
   }
   Database db(2);
   // R1 keeps B in {10, 20, 30}; R2 keeps B in {20, 30, 40}.
-  db.rel(0).AppendGathered(root1, std::vector<TupleId>{10, 20, 30});
-  db.rel(1).AppendGathered(root2, std::vector<TupleId>{20, 30, 40});
+  db.rel(0) = RelationInstance::Gather(
+      root1, std::vector<TupleId>{10, 20, 30}, {0, 1});
+  db.rel(1) = RelationInstance::Gather(
+      root2, std::vector<TupleId>{20, 30, 40}, {0, 1});
   ASSERT_GT(db.rel(0).dict(1).size(), db.rel(0).size());
   ASSERT_GT(db.rel(1).dict(0).size(), db.rel(1).size());
 
@@ -308,7 +312,8 @@ TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
 
   // Against a standalone instance with a dictionary of its own.
   Database mixed(2);
-  mixed.rel(0).AppendGathered(root1, std::vector<TupleId>{10, 20, 30});
+  mixed.rel(0) = RelationInstance::Gather(
+      root1, std::vector<TupleId>{10, 20, 30}, {0, 1});
   mixed.Load(1, {{20, 1}, {30, 2}, {40, 3}});
   EXPECT_FALSE(ExpectCountsMatchOracle(q, mixed));
 
@@ -327,8 +332,8 @@ TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
   // a parent holding all of its own 10k values (translated per distinct
   // code).
   Database large_parent(2);
-  large_parent.rel(0).AppendGathered(root1,
-                                     std::vector<TupleId>{10, 20, 30});
+  large_parent.rel(0) = RelationInstance::Gather(
+      root1, std::vector<TupleId>{10, 20, 30}, {0, 1});
   large_parent.rel(1) = root2;
   ASSERT_FALSE(DenseKey(large_parent.rel(0).dict(1).size(),
                         large_parent.rel(0).size()));
@@ -373,9 +378,12 @@ TEST(JoinCountsTest, GatheredSubInstanceOverALargeDictionary) {
   RelationInstance root3;
   for (Value v = 0; v < 10000; ++v) root3.Add({v, v % 3});
   Database cyclic(3);
-  cyclic.rel(0).AppendGathered(root1, std::vector<TupleId>{10, 20, 30, 31});
-  cyclic.rel(1).AppendGathered(root2, std::vector<TupleId>{20, 30, 40});
-  cyclic.rel(2).AppendGathered(root3, std::vector<TupleId>{0, 1, 2, 3, 4});
+  cyclic.rel(0) = RelationInstance::Gather(
+      root1, std::vector<TupleId>{10, 20, 30, 31}, {0, 1});
+  cyclic.rel(1) = RelationInstance::Gather(
+      root2, std::vector<TupleId>{20, 30, 40}, {0, 1});
+  cyclic.rel(2) = RelationInstance::Gather(
+      root3, std::vector<TupleId>{0, 1, 2, 3, 4}, {0, 1});
   EXPECT_FALSE(
       TranslatesByTable(cyclic.rel(1).dict(0).size(), cyclic.rel(1).size()));
   EXPECT_TRUE(ExpectCountsMatchOracle(triangle, cyclic));
@@ -453,6 +461,40 @@ TEST(JoinCountsTest, CountsSaturateWithoutOverflow) {
       }
     }
   }
+}
+
+// Joins are kept only when one join covers the body. A disconnected body's
+// components are counted as if no joins were asked for: none keeps its join
+// (a reader could not use it), and the counts are a join-free pass's.
+TEST(JoinCountsTest, DisconnectedBodyKeepsNoJoin) {
+  const ConjunctiveQuery q =
+      ParseQuery("Q() :- R(A,B), S(B,C), T(C,A), U(D)");
+  Rng rng(11);
+  const Database db = RandomDb(q, rng, 30, 4);
+  CountReads reads;
+  reads.joins = true;
+  const JoinCounts counts = CountComponents(q.body(), q.head(), db, reads);
+  ASSERT_EQ(counts.components.size(), 2u);
+  ASSERT_GT(counts.rows, 0);
+  for (const JoinCounts::Component& comp : counts.components) {
+    EXPECT_EQ(comp.join, nullptr);
+  }
+  EXPECT_EQ(counts.WholeJoin(), nullptr);
+  const JoinCounts plain =
+      CountComponents(q.body(), q.head(), db, CountReads{});
+  EXPECT_EQ(counts.rows, plain.rows);
+  EXPECT_EQ(counts.outputs, plain.outputs);
+
+  // The triangle alone is one component: its join is kept.
+  const ConjunctiveQuery triangle =
+      ParseQuery("Q() :- R(A,B), S(B,C), T(C,A)");
+  Database tri;
+  for (int i = 0; i < 3; ++i) tri.Append(db.rel(i));
+  const JoinCounts kept =
+      CountComponents(triangle.body(), triangle.head(), tri, reads);
+  ASSERT_NE(kept.WholeJoin(), nullptr);
+  EXPECT_EQ(static_cast<std::int64_t>(kept.WholeJoin()->join.NumRows()),
+            kept.rows);
 }
 
 }  // namespace

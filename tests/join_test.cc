@@ -186,7 +186,7 @@ TEST(HashGroupIndexTest, EmptyKeyColumnsPutAllRowsInOneGroup) {
   const HashGroupIndex index(inst, {});
   ASSERT_EQ(index.num_groups(), 1u);
   EXPECT_EQ(RowsOf(index, 0), (std::vector<TupleId>{0, 1, 2}));
-  EXPECT_TRUE(index.KeyValues(0).empty());
+  EXPECT_EQ(index.representative(0), 0u);
   EXPECT_EQ(index.FindByCodes(nullptr), 0);
 }
 
@@ -198,7 +198,7 @@ TEST(HashGroupIndexTest, ConstantKeyColumnAlsoYieldsOneGroup) {
   const HashGroupIndex index(inst, {0});
   ASSERT_EQ(index.num_groups(), 1u);
   EXPECT_EQ(index.rows(0).size(), 3u);
-  EXPECT_EQ(index.KeyValues(0), Tuple({7}));
+  EXPECT_EQ(inst.ValueAt(index.representative(0), 0), 7);
 }
 
 TEST(HashGroupIndexTest, GroupsAreFirstSeenOrderWithAscendingRows) {
@@ -210,9 +210,9 @@ TEST(HashGroupIndexTest, GroupsAreFirstSeenOrderWithAscendingRows) {
   inst.Add({5, 5});
   const HashGroupIndex index(inst, {0});
   ASSERT_EQ(index.num_groups(), 2u);
-  EXPECT_EQ(index.KeyValues(0), Tuple({5}));
+  EXPECT_EQ(inst.ValueAt(index.representative(0), 0), 5);
   EXPECT_EQ(RowsOf(index, 0), (std::vector<TupleId>{0, 2, 4}));
-  EXPECT_EQ(index.KeyValues(1), Tuple({9}));
+  EXPECT_EQ(inst.ValueAt(index.representative(1), 0), 9);
   EXPECT_EQ(RowsOf(index, 1), (std::vector<TupleId>{1, 3}));
   EXPECT_EQ(index.representative(0), 0u);
   EXPECT_EQ(index.representative(1), 1u);
@@ -237,8 +237,8 @@ TEST(HashGroupIndexTest, DenseIndexMatchesHashedIndex) {
   for (const Tuple& t : data) {
     picked.push_back(static_cast<TupleId>(t[1] * 10000 + t[0]));
   }
-  RelationInstance gathered;
-  gathered.AppendGathered(root, picked);
+  const RelationInstance gathered =
+      RelationInstance::Gather(root, picked, {0, 1});
   ASSERT_TRUE(DenseKey(standalone.dict(0).size(), standalone.size()));
   ASSERT_FALSE(DenseKey(gathered.dict(0).size(), gathered.size()));
 
@@ -247,7 +247,8 @@ TEST(HashGroupIndexTest, DenseIndexMatchesHashedIndex) {
   ASSERT_EQ(dense.num_groups(), 4u);
   ASSERT_EQ(hashed.num_groups(), dense.num_groups());
   for (std::size_t g = 0; g < dense.num_groups(); ++g) {
-    EXPECT_EQ(hashed.KeyValues(g), dense.KeyValues(g));
+    EXPECT_EQ(gathered.ValueAt(hashed.representative(g), 0),
+              standalone.ValueAt(dense.representative(g), 0));
     EXPECT_EQ(RowsOf(hashed, g), RowsOf(dense, g));
   }
   for (std::size_t r = 0; r < data.size(); ++r) {
@@ -297,13 +298,13 @@ TEST(HashGroupIndexTest, CrossRelationProbeRequiresDictionaryTranslation) {
   const Code probe_codes[] = {static_cast<Code>(translated)};
   const std::int64_t g = index.FindByCodes(probe_codes);
   ASSERT_GE(g, 0);
-  EXPECT_EQ(index.KeyValues(g), Tuple({200}));
+  EXPECT_EQ(build.ValueAt(index.representative(g), 0), 200);
 
   // The raw (untranslated) code would have found the *wrong* group.
   const Code raw[] = {probe_side.CodeAt(0, 0)};
   const std::int64_t wrong = index.FindByCodes(raw);
   ASSERT_GE(wrong, 0);
-  EXPECT_NE(index.KeyValues(wrong), Tuple({200}));
+  EXPECT_NE(build.ValueAt(index.representative(wrong), 0), 200);
 
   // Values missing from the build dictionary are reported as absent
   // before any probe happens.

@@ -46,22 +46,10 @@ TEST(RelationInstanceTest, IdentityOrigins) {
 }
 
 TEST(RelationInstanceTest, ExplicitOrigins) {
-  RelationInstance r;
-  r.AppendGathered(Numbered(10), std::vector<TupleId>{7, 9});
+  const RelationInstance r = RelationInstance::Gather(
+      Numbered(10), std::vector<TupleId>{7, 9}, {0});
   EXPECT_EQ(r.OriginOf(0), 7u);
   EXPECT_EQ(r.OriginOf(1), 9u);
-}
-
-TEST(RelationInstanceTest, MixedAddPromotesIdentity) {
-  RelationInstance r;
-  r.Add({1});
-  r.Add({2});
-  r.AppendGathered(Numbered(43), std::vector<TupleId>{42});
-  EXPECT_EQ(r.OriginOf(0), 0u);
-  EXPECT_EQ(r.OriginOf(1), 1u);
-  EXPECT_EQ(r.OriginOf(2), 42u);
-  r.Add({3});  // an identity row after explicit ones: its own position
-  EXPECT_EQ(r.OriginOf(3), 3u);
 }
 
 TEST(RelationInstanceTest, DedupKeepsFirstOrigin) {
@@ -70,13 +58,32 @@ TEST(RelationInstanceTest, DedupKeepsFirstOrigin) {
   src.Add({1, 1});
   src.Add({2, 2});
   src.Add({1, 1});  // duplicate content
-  RelationInstance r;
-  r.AppendGathered(src, std::vector<TupleId>{10, 11, 12});
+  RelationInstance r =
+      RelationInstance::Gather(src, std::vector<TupleId>{10, 11, 12}, {0, 1});
   r.Dedup();
   EXPECT_EQ(r.size(), 2u);
   EXPECT_EQ(r.tuple(0), Tuple({1, 1}));
   EXPECT_EQ(r.OriginOf(0), 10u);
   EXPECT_EQ(r.OriginOf(1), 11u);
+}
+
+// One column over its own dictionary (the code-indexed grouping path) and a
+// vacuum instance, whose rows all equal the empty tuple.
+TEST(RelationInstanceTest, DedupKeepsFirstRowOfEachValue) {
+  RelationInstance r;
+  for (Value v : {5, 3, 5, 3, 7}) r.Add({v});
+  r.Dedup();
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r.ValueAt(0, 0), 5);
+  EXPECT_EQ(r.ValueAt(1, 0), 3);
+  EXPECT_EQ(r.ValueAt(2, 0), 7);
+  EXPECT_EQ(r.OriginOf(2), 4u);
+
+  RelationInstance vacuum;
+  for (int i = 0; i < 3; ++i) vacuum.Add({});
+  vacuum.Dedup();
+  EXPECT_EQ(vacuum.size(), 1u);
+  EXPECT_EQ(vacuum.OriginOf(0), 0u);
 }
 
 TEST(RelationInstanceTest, DedupNoopWhenDistinct) {
@@ -114,17 +121,17 @@ TEST(RelationInstanceTest, DictionaryStatsAreExactDistinctCounts) {
   EXPECT_EQ(r.dict(0).Lookup(999), -1);
 }
 
-TEST(RelationInstanceTest, AppendGatheredSharesDictsAndCarriesOrigins) {
+TEST(RelationInstanceTest, GatherSharesDictsAndCarriesOrigins) {
   RelationInstance src;
+  src.set_root_relation(5);
   src.Add({1, 10, 100});
   src.Add({2, 20, 200});
   src.Add({3, 30, 300});
 
-  RelationInstance derived;
-  derived.set_root_relation(5);
-  derived.AppendGathered(src, std::vector<TupleId>{2, 0},
-                         {0, 2});  // rows 2,0; cols 0,2
+  RelationInstance derived = RelationInstance::Gather(
+      src, std::vector<TupleId>{2, 0}, {0, 2});  // rows 2,0; cols 0,2
   ASSERT_EQ(derived.size(), 2u);
+  EXPECT_EQ(derived.root_relation(), 5);
   EXPECT_EQ(derived.tuple(0), Tuple({3, 300}));
   EXPECT_EQ(derived.tuple(1), Tuple({1, 100}));
   EXPECT_EQ(derived.OriginOf(0), 2u);
@@ -136,6 +143,18 @@ TEST(RelationInstanceTest, AppendGatheredSharesDictsAndCarriesOrigins) {
   derived.Add({4, 400});
   EXPECT_EQ(src.DistinctInColumn(0), 3u);
   EXPECT_EQ(derived.DistinctInColumn(0), 4u);
+}
+
+// An empty root instance has no columns until its first row, so a gather
+// of it has none either; it still takes the source's root relation.
+TEST(RelationInstanceTest, GatherOfAnEmptyRootHasNoColumns) {
+  RelationInstance src;
+  src.set_root_relation(3);
+  const RelationInstance derived =
+      RelationInstance::Gather(src, std::vector<TupleId>{}, {0, 1});
+  EXPECT_TRUE(derived.empty());
+  EXPECT_EQ(derived.arity(), 0u);
+  EXPECT_EQ(derived.root_relation(), 3);
 }
 
 TEST(RelationInstanceTest, CopyIsDeepForCodesAndCowForDicts) {
@@ -157,14 +176,11 @@ TEST(RelationInstanceTest, AddPastMaxRowsThrows) {
   r.Add({1});
   r.Add({2});
   EXPECT_THROW(r.Add({3}), TupleLimitError);
-  const RelationInstance copy = r;
-  EXPECT_THROW(r.AppendGathered(copy, std::vector<TupleId>{0}),
-               TupleLimitError);
   const Value row[] = {3};
   EXPECT_THROW(r.AppendRow(row, 1), TupleLimitError);
-  RelationInstance gathered;
-  EXPECT_THROW(gathered.AppendGathered(r, std::vector<TupleId>{0, 1, 0}),
-               TupleLimitError);
+  EXPECT_THROW(
+      RelationInstance::Gather(r, std::vector<TupleId>{0, 1, 0}, {0}),
+      TupleLimitError);
   EXPECT_EQ(r.size(), 2u);  // failed appends left the instance untouched
   RelationInstance::OverrideMaxRowsForTest(previous);
   r.Add({3});  // ceiling restored

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "query/parser.h"
 #include "query/transform.h"
 #include "relational/join.h"
@@ -128,6 +131,133 @@ TEST(TransformTest, PartitionCoversAllOutputs) {
         CountOutputs(residual.body(), residual.head(), g.db));
   }
   EXPECT_EQ(total, OracleCount(q, db));
+}
+
+// A root instance of `rows` (duplicates dropped) for body position `rel`.
+// With `large_dict` the rows are gathered from a root whose dictionaries
+// first intern 100 values no other relation holds, so they are far larger
+// than the instance (as in a Universe group's), and a key is translated per
+// row rather than through a per-code table.
+RelationInstance Instance(int rel, const std::vector<Tuple>& rows,
+                          std::size_t arity, bool large_dict) {
+  RelationInstance root;
+  root.set_root_relation(rel);
+  if (large_dict) {
+    for (Value v = 100; v < 200; ++v) root.Add(Tuple(arity, v));
+  }
+  for (const Tuple& t : rows) root.Add(t);
+  if (large_dict) {
+    std::vector<TupleId> picked;
+    for (std::size_t t = 100; t < root.size(); ++t) {
+      picked.push_back(static_cast<TupleId>(t));
+    }
+    std::vector<int> all(arity);
+    for (std::size_t c = 0; c < arity; ++c) all[c] = static_cast<int>(c);
+    root = RelationInstance::Gather(root, picked, all);
+  }
+  root.Dedup();
+  return root;
+}
+
+// Universe partitioning matches keys across relations whose dictionaries
+// disagree: each relation interns the key values in the order its rows
+// first show them, so one value generally has different codes in different
+// relations. The groups, their ascending key order and every row's values
+// and origin must equal a decoded-value oracle's: a std::map from each key
+// to the rows holding it, keeping the keys found in every relation.
+TEST(TransformTest, PartitionMatchesKeysAcrossDictionaries) {
+  Rng rng(2027);
+  int disagreeing = 0;
+  int dropped_keys = 0;
+  int with_empty = 0;
+  int large = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const bool two_keys = iter % 2 == 1;
+    const ConjunctiveQuery q =
+        two_keys ? ParseQuery("Q(A,B,C,D) :- R1(A,B,C), R2(B,A), R3(D,A,B)")
+                 : ParseQuery("Q(A,C,D) :- R1(A,C), R2(A), R3(D,A)");
+    AttrSet keys = AttrSet::Of(q.FindAttribute("A"));
+    if (two_keys) keys.Add(q.FindAttribute("B"));
+    const int p = q.num_relations();
+    Database db;
+    for (int i = 0; i < p; ++i) {
+      const std::size_t arity = q.relation(i).attrs.size();
+      std::vector<Tuple> rows(rng.Uniform(10));
+      for (Tuple& t : rows) {
+        for (std::size_t c = 0; c < arity; ++c) {
+          t.push_back(static_cast<Value>(rng.Uniform(5)));
+        }
+      }
+      if (rng.Uniform(10) == 0) rows.clear();
+      const bool large_dict = rng.Uniform(3) == 0;
+      large += large_dict ? 1 : 0;
+      db.Append(Instance(i, rows, arity, large_dict));
+    }
+
+    // The oracle: key values -> the rows of each relation holding them.
+    std::vector<std::vector<int>> key_cols(p), kept_cols(p);
+    for (int i = 0; i < p; ++i) {
+      const RelationSchema& schema = q.relation(i);
+      for (AttrId a : keys) key_cols[i].push_back(schema.ColumnOf(a));
+      for (std::size_t c = 0; c < schema.attrs.size(); ++c) {
+        if (!keys.Contains(schema.attrs[c])) {
+          kept_cols[i].push_back(static_cast<int>(c));
+        }
+      }
+    }
+    std::map<Tuple, std::vector<std::vector<TupleId>>> oracle;
+    for (int i = 0; i < p; ++i) {
+      const RelationInstance& inst = db.rel(i);
+      with_empty += inst.empty() ? 1 : 0;
+      for (std::size_t t = 0; t < inst.size(); ++t) {
+        Tuple key;
+        for (int c : key_cols[i]) key.push_back(inst.ValueAt(t, c));
+        auto [it, inserted] = oracle.try_emplace(key);
+        if (inserted) it->second.resize(p);
+        it->second[i].push_back(static_cast<TupleId>(t));
+        // The same value under another code in an earlier relation.
+        for (int o = 0; o < i; ++o) {
+          if (db.rel(o).empty()) continue;
+          const std::int64_t code =
+              db.rel(o).dict(key_cols[o][0]).Lookup(key[0]);
+          if (code >= 0 && code != inst.CodeAt(t, key_cols[i][0])) {
+            ++disagreeing;
+          }
+        }
+      }
+    }
+
+    const std::vector<UniverseGroup> groups = PartitionByAttrs(q, db, keys);
+    std::size_t g = 0;
+    for (const auto& [key, rows] : oracle) {
+      bool complete = true;
+      for (const std::vector<TupleId>& r : rows) complete &= !r.empty();
+      if (!complete) {
+        ++dropped_keys;
+        continue;
+      }
+      ASSERT_LT(g, groups.size()) << q.ToString();
+      for (int i = 0; i < p; ++i) {
+        const RelationInstance& part = groups[g].db.rel(i);
+        const RelationInstance& inst = db.rel(i);
+        EXPECT_EQ(part.root_relation(), i);
+        ASSERT_EQ(part.size(), rows[i].size()) << "key " << key[0];
+        for (std::size_t r = 0; r < part.size(); ++r) {
+          const TupleId t = rows[i][r];
+          EXPECT_EQ(part.OriginOf(r), inst.OriginOf(t));
+          for (std::size_t c = 0; c < kept_cols[i].size(); ++c) {
+            EXPECT_EQ(part.ValueAt(r, c), inst.ValueAt(t, kept_cols[i][c]));
+          }
+        }
+      }
+      ++g;
+    }
+    EXPECT_EQ(g, groups.size()) << q.ToString();
+  }
+  EXPECT_GT(disagreeing, 100);
+  EXPECT_GT(dropped_keys, 100);
+  EXPECT_GT(with_empty, 10);
+  EXPECT_GT(large, 100);
 }
 
 TEST(TransformTest, RestrictToKeepsSelections) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "util/attr_set.h"
-#include "util/hash.h"
 #include "util/parse_int.h"
 #include "util/rng.h"
 #include "util/stable_order.h"
@@ -146,18 +145,6 @@ TEST(ZipfTest, SamplesInRange) {
     EXPECT_GE(r, 0);
     EXPECT_LT(r, 7);
   }
-}
-
-TEST(HashTest, DistinctVectorsHashDifferently) {
-  VecHash h;
-  EXPECT_NE(h({1, 2, 3}), h({3, 2, 1}));
-  EXPECT_NE(h({1}), h({1, 0}));
-  EXPECT_EQ(h({5, 6}), h({5, 6}));
-}
-
-TEST(HashTest, EmptyVectorStable) {
-  VecHash h;
-  EXPECT_EQ(h({}), h({}));
 }
 
 // The value ParseInt64 gives `text`, or the failure; `out` is untouched on
