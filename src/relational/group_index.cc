@@ -12,57 +12,34 @@ bool DenseKey(std::size_t dict_size, std::size_t rows) {
   return dict_size <= TableSlots(rows);
 }
 
-HashGroupIndex::HashGroupIndex(const RelationInstance& inst,
-                               std::vector<int> key_cols)
+KeyGroups::KeyGroups(const RelationInstance& inst, std::vector<int> key_cols)
     : inst_(&inst), key_cols_(std::move(key_cols)) {
   const std::size_t n = inst.size();
   group_of_.resize(n);
-
-  // Pass 1: name every row's group in first-seen order; offsets_[g] counts
-  // the rows of group g for now.
-  auto grouped = [&](std::size_t r, std::uint32_t g) {
-    group_of_[r] = g;
-    if (g == offsets_.size()) offsets_.push_back(0);
-    ++offsets_[g];
-  };
   if (key_cols_.size() == 1 && n > 0 &&
       DenseKey(inst.DistinctInColumn(key_cols_[0]), n)) {
     const std::size_t col = key_cols_[0];
     group_of_code_.assign(inst.DistinctInColumn(col), kNoGroup);
     for (std::size_t r = 0; r < n; ++r) {
       std::uint32_t& g = group_of_code_[inst.CodeAt(r, col)];
-      if (g == kNoGroup) g = static_cast<std::uint32_t>(offsets_.size());
-      grouped(r, g);
+      if (g == kNoGroup) g = static_cast<std::uint32_t>(num_groups_++);
+      group_of_[r] = g;
     }
-  } else {
-    table_ = GroupByCodes(
-        n, key_cols_.size(),
-        [&](std::size_t r, std::size_t j) {
-          return inst.CodeAt(r, key_cols_[j]);
-        },
-        [&](std::size_t r, TupleId first) {
-          grouped(r, first == r ? static_cast<std::uint32_t>(offsets_.size())
-                                : group_of_[first]);
-        });
-    mask_ = table_.size() - 1;
+    return;
   }
-
-  // Pass 2, a counting sort in place: turn the counts into each group's end,
-  // then place rows last to first, moving each group's end down to its
-  // start. Rows stay ascending within a group and no cursor copy is needed.
-  std::uint32_t end = 0;
-  for (std::uint32_t& o : offsets_) {
-    end += o;
-    o = end;
-  }
-  rows_.resize(n);
-  for (std::size_t r = n; r-- > 0;) {
-    rows_[--offsets_[group_of_[r]]] = static_cast<TupleId>(r);
-  }
-  offsets_.push_back(static_cast<std::uint32_t>(n));
+  table_ = GroupByCodes(
+      n, key_cols_.size(),
+      [&](std::size_t r, std::size_t j) {
+        return inst.CodeAt(r, key_cols_[j]);
+      },
+      [&](std::size_t r, TupleId first) {
+        group_of_[r] = first == r ? static_cast<std::uint32_t>(num_groups_++)
+                                  : group_of_[first];
+      });
+  mask_ = table_.size() - 1;
 }
 
-std::int64_t HashGroupIndex::FindByCodes(const Code* codes) const {
+std::int64_t KeyGroups::FindByCodes(const Code* codes) const {
   if (table_.empty()) {
     // Dense path: one key column, codes index the array directly.
     if (codes[0] >= group_of_code_.size()) return -1;
@@ -83,24 +60,46 @@ std::int64_t HashGroupIndex::FindByCodes(const Code* codes) const {
   }
 }
 
-KeyProbe::KeyProbe(const HashGroupIndex* build,
+HashGroupIndex::HashGroupIndex(const RelationInstance& inst,
+                               std::vector<int> key_cols)
+    : KeyGroups(inst, std::move(key_cols)) {
+  // A counting sort: count each group's rows, turn the counts into each
+  // group's end, then place rows last to first, moving each group's end
+  // down to its start. Rows stay ascending within a group and no cursor
+  // copy is needed.
+  const std::size_t n = inst.size();
+  offsets_.assign(num_groups() + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) ++offsets_[group_of(r)];
+  std::uint32_t end = 0;
+  for (std::uint32_t& o : offsets_) {
+    end += o;
+    o = end;
+  }
+  rows_.resize(n);
+  for (std::size_t r = n; r-- > 0;) {
+    rows_[--offsets_[group_of(r)]] = static_cast<TupleId>(r);
+  }
+}
+
+KeyProbe::KeyProbe(const KeyGroups* groups,
                    std::vector<const ColumnDict*> from,
                    std::vector<const ColumnDict*> to, std::size_t probing_rows)
-    : build_(build), from_(std::move(from)), to_(std::move(to)),
-      table_(from_.size()), probe_(from_.size()) {
-  for (std::size_t j = 0; j < from_.size(); ++j) {
-    const ColumnDict& dict = *from_[j];
-    if (!TranslatesByTable(dict.size(), probing_rows)) continue;
-    table_[j].assign(dict.size(), kNoGroup);
-    for (std::size_t c = 0; c < dict.size(); ++c) {
-      const std::int64_t code = to_[j]->Lookup(dict.values[c]);
-      if (code < 0) continue;
-      const Code to_code = static_cast<Code>(code);
-      const std::int64_t g = from_.size() == 1 && build_ != nullptr
-                                 ? build_->FindByCodes(&to_code)
-                                 : to_code;
-      if (g >= 0) table_[j][c] = static_cast<Code>(g);
+    : groups_(groups), probe_(from.size()) {
+  for (std::size_t j = 0; j < from.size(); ++j) {
+    tables_.push_back(from[j]->TranslationTo(*to[j]));
+  }
+  if (from.size() != 1) return;
+  const std::vector<Code>& table = *tables_[0];
+  if (groups_ == nullptr) {
+    direct_ = table.data();
+  } else if (TranslatesByTable(table.size(), probing_rows)) {
+    composed_.assign(table.size(), kNoGroup);
+    for (std::size_t c = 0; c < table.size(); ++c) {
+      if (table[c] == kNoCode) continue;
+      const std::int64_t g = groups_->FindByCodes(&table[c]);
+      if (g >= 0) composed_[c] = static_cast<std::uint32_t>(g);
     }
+    direct_ = composed_.data();
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "relational/group_index.h"
@@ -165,12 +166,13 @@ std::optional<JoinTree> BuildJoinTree(const std::vector<RelationSchema>& body,
 // sum of the child's subtree counts per key id, and each parent row's key
 // id. A key of one column over a dense child dictionary (DenseKey) is
 // code-keyed: a child row's key id is its code in that column. Any other key
-// groups the child's rows (HashGroupIndex), and a row's key id is its group.
+// groups the child's rows (KeyGroups: ids only, no row lists), and a row's
+// key id is its group.
 struct TreeEdge {
   int child;
   int parent;
   int code_col = -1;  // the child's key column when code-keyed
-  std::optional<HashGroupIndex> groups;  // set unless code-keyed
+  std::optional<KeyGroups> groups;  // set unless code-keyed
   std::vector<std::int64_t> sum;     // per key id
   std::vector<std::uint32_t> match;  // per parent row; kNoGroup = no match
 
@@ -194,7 +196,7 @@ std::vector<std::uint32_t> MatchParentRows(const RelationInstance& parent,
                                            const std::vector<int>& pcols,
                                            const RelationInstance& child,
                                            const std::vector<int>& ccols,
-                                           const HashGroupIndex* groups) {
+                                           const KeyGroups* groups) {
   std::vector<const ColumnDict*> from, to;
   for (std::size_t j = 0; j < pcols.size(); ++j) {
     from.push_back(&parent.dict(pcols[j]));
@@ -420,17 +422,44 @@ JoinGroups GroupJoinRows(const JoinResult& join, AttrSet key) {
   if (rows >= kNoGroup) throw std::length_error("join too large to group");
   JoinGroups groups;
   groups.group_of.resize(rows);
+  auto found = [&](std::size_t r, TupleId first) {
+    if (first == r) {
+      groups.group_of[r] = static_cast<std::uint32_t>(groups.num_groups());
+      groups.first_row.push_back(first);
+    } else {
+      groups.group_of[r] = groups.group_of[first];
+    }
+  };
+  // The key packs into one mixed-radix word when its dictionaries' sizes
+  // multiply to less than 2^64: column j's code times the product of the
+  // sizes before it. The words are built column by column over the
+  // support, one sequential pass each.
+  std::uint64_t radix = 1;
+  bool packs = true;
+  for (int c : cols) {
+    const JoinResult::ColumnSource& s = join.sources[c];
+    packs = packs && !__builtin_mul_overflow(
+                         radix, s.inst->DistinctInColumn(s.col), &radix);
+  }
+  if (!packs) {
+    GroupByCodes(
+        rows, cols.size(),
+        [&](std::size_t r, std::size_t j) { return join.CodeAt(r, cols[j]); },
+        found);
+    return groups;
+  }
+  std::vector<std::uint64_t> words(rows, 0);
+  std::uint64_t scale = 1;
+  for (int c : cols) {
+    const JoinResult::ColumnSource& s = join.sources[c];
+    const std::span<const Code> codes = s.inst->Codes(s.col);
+    for (std::size_t r = 0; r < rows; ++r) {
+      words[r] += scale * codes[join.SupportOf(r, s.rel)];
+    }
+    scale *= s.inst->DistinctInColumn(s.col);
+  }
   GroupByCodes(
-      rows, cols.size(),
-      [&](std::size_t r, std::size_t j) { return join.CodeAt(r, cols[j]); },
-      [&](std::size_t r, TupleId first) {
-        if (first == r) {
-          groups.group_of[r] = static_cast<std::uint32_t>(groups.num_groups());
-          groups.first_row.push_back(first);
-        } else {
-          groups.group_of[r] = groups.group_of[first];
-        }
-      });
+      rows, 1, [&](std::size_t r, std::size_t) { return words[r]; }, found);
   return groups;
 }
 

@@ -19,7 +19,7 @@
 //   keys) time; no join row is built. An edge whose key is one column over a
 //   dense child dictionary (DenseKey, relational/group_index.h) sums the
 //   child's counts into an array indexed by the child's code; any other key
-//   groups the child's rows through a HashGroupIndex.
+//   groups the child's rows (KeyGroups: group ids, no row lists).
 // - The materializing join, for cyclic components (e.g. the triangle), for
 //   the distinct outputs of heads that keep some but not all of a
 //   component's attributes, and for a connected body when the reads ask for
@@ -47,9 +47,10 @@
 // allocation per row, no value copied. Its build side is a HashGroupIndex
 // and its probe, like the propagation's parent match, is a KeyProbe
 // (relational/group_index.h). GroupJoinRows groups join rows by their head
-// codes through the same build loop (GroupByCodes): the distinct outputs of
-// a projected component, ProvenanceIndex's output groups and the Singleton
-// case-1 profits under a projected head.
+// codes through the same build loop (GroupByCodes), over one mixed-radix
+// word per row when the key dictionaries' sizes multiply to less than 2^64:
+// the distinct outputs of a projected component, ProvenanceIndex's output
+// groups and the Singleton case-1 profits under a projected head.
 //
 // Each leaf of a solve's plan counts its own body with one call
 // (SolveNode, solver/compute_adp.h), and its solver reads only that pass;
@@ -139,9 +140,12 @@ struct JoinGroups {
 };
 
 /// Groups the rows of `join` by their codes on the attributes of `key` that
-/// the join has, through GroupByCodes (relational/group_index.h). Under a
-/// head, the groups are the distinct outputs. Throws std::length_error when
-/// the join has 2^32 - 1 rows or more.
+/// the join has, through GroupByCodes (relational/group_index.h): over one
+/// word per row, the codes in mixed radix, when the key columns'
+/// dictionary sizes multiply to less than 2^64, else over the codes. Groups
+/// are numbered in first-seen row order either way. Under a head, the
+/// groups are the distinct outputs. Throws std::length_error when the join
+/// has 2^32 - 1 rows or more.
 JoinGroups GroupJoinRows(const JoinResult& join, AttrSet key);
 
 /// What a counting pass keeps besides the rows and outputs

@@ -1,5 +1,6 @@
 #include "relational/relation.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -15,6 +16,34 @@ std::atomic<std::uint64_t> g_max_rows{
     static_cast<std::uint64_t>(std::numeric_limits<TupleId>::max())};
 
 }  // namespace
+
+std::uint64_t ColumnDict::NextId() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::shared_ptr<const std::vector<Code>> ColumnDict::TranslationTo(
+    const ColumnDict& to) const {
+  // Built under the lock, so concurrent first requests get one table. The
+  // target must not grow while this runs (bound snapshots are immutable).
+  std::lock_guard<std::mutex> lock(translations_mu_);
+  auto it = std::find_if(
+      translations_.begin(), translations_.end(),
+      [&](const Translation& t) { return t.to_id == to.id(); });
+  if (it != translations_.end() && it->from_size == size() &&
+      it->to_size == to.size()) {
+    return it->table;
+  }
+  auto table = std::make_shared<std::vector<Code>>(size(), kNoCode);
+  for (std::size_t c = 0; c < size(); ++c) {
+    const std::int64_t code = to.Lookup(values[c]);
+    if (code >= 0) (*table)[c] = static_cast<Code>(code);
+  }
+  // A grown pair replaces its entry: one table per target.
+  if (it == translations_.end()) it = translations_.emplace(it);
+  *it = Translation{to.id(), size(), to.size(), std::move(table)};
+  return it->table;
+}
 
 Tuple RelationInstance::tuple(std::size_t i) const {
   Tuple out(cols_.size());

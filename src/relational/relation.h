@@ -25,7 +25,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -75,6 +77,10 @@ std::vector<std::vector<int>> BodyComponents(
 /// hold more distinct values than rows, and rows are capped by TupleId.
 using Code = std::uint32_t;
 
+/// No code: a value absent from a dictionary, in a translation table
+/// (ColumnDict::TranslationTo).
+inline constexpr Code kNoCode = std::numeric_limits<Code>::max();
+
 /// Append-only value dictionary of one column: `values[code]` is the
 /// original value, `index` the reverse map. Codes are assigned in first-seen
 /// order and never change meaning, which is what makes sharing a dictionary
@@ -83,7 +89,17 @@ struct ColumnDict {
   std::vector<Value> values;
   std::unordered_map<Value, Code> index;
 
+  ColumnDict() = default;
+  /// A copy is a dictionary of its own: it may grow apart from its source,
+  /// so it gets a new id and no translation tables.
+  ColumnDict(const ColumnDict& other)
+      : values(other.values), index(other.index) {}
+  ColumnDict& operator=(const ColumnDict&) = delete;
+
   std::size_t size() const { return values.size(); }
+
+  /// Stable id of this dictionary, never reused within the process.
+  std::uint64_t id() const { return id_; }
 
   /// Code of `v`, interning it if new.
   Code Intern(Value v) {
@@ -98,6 +114,30 @@ struct ColumnDict {
     auto it = index.find(v);
     return it == index.end() ? -1 : static_cast<std::int64_t>(it->second);
   }
+
+  /// The code table from this dictionary into `to`: entry c is the code of
+  /// `values[c]` in `to`, or kNoCode when `to` lacks it. Built on first use
+  /// and kept here, one per target, keyed by the target's id and both
+  /// sizes: dictionaries are append-only, so the sizes pin their content,
+  /// and a table is rebuilt (replacing the target's entry) once either one
+  /// has grown. The table is immutable and shared, so it outlives this
+  /// dictionary in its readers' hands; concurrent callers get one table.
+  std::shared_ptr<const std::vector<Code>> TranslationTo(
+      const ColumnDict& to) const;
+
+ private:
+  struct Translation {
+    std::uint64_t to_id;
+    std::size_t from_size;
+    std::size_t to_size;
+    std::shared_ptr<const std::vector<Code>> table;
+  };
+
+  static std::uint64_t NextId();
+
+  std::uint64_t id_ = NextId();
+  mutable std::mutex translations_mu_;
+  mutable std::vector<Translation> translations_;
 };
 
 /// Thrown when an append would push an instance past MaxRows() — TupleId is
@@ -133,7 +173,13 @@ class RelationInstance {
   /// same column of this instance (or one sharing its dictionary).
   Code CodeAt(std::size_t row, std::size_t col) const;
 
-  /// The dictionary of column `col` (probe with ColumnDict::Lookup).
+  /// The codes of column `col`, one per row.
+  std::span<const Code> Codes(std::size_t col) const {
+    return cols_[col].codes;
+  }
+
+  /// The dictionary of column `col` (probe with ColumnDict::Lookup, or
+  /// translate whole columns with ColumnDict::TranslationTo).
   const ColumnDict& dict(std::size_t col) const;
 
   /// Exact number of distinct values in column `col` — the dictionary size,

@@ -60,7 +60,7 @@ std::optional<BooleanResult> SolveBooleanExact(
 
   // Consecutive atoms: one hub node per key of their shared attributes
   // (avoids quadratic edge blowup). The hubs are the groups of the left
-  // atom's key (HashGroupIndex); a right row links to the hub of its key,
+  // atom's key (KeyGroups); a right row links to the hub of its key,
   // translated into the left atom's dictionaries (KeyProbe), or to none,
   // since a key only the right atom holds lies on no s-t path. An empty
   // atom lies on none either, and has no columns to key.
@@ -78,7 +78,7 @@ std::optional<BooleanResult> SolveBooleanExact(
       from.push_back(&rinst.dict(rcols.back()));
       to.push_back(&linst.dict(lcols.back()));
     }
-    const HashGroupIndex hubs(linst, lcols);
+    const KeyGroups hubs(linst, lcols);
     const int first_hub = flow.num_nodes();
     for (std::size_t g = 0; g < hubs.num_groups(); ++g) flow.AddNode();
     for (std::size_t t = 0; t < linst.size(); ++t) {

@@ -44,10 +44,10 @@ bool UsesDrastic(const ConjunctiveQuery& q, const AdpOptions& options) {
 // (SingletonReads) or of a Drastic leaf's candidates (DrasticReads), and
 // the joins a Greedy leaf, the Boolean greedy fallback (no linear order) and
 // a projected case-1 Singleton read. The pass keeps a join only over a
-// connected body, so the Boolean fallback over a disconnected one gets none
-// (the other two bodies are connected). Decided at solve time, not in the
-// plan: a heuristic leaf is Drastic by options.heuristic, which plans do not
-// fix.
+// connected body, which all three have: a Boolean node over a disconnected
+// body without a linear order solves each component as a leaf of its own
+// (BooleanComponentsNode). Decided at solve time, not in the plan: a
+// heuristic leaf is Drastic by options.heuristic, which plans do not fix.
 CountReads LeafReads(const DispatchPlan& node, const AdpOptions& options) {
   const ConjunctiveQuery& q = node.query;
   if (node.op == AdpCase::kSingleton) return SingletonReads(q);
@@ -113,6 +113,36 @@ AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
   return GreedyNode(q, db, cap, options, counts);
 }
 
+// A Boolean query over a disconnected body without a linear arrangement is
+// false as soon as one component is: each component is solved as a Boolean
+// node of its own, over its own relations (a min cut where it has a linear
+// arrangement, the greedy fallback where not), and the cheapest answers. An
+// inner node: it counts nothing itself, and is exact only when every
+// component is.
+AdpNode BooleanComponentsNode(const DispatchPlan& plan, const Database& db,
+                              std::int64_t cap, const AdpOptions& options) {
+  if (options.stats) ++options.stats->boolean_nodes;
+  AdpNode node;
+  node.outputs = 1;
+  AdpNode best;
+  std::int64_t best_cost = kInfCost;
+  for (std::size_t c = 0; c < plan.children.size(); ++c) {
+    AdpNode child = SolveNode(plan.children[c],
+                              SubDatabase(plan.components[c], db), cap,
+                              options);
+    node.outputs = std::min(node.outputs, child.outputs);
+    node.exact = node.exact && child.exact;
+    if (c == 0 || child.profile.At(1) < best_cost) {
+      best_cost = child.profile.At(1);
+      best = std::move(child);
+    }
+  }
+  if (node.outputs == 0) return TrivialNode(options);
+  if (best_cost < kInfCost) node.profile.Append(best_cost, 1);
+  node.report = std::move(best.report);
+  return node;
+}
+
 const char* SpanNameFor(AdpCase c) {
   switch (c) {
     case AdpCase::kBoolean: return obs::kSpanNodeBoolean;
@@ -135,6 +165,9 @@ AdpNode DispatchCase(const DispatchPlan& node, const Database& db,
   }
   if (node.op == AdpCase::kDecompose) {
     return DecomposeNode(node, db, cap, options);
+  }
+  if (node.op == AdpCase::kBoolean && !node.children.empty()) {
+    return BooleanComponentsNode(node, db, cap, options);
   }
   const JoinCounts counts =
       CountNode(node.query, db, LeafReads(node, options), options);

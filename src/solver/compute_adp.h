@@ -268,10 +268,12 @@ struct AdpNode {
 /// Solves the plan node `node` over `db` (instances indexed as in
 /// node.query) up to `cap`, inside its own span when tracing. A leaf
 /// (Boolean, Singleton, heuristic) counts its own body here, once, and hands
-/// the counts to its solver; a Universe or Decompose node counts nothing and
-/// composes its children's outputs. With `require_cap` (ComputeAdp's root
-/// only), a leaf counting fewer than `cap` outputs returns right after its
-/// pass: only `outputs` is set, and nothing is solved.
+/// the counts to its solver; a Universe or Decompose node, or a Boolean node
+/// with children (one per component of a disconnected body without a linear
+/// arrangement), counts nothing and composes its children's outputs. With
+/// `require_cap` (ComputeAdp's root only), a leaf counting fewer than `cap`
+/// outputs returns right after its pass: only `outputs` is set, and nothing
+/// is solved.
 AdpNode SolveNode(const DispatchPlan& node, const Database& db,
                   std::int64_t cap, const AdpOptions& options,
                   bool require_cap = false);

@@ -37,7 +37,7 @@ struct GreedyTrace {
 /// CountComponents' counts of exactly (q, db) under q's head, joins kept:
 /// an empty join returns at once, and the ProvenanceIndex is built from the
 /// join they kept (JoinCounts::WholeJoin). Without counts, or over a
-/// disconnected body (the Boolean greedy fallback's), it joins for itself.
+/// disconnected body, it joins for itself.
 GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
                            std::int64_t target,
                            const DeletionRestrictions* restrictions = nullptr,

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "dichotomy/linearize.h"
+#include "query/graph.h"
 #include "query/transform.h"
 
 namespace adp {
@@ -25,6 +26,14 @@ DispatchPlan BuildDispatchPlan(const ConjunctiveQuery& q,
   switch (node.op) {
     case AdpCase::kBoolean:
       node.linear_order = FindLinearOrder(q);
+      if (!node.linear_order && !IsConnected(q)) {
+        // False as soon as one component is: each component is a Boolean
+        // node of its own, and the cheapest one answers.
+        for (Subquery& sub : DecomposeQuery(q)) {
+          node.components.push_back(std::move(sub.parent_relation));
+          node.children.push_back(BuildDispatchPlan(sub.query, options));
+        }
+      }
       break;
     case AdpCase::kUniverse:
       node.removed = q.UniversalAttrs();

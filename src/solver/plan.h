@@ -37,20 +37,23 @@ struct DispatchPlan {
   ConjunctiveQuery query;
 
   /// Boolean nodes only: the linear arrangement, or nullopt if the
-  /// permutation search proved none exists (the solver then goes straight
-  /// to the greedy fallback).
+  /// permutation search proved none exists (the solver then solves each
+  /// component of a disconnected body on its own, and goes straight to the
+  /// greedy fallback for a connected one).
   std::optional<std::vector<int>> linear_order;
 
   /// Universe nodes only: the attributes each group's key fixes — all
   /// universal attributes, or the lowest one under the kOneByOne ablation.
   AttrSet removed;
 
-  /// Decompose nodes only: each component's body positions in `query`, in
+  /// Decompose nodes, and Boolean nodes over a disconnected body without a
+  /// linear arrangement: each component's body positions in `query`, in
   /// ConnectedComponents order.
   std::vector<std::vector<int>> components;
 
   /// A Universe node's one residual child (every group solves it), or a
-  /// Decompose node's child per component; leaves have none.
+  /// child per component of such a Decompose or Boolean node; leaves have
+  /// none.
   std::vector<DispatchPlan> children;
 };
 

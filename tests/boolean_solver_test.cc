@@ -12,7 +12,9 @@
 #include "dichotomy/relations.h"
 #include "flow/max_flow.h"
 #include "query/parser.h"
+#include "query/transform.h"
 #include "solver/boolean.h"
+#include "solver/compute_adp.h"
 #include "solver/solution.h"
 #include "test_util.h"
 
@@ -210,6 +212,75 @@ TEST(BooleanSolverTest, CodeHubsMatchTheDecodedValueNetwork) {
   EXPECT_GT(right_only, 100);
   EXPECT_GT(empty_atoms, 20);
   EXPECT_GT(unshared, 20);
+}
+
+// A Boolean query over a disconnected body without a linear arrangement is
+// false as soon as one component is, so the cheapest component answers: here
+// deleting all of U, not the greedy fallback over the cross product of the
+// triangle and U.
+TEST(BooleanSolverTest, DisconnectedBodyAnswersWithTheCheapestComponent) {
+  const ConjunctiveQuery q =
+      ParseQuery("Q() :- R(A,B), S(B,C), T(C,A), U(D)");
+  ASSERT_FALSE(FindLinearOrder(q).has_value());
+  Rng rng(324);
+  const Database db = RandomDb(q, rng, 400, 30);
+  ASSERT_GT(OracleCount(q, db), 0);
+  AdpStats stats;
+  AdpOptions options;
+  options.stats = &stats;
+  const AdpSolution sol = ComputeAdp(q, db, 1, options);
+  EXPECT_EQ(sol.cost, static_cast<std::int64_t>(db.rel(3).size()));
+  EXPECT_EQ(sol.cost, 30);
+  EXPECT_FALSE(sol.exact);  // the triangle's component is greedy
+  EXPECT_EQ(CountRemovedOutputs(q, db, sol.tuples), 1);
+  for (const TupleRef& t : sol.tuples) EXPECT_EQ(t.relation, 3);
+  // The node and one Boolean node per component; the triangle falls back.
+  EXPECT_EQ(stats.boolean_nodes, 3);
+  EXPECT_EQ(stats.boolean_fallbacks, 1);
+}
+
+// On tiny disconnected instances: the answer is the cheapest component's,
+// the witness falsifies the query, and it is exact exactly when every
+// component is (never here: a body whose every component has a linear
+// arrangement has one itself). The exhaustive optimum, never above the
+// answer, is the minimum of the components' optima.
+TEST(BooleanSolverTest, DisconnectedBodyMatchesBruteForceOverComponents) {
+  const char* queries[] = {
+      "Q() :- R(A,B), S(B,C), T(C,A), U(D)",
+      "Q() :- R(A,B), S(B,C), T(C,A), U(D,E), V(E)",
+      "Q() :- R(A,B), S(B,C), T(C,A), U(D,E), V(E,F), W(F,D)",
+  };
+  int checked = 0;
+  for (const char* text : queries) {
+    const ConjunctiveQuery q = ParseQuery(text);
+    ASSERT_FALSE(FindLinearOrder(q).has_value()) << text;
+    for (int seed = 0; seed < 12; ++seed) {
+      Rng rng(700 + seed);
+      const Database db = RandomDb(q, rng, 3, 2);
+      if (OracleCount(q, db) == 0) continue;
+      const AdpSolution sol = ComputeAdp(q, db, 1, AdpOptions());
+      std::int64_t cheapest = kInfCost;
+      std::int64_t cheapest_optimum = kInfCost;
+      bool all_exact = true;
+      for (const Subquery& sub : DecomposeQuery(q)) {
+        const Database part = SubDatabase(sub.parent_relation, db);
+        const AdpSolution own = ComputeAdp(sub.query, part, 1, AdpOptions());
+        cheapest = std::min(cheapest, own.cost);
+        all_exact = all_exact && own.exact;
+        cheapest_optimum =
+            std::min(cheapest_optimum, OracleAdp(sub.query, part, 1));
+      }
+      EXPECT_EQ(sol.cost, cheapest) << text << " seed " << seed;
+      EXPECT_EQ(sol.exact, all_exact) << text << " seed " << seed;
+      EXPECT_EQ(CountRemovedOutputs(q, db, sol.tuples), 1) << text;
+      EXPECT_EQ(static_cast<std::int64_t>(sol.tuples.size()), sol.cost);
+      const std::int64_t optimum = OracleAdp(q, db, 1);
+      EXPECT_EQ(optimum, cheapest_optimum) << text << " seed " << seed;
+      EXPECT_GE(sol.cost, optimum);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 15);
 }
 
 // Randomized sweep: on linearizable boolean queries, the min-cut resilience

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "query/parser.h"
@@ -309,6 +311,151 @@ TEST(HashGroupIndexTest, CrossRelationProbeRequiresDictionaryTranslation) {
   // Values missing from the build dictionary are reported as absent
   // before any probe happens.
   EXPECT_EQ(build.dict(0).Lookup(probe_side.ValueAt(1, 0)), -1);
+}
+
+// KeyGroups is HashGroupIndex without the row lists: the same group ids and
+// the same lookup, on random keys of one to four columns over fresh
+// dictionaries and over 500-value ones shared with a root (a one-column key
+// is dense over the first, hashed over the second), against first-seen
+// numbering by decoded values.
+TEST(KeyGroupsTest, IdsAndLookupMatchHashGroupIndexOnRandomKeys) {
+  Rng rng(2029);
+  RelationInstance root;  // holds 0..499 in every column
+  for (Value v = 0; v < 500; ++v) root.Add({v, v, v, v});
+  for (int iter = 0; iter < 60; ++iter) {
+    const Value domain = 2 + static_cast<Value>(rng.Uniform(6));
+    const std::size_t rows = 1 + rng.Uniform(80);
+    std::vector<TupleId> picked;
+    RelationInstance fresh;
+    for (std::size_t r = 0; r < rows; ++r) {
+      Tuple t(4);
+      for (Value& v : t) v = static_cast<Value>(rng.Uniform(domain));
+      fresh.Add(t);
+      root.Add(t);
+      picked.push_back(static_cast<TupleId>(root.size() - 1));
+    }
+    const RelationInstance gathered =
+        RelationInstance::Gather(root, picked, {0, 1, 2, 3});
+    std::vector<int> key;
+    for (int c = 0; c < 4; ++c) {
+      if (rng.Uniform(2) == 0) key.push_back(c);
+    }
+    if (key.empty()) key.push_back(static_cast<int>(rng.Uniform(4)));
+    const RelationInstance* instances[] = {&fresh, &gathered};
+    for (const RelationInstance* inst : instances) {
+      const KeyGroups ids(*inst, key);
+      const HashGroupIndex index(*inst, key);
+      std::map<Tuple, std::uint32_t> oracle;
+      ASSERT_EQ(ids.num_groups(), index.num_groups());
+      std::vector<Code> codes(key.size());
+      for (std::size_t r = 0; r < rows; ++r) {
+        Tuple values;
+        for (std::size_t j = 0; j < key.size(); ++j) {
+          values.push_back(inst->ValueAt(r, key[j]));
+          codes[j] = inst->CodeAt(r, key[j]);
+        }
+        const auto seen = oracle.try_emplace(
+            values, static_cast<std::uint32_t>(oracle.size()));
+        EXPECT_EQ(ids.group_of(r), seen.first->second);
+        EXPECT_EQ(ids.group_of(r), index.group_of(r));
+        EXPECT_EQ(ids.FindByCodes(codes.data()), index.group_of(r));
+        EXPECT_EQ(index.FindByCodes(codes.data()), index.group_of(r));
+      }
+      EXPECT_EQ(ids.num_groups(), oracle.size());
+      // Combinations the rows may lack, and codes past the dictionary.
+      for (int probe = 0; probe < 40; ++probe) {
+        for (std::size_t j = 0; j < key.size(); ++j) {
+          codes[j] = static_cast<Code>(
+              rng.Uniform(inst->DistinctInColumn(key[j]) + 2));
+        }
+        EXPECT_EQ(ids.FindByCodes(codes.data()),
+                  index.FindByCodes(codes.data()));
+      }
+    }
+  }
+}
+
+// --- GroupJoinRows: packed words and the multi-code fallback ---
+
+// First-seen numbering of the join's rows by their decoded key values.
+JoinGroups OracleJoinGroups(const JoinResult& join, AttrSet key) {
+  AttrSet present;
+  for (AttrId a : key) {
+    if (join.ColumnOf(a) >= 0) present.Add(a);
+  }
+  std::map<Tuple, std::uint32_t> seen;
+  JoinGroups groups;
+  for (std::size_t r = 0; r < join.NumRows(); ++r) {
+    const auto [it, inserted] = seen.try_emplace(
+        join.Project(r, present), static_cast<std::uint32_t>(seen.size()));
+    if (inserted) groups.first_row.push_back(static_cast<std::uint32_t>(r));
+    groups.group_of.push_back(it->second);
+  }
+  return groups;
+}
+
+// R's rows gathered from a root whose every column holds 0..dict_size-1
+// first, so R's dictionaries have dict_size entries (0: R is built fresh,
+// and its dictionaries hold only its own values).
+RelationInstance WithDictionaries(const std::vector<Tuple>& rows,
+                                  Value dict_size) {
+  RelationInstance root;
+  for (Value v = 0; v < dict_size; ++v) root.Add(Tuple(rows[0].size(), v));
+  std::vector<TupleId> picked;
+  for (const Tuple& t : rows) {
+    root.Add(t);
+    picked.push_back(static_cast<TupleId>(root.size() - 1));
+  }
+  if (dict_size == 0) return root;
+  std::vector<int> all(rows[0].size());
+  for (std::size_t c = 0; c < all.size(); ++c) all[c] = static_cast<int>(c);
+  return RelationInstance::Gather(root, picked, all);
+}
+
+// The same join rows grouped on a four-column key three ways: over R's own
+// few-value dictionaries and over 1,000-value ones (packed words, whose
+// radix differs), and over 65,537-value ones, whose sizes multiply past
+// 2^64 (the multi-code fallback). Every way numbers the groups as the
+// oracle does.
+TEST(GroupJoinRowsTest, PackedAndFallbackPathsGroupAlike) {
+  const ConjunctiveQuery q =
+      ParseQuery("Q(A,B,C,D) :- R(A,B,C,D,E), S(E,F)");
+  Rng rng(65537);
+  for (int iter = 0; iter < 8; ++iter) {
+    const Value domain = 2 + static_cast<Value>(rng.Uniform(3));
+    std::vector<Tuple> r_rows, s_rows;
+    for (int i = 0; i < 40; ++i) {
+      Tuple t(5);
+      for (Value& v : t) v = static_cast<Value>(rng.Uniform(domain));
+      r_rows.push_back(t);
+    }
+    for (int i = 0; i < 8; ++i) {
+      s_rows.push_back({static_cast<Value>(rng.Uniform(domain)),
+                        static_cast<Value>(rng.Uniform(3))});
+    }
+    std::optional<JoinGroups> first;
+    for (const Value dict_size : {0, 1000, 65537}) {
+      Database db(2);
+      db.rel(0) = WithDictionaries(r_rows, dict_size);
+      db.rel(0).set_root_relation(0);
+      for (const Tuple& t : s_rows) db.rel(1).Add(t);
+      if (dict_size == 65537) {
+        ASSERT_EQ(db.rel(0).DistinctInColumn(0), 65537u);
+      }
+      const JoinResult join = FullJoin(q.body(), db);
+      const JoinGroups got = GroupJoinRows(join, q.head());
+      const JoinGroups want = OracleJoinGroups(join, q.head());
+      EXPECT_EQ(got.group_of, want.group_of) << dict_size << " " << iter;
+      EXPECT_EQ(got.first_row, want.first_row) << dict_size << " " << iter;
+      if (!first) {
+        first = got;
+        continue;
+      }
+      // Same rows in the same join order, so the same numbering.
+      EXPECT_EQ(got.group_of, first->group_of) << dict_size;
+      EXPECT_EQ(got.first_row, first->first_row) << dict_size;
+    }
+  }
 }
 
 // Property: the hash-join engine agrees with the nested-loop oracle on

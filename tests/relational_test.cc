@@ -1,10 +1,13 @@
 // Unit tests for relational/: schemas, instances, origin tracking, the
-// columnar storage surface (dictionaries, gathers, capacity), and database
-// helpers.
+// columnar storage surface (dictionaries, their translation tables, gathers,
+// capacity), and database helpers.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "relational/database.h"
 #include "relational/relation.h"
@@ -185,6 +188,116 @@ TEST(RelationInstanceTest, AddPastMaxRowsThrows) {
   RelationInstance::OverrideMaxRowsForTest(previous);
   r.Add({3});  // ceiling restored
   EXPECT_EQ(r.size(), 3u);
+}
+
+// A dictionary holding `values`, interned in order.
+ColumnDict DictOf(const std::vector<Value>& values) {
+  ColumnDict d;
+  for (Value v : values) d.Intern(v);
+  return d;
+}
+
+// Entry c of a translation table is values[c]'s code in the target, by
+// per-value Lookup, or kNoCode when the target lacks the value.
+void ExpectTableMatchesLookup(const ColumnDict& from, const ColumnDict& to,
+                              const std::vector<Code>& table) {
+  ASSERT_EQ(table.size(), from.size());
+  for (std::size_t c = 0; c < from.size(); ++c) {
+    const std::int64_t code = to.Lookup(from.values[c]);
+    EXPECT_EQ(table[c], code < 0 ? kNoCode : static_cast<Code>(code))
+        << "value " << from.values[c];
+  }
+}
+
+TEST(TranslationTableTest, MatchesPerValueLookupAndMarksAbsentValues) {
+  const ColumnDict from = DictOf({40, 10, 30, 99, 20});
+  const ColumnDict to = DictOf({10, 20, 30, 40, 50});
+  const auto table = from.TranslationTo(to);
+  ExpectTableMatchesLookup(from, to, *table);
+  EXPECT_EQ((*table)[3], kNoCode);  // 99 is absent from `to`
+  EXPECT_EQ((*table)[0], 3u);       // 40 is code 3 in `to`
+  // An empty target maps everything to no code.
+  const ColumnDict empty;
+  EXPECT_EQ(*from.TranslationTo(empty),
+            std::vector<Code>(from.size(), kNoCode));
+}
+
+TEST(TranslationTableTest, SecondRequestReturnsTheSameSharedTable) {
+  const ColumnDict from = DictOf({1, 2, 3});
+  const ColumnDict to = DictOf({3, 2});
+  const auto first = from.TranslationTo(to);
+  const auto second = from.TranslationTo(to);
+  EXPECT_EQ(first.get(), second.get());
+  // Another target gets a table of its own.
+  const ColumnDict other = DictOf({1});
+  EXPECT_NE(from.TranslationTo(other).get(), first.get());
+  EXPECT_EQ(from.TranslationTo(to).get(), first.get());
+}
+
+TEST(TranslationTableTest, RebuiltAfterEitherDictionaryGrows) {
+  ColumnDict from = DictOf({1, 2, 3});
+  ColumnDict to = DictOf({2});
+  const auto before = from.TranslationTo(to);
+  std::weak_ptr<const std::vector<Code>> old = before;
+
+  // The target grows: 3 now has a code there, and the entry is replaced
+  // rather than joined by a second one, so the old table is released.
+  to.Intern(3);
+  const auto after_to = from.TranslationTo(to);
+  EXPECT_NE(after_to.get(), before.get());
+  ExpectTableMatchesLookup(from, to, *after_to);
+  EXPECT_EQ((*after_to)[2], 1u);
+  EXPECT_EQ((*before)[2], kNoCode);  // a reader's table never changes
+  EXPECT_FALSE(old.expired());
+  // `before` is the only holder left once the dictionary dropped it.
+  EXPECT_EQ(before.use_count(), 1);
+
+  // The source grows: the table gains the new code's entry.
+  from.Intern(2);  // already there: no growth, same table
+  EXPECT_EQ(from.TranslationTo(to).get(), after_to.get());
+  from.Intern(4);
+  const auto after_from = from.TranslationTo(to);
+  EXPECT_NE(after_from.get(), after_to.get());
+  ExpectTableMatchesLookup(from, to, *after_from);
+  EXPECT_EQ(after_to.use_count(), 1);
+}
+
+TEST(TranslationTableTest, CopyIsANewDictionaryAndTablesDieWithTheSource) {
+  const ColumnDict to = DictOf({5, 6});
+  std::weak_ptr<const std::vector<Code>> kept;
+  std::uint64_t id = 0;
+  {
+    auto from = std::make_unique<ColumnDict>(DictOf({6, 7}));
+    id = from->id();
+    kept = from->TranslationTo(to);
+    EXPECT_FALSE(kept.expired());
+    // A copy may grow apart from its source: a new id, no tables.
+    const ColumnDict copy(*from);
+    EXPECT_NE(copy.id(), from->id());
+    EXPECT_NE(copy.TranslationTo(to).get(), kept.lock().get());
+  }
+  EXPECT_TRUE(kept.expired());
+  EXPECT_NE(DictOf({6, 7}).id(), id);  // ids are never reused
+}
+
+// Concurrent first requests (sharded solves probing one pair) get one
+// table: it is built once, under the source dictionary's lock.
+TEST(TranslationTableTest, ConcurrentRequestsForOnePairGetOneTable) {
+  ColumnDict from;
+  ColumnDict to;
+  for (Value v = 0; v < 50000; ++v) {
+    from.Intern(v);
+    if (v % 3 != 0) to.Intern(49999 - v);
+  }
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const std::vector<Code>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] { got[i] = from.TranslationTo(to); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 1; i < kThreads; ++i) EXPECT_EQ(got[i].get(), got[0].get());
+  ExpectTableMatchesLookup(from, to, *got[0]);
 }
 
 TEST(DatabaseTest, RootRelationsNumbered) {

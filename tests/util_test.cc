@@ -1,5 +1,5 @@
 // Unit tests for util/: AttrSet algebra, RNG determinism, Zipf sampling,
-// stable ordering by key.
+// stable ordering by key, saturating arithmetic.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "util/attr_set.h"
 #include "util/parse_int.h"
 #include "util/rng.h"
+#include "util/saturating.h"
 #include "util/stable_order.h"
 
 namespace adp {
@@ -308,6 +309,61 @@ TEST(StableSortByKeyTest, MovesNonTrivialItems) {
         SortOrder::kAscending);
     EXPECT_EQ(groups, want) << "n=" << n;
   }
+}
+
+// The division form of the saturating product, the reference for SatMul:
+// a * b > kMaxOutputs exactly when a > floor(kMaxOutputs / b).
+std::int64_t SatMulByDivision(std::int64_t a, std::int64_t b) {
+  if (a == 0 || b == 0) return 0;
+  if (a > kMaxOutputs / b) return kMaxOutputs;
+  return a * b;
+}
+
+TEST(SatMulTest, MatchesTheDivisionFormAtTheEdges) {
+  constexpr std::int64_t kMax = kMaxOutputs;
+  constexpr std::int64_t kRoot = std::int64_t{1} << 31;  // sqrt(kMax)
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> values = {0, 1, 2, 3, 5, kMax - 1, kMax, kMax + 1,
+                                      kInt64Max / 2, kInt64Max - 1, kInt64Max};
+  for (std::int64_t d = -3; d <= 3; ++d) values.push_back(kRoot + d);
+  for (std::int64_t a : values) {
+    for (std::int64_t b : values) {
+      EXPECT_EQ(SatMul(a, b), SatMulByDivision(a, b)) << a << " * " << b;
+    }
+  }
+  // Products just below, at and just above kMaxOutputs.
+  EXPECT_EQ(SatMul(kRoot - 1, kRoot + 1), kMax - 1);  // 2^62 - 1
+  EXPECT_EQ(SatMul(kRoot, kRoot), kMax);
+  EXPECT_EQ(SatMul(5, (kMax + 1) / 5), kMax);  // 2^62 + 1 saturates
+  EXPECT_EQ((kMax + 1) % 5, 0);
+  // Products past 2^63, which overflow 64-bit signed arithmetic.
+  EXPECT_EQ(SatMul(2, kMax), kMax);  // exactly 2^63
+  EXPECT_EQ(SatMul(3, kMax), kMax);
+  EXPECT_EQ(SatMul(kRoot * 2, kRoot * 2), kMax);  // 2^64
+  EXPECT_EQ(SatMul(kInt64Max, kInt64Max), kMax);
+}
+
+TEST(SatMulTest, MatchesTheDivisionFormOnRandomPairs) {
+  Rng rng(62);
+  // Each operand is drawn below a random power of two (capped at
+  // kMaxOutputs), so products land on both sides of the bound.
+  auto draw = [&rng] {
+    const int bits = static_cast<int>(rng.Uniform(63));
+    const std::uint64_t bound = std::uint64_t{1} << bits;
+    return static_cast<std::int64_t>(rng.Uniform(bound + 1));
+  };
+  int saturated = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const std::int64_t a = draw();
+    const std::int64_t b = draw();
+    ASSERT_LE(a, kMaxOutputs);
+    ASSERT_LE(b, kMaxOutputs);
+    const std::int64_t want = SatMulByDivision(a, b);
+    ASSERT_EQ(SatMul(a, b), want) << a << " * " << b;
+    saturated += want == kMaxOutputs;
+  }
+  EXPECT_GT(saturated, 100000);
+  EXPECT_LT(saturated, 900000);
 }
 
 }  // namespace

@@ -11,14 +11,18 @@ For every end-to-end metric it prints the parent's and the change's medians,
 the change/parent ratio of the medians, the pairs the change won (in the
 metric's direction, from BENCHMARK.json) and the parent's interquartile
 range. For paper_solve it also prints each cell's median_cpu_ms ratio, from
-the run facts line. `--out` keeps every run's facts and result. A run whose
-answers disagree with the reference (`correct` false or `failed` > 0) is
-reported and stops the comparison.
+the run facts line. With `--trace`, one traced run per side follows the
+pairs, and its per-layer figures (every `relational.*` and `solver.*`
+metric: count_ms, count_only_ms, case.*_ms, self_ms, node counts) are
+printed side by side, so a gain is attributed to its layer by the same
+tool that measured it. `--out` keeps every run's facts and result. A run
+whose answers disagree with the reference (`correct` false or `failed` > 0)
+is reported and stops the comparison.
 
 Usage, from the repository root:
 
     python3 tools/perf_pairs.py --parent HEAD~1 --change . \\
-        --workload paper_solve --seeds 1 --pairs 10 --seconds 20
+        --workload paper_solve --seeds 1 --pairs 10 --seconds 20 [--trace]
 
 Seed 7919 is held out (perfbench/DESIGN.md): develop on seed 1 and check a
 claimed gain on 7919 once, at the end.
@@ -36,6 +40,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("paper_solve", "serve_mixed")
 HELD_OUT_SEED = 7919
+# Metric-name prefixes of the per-layer figures a traced run reports.
+LAYER_PREFIXES = ("relational.", "solver.")
 
 
 def export(rev, dest):
@@ -63,13 +69,13 @@ def build(tree, target_dir):
             sys.exit("perf_pairs: building perfbench in %s failed" % tree)
 
 
-def run_once(tree, target_dir, workload, seed, seconds):
+def run_once(tree, target_dir, workload, seed, seconds, trace=False):
     """One perfbench run: (facts, result) from its last two stdout lines."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "1" if trace else "0"],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
     lines = [l for l in proc.stdout.splitlines() if l.strip()]
@@ -132,6 +138,21 @@ def report(workload, seed, runs, higher_better):
               (cell, p, c, c / p if p else float("nan")))
 
 
+def report_layers(workload, seed, traced):
+    """Prints the per-layer figures of one traced run per side."""
+    parent = traced["parent"][1]["metrics"]
+    change = traced["change"][1]["metrics"]
+    print("\n%s seed %d: per-layer, one traced run per side" %
+          (workload, seed))
+    print("%-28s %12s %12s %7s" % ("layer", "parent", "change", "ratio"))
+    for name in sorted(parent):
+        if not name.startswith(LAYER_PREFIXES) or name not in change:
+            continue
+        p, c = parent[name]["value"], change[name]["value"]
+        print("%-28s %12.4g %12.4g %7.3f" %
+              (name, p, c, c / p if p else float("nan")))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True,
@@ -144,6 +165,9 @@ def main():
                     help="comma-separated perfbench seeds (default 1)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--trace", action="store_true",
+                    help="after the pairs, one traced run per side, and its "
+                         "per-layer figures side by side")
     ap.add_argument("--keep", action="store_true",
                     help="keep the exported trees and builds")
     ap.add_argument("--out",
@@ -190,7 +214,22 @@ def main():
                     print("perf_pairs: %s seed %d pair %d/%d done" %
                           (workload, seed, i + 1, args.pairs),
                           file=sys.stderr)
-                report(workload, seed, runs, higher_better)
+                if runs:
+                    report(workload, seed, runs, higher_better)
+                if args.trace:
+                    traced = {}
+                    for side in ("parent", "change"):
+                        tree, target = sides[side]
+                        traced[side] = run_once(tree, target, workload, seed,
+                                                args.seconds, trace=True)
+                        if args.out:
+                            with open(args.out, "a") as f:
+                                facts, result = traced[side]
+                                f.write(json.dumps({
+                                    "workload": workload, "seed": seed,
+                                    "pair": "traced", "side": side,
+                                    "facts": facts, "result": result}) + "\n")
+                    report_layers(workload, seed, traced)
     finally:
         if args.keep:
             print("perf_pairs: kept %s" % scratch, file=sys.stderr)
