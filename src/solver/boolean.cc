@@ -31,14 +31,12 @@ std::optional<BooleanResult> SolveBooleanExact(
 
   // Node ids for tuple splits, per linear position.
   std::vector<std::vector<int>> in_node(p), out_node(p);
-  std::vector<std::vector<int>> tuple_edge(p);  // in->out edge ids
   for (int pos = 0; pos < p; ++pos) {
     const int rel = order[pos];
     const RelationInstance& inst = db.rel(rel);
     const std::int64_t rel_cap = exo[rel] ? kInfCapacity : 1;
     in_node[pos].resize(inst.size());
     out_node[pos].resize(inst.size());
-    tuple_edge[pos].resize(inst.size());
     for (std::size_t t = 0; t < inst.size(); ++t) {
       in_node[pos][t] = flow.AddNode();
       out_node[pos][t] = flow.AddNode();
@@ -46,7 +44,7 @@ std::optional<BooleanResult> SolveBooleanExact(
       if (restrictions && restrictions->IsProtectedLocal(inst, t)) {
         cap = kInfCapacity;  // §9 extension: undeletable tuple
       }
-      tuple_edge[pos][t] = flow.AddEdge(in_node[pos][t], out_node[pos][t], cap);
+      flow.AddEdge(in_node[pos][t], out_node[pos][t], cap);
     }
   }
 
@@ -107,11 +105,9 @@ std::optional<BooleanResult> SolveBooleanExact(
   const std::vector<char> side = flow.SourceSide(source);
   for (int pos = 0; pos < p; ++pos) {
     const int rel = order[pos];
-    const RelationInstance& inst = db.rel(rel);
-    for (std::size_t t = 0; t < inst.size(); ++t) {
+    for (std::size_t t = 0; t < db.rel(rel).size(); ++t) {
       if (side[in_node[pos][t]] && !side[out_node[pos][t]]) {
-        result.cut.push_back(
-            TupleRef{inst.root_relation(), inst.OriginOf(t)});
+        result.cut.push_back(TupleRef{rel, static_cast<TupleId>(t)});
       }
     }
   }

@@ -18,7 +18,9 @@
 
 namespace adp {
 
-/// Exact resilience result.
+/// Exact resilience result. The cut is in the coordinates of the database
+/// it was solved over (body position, local row): root coordinates over a
+/// root database.
 struct BooleanResult {
   std::int64_t resilience = 0;       // minimum tuples to make Q(D) false
   std::vector<TupleRef> cut;         // a witness of that size

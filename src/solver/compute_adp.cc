@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <exception>
-#include <memory>
+#include <iterator>
 
 #include "obs/names.h"
 #include "obs/trace.h"
@@ -19,6 +19,7 @@
 #include "solver/plan.h"
 #include "solver/singleton.h"
 #include "solver/universe.h"
+#include "util/saturating.h"
 
 namespace adp {
 namespace {
@@ -89,22 +90,19 @@ AdpNode BooleanNode(const DispatchPlan& plan, const Database& db,
                        ? SolveBooleanExact(q, db, options.restrictions,
                                            &*plan.linear_order)
                        : std::nullopt) {
-    AdpNode node;
-    node.exact = true;
-    node.outputs = 1;
-    // A cut at or above kInfCapacity means the query cannot be falsified
-    // with the deletable tuples (possible only under §9 restrictions).
+    // The min cut is one step that removes the one output. A cut at or above
+    // kInfCapacity means the query cannot be falsified with the deletable
+    // tuples (possible only under §9 restrictions): no step.
+    DeletionOrder cut;
     if (exact->resilience < kInfCapacity) {
-      node.profile.Append(exact->resilience, 1);
+      assert(static_cast<std::int64_t>(exact->cut.size()) ==
+             exact->resilience);
+      cut.reserve(exact->cut.size());
+      for (const TupleRef& t : exact->cut) cut.push_back({t, 0});
+      cut.back().gain = 1;
     }
-    if (!options.counting_only) {
-      auto cut = std::make_shared<std::vector<TupleRef>>(
-          std::move(exact->cut));
-      node.report = [cut](std::int64_t j) {
-        return j > 0 ? *cut : std::vector<TupleRef>();
-      };
-    }
-    return node;
+    return LeafNode({&cut, 1}, db, cap, /*outputs=*/1, /*exact=*/true,
+                    options);
   }
   // No linear arrangement (possible only for NP-hard boolean queries, or
   // exotic triad-free shapes outside the paper's scope): greedy fallback
@@ -274,20 +272,6 @@ void MergeAdpStats(AdpStats& into, const AdpStats& from) {
   into.count_passes += from.count_passes;
 }
 
-bool operator==(const AdpStats& a, const AdpStats& b) {
-  return a.boolean_nodes == b.boolean_nodes &&
-         a.boolean_fallbacks == b.boolean_fallbacks &&
-         a.singleton_nodes == b.singleton_nodes &&
-         a.universe_nodes == b.universe_nodes &&
-         a.decompose_nodes == b.decompose_nodes &&
-         a.greedy_leaves == b.greedy_leaves &&
-         a.drastic_leaves == b.drastic_leaves &&
-         a.universe_groups == b.universe_groups &&
-         a.sharded_universe_nodes == b.sharded_universe_nodes &&
-         a.sharded_decompose_nodes == b.sharded_decompose_nodes &&
-         a.count_passes == b.count_passes;
-}
-
 bool StatsAgreeModuloSharding(const AdpStats& a, const AdpStats& b) {
   AdpStats am = a;
   AdpStats bm = b;
@@ -319,6 +303,72 @@ void AppendChildReports(const std::vector<AdpNode>& children,
     std::vector<TupleRef> part = children[i].report(targets[i]);
     out.insert(out.end(), part.begin(), part.end());
   }
+}
+
+AdpNode LeafNode(std::span<DeletionOrder> orders, const Database& db,
+                 std::int64_t cap, std::int64_t outputs, bool exact,
+                 const AdpOptions& options) {
+  AdpNode node;
+  node.exact = exact;
+  node.outputs = outputs;
+  // Each order keeps its deletions up to the first whose prefix removes cap;
+  // from here on, a kept deletion's gain holds its prefix's total.
+  std::size_t longest = 0;
+  for (DeletionOrder& order : orders) {
+    std::int64_t removed = 0;
+    std::size_t kept = 0;
+    while (kept < order.size() && removed < cap) {
+      removed = SatAdd(removed, order[kept].gain);
+      order[kept++].gain = removed;
+    }
+    order.resize(kept);
+    longest = std::max(longest, kept);
+  }
+  // Budget c removes the most that any order's first c deletions do.
+  for (std::size_t c = 1; c <= longest; ++c) {
+    std::int64_t best = 0;
+    for (const DeletionOrder& order : orders) {
+      if (!order.empty()) {
+        best = std::max(best, order[std::min(c, order.size()) - 1].gain);
+      }
+    }
+    if (!node.profile.Append(static_cast<std::int64_t>(c), best, cap)) break;
+  }
+  if (options.counting_only) return node;
+
+  for (DeletionOrder& order : orders) {
+    for (Deletion& d : order) {
+      const RelationInstance& inst =
+          db.rel(static_cast<std::size_t>(d.tuple.relation));
+      d.tuple = TupleRef{inst.root_relation(), inst.OriginOf(d.tuple.row)};
+    }
+  }
+  // The reporter owns the kept orders.
+  std::vector<DeletionOrder> kept(std::make_move_iterator(orders.begin()),
+                                  std::make_move_iterator(orders.end()));
+  node.report = [kept = std::move(kept)](std::int64_t j) {
+    std::vector<TupleRef> out;
+    if (j <= 0) return out;
+    // The shortest prefix removing >= j, from the lowest order on ties.
+    const DeletionOrder* best = nullptr;
+    std::size_t len = 0;
+    for (const DeletionOrder& order : kept) {
+      const auto it = std::partition_point(
+          order.begin(), order.end(),
+          [j](const Deletion& d) { return d.gain < j; });
+      if (it == order.end()) continue;
+      const std::size_t n = static_cast<std::size_t>(it - order.begin()) + 1;
+      if (best == nullptr || n < len) {
+        best = &order;
+        len = n;
+      }
+    }
+    if (best == nullptr) return out;
+    out.reserve(len);
+    for (std::size_t i = 0; i < len; ++i) out.push_back((*best)[i].tuple);
+    return out;
+  };
+  return node;
 }
 
 AdpSolution ComputeAdp(const ConjunctiveQuery& q, const Database& db,

@@ -12,13 +12,15 @@
 // (solver/plan.h); the recursion walks that tree.
 //
 // Internally every recursion node produces a CostProfile plus a lazy
-// reporter; see solver/profile.h for the combination semantics.
+// reporter; see solver/profile.h for the combination semantics. Every leaf
+// builds its node from its deletion orders through LeafNode.
 
 #ifndef ADP_SOLVER_COMPUTE_ADP_H_
 #define ADP_SOLVER_COMPUTE_ADP_H_
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "query/query.h"
@@ -66,11 +68,11 @@ struct AdpStats {
   /// root leaf's included) plus ComputeAdp's one for k <= 0; not `verify`.
   /// Universe and Decompose nodes count nothing. A leaf that reads a join
   /// (a Greedy leaf, the Boolean greedy fallback) has its pass materialize
-  /// and keep it, so its greedy joins nothing more; only a Boolean fallback
-  /// over a disconnected body, which no one join covers, keeps none (its
-  /// pass counts as if no join was asked for) and joins for itself,
-  /// untallied.
+  /// and keep it, so its greedy joins nothing more.
   std::int64_t count_passes = 0;
+
+  /// Field-wise equality (and, rewritten from it, inequality).
+  bool operator==(const AdpStats&) const = default;
 };
 
 /// Field-wise accumulation, used to fold per-shard statistics back into the
@@ -79,12 +81,6 @@ struct AdpStats {
 /// order the shards finished in (asserted by stats_test's order-independence
 /// test — keep new fields additive, or give them an order-independent merge).
 void MergeAdpStats(AdpStats& into, const AdpStats& from);
-
-/// Field-wise equality.
-bool operator==(const AdpStats& a, const AdpStats& b);
-inline bool operator!=(const AdpStats& a, const AdpStats& b) {
-  return !(a == b);
-}
 
 /// True iff `a` and `b` agree on every field except the sharding-engagement
 /// markers (sharded_universe_nodes / sharded_decompose_nodes) — the one
@@ -306,6 +302,32 @@ std::vector<AdpNode> SolveChildren(std::size_t count, std::size_t min_shard,
 void AppendChildReports(const std::vector<AdpNode>& children,
                         const std::vector<std::int64_t>& targets,
                         const CancelToken& cancel, std::vector<TupleRef>& out);
+
+/// One deletion of a leaf's deletion order: a tuple in the leaf's own
+/// coordinates (body position, local row) and `gain` >= 0, the outputs it
+/// removes beyond the deletions before it in the order.
+struct Deletion {
+  TupleRef tuple;
+  std::int64_t gain = 0;
+};
+
+/// A leaf's deletions in the order it makes them; each prefix's budget is
+/// its length. A step that deletes several tuples at once (a min cut, a
+/// Singleton output group) lists them with the step's gain on the last and
+/// 0 on the others, so no target's cheapest prefix ends inside it.
+using DeletionOrder = std::vector<Deletion>;
+
+/// The one leaf builder: every leaf (Boolean, Singleton, Greedy, Drastic)
+/// hands its deletion orders over `db` to it, with its `outputs` and
+/// whether it is `exact`. It cuts each order in place after the first
+/// deletion whose prefix removes cap, and builds the staircase: budget c
+/// removes the most that any one order's first c deletions do. Unless
+/// counting_only, it then maps the kept tuples to root coordinates and moves
+/// the orders into the reporter, whose report(j) is the cheapest prefix
+/// removing >= j, the lowest order's on ties (none for j <= 0).
+AdpNode LeafNode(std::span<DeletionOrder> orders, const Database& db,
+                 std::int64_t cap, std::int64_t outputs, bool exact,
+                 const AdpOptions& options);
 
 }  // namespace adp
 

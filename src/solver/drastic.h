@@ -4,8 +4,9 @@
 // smallest profit-sorted prefix reaching the target, and the cheapest
 // relation wins. Not applicable under projections (§7.4). The profit order
 // is stable and linear (StableSortByKey, util/stable_order.h), equal
-// profits keeping the lower tuple id, and each relation keeps only its
-// picks up to the first whose prefix reaches the node's cap.
+// profits keeping the lower tuple id. Each relation's order is one of the
+// node's deletion orders (LeafNode, solver/compute_adp.h), which cuts it
+// after the first pick whose prefix reaches the node's cap.
 
 #ifndef ADP_SOLVER_DRASTIC_H_
 #define ADP_SOLVER_DRASTIC_H_

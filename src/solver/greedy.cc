@@ -1,5 +1,6 @@
 #include "solver/greedy.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -114,9 +115,7 @@ GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
       if (first[rel] != kNotCandidate) tree.Set(first[rel] + t, key(rel, t));
     }
     changed.clear();
-    const RelationInstance& inst = db.rel(best_rel);
-    trace.picks.push_back(
-        TupleRef{inst.root_relation(), inst.OriginOf(best_tuple)});
+    trace.picks.push_back(TupleRef{best_rel, best_tuple});
     trace.removed_after.push_back(removed);
   }
   return trace;
@@ -126,33 +125,19 @@ AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
                    std::int64_t cap, const AdpOptions& options,
                    const JoinCounts& counts) {
   if (options.stats) ++options.stats->greedy_leaves;
-  GreedyTrace trace = RunGreedyForCQ(q, db, std::min(cap, std::int64_t{1} << 62),
-                                     options.restrictions, &counts);
-
-  // Profile from the trajectory: a breakpoint at every pick that raised
-  // the removed count, so At(j) is the first pick count reaching j.
-  AdpNode node;
-  node.exact = false;
-  node.outputs = counts.outputs;
-  for (std::size_t p = 0; p < trace.removed_after.size(); ++p) {
-    if (!node.profile.Append(static_cast<std::int64_t>(p) + 1,
-                             trace.removed_after[p], cap)) {
-      break;
-    }
+  const GreedyTrace trace =
+      RunGreedyForCQ(q, db, std::min(cap, std::int64_t{1} << 62),
+                     options.restrictions, &counts);
+  // The picks in order, each removing what the run counted after it; a pick
+  // that removed nothing stays in every prefix that passes it.
+  DeletionOrder order(trace.picks.size());
+  std::int64_t before = 0;
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    order[p] = {trace.picks[p], trace.removed_after[p] - before};
+    before = trace.removed_after[p];
   }
-  if (!options.counting_only) {
-    auto shared = std::make_shared<GreedyTrace>(std::move(trace));
-    node.report = [shared](std::int64_t j) {
-      std::vector<TupleRef> out;
-      for (std::size_t i = 0; i < shared->picks.size(); ++i) {
-        out.push_back(shared->picks[i]);
-        if (shared->removed_after[i] >= j) break;
-      }
-      if (j <= 0) out.clear();
-      return out;
-    };
-  }
-  return node;
+  return LeafNode({&order, 1}, db, cap, counts.outputs, /*exact=*/false,
+                  options);
 }
 
 }  // namespace adp

@@ -25,9 +25,11 @@ namespace adp {
 
 struct JoinCounts;  // relational/join.h
 
-/// The full deletion trajectory of one greedy run.
+/// The full deletion trajectory of one greedy run, in the coordinates of
+/// the database it ran over (body position, local row): root coordinates
+/// over a root database.
 struct GreedyTrace {
-  std::vector<TupleRef> picks;              // deletion order, root coords
+  std::vector<TupleRef> picks;              // deletion order
   std::vector<std::int64_t> removed_after;  // cumulative outputs removed
   std::int64_t total_outputs = 0;           // |Q(D)| before any deletion
 };
@@ -44,7 +46,8 @@ GreedyTrace RunGreedyForCQ(const ConjunctiveQuery& q, const Database& db,
                            const JoinCounts* counts = nullptr);
 
 /// Wraps a greedy run as a (non-exact) recursion node with kmax
-/// min(cap, |Q(D)|). `counts` are the node's own, read as by RunGreedyForCQ
+/// min(cap, |Q(D)|): its picks are the node's one deletion order
+/// (LeafNode). `counts` are the node's own, read as by RunGreedyForCQ
 /// (SolveNode makes that pass, joins kept).
 AdpNode GreedyNode(const ConjunctiveQuery& q, const Database& db,
                    std::int64_t cap, const AdpOptions& options,

@@ -3,11 +3,11 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "obs/trace.h"
 #include "relational/group_index.h"
 #include "relational/join.h"
-#include "util/saturating.h"
 #include "util/stable_order.h"
 
 namespace adp {
@@ -80,9 +80,6 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
   const RelationInstance& inst = db.rel(ri);
   const AttrSet ai = schema.attr_set();
 
-  AdpNode node;
-  node.exact = true;
-  node.outputs = counts.outputs;
   if (options.stats) ++options.stats->singleton_nodes;
   if (options.trace != nullptr) {
     // Algorithm 3 has two regimes: case 1 (attr(Ri) ⊆ head, profit per
@@ -92,6 +89,7 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
                             ai.SubsetOf(q.head()) ? "1" : "2");
   }
 
+  DeletionOrder order;
   if (ai.SubsetOf(q.head())) {
     // Case 1: profit of an Ri tuple = number of outputs inheriting it. Under
     // a full head every join row is an output, so that is the number of join
@@ -100,112 +98,55 @@ AdpNode SingletonNode(const ConjunctiveQuery& q, const Database& db,
         q.all_attrs().SubsetOf(q.head())
             ? counts.RowsThrough(ri)
             : ProjectedProfits(q, db, ri, counts);
-    struct Pick {
-      std::int64_t profit;
-      TupleId t;  // in `inst`; the root tuple once the reporter keeps it
-    };
-    std::vector<Pick> picks;
-    picks.reserve(inst.size());
+    order.reserve(inst.size());
     for (std::size_t t = 0; t < inst.size(); ++t) {
       if (profit[t] > 0) {
-        picks.push_back(Pick{profit[t], static_cast<TupleId>(t)});
+        order.push_back({TupleRef{ri, static_cast<TupleId>(t)}, profit[t]});
       }
     }
     // Highest profit first; ties go to the lower tuple id.
     StableSortByKey(
-        picks,
-        [](const Pick& p) { return static_cast<std::uint64_t>(p.profit); },
+        order,
+        [](const Deletion& d) { return static_cast<std::uint64_t>(d.gain); },
         SortOrder::kDescending);
-
-    // The c-th deletion removes the c-th pick's profit; the profile reads
-    // the picks up to the first that reaches cap.
-    std::int64_t removed = 0;
-    std::size_t used = 0;
-    while (used < picks.size()) {
-      removed = SatAdd(removed, picks[used].profit);
-      ++used;
-      if (!node.profile.Append(static_cast<std::int64_t>(used), removed,
-                               cap)) {
-        break;
-      }
-    }
-
-    if (!options.counting_only) {
-      picks.resize(used);
-      for (Pick& p : picks) p.t = inst.OriginOf(p.t);
-      auto shared = std::make_shared<std::vector<Pick>>(std::move(picks));
-      const int root_rel = inst.root_relation();
-      node.report = [shared, root_rel](std::int64_t j) {
-        std::vector<TupleRef> out;
-        std::int64_t removed = 0;
-        for (const Pick& p : *shared) {
-          if (removed >= j) break;
-          out.push_back(TupleRef{root_rel, p.t});
-          removed = SatAdd(removed, p.profit);
-        }
-        return out;
-      };
-    }
-    return node;
-  }
-
-  // Case 2: head(Q) ⊆ attr(Ri). Discard dangling Ri tuples, group the rest
-  // by head projection (one group per output), delete cheapest groups first.
-  const std::vector<std::int64_t> through = counts.RowsThrough(ri);
-  std::vector<int> hcols;
-  for (AttrId a : q.head()) hcols.push_back(schema.ColumnOf(a));
-  // Group by head-projection codes (no key materialization), then drop the
-  // dangling members of each group; a group left empty never joins, i.e. it
-  // is not an output.
-  const HashGroupIndex grouped(inst, hcols);
-  std::vector<std::vector<TupleId>> sorted_groups;
-  sorted_groups.reserve(grouped.num_groups());
-  for (std::size_t g = 0; g < grouped.num_groups(); ++g) {
-    std::vector<TupleId> members;
-    for (TupleId t : grouped.rows(g)) {
-      if (through[t] > 0) members.push_back(t);
-    }
-    if (!members.empty()) sorted_groups.push_back(std::move(members));
-  }
-  // Smallest group first; ties keep first-seen group order.
-  StableSortByKey(
-      sorted_groups,
-      [](const std::vector<TupleId>& g) {
-        return static_cast<std::uint64_t>(g.size());
-      },
-      SortOrder::kAscending);
-
-  // Removing the j cheapest groups costs the sum of their sizes and removes
-  // exactly j outputs; the profile reads the first cap groups.
-  std::int64_t spent = 0;
-  std::size_t used = 0;
-  while (used < sorted_groups.size()) {
-    spent += static_cast<std::int64_t>(sorted_groups[used].size());
-    ++used;
-    if (!node.profile.Append(spent, static_cast<std::int64_t>(used), cap)) {
-      break;
-    }
-  }
-
-  if (!options.counting_only) {
-    sorted_groups.resize(used);
-    for (std::vector<TupleId>& group : sorted_groups) {
-      for (TupleId& t : group) t = inst.OriginOf(t);
-    }
-    auto shared = std::make_shared<std::vector<std::vector<TupleId>>>(
-        std::move(sorted_groups));
-    const int root_rel = inst.root_relation();
-    node.report = [shared, root_rel](std::int64_t j) {
-      std::vector<TupleRef> out;
-      for (std::int64_t g = 0; g < j && g < static_cast<std::int64_t>(
-                                               shared->size());
-           ++g) {
-        for (TupleId t : (*shared)[g]) out.push_back(TupleRef{root_rel, t});
-      }
-      return out;
+  } else {
+    // Case 2: head(Q) ⊆ attr(Ri). Discard dangling Ri tuples, group the rest
+    // by head projection (one group per output), delete cheapest groups
+    // first.
+    const std::vector<std::int64_t> through = counts.RowsThrough(ri);
+    std::vector<int> hcols;
+    for (AttrId a : q.head()) hcols.push_back(schema.ColumnOf(a));
+    // Group by head-projection codes (no key materialization); a group's
+    // size counts its members that join, and a group left empty never
+    // joins, i.e. it is not an output.
+    const HashGroupIndex grouped(inst, hcols);
+    struct Group {
+      std::uint64_t size;
+      std::uint32_t id;
     };
+    std::vector<Group> groups;
+    groups.reserve(grouped.num_groups());
+    std::size_t members = 0;
+    for (std::size_t g = 0; g < grouped.num_groups(); ++g) {
+      std::uint64_t size = 0;
+      for (TupleId t : grouped.rows(g)) size += through[t] > 0 ? 1 : 0;
+      if (size > 0) groups.push_back({size, static_cast<std::uint32_t>(g)});
+      members += size;
+    }
+    // Smallest group first; ties keep first-seen group order.
+    StableSortByKey(
+        groups, [](const Group& g) { return g.size; }, SortOrder::kAscending);
+    // Deleting a group's joining members removes its one output.
+    order.reserve(members);
+    for (const Group& g : groups) {
+      for (TupleId t : grouped.rows(g.id)) {
+        if (through[t] > 0) order.push_back({TupleRef{ri, t}, 0});
+      }
+      order.back().gain = 1;
+    }
   }
-  return node;
+  return LeafNode({&order, 1}, db, cap, counts.outputs, /*exact=*/true,
+                  options);
 }
 
 }  // namespace adp

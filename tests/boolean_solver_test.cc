@@ -25,6 +25,7 @@ using testing::MakeDb;
 using testing::OracleAdp;
 using testing::OracleCount;
 using testing::RandomDb;
+using testing::RootTuples;
 
 TEST(BooleanSolverTest, SingleRelationNeedsFullDeletion) {
   const ConjunctiveQuery q = ParseQuery("Q() :- R1(A)");
@@ -78,7 +79,7 @@ TEST(BooleanSolverTest, CutIsVerifiable) {
   const auto res = SolveBooleanExact(q, db);
   ASSERT_TRUE(res.has_value());
   // Removing the cut makes the query false.
-  EXPECT_EQ(CountRemovedOutputs(q, db, res->cut), 1);
+  EXPECT_EQ(CountRemovedOutputs(q, db, RootTuples(db, res->cut)), 1);
 }
 
 TEST(BooleanSolverTest, TriangleIsNotLinearizable) {
@@ -138,10 +139,9 @@ BooleanResult OracleHubNetwork(const ConjunctiveQuery& q, const Database& db,
   result.resilience = flow.Compute(0, 1);
   const std::vector<char> side = flow.SourceSide(0);
   for (int pos = 0; pos < p; ++pos) {
-    const RelationInstance& inst = db.rel(order[pos]);
-    for (std::size_t t = 0; t < inst.size(); ++t) {
+    for (std::size_t t = 0; t < db.rel(order[pos]).size(); ++t) {
       if (side[in_node[pos][t]] && !side[out_node[pos][t]]) {
-        result.cut.push_back(TupleRef{inst.root_relation(), inst.OriginOf(t)});
+        result.cut.push_back(TupleRef{order[pos], static_cast<TupleId>(t)});
       }
     }
   }
@@ -304,7 +304,7 @@ TEST_P(BooleanOracleSweep, MatchesExhaustiveOptimum) {
   ASSERT_TRUE(res.has_value()) << c.query;
   EXPECT_EQ(res->resilience, OracleAdp(q, db, 1)) << c.query;
   EXPECT_EQ(static_cast<std::int64_t>(res->cut.size()), res->resilience);
-  EXPECT_EQ(CountRemovedOutputs(q, db, res->cut), 1);
+  EXPECT_EQ(CountRemovedOutputs(q, db, RootTuples(db, res->cut)), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

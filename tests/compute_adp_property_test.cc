@@ -30,6 +30,7 @@ using testing::OracleAdp;
 using testing::OracleCount;
 using testing::RandomDb;
 using testing::RandomQuery;
+using testing::RandomRestrictions;
 
 class AdpExactnessSweep : public ::testing::TestWithParam<int> {};
 
@@ -442,6 +443,78 @@ TEST(AdpDecomposeCapTest, CappedComponentsKeepEveryTargetUpToK) {
                           AdpCase::kUniverse, AdpCase::kHeuristic}) {
     EXPECT_EQ(component_cases.count(c), 1u) << AdpCaseName(c);
   }
+}
+
+// Every leaf builds its node through LeafNode, which maps its witnesses to
+// root tuples. Over random queries of every root case (Universe and
+// Decompose roots put leaves on derived databases), under Greedy and
+// Drastic leaves, each with and without random restrictions, every feasible
+// k <= |Q(D)| answers with exactly `cost` distinct witness tuples, which
+// remove >= k outputs and hold no protected tuple; without restrictions,
+// every such k is feasible.
+TEST(AdpEveryKSweep, WitnessesCostWhatTheyClaimAtEveryK) {
+  Rng rng(20261022);
+  std::array<int, 5> roots{};
+  int greedy_below = 0;   // solves with a Greedy leaf under an inner root
+  int drastic_below = 0;  // and with a Drastic one
+  int singleton_below = 0;
+  int infeasible = 0;
+  int checked = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    // DrasticGreedy needs a full head; a third of the Greedy runs get one.
+    const bool drastic = trial % 2 == 1;
+    ConjunctiveQuery q =
+        RandomQuery(rng, 5, 4, /*allow_vacuum=*/trial % 5 == 0);
+    if (drastic || trial % 3 == 0) q.SetHead(q.all_attrs());
+    const Database db = RandomDb(q, rng, 5, 3);
+    const std::int64_t total = static_cast<std::int64_t>(
+        CountOutputs(q.body(), q.head(), db));
+    if (total == 0 || total > 60) continue;
+    AdpOptions options;
+    options.verify = true;
+    options.heuristic = drastic ? AdpOptions::Heuristic::kDrastic
+                                : AdpOptions::Heuristic::kGreedy;
+    DeletionRestrictions restrictions;
+    if (trial % 4 >= 2) {
+      restrictions = RandomRestrictions(db, rng);
+      options.restrictions = &restrictions;
+    }
+    const AdpCase root = BuildDispatchPlan(q, options).op;
+    ++roots[static_cast<std::size_t>(root)];
+    const bool inner =
+        root == AdpCase::kUniverse || root == AdpCase::kDecompose;
+    for (std::int64_t k = 1; k <= total; ++k) {
+      SCOPED_TRACE(q.ToString() + " k=" + std::to_string(k));
+      AdpStats stats;
+      options.stats = &stats;
+      const AdpSolution sol = ComputeAdp(q, db, k, options);
+      if (inner) {
+        greedy_below += stats.greedy_leaves > 0;
+        drastic_below += stats.drastic_leaves > 0;
+        singleton_below += stats.singleton_nodes > 0;
+      }
+      if (!sol.feasible) {
+        ASSERT_NE(options.restrictions, nullptr);
+        ++infeasible;
+        continue;
+      }
+      ++checked;
+      EXPECT_EQ(static_cast<std::int64_t>(sol.tuples.size()), sol.cost);
+      EXPECT_GE(sol.removed_outputs, k);
+      for (const TupleRef& t : sol.tuples) {
+        EXPECT_FALSE(restrictions.IsProtected(t.relation, t.row))
+            << t.relation << "/" << t.row;
+      }
+    }
+  }
+  for (std::size_t c = 0; c < roots.size(); ++c) {
+    EXPECT_GT(roots[c], 50) << AdpCaseName(static_cast<AdpCase>(c));
+  }
+  EXPECT_GT(checked, 10000);
+  EXPECT_GT(greedy_below, 200);
+  EXPECT_GT(drastic_below, 150);
+  EXPECT_GT(singleton_below, 1000);
+  EXPECT_GT(infeasible, 200);
 }
 
 TEST(AdpDeterminismTest, SameSeedSameSolution) {

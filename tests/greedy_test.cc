@@ -26,6 +26,8 @@ using testing::OracleAdp;
 using testing::OracleCount;
 using testing::RandomDb;
 using testing::RandomQuery;
+using testing::RandomRestrictions;
+using testing::RootTuples;
 
 // The leaves over the counts SolveNode hands them: the node's own pass over
 // (q, db), joins kept for GreedyForCQ, DrasticReads for DrasticGreedy.
@@ -151,9 +153,7 @@ GreedyTrace ReferenceGreedy(const ConjunctiveQuery& q, const Database& db,
     }
     if (best_rel < 0) break;
     removed += index.Delete(best_rel, best_tuple);
-    const RelationInstance& inst = db.rel(best_rel);
-    trace.picks.push_back(
-        TupleRef{inst.root_relation(), inst.OriginOf(best_tuple)});
+    trace.picks.push_back(TupleRef{best_rel, best_tuple});
     trace.removed_after.push_back(removed);
   }
   return trace;
@@ -185,17 +185,6 @@ std::size_t ExpectSameTrace(const ConjunctiveQuery& q, const Database& db,
       RunGreedyForCQ(q, db, OracleCount(q, db), restrictions, &counts), want,
       q);
   return want.picks.size();
-}
-
-// Protects each tuple of `db` with probability 1/4.
-DeletionRestrictions RandomRestrictions(const Database& db, Rng& rng) {
-  DeletionRestrictions restrictions;
-  for (std::size_t i = 0; i < db.num_relations(); ++i) {
-    for (TupleId t = 0; t < db.rel(i).size(); ++t) {
-      if (rng.Uniform(4) == 0) restrictions.Protect(static_cast<int>(i), t);
-    }
-  }
-  return restrictions;
 }
 
 enum class HeadKind { kFull, kProjected, kBoolean };
@@ -302,7 +291,7 @@ TEST(GreedyTest, FeasibleOnProjections) {
     ASSERT_FALSE(trace.removed_after.empty());
     EXPECT_GE(trace.removed_after.back(), k);
     // Verify against re-evaluation.
-    EXPECT_GE(CountRemovedOutputs(q, db, trace.picks), k);
+    EXPECT_GE(CountRemovedOutputs(q, db, RootTuples(db, trace.picks)), k);
   }
 }
 

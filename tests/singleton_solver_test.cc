@@ -1,5 +1,6 @@
 // Singleton solver tests (Algorithm 3): both cases, profile shape,
-// reporting, and an oracle sweep.
+// reporting, and an oracle sweep; and the leaf builder (LeafNode) the
+// Singleton node and every other leaf build their nodes with.
 
 #include <gtest/gtest.h>
 
@@ -225,6 +226,159 @@ TEST_P(SingletonOracleSweep, OptimalForAllK) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SingletonOracleSweep,
                          ::testing::Range(0, 32));
+
+// LeafNode, the one leaf builder every leaf hands its deletion orders to.
+
+// Single-tuple deletions of tuples 0, 1, ... of body position `rel`.
+DeletionOrder Picks(int rel, const std::vector<std::int64_t>& gains) {
+  DeletionOrder order;
+  for (std::size_t t = 0; t < gains.size(); ++t) {
+    order.push_back({TupleRef{rel, static_cast<TupleId>(t)}, gains[t]});
+  }
+  return order;
+}
+
+// A root database of `rels` one-column relations with `rows` rows each.
+Database Rows(int rels, int rows) {
+  Database db(static_cast<std::size_t>(rels));
+  for (int r = 0; r < rels; ++r) {
+    for (int t = 0; t < rows; ++t) db.rel(r).Add(Tuple{t});
+  }
+  return db;
+}
+
+// Root relation 1's rows 2 and 0, in that order, at body position 0.
+Database GatheredDb() {
+  const Database root = Rows(2, 3);
+  Database derived;
+  derived.Append(RelationInstance::Gather(
+      root.rel(1), std::vector<TupleId>{2, 0}, std::vector<int>{0}));
+  return derived;
+}
+
+// report(j) deletes At(j) tuples for every target the profile reaches.
+void ExpectReportsCostWhatTheProfileSays(const AdpNode& node) {
+  for (std::int64_t j = 1; j <= node.profile.kmax(); ++j) {
+    EXPECT_EQ(static_cast<std::int64_t>(node.report(j).size()),
+              node.profile.At(j))
+        << "j=" << j;
+  }
+}
+
+using Tuples = std::vector<TupleRef>;
+
+TEST(LeafNodeTest, OneOrder) {
+  const Database db = Rows(1, 3);
+  DeletionOrder order = Picks(0, {3, 2, 1});
+  const AdpNode node = LeafNode({&order, 1}, db, /*cap=*/6, /*outputs=*/6,
+                                /*exact=*/true, AdpOptions{});
+  EXPECT_TRUE(node.exact);
+  EXPECT_EQ(node.outputs, 6);
+  EXPECT_EQ(node.profile.At(3), 1);
+  EXPECT_EQ(node.profile.At(4), 2);
+  EXPECT_EQ(node.profile.At(6), 3);
+  EXPECT_EQ(node.profile.kmax(), 6);
+  EXPECT_TRUE(node.report(0).empty());
+  EXPECT_EQ(node.report(4), (Tuples{{0, 0}, {0, 1}}));
+  ExpectReportsCostWhatTheProfileSays(node);
+}
+
+// Order 0 removes 1 and then 4 in total, order 1 removes 2, 3 and 4.
+TEST(LeafNodeTest, TiedPrefixesGoToTheLowestOrder) {
+  const Database db = Rows(2, 3);
+  std::vector<DeletionOrder> orders = {Picks(0, {1, 3}), Picks(1, {2, 1, 1})};
+  const AdpNode node =
+      LeafNode(orders, db, /*cap=*/4, /*outputs=*/4, /*exact=*/false,
+               AdpOptions{});
+  EXPECT_FALSE(node.exact);
+  // Budget 1 removes order 1's 2, budget 2 order 0's 4.
+  EXPECT_EQ(node.profile.At(1), 1);
+  EXPECT_EQ(node.profile.At(2), 1);
+  EXPECT_EQ(node.profile.At(3), 2);
+  EXPECT_EQ(node.profile.At(4), 2);
+  // Targets 1, 3 and 4 take as many deletions in either order: order 0's.
+  EXPECT_EQ(node.report(1), (Tuples{{0, 0}}));
+  EXPECT_EQ(node.report(2), (Tuples{{1, 0}}));
+  EXPECT_EQ(node.report(3), (Tuples{{0, 0}, {0, 1}}));
+  EXPECT_EQ(node.report(4), (Tuples{{0, 0}, {0, 1}}));
+}
+
+// A greedy trace whose first and third picks remove nothing: the staircase
+// skips them, and every prefix that passes them keeps them.
+TEST(LeafNodeTest, ZeroGainStepsStayInTheirPrefixes) {
+  const Database db = Rows(1, 4);
+  DeletionOrder order = Picks(0, {0, 2, 0, 1});
+  const AdpNode node = LeafNode({&order, 1}, db, /*cap=*/3, /*outputs=*/3,
+                                /*exact=*/false, AdpOptions{});
+  ASSERT_EQ(node.profile.steps().size(), 3u);
+  EXPECT_EQ(node.profile.At(2), 2);
+  EXPECT_EQ(node.profile.At(3), 4);
+  EXPECT_EQ(node.report(1), (Tuples{{0, 0}, {0, 1}}));
+  EXPECT_EQ(node.report(3), (Tuples{{0, 0}, {0, 1}, {0, 2}, {0, 3}}));
+  ExpectReportsCostWhatTheProfileSays(node);
+}
+
+// Two steps, as a Singleton's output groups or a min cut hand them over:
+// tuples 0-2 remove one output together, tuple 3 another.
+TEST(LeafNodeTest, MultiTupleSteps) {
+  const Database db = Rows(1, 4);
+  DeletionOrder order = Picks(0, {0, 0, 1, 1});
+  const AdpNode node = LeafNode({&order, 1}, db, /*cap=*/2, /*outputs=*/2,
+                                /*exact=*/true, AdpOptions{});
+  EXPECT_EQ(node.profile.At(1), 3);
+  EXPECT_EQ(node.profile.At(2), 4);
+  EXPECT_EQ(node.report(1), (Tuples{{0, 0}, {0, 1}, {0, 2}}));
+  ExpectReportsCostWhatTheProfileSays(node);
+}
+
+// Order 0 reaches cap 4 at its second deletion, order 1 at its fourth;
+// each is cut there, and the staircase ends at cap.
+TEST(LeafNodeTest, OrdersAreCutAfterTheDeletionReachingCap) {
+  const Database db = Rows(2, 5);
+  std::vector<DeletionOrder> orders = {Picks(0, {3, 2, 4, 1}),
+                                       Picks(1, {1, 1, 1, 1, 1})};
+  AdpOptions counting;
+  counting.counting_only = true;
+  const AdpNode counted = LeafNode(orders, db, /*cap=*/4, /*outputs=*/11,
+                                   /*exact=*/false, counting);
+  EXPECT_EQ(orders[0].size(), 2u);
+  EXPECT_EQ(orders[1].size(), 4u);
+  EXPECT_EQ(counted.profile.kmax(), 4);
+  EXPECT_EQ(counted.profile.At(4), 2);
+
+  orders = {Picks(0, {3, 2, 4, 1}), Picks(1, {1, 1, 1, 1, 1})};
+  const AdpNode node = LeafNode(orders, db, /*cap=*/4, /*outputs=*/11,
+                                /*exact=*/false, AdpOptions{});
+  EXPECT_EQ(node.profile.steps().size(), counted.profile.steps().size());
+  EXPECT_EQ(node.report(4), (Tuples{{0, 0}, {0, 1}}));
+  ExpectReportsCostWhatTheProfileSays(node);
+}
+
+TEST(LeafNodeTest, CountingOnlyMapsNothing) {
+  const Database db = GatheredDb();
+  DeletionOrder order = Picks(0, {1, 1});
+  AdpOptions counting;
+  counting.counting_only = true;
+  const AdpNode node = LeafNode({&order, 1}, db, /*cap=*/2, /*outputs=*/2,
+                                /*exact=*/true, counting);
+  EXPECT_TRUE(node.report == nullptr);
+  EXPECT_EQ(node.profile.At(2), 2);
+  // Left in the leaf's coordinates.
+  EXPECT_EQ(order[0].tuple, (TupleRef{0, 0}));
+  EXPECT_EQ(order[1].tuple, (TupleRef{0, 1}));
+}
+
+// A derived database's position 0 holds root relation 1's rows 2 and 0:
+// the witnesses name those.
+TEST(LeafNodeTest, MapsThroughAGatheredInstance) {
+  const Database db = GatheredDb();
+  ASSERT_EQ(db.rel(0).root_relation(), 1);
+  DeletionOrder order = Picks(0, {1, 1});
+  const AdpNode node = LeafNode({&order, 1}, db, /*cap=*/2, /*outputs=*/2,
+                                /*exact=*/true, AdpOptions{});
+  EXPECT_EQ(node.report(1), (Tuples{{1, 2}}));
+  EXPECT_EQ(node.report(2), (Tuples{{1, 2}, {1, 0}}));
+}
 
 }  // namespace
 }  // namespace adp

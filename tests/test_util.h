@@ -13,6 +13,8 @@
 #include "query/query.h"
 #include "relational/database.h"
 #include "relational/join.h"
+#include "solver/restrictions.h"
+#include "solver/solution.h"
 #include "util/rng.h"
 
 namespace adp::testing {
@@ -28,6 +30,18 @@ inline Database MakeDb(
     for (const Tuple& t : it->second) db.rel(i).Add(t);
   }
   return db;
+}
+
+/// `tuples`, given in the coordinates of `db` (body position, local row) as
+/// SolveBooleanExact's cut and RunGreedyForCQ's picks are, in root
+/// coordinates: they differ once Dedup has dropped rows, as in RandomDb.
+inline std::vector<TupleRef> RootTuples(const Database& db,
+                                        std::vector<TupleRef> tuples) {
+  for (TupleRef& t : tuples) {
+    const RelationInstance& inst = db.rel(static_cast<std::size_t>(t.relation));
+    t = TupleRef{inst.root_relation(), inst.OriginOf(t.row)};
+  }
+  return tuples;
 }
 
 /// Oracle: evaluates Q(D) by brute-force nested loops (selections honored),
@@ -223,6 +237,17 @@ inline ConjunctiveQuery RandomQuery(Rng& rng, int num_attrs, int max_rels,
   }
   q.SetHead(head);
   return q;
+}
+
+/// Protects each tuple of `db` with probability 1/4.
+inline DeletionRestrictions RandomRestrictions(const Database& db, Rng& rng) {
+  DeletionRestrictions restrictions;
+  for (std::size_t i = 0; i < db.num_relations(); ++i) {
+    for (TupleId t = 0; t < db.rel(i).size(); ++t) {
+      if (rng.Uniform(4) == 0) restrictions.Protect(static_cast<int>(i), t);
+    }
+  }
+  return restrictions;
 }
 
 /// Random small instance for `q`: each relation gets `rows` tuples over a

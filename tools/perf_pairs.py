@@ -11,7 +11,10 @@ For every end-to-end metric it prints the parent's and the change's medians,
 the change/parent ratio of the medians, the pairs the change won (in the
 metric's direction, from BENCHMARK.json) and the parent's interquartile
 range. For paper_solve it also prints each cell's median_cpu_ms ratio, from
-the run facts line. With `--trace`, one traced run per side follows the
+the run facts line. Each side's `reference_checksum` (from the facts line:
+a hash of the answers the run checks itself against) is printed too, and a
+pair whose two checksums differ is flagged, so "same answers" is read off
+the same runs. With `--trace`, one traced run per side follows the
 pairs, and its per-layer figures (every `relational.*` and `solver.*`
 metric: count_ms, count_only_ms, case.*_ms, self_ms, node counts) are
 printed side by side, so a gain is attributed to its layer by the same
@@ -107,10 +110,28 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def report_checksums(runs):
+    """Prints each side's reference_checksum; flags pairs where they differ."""
+    sums = {side: [r[side][0].get("reference_checksum") for r in runs]
+            for side in ("parent", "change")}
+    for side in ("parent", "change"):
+        print("reference_checksum %-6s %s" %
+              (side, " ".join(str(c) for c in sorted(set(sums[side]),
+                                                     key=str))))
+    differ = [i for i, (p, c) in enumerate(zip(sums["parent"],
+                                               sums["change"])) if p != c]
+    if differ:
+        print("reference_checksum DIFFERS in pairs %s" %
+              ", ".join(str(i) for i in differ))
+    else:
+        print("reference_checksum equal in all %d pairs" % len(runs))
+
+
 def report(workload, seed, runs, higher_better):
     parent = [r["parent"][1]["metrics"] for r in runs]
     change = [r["change"][1]["metrics"] for r in runs]
     print("\n%s seed %d: %d pairs" % (workload, seed, len(runs)))
+    report_checksums(runs)
     print("%-18s %12s %12s %7s %6s %12s" %
           ("metric", "parent", "change", "ratio", "won", "parent IQR"))
     for name in sorted(parent[0]):
